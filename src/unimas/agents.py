@@ -3,8 +3,9 @@
 Every domain agent is a mediated relay: a request from the gateway is
 re-issued to the orchestrator under a fresh conversation id, and the
 store's answer is forwarded back to whoever opened the original
-conversation.  Only the orchestrator ever emits store commands; the
-report agent computes its reports itself from queried table rows.
+conversation.  Only the orchestrator ever emits store commands.  For a
+report the store aggregates (one query per report kind answers with that
+report's rows only) and the report agent builds the report from them.
 
 Conversation ids are ``<agent>:<seq>``, optionally suffixed with the
 conversation they serve (``FSA:0>GW:2``), so both the opener of any hop
@@ -14,9 +15,7 @@ need no routing tables.
 
 from __future__ import annotations
 
-from collections import defaultdict
-
-from . import bdi, runtime, store as store_mod
+from . import bdi, runtime
 from .bdi import (
     Belief,
     BelieveStep,
@@ -31,12 +30,11 @@ from .bdi import (
 )
 from .config import RunConfig
 from .runtime import World, register_agent
-from .store import SCHEMAS, Store
+from .store import REPORT_QUERIES, SCHEMAS, Store
 from .trace import TraceLog
 from .terms import (
     REPLIES,
     Command,
-    Envelope,
     Performative,
     Ratio,
     Refusal,
@@ -69,22 +67,7 @@ AGENT_COMMANDS: dict[str, tuple[str, ...]] = {
 #: Session commands go straight from the gateway to the orchestrator.
 DIRECT_COMMANDS = ("open_session", "close_session")
 
-REPORT_KINDS = (
-    "graduates_per_year",
-    "admissions_per_year",
-    "attendance",
-    "teacher_student_ratio",
-    "lab_student_ratio",
-)
-
-#: Store tables each report reads; the query ships only these.
-REPORT_SOURCES = {
-    "graduates_per_year": "students+programs+classes+results",
-    "admissions_per_year": "students",
-    "attendance": "lecture_logs",
-    "teacher_student_ratio": "students+teachers",
-    "lab_student_ratio": "students",
-}
+REPORT_KINDS = tuple(REPORT_QUERIES)
 
 
 def agent_for_command(command: str) -> str:
@@ -187,57 +170,28 @@ def relay_agent(agent_id: str, commands: tuple[str, ...]) -> bdi.AgentState:
 # -- report agent ------------------------------------------------------------
 
 
-def build_report(kind: str, dump_text: str, cfg: RunConfig, generated_round: int = 0) -> Report:
-    """Compute one statistical report from a store dump; never absent."""
+def build_report(kind: str, rows_text: str, cfg: RunConfig) -> Report:
+    """Build one statistical report from its query's rows; never absent."""
     if kind not in REPORT_KINDS:
         raise ValueError(f"unknown report kind: {kind}")
-    tables = store_mod.parse_dump(dump_text)
-    students = tables["students"]
-    rows: list[tuple[str, str]] = []
-
-    if kind == "admissions_per_year":
-        admitted: dict[str, int] = defaultdict(int)
-        for s in students:
-            if s["admit_year"]:
-                admitted[s["admit_year"]] += 1
-        rows = [(year, str(admitted[year])) for year in sorted(admitted, key=int)]
-    elif kind == "graduates_per_year":
-        # A student graduates in the year their last final-semester result
-        # lands, once every final-semester class of their program has one.
-        by_program = {p["p_id"]: p["semester_count"] for p in tables["programs"]}
-        results = {(r["student_id"], r["class_id"]): r["year"] for r in tables["results"]}
-        final_classes: dict[str, list[str]] = defaultdict(list)
-        for c in tables["classes"]:
-            if by_program.get(c["p_id"]) == c["semester"]:
-                final_classes[c["p_id"]].append(c["class_id"])
-        graduated: dict[str, int] = defaultdict(int)
-        for s in students:
-            finals = final_classes.get(s["program_id"], ())
-            years = [results.get((s["student_id"], c)) for c in finals]
-            if finals and all(y is not None for y in years):
-                graduated[max(years, key=int)] += 1
-        rows = [(year, str(graduated[year])) for year in sorted(graduated, key=int)]
-    elif kind == "attendance":
-        rows = [
-            (f"{log['class_id']}:{log['subject']}", log["lectures_delivered"])
-            for log in tables["lecture_logs"]
-        ]
-    elif kind == "teacher_student_ratio":
-        rows = [("teachers_to_students", Ratio(len(tables["teachers"]), len(students)).render())]
+    rows = [tuple(line.split("|", 1)) for line in rows_text.splitlines()]
+    if kind == "teacher_student_ratio":
+        counts = dict(rows)
+        ratio = Ratio(int(counts["teachers"]), int(counts["students"]))
+        rows = [("teachers_to_students", ratio.render())]
     elif kind == "lab_student_ratio":
-        rows = [("labs_to_students", Ratio(cfg.lab_count, len(students)).render())]
-
-    return Report(kind=kind, rows=tuple(rows), generated_round=generated_round)
+        ratio = Ratio(cfg.lab_count, int(dict(rows)["students"]))
+        rows = [("labs_to_students", ratio.render())]
+    return Report(kind=kind, rows=tuple(rows))
 
 
 def _report_query(ctx: bdi.StepCtx) -> list[MessageDraft]:
-    kind = str(ctx.params[4])
     return [
         MessageDraft(
             receiver=ORCHESTRATOR,
             performative=Performative.REQUEST,
             conversation=_relay_conversation(ctx),
-            content=Term("query", (REPORT_SOURCES.get(kind, "dump"),)),
+            content=Term("query", (ctx.params[4],)),
         )
     ]
 
@@ -269,8 +223,7 @@ def report_agent(cfg: RunConfig) -> bdi.AgentState:
             content = Term("report", (kind,))  # guard off: absent result
             performative_out = Performative.INFORM
         else:
-            dump_text = decode_blob(str(ctx.params[4]))
-            report = build_report(kind, dump_text, cfg)
+            report = build_report(kind, decode_blob(str(ctx.params[4])), cfg)
             blob = encode_blob("\n".join(report.render_lines()))
             content = Term("report", (kind, len(report.rows), blob))
             performative_out = Performative.INFORM
@@ -389,47 +342,6 @@ def orchestrator_agent() -> bdi.AgentState:
         ),
     ]
     return bdi.make_agent(ORCHESTRATOR, plans)
-
-
-def oa_handle(store: Store, msg: Envelope) -> tuple[Envelope, Command | None]:
-    """Synchronous request translation, usable without a scheduler.
-
-    Mirrors what the orchestrator's plans do over two cycles: translate the
-    request into a store command, execute it, and answer with exactly one
-    reply envelope.
-    """
-    schema = SCHEMAS.get(msg.content.name)
-    if msg.performative is not Performative.REQUEST:
-        raise ValueError("oa_handle expects a request")
-    if schema is None or len(msg.content.args) != len(schema):
-        reply = Envelope(
-            sender=ORCHESTRATOR,
-            receiver=msg.sender,
-            performative=Performative.FAILURE,
-            conversation=msg.conversation,
-            content=Term("failed", (encode_blob("malformed content term"),)),
-        )
-        return reply, None
-    args = tuple((f.name, value) for f, value in zip(schema, msg.content.args))
-    command = Command(msg.content.name, args, msg.conversation)
-    outcome = store.execute(command)
-    if isinstance(outcome.result, Refusal):
-        if outcome.result.fault:
-            performative = Performative.FAILURE
-            content = Term("failed", (encode_blob(outcome.result.reason),))
-        else:
-            performative = Performative.REFUSE
-            content = Term("refused", (encode_blob(outcome.result.reason),))
-    else:
-        performative, content = Performative.INFORM, outcome.result
-    reply = Envelope(
-        sender=ORCHESTRATOR,
-        receiver=msg.sender,
-        performative=performative,
-        conversation=msg.conversation,
-        content=content,
-    )
-    return reply, command
 
 
 # -- world assembly ----------------------------------------------------------

@@ -5,13 +5,15 @@ Commands are validated first (refusals touch nothing), then journaled,
 then applied; ``replay`` folds a journal back into an identical store by
 re-running the mutations without validation, since journaled events are
 facts.  All row values are stored as rendered strings so dumps, journals
-and comparisons stay canonical.
+and comparisons stay canonical.  A report query is answered with only the
+aggregate rows of its report, computed from the live tables when asked.
 """
 
 from __future__ import annotations
 
 import datetime
 import zlib
+from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 
 from .config import RunConfig
@@ -186,6 +188,64 @@ def parse_dump(text: str) -> dict[str, list[Row]]:
     return tables
 
 
+# -- report queries: aggregate rows computed from the live tables ---------
+
+Tables = dict[str, dict[tuple, Row]]
+
+
+def _per_year(counts: Counter[str]) -> list[tuple[str, str]]:
+    return [(year, str(counts[year])) for year in sorted(counts, key=int)]
+
+
+def _admissions_per_year(tables: Tables) -> list[tuple[str, str]]:
+    return _per_year(Counter(s["admit_year"] for s in tables["students"].values() if s["admit_year"]))
+
+
+def _graduates_per_year(tables: Tables) -> list[tuple[str, str]]:
+    # A student graduates in the year their last final-semester result
+    # lands, once every final-semester class of their program has one.
+    semesters = {p["p_id"]: p["semester_count"] for p in tables["programs"].values()}
+    final_program = {
+        c["class_id"]: c["p_id"]
+        for c in tables["classes"].values()
+        if semesters.get(c["p_id"]) == c["semester"]
+    }
+    finals = Counter(final_program.values())
+    students = tables["students"]
+    years: dict[tuple[str, str], list[int]] = defaultdict(list)
+    for r in tables["results"].values():
+        p_id = final_program.get(r["class_id"])
+        if p_id is not None and students[(int(r["student_id"]),)]["program_id"] == p_id:
+            years[(r["student_id"], p_id)].append(int(r["year"]))
+    return _per_year(
+        Counter(str(max(got)) for (_, p_id), got in years.items() if len(got) == finals[p_id])
+    )
+
+
+def _attendance(tables: Tables) -> list[tuple[str, str]]:
+    logs = tables["lecture_logs"]
+    in_order = (logs[key] for key in sorted(logs))
+    return [(f"{log['class_id']}:{log['subject']}", log["lectures_delivered"]) for log in in_order]
+
+
+def _teacher_student_counts(tables: Tables) -> list[tuple[str, str]]:
+    return [("teachers", str(len(tables["teachers"]))), ("students", str(len(tables["students"])))]
+
+
+def _student_count(tables: Tables) -> list[tuple[str, str]]:
+    return [("students", str(len(tables["students"])))]
+
+
+#: ``query(q=<report kind>)``: the aggregate rows each report is built from.
+REPORT_QUERIES = {
+    "graduates_per_year": _graduates_per_year,
+    "admissions_per_year": _admissions_per_year,
+    "attendance": _attendance,
+    "teacher_student_ratio": _teacher_student_counts,
+    "lab_student_ratio": _student_count,
+}
+
+
 class Store:
     def __init__(self, cfg: RunConfig | None = None) -> None:
         self.cfg = cfg or RunConfig()
@@ -216,9 +276,9 @@ class Store:
             if all(row.get(k) == v for k, v in wanted.items())
         ]
 
-    def dump(self, tables: tuple[str, ...] | None = None) -> str:
+    def dump(self) -> str:
         lines = []
-        for table in sorted(tables if tables is not None else self.tables):
+        for table in sorted(self.tables):
             rendered = self._rendered[table]
             for key in sorted(rendered):
                 lines.append(rendered[key])
@@ -294,17 +354,14 @@ class Store:
         )
 
     def _run_query(self, command: Command) -> Outcome:
-        q = str(command.get("q"))
-        if q == "dump":
-            text = self.dump()
-        elif all(t in self.tables for t in q.split("+")):
-            text = self.dump(tuple(q.split("+")))
-        else:
-            reason = encode_blob("unknown table")
+        aggregate = REPORT_QUERIES.get(str(command.get("q")))
+        if aggregate is None:
+            reason = encode_blob("unknown query")
             return Outcome(
-                result=Refusal("unknown table", fault=True),
+                result=Refusal("unknown query", fault=True),
                 drafts=(("refusal", f"refused(cmd=query,reason={reason})"),),
             )
+        text = "".join(f"{label}|{value}\n" for label, value in aggregate(self.tables))
         return Outcome(result=Term("rows", (encode_blob(text),)))
 
     # -- validation (business rules; skipped checks are fault injection) --

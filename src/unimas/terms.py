@@ -171,7 +171,6 @@ class Report:
 
     kind: str
     rows: tuple[tuple[str, str], ...] = ()
-    generated_round: int = 0
 
     def render_lines(self) -> list[str]:
         return [f"{self.kind}|{label}|{value}" for label, value in self.rows]

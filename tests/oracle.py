@@ -1,11 +1,15 @@
-"""Naive full-trace property checker, independent of the Monitor.
+"""Naive references, independent of the code they check.
 
-Quadratic scans and recomputation everywhere; intentionally shares no
-logic with unimas.monitor so that agreement between the two is evidence,
-not tautology.  Desk scale only.
+``naive_statuses`` is a full-trace property checker: quadratic scans and
+recomputation everywhere, sharing no logic with unimas.monitor, so that
+agreement between the two is evidence, not tautology.  ``reference_report``
+computes a report's lines from a whole store dump, apart from the store's
+report queries and the report agent.  Desk scale only.
 """
 
 from __future__ import annotations
+
+from collections import defaultdict
 
 from unimas.config import RunConfig
 from unimas.store import OPTIONAL_ROW_FIELDS, SCHEMAS, TABLE_FIELDS
@@ -31,6 +35,50 @@ def _rows(dump: str) -> dict[str, list[dict[str, str]]]:
         table, _, kv = line.split("|", 2)
         tables[table].append(dict(p.split("=", 1) for p in kv.split(",")))
     return tables
+
+
+def reference_report(kind: str, dump: str, lab_count: int) -> list[str]:
+    """One report's ``kind|label|value`` lines, computed from a store dump."""
+    tables = _rows(dump)
+    students = tables["students"]
+    rows: list[tuple[str, str]] = []
+
+    if kind == "admissions_per_year":
+        admitted: dict[str, int] = defaultdict(int)
+        for s in students:
+            if s["admit_year"]:
+                admitted[s["admit_year"]] += 1
+        rows = [(year, str(admitted[year])) for year in sorted(admitted, key=int)]
+    elif kind == "graduates_per_year":
+        # A student graduates in the year their last final-semester result
+        # lands, once every final-semester class of their program has one.
+        by_program = {p["p_id"]: p["semester_count"] for p in tables["programs"]}
+        results = {(r["student_id"], r["class_id"]): r["year"] for r in tables["results"]}
+        final_classes: dict[str, list[str]] = defaultdict(list)
+        for c in tables["classes"]:
+            if by_program.get(c["p_id"]) == c["semester"]:
+                final_classes[c["p_id"]].append(c["class_id"])
+        graduated: dict[str, int] = defaultdict(int)
+        for s in students:
+            finals = final_classes.get(s["program_id"], ())
+            years = [results.get((s["student_id"], c)) for c in finals]
+            if finals and all(y is not None for y in years):
+                graduated[max(years, key=int)] += 1
+        rows = [(year, str(graduated[year])) for year in sorted(graduated, key=int)]
+    elif kind == "attendance":
+        rows = [
+            (f"{log['class_id']}:{log['subject']}", log["lectures_delivered"])
+            for log in tables["lecture_logs"]
+        ]
+    elif kind in ("teacher_student_ratio", "lab_student_ratio"):
+        if kind == "teacher_student_ratio":
+            label, numerator = "teachers_to_students", len(tables["teachers"])
+        else:
+            label, numerator = "labs_to_students", lab_count
+        rows = [(label, f"{numerator}/{len(students)}" if students else "undefined")]
+    else:
+        raise ValueError(f"unknown report kind: {kind}")
+    return [f"{kind}|{label}|{value}" for label, value in rows]
 
 
 def naive_statuses(parsed: ParsedTrace, cfg: RunConfig) -> dict[str, str]:

@@ -5,13 +5,20 @@ orchestrator -> store and back, so the assertions cover the full mediated
 path, not store shortcuts.
 """
 
-import pytest
+from pathlib import Path
 
-from unimas.agents import ROSTER, build_report, build_world, oa_handle
+import pytest
+from oracle import reference_report
+
+from unimas.agents import GATEWAY, ORCHESTRATOR, REPORT_KINDS, ROSTER, build_report, build_world
 from unimas.config import RunConfig
+from unimas.fuzz import generate
+from unimas.runtime import route, run_round
 from unimas.scenario import parse_scenario, run_scenario
 from unimas.store import Store
-from unimas.terms import Envelope, Performative, Term, decode_blob
+from unimas.terms import Command, Envelope, Performative, Term, decode_blob
+
+SCENARIOS = Path(__file__).parent.parent / "scenarios"
 
 
 def run_lines(text: str, cfg: RunConfig | None = None):
@@ -218,11 +225,61 @@ def test_zero_denominator_is_undefined_marker():
     assert result.reports == ["teacher_student_ratio|teachers_to_students|undefined"]
 
 
-def test_report_from_dump_directly():
+def test_report_from_query_rows_directly():
     store = Store(RunConfig())
-    report = build_report("lab_student_ratio", store.dump(), RunConfig(lab_count=4))
+    answer = store.execute(Command("query", (("q", "lab_student_ratio"),), "t:0")).result
+    rows_text = decode_blob(str(answer.args[0]))
+    report = build_report("lab_student_ratio", rows_text, RunConfig(lab_count=4))
     assert report.rows == (("labs_to_students", "undefined"),)
     assert report.render_lines() == ["lab_student_ratio|labs_to_students|undefined"]
+
+
+GOLDEN_CFG = {"sessions.scn": RunConfig(cap=3)}
+FINAL_REPORTS = "".join(f"GENERATE_REPORT kind={kind}\n" for kind in REPORT_KINDS)
+#: Graduation in the year of the latest of several final-semester results.
+SPREAD_FINALS = (
+    SESSION
+    + "REGISTER_STUDENT st_id=1 name=A dept=CS\n"
+    + "REGISTER_STUDENT st_id=2 name=B dept=CS\n"
+    + "ADD_PROGRAM name=p session=morning semesters=1 fee=10\n"
+    + "ADMIT student_id=1 p_id=1 year=2023\n"
+    + "ADMIT student_id=2 p_id=1 year=2023\n"
+    + "ADD_CLASS p_id=1 semester=1 subject=Math day=0 period=0\n"
+    + "ADD_CLASS p_id=1 semester=1 subject=Logic day=0 period=1\n"
+    + "RECORD_RESULT student_id=1 class_id=2 subject=Logic marks=70 year=2026\n"
+    + "RECORD_RESULT student_id=1 class_id=1 subject=Math marks=90 year=2024\n"
+    + "RECORD_RESULT student_id=2 class_id=1 subject=Math marks=80 year=2025\n"
+)
+REPORT_CASES = [p.name for p in sorted(SCENARIOS.glob("*.scn"))] + [
+    "fuzz1", "fuzz2", "fuzz3", "empty", "spread_finals"
+]
+
+
+def _report_case(case: str):
+    if case == "empty":
+        return parse_scenario(SESSION), RunConfig()
+    if case == "spread_finals":
+        return parse_scenario(SPREAD_FINALS), RunConfig()
+    if case.startswith("fuzz"):
+        seed = int(case[len("fuzz") :])
+        cfg = RunConfig(seed=seed, lab_count=seed)
+        return generate(seed, 2000, cfg), cfg
+    return parse_scenario((SCENARIOS / case).read_text()), GOLDEN_CFG.get(case, RunConfig())
+
+
+@pytest.mark.parametrize("case", REPORT_CASES)
+def test_live_reports_equal_reference_from_dump(case):
+    # one command in flight at a time, so the appended reports read the
+    # final store that the dump shows
+    commands, cfg = _report_case(case)
+    assert cfg.pipeline_window == 1
+    result = run_scenario(commands + parse_scenario(FINAL_REPORTS), cfg)
+    dump = result.store.dump()
+    finals = result.outcomes[-len(REPORT_KINDS) :]
+    for kind, outcome in zip(REPORT_KINDS, finals):
+        assert outcome.status == "ok" and outcome.reply.args[0] == kind
+        lines = decode_blob(str(outcome.reply.args[2])).splitlines()
+        assert lines == reference_report(kind, dump, cfg.lab_count)
 
 
 def test_graduates_and_admissions_reports():
@@ -249,29 +306,43 @@ def test_graduates_and_admissions_reports():
 # -- orchestrator ------------------------------------------------------------------
 
 
+def _ask_orchestrator(content: Term):
+    """Send one request from the gateway straight to a fresh world's
+    orchestrator; returns the reply and the store commands it issued."""
+    world, store = build_world()
+    commands = []
+    handle = world.command_handler
+
+    def recording(producer, command):
+        commands.append(command)
+        return handle(producer, command)
+
+    world.command_handler = recording
+    route(world, [Envelope(GATEWAY, ORCHESTRATOR, Performative.REQUEST, "GW:0", content)])
+    while not world.mailboxes[GATEWAY] and world.round < 10:
+        run_round(world)
+    [reply] = world.mailboxes[GATEWAY]
+    return reply, commands, store
+
+
 def test_oa_handle_query_informs_rows():
-    store = Store(RunConfig())
-    msg = Envelope("SA", "OA", Performative.REQUEST, "SA:0", Term("query", ("students",)))
-    reply, command = oa_handle(store, msg)
+    reply, commands, store = _ask_orchestrator(Term("query", ("admissions_per_year",)))
     assert reply.performative is Performative.INFORM
     assert reply.content.name == "rows"
-    assert command is not None and command.name == "query"
+    assert [c.name for c in commands] == ["query"]
+    assert store.journal_lines == []
 
 
 def test_oa_handle_passes_store_refusal_through():
-    store = Store(RunConfig())
-    msg = Envelope("GW", "OA", Performative.REQUEST, "GW:0", Term("open_session", ("EE",)))
-    reply, _ = oa_handle(store, msg)
+    reply, _, _ = _ask_orchestrator(Term("open_session", ("EE",)))
     assert reply.performative is Performative.REFUSE
     assert decode_blob(str(reply.content.args[0])) == "unauthorized access"
 
 
 def test_oa_handle_malformed_content_fails():
-    store = Store(RunConfig())
-    msg = Envelope("SA", "OA", Performative.REQUEST, "SA:0", Term("dance", (1, 2)))
-    reply, command = oa_handle(store, msg)
+    reply, commands, _ = _ask_orchestrator(Term("dance", (1, 2)))
     assert reply.performative is Performative.FAILURE
-    assert command is None
+    assert commands == []
 
 
 def test_exactly_one_reply_per_request_in_trace():

@@ -9,6 +9,7 @@ from unimas.store import (
     INCOMPLETE,
     INSUFFICIENT_LECTURES,
     MARKS_BOUNDS,
+    REPORT_QUERIES,
     SAME_DATE,
     SAME_TIMING,
     TEACHER_CONFLICT,
@@ -21,7 +22,7 @@ from unimas.store import (
     recover,
     replay,
 )
-from unimas.terms import Command, Refusal
+from unimas.terms import Command, Refusal, Term
 
 
 def cmd(__name: str, **kv) -> Command:
@@ -232,13 +233,30 @@ def test_query_read_your_write(store):
 
 
 def test_query_unknown_table_is_fault(store):
-    outcome = store.execute(cmd("query", q="nope")).result
-    assert isinstance(outcome, Refusal) and outcome.fault
+    # a table name or a whole dump is not a report query either
+    for q in ("nope", "students", "dump"):
+        outcome = store.execute(cmd("query", q=q)).result
+        assert isinstance(outcome, Refusal) and outcome.fault
 
 
 def test_queries_are_not_journaled(store):
-    store.execute(cmd("query", q="dump"))
-    assert store.journal_lines == []
+    apply(store, cmd("add_student", st_id="111", name="Ali", dpt_id="CS"))
+    for q in REPORT_QUERIES:
+        assert store.execute(cmd("query", q=q)).accepted
+    assert len(store.journal_lines) == 1
+
+
+def test_report_query_answer_is_its_aggregate_rows_only(store):
+    apply(store, cmd("add_program", name="p", session="morning", semester_count=1, fee=10))
+    for i in range(300):
+        apply(store, cmd("add_student", st_id=f"S{i:03d}", name=f"N{i}", dpt_id="CS"))
+        apply(store, cmd("admit", student_id=i + 1, p_id=1, year=2024))
+    sizes = {}
+    for q in ("teacher_student_ratio", "lab_student_ratio", "admissions_per_year"):
+        answer = store.execute(cmd("query", q=q)).result
+        assert isinstance(answer, Term) and answer.name == "rows"
+        sizes[q] = len(answer.args[0])
+    assert all(size < 200 for size in sizes.values()), sizes
 
 
 # -- journal / replay -----------------------------------------------------------
