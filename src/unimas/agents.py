@@ -15,6 +15,8 @@ need no routing tables.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 from . import bdi, runtime
 from .bdi import (
     Belief,
@@ -314,6 +316,13 @@ def _reply_refused(ctx: bdi.StepCtx) -> list[MessageDraft]:
 
 
 def orchestrator_agent() -> bdi.AgentState:
+    """The store's only client, so each cycle advances all its intentions.
+
+    Every command passes through here. Advancing every intention, not just
+    the oldest, lets a command's store step and the reply to an earlier one
+    share a round, so the orchestrator keeps pace with the gateway's one
+    request per round.
+    """
     plans = [
         Plan(
             name="oa_request",
@@ -341,7 +350,7 @@ def orchestrator_agent() -> bdi.AgentState:
             body=(SendStep(_reply_refused),),
         ),
     ]
-    return bdi.make_agent(ORCHESTRATOR, plans)
+    return replace(bdi.make_agent(ORCHESTRATOR, plans), advance_every_intention=True)
 
 
 # -- world assembly ----------------------------------------------------------
@@ -372,11 +381,7 @@ def build_world(cfg: RunConfig | None = None) -> tuple[World, Store]:
     """A fresh world with the full roster registered and the store attached."""
     cfg = cfg or RunConfig()
     store = Store(cfg)
-    world = World(
-        command_handler=store_handler(store),
-        log=TraceLog(header=cfg.header()),
-        rng_seed=cfg.seed,
-    )
+    world = World(command_handler=store_handler(store), log=TraceLog(header=cfg.header()))
     for agent_id in ROSTER:
         if agent_id == GATEWAY:
             state = gateway_agent()

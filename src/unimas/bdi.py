@@ -9,7 +9,10 @@ execution).  ``step`` runs one full cycle:
                      persisted as plain beliefs,
     2. deliberate -- collect (goal, plan) options and commit the first
                      option of every uncommitted goal,
-    3. execute    -- advance the oldest intention by exactly one step.
+    3. execute    -- advance the oldest intention by exactly one step; an
+                     agent with ``advance_every_intention`` set advances
+                     every intention it holds at this point by one step
+                     instead, oldest first.
 
 The cycle is a pure function of (state, inbox): no clocks, no randomness,
 no shared mutation.  All tie-breaking is fixed (goals by adoption order,
@@ -276,6 +279,9 @@ class AgentState:
     intentions: tuple[Intention, ...] = ()
     next_seq: int = 0
     percepts: tuple[Belief, ...] = ()
+    #: False: one intention step per cycle (AgentSpeak(L)); True: every
+    #: intention held at the start of the execute phase steps once.
+    advance_every_intention: bool = False
 
 
 def make_agent(agent_id: str, plans: Sequence[Plan], beliefs: Iterable[Belief] = ()) -> AgentState:
@@ -335,7 +341,7 @@ class StepResult:
 class _Work:
     """Mutable working copy of an AgentState for one cycle."""
 
-    __slots__ = ("id", "beliefs", "plans", "goals", "intentions", "next_seq", "percepts")
+    __slots__ = ("id", "beliefs", "plans", "goals", "intentions", "next_seq", "percepts", "every")
 
     def __init__(self, state: AgentState) -> None:
         self.id = state.id
@@ -345,6 +351,7 @@ class _Work:
         self.intentions = list(state.intentions)
         self.next_seq = state.next_seq
         self.percepts = list(state.percepts)
+        self.every = state.advance_every_intention
 
     def freeze(self) -> AgentState:
         return AgentState(
@@ -355,6 +362,7 @@ class _Work:
             intentions=tuple(self.intentions),
             next_seq=self.next_seq,
             percepts=tuple(self.percepts),
+            advance_every_intention=self.every,
         )
 
     def adopt(self, name: str, params: tuple[Scalar, ...]) -> None:
@@ -403,11 +411,14 @@ def _commit_options(work: _Work) -> None:
                 break  # first applicable plan per goal wins
 
 
-def _execute_one(work: _Work) -> tuple[tuple[Envelope, ...], tuple[Command, ...]]:
+def _execute_one(
+    work: _Work, index: int = 0
+) -> tuple[tuple[Envelope, ...], tuple[Command, ...]]:
+    """Advance the intention at ``index`` (default: the oldest) by one step."""
     if not work.intentions:
         return (), ()
 
-    intention = work.intentions[0]  # oldest runnable
+    intention = work.intentions[index]
     step = intention.plan.body[intention.pc]
     ctx = StepCtx(agent_id=work.id, beliefs=work.beliefs, goal=intention.origin_goal)
 
@@ -445,12 +456,32 @@ def _execute_one(work: _Work) -> tuple[tuple[Envelope, ...], tuple[Command, ...]
     if pc == len(intention.plan.body):
         work.drop(intention)  # completion removes goal too
     else:
-        work.intentions[0] = Intention(
+        work.intentions[index] = Intention(
             plan=intention.plan,
             bound_params=intention.bound_params,
             pc=pc,
             origin_goal=intention.origin_goal,
         )
+    return tuple(outbox), tuple(commands)
+
+
+def _execute_each(work: _Work) -> tuple[tuple[Envelope, ...], tuple[Command, ...]]:
+    """Advance every intention held now by one step, oldest first.
+
+    Steps only adopt goals, never intentions, so the list can only shrink:
+    a finished or failed intention leaves it and the next one takes its
+    index.
+    """
+    outbox: list[Envelope] = []
+    commands: list[Command] = []
+    index = 0
+    for _ in range(len(work.intentions)):
+        held = len(work.intentions)
+        sent, issued = _execute_one(work, index)
+        outbox.extend(sent)
+        commands.extend(issued)
+        if len(work.intentions) == held:
+            index += 1
     return tuple(outbox), tuple(commands)
 
 
@@ -462,9 +493,5 @@ def step(state: AgentState, inbox: Sequence[Envelope]) -> StepResult:
     work = _Work(state)
     _perceive(work, inbox)
     _commit_options(work)
-    outbox, commands = _execute_one(work)
+    outbox, commands = _execute_each(work) if work.every else _execute_one(work)
     return StepResult(work.freeze(), outbox, commands)
-
-
-def is_idle(state: AgentState) -> bool:
-    return not state.intentions and not state.percepts

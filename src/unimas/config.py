@@ -70,6 +70,20 @@ class RunConfig:
         return ",".join(parts)
 
 
+def with_fixed_window(cfg: RunConfig, window: int, command: str) -> RunConfig:
+    """``cfg`` at a command's fixed pipeline window.
+
+    The default window counts as unset; any other window is refused rather
+    than silently replaced.
+    """
+    if cfg.pipeline_window not in (RunConfig.pipeline_window, window):
+        raise ConfigError(
+            f"{command} runs at a fixed pipeline_window of {window}, "
+            f"got pipeline_window={cfg.pipeline_window}"
+        )
+    return replace(cfg, pipeline_window=window)
+
+
 _INT_KEYS = {
     "cap",
     "min_lectures_mid",

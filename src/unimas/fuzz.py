@@ -13,7 +13,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field, replace as dc_replace
 
-from .config import RunConfig
+from .config import RunConfig, with_fixed_window
 from .scenario import ScenarioCommand, RunResult, run_scenario
 
 # Boundary-pressure tuning constants (harness behavior, not domain claims).
@@ -236,6 +236,6 @@ def generate(seed: int, n_events: int, cfg: RunConfig | None = None) -> list[Sce
 
 
 def fuzz(seed: int, n_events: int, cfg: RunConfig | None = None) -> RunResult:
-    """Generate and run one fuzz stream with the monitor on."""
-    cfg = dc_replace(cfg or RunConfig(), seed=seed, pipeline_window=8)
+    """Generate and run one fuzz stream with the monitor on, at window 8."""
+    cfg = dc_replace(with_fixed_window(cfg or RunConfig(), 8, "fuzz"), seed=seed)
     return run_scenario(generate(seed, n_events, cfg), cfg)

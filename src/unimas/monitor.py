@@ -104,7 +104,6 @@ class Monitor:
         self._slots: set[tuple[str, str, str, str]] = set()
         self._lectures: dict[str, int] = {}
         self._exam_days: set[tuple[str, str]] = set()
-        self._programs: dict[str, int] = {}
         self._conversations: dict[str, _Conversation] = {}
 
     # -- verdict bookkeeping -------------------------------------------
@@ -186,8 +185,6 @@ class Monitor:
             if student in self._admitted:
                 self._flag(PropertyId.P4, event.seq, f"student {student} admitted twice")
             self._admitted.add(student)
-        elif name == "add_program":
-            self._programs[get("p_id")] = int(get("semester_count") or 0)
         elif name == "add_class":
             slot = (get("p_id"), get("semester"), get("day"), get("period"))
             if slot in self._slots:
@@ -300,7 +297,6 @@ class Monitor:
         self._st_ids = {r["st_id"] for r in tables["students"]}
         self._admitted = {r["student_id"] for r in tables["students"] if r["program_id"]}
         self._open_sessions = len(tables["sessions"])
-        self._programs = {r["p_id"]: int(r["semester_count"]) for r in tables["programs"]}
         self._slots = {
             (r["p_id"], r["semester"], r["day"], r["period"]) for r in tables["classes"]
         }

@@ -42,13 +42,11 @@ class World:
         self,
         command_handler: CommandHandler | None = None,
         log: TraceLog | None = None,
-        rng_seed: int = 0,
     ) -> None:
         self.agents: dict[str, bdi.AgentState] = {}
         self.order: list[str] = []
         self.mailboxes: dict[str, list[Envelope]] = {}
         self.round = 0
-        self.rng_seed = rng_seed
         self.command_handler = command_handler or _no_store
         self.log = log or TraceLog()
         self.observers: list[Callable[[TraceEvent], None]] = []
@@ -101,15 +99,6 @@ def route(world: World, envelopes: Sequence[Envelope]) -> World:
     sender, so no message is ever silently lost.
     """
     for env in envelopes:
-        if env.sent_round != world.round:
-            env = Envelope(
-                sender=env.sender,
-                receiver=env.receiver,
-                performative=env.performative,
-                conversation=env.conversation,
-                content=env.content,
-                sent_round=world.round,
-            )
         world.routed += 1
         if env.receiver not in world.agents:
             world.failed += 1
@@ -119,7 +108,6 @@ def route(world: World, envelopes: Sequence[Envelope]) -> World:
                 performative=Performative.FAILURE,
                 conversation=env.conversation,
                 content=Term("failed", (encode_blob("unknown agent"),)),
-                sent_round=world.round,
             )
             world.routed += 1
             world.delivered += 1

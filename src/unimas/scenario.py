@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace as dc_replace
 
 from . import bdi
 from .agents import GATEWAY, REPORT_KINDS, agent_for_command, build_world, store_handler
-from .config import RunConfig
+from .config import RunConfig, with_fixed_window
 from .monitor import Monitor, Verdict, exit_code as verdict_exit_code
 from .runtime import World, run_round
 from .store import SCHEMAS, Store, recover
@@ -482,8 +482,8 @@ def replay_crash(
     cfg: RunConfig | None = None,
     torn: bool = False,
 ) -> CrashVerdict:
-    """Crash-and-recover equivalence check against the uninterrupted run."""
-    cfg = dc_replace(cfg or RunConfig(), pipeline_window=1)
+    """Crash-and-recover equivalence check against the uninterrupted run, at window 1."""
+    cfg = with_fixed_window(cfg or RunConfig(), 1, "replay-crash")
     baseline = run_scenario(commands, cfg)
     crashed = run_scenario(commands, cfg, crash_at=crash_at, torn=torn)
     dump_a, dump_b = baseline.store.dump(), crashed.store.dump()
@@ -504,10 +504,10 @@ class LoadSummary:
 
 
 def load_test(cfg: RunConfig | None = None, clients: int = 1) -> LoadSummary:
-    """Open `clients` sessions without closing; count granted vs busy."""
+    """Open `clients` sessions without closing, at window 64; count granted vs busy."""
     if clients < 1:
         raise ValueError("clients must be >= 1")
-    cfg = dc_replace(cfg or RunConfig(), pipeline_window=64)
+    cfg = with_fixed_window(cfg or RunConfig(), 64, "load")
     dept = cfg.cs_roster[0]
     commands = [
         ScenarioCommand("OPEN_SESSION", (("dept", dept),), line=i + 1) for i in range(clients)

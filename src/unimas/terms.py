@@ -95,18 +95,13 @@ REPLIES = (Performative.INFORM, Performative.REFUSE, Performative.FAILURE)
 
 @dataclass(frozen=True)
 class Envelope:
-    """Typed inter-agent message.
-
-    ``sent_round`` is -1 until the router stamps it at delivery time; the
-    kernel cannot know the round number.
-    """
+    """Typed inter-agent message."""
 
     sender: str
     receiver: str
     performative: Performative
     conversation: str
     content: Term
-    sent_round: int = -1
 
     def __post_init__(self) -> None:
         if not self.conversation:

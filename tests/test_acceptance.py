@@ -191,6 +191,8 @@ def test_c2_mutation_suite_detects_each_fault_exactly():
 def test_c3_paper_constants_exact():
     big = load_test(RunConfig(cap=1000), clients=1001)
     assert (big.granted, big.busy) == (1000, 1)
+    assert big.result.exit_code == 0
+    assert {v.property: v.status for v in big.result.verdicts}[PropertyId.P12] == HOLDS
     small = load_test(RunConfig(cap=10), clients=11)
     assert (small.granted, small.busy) == (10, 1)
 

@@ -1,6 +1,7 @@
 """Kernel oracles: every behavior here is either a spec-stated example or a
 hand-derived trace frozen as a golden file."""
 
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -12,6 +13,7 @@ from unimas.bdi import (
     Belief,
     BeliefBase,
     BelieveStep,
+    CommandStep,
     CommitError,
     GoalStep,
     MessageDraft,
@@ -27,7 +29,7 @@ from unimas.bdi import (
     step,
     update_beliefs,
 )
-from unimas.terms import Envelope, Performative, Term
+from unimas.terms import Command, Envelope, Performative, Term
 
 DATA = Path(__file__).parent / "data"
 
@@ -288,3 +290,48 @@ def test_oldest_runnable_intention_advances_each_cycle():
     state = step(state, []).state
     # head intention completed (2 steps), second one unchanged at pc 0
     assert [i.pc for i in state.intentions] == [0]
+
+
+# -- every runnable intention once per cycle -------------------------------------
+
+
+def _send(text):
+    return SendStep(lambda ctx: [MessageDraft("B", Performative.INFORM, ctx.conversation(), Term(text))])
+
+
+def _command(name):
+    return CommandStep(lambda ctx: [Command(name, (), ctx.conversation())])
+
+
+def test_every_intention_advances_once_per_cycle_oldest_first():
+    def boom(ctx):
+        raise RuntimeError("broken step")
+
+    plans = [
+        Plan(name="two", goal="two", body=(_command("two_1"), _send("two_2"))),
+        Plan(name="broken", goal="broken", body=(SendStep(boom),)),
+        Plan(name="spawn", goal="spawn", body=(GoalStep(lambda ctx: [("late", ())]),)),
+        Plan(name="send", goal="send", body=(_send("send"),)),
+        Plan(name="cmd", goal="cmd", body=(_command("cmd"),)),
+        Plan(name="late", goal="late", body=(_command("late"),)),
+    ]
+    agent = make_agent("A", plans)
+    for goal in ("two", "broken", "spawn", "send", "cmd", "send"):
+        agent = adopt_goal(agent, goal, ())
+    first = step(replace(agent, advance_every_intention=True), [])
+    # one step each, in adoption order; the failed one does not stop the rest
+    assert [(c.name, c.conversation) for c in first.commands] == [("two_1", "A:0"), ("cmd", "A:4")]
+    assert [(e.content.name, e.conversation) for e in first.outbox] == [
+        ("send", "A:3"),
+        ("send", "A:5"),
+    ]
+    assert [(i.plan.name, i.pc) for i in first.state.intentions] == [("two", 1)]
+    assert first.state.percepts == (Belief("failed", ("broken",)),)
+    # the goal adopted mid-cycle waits for the next cycle's deliberation, and
+    # the two-step intention takes its second step only now: each once, not drain
+    assert [g.name for g in first.state.goals] == ["two", "late"]
+    second = step(first.state, [])
+    assert [c.name for c in second.commands] == ["late"]
+    assert [e.content.name for e in second.outbox] == ["two_2"]
+    assert second.state.intentions == () and second.state.goals == ()
+    assert second.state.advance_every_intention

@@ -112,6 +112,29 @@ def test_load_summary_line(capsys):
     assert "clients=11 granted=10 busy=1" in out
 
 
+def test_load_at_paper_capacity_exits_zero(capsys):
+    assert run_cli("load", "--clients", "1001", "--cap", "1000") == 0
+    out = capsys.readouterr().out
+    assert "clients=1001 granted=1000 busy=1" in out
+    assert "P12|holds|-|-" in out
+
+
+def test_fixed_window_commands_refuse_a_configured_window(tmp_path, capsys):
+    assert run_cli("fuzz", "--seed", "1", "--events", "10", "--set", "pipeline_window=64") == 3
+    assert "fixed pipeline_window of 8" in capsys.readouterr().err
+    cfg = tmp_path / "window.cfg"
+    cfg.write_text("pipeline_window = 8\n")
+    assert run_cli("load", "--clients", "2", "--config", str(cfg)) == 3
+    assert "fixed pipeline_window of 64" in capsys.readouterr().err
+    code = run_cli(
+        "replay-crash", str(SCENARIOS / "lifecycle.scn"), "--at", "7", "--set", "pipeline_window=2"
+    )
+    assert code == 3
+    assert "fixed pipeline_window of 1" in capsys.readouterr().err
+    # the command's own window is not a conflict
+    assert run_cli("load", "--clients", "2", "--set", "pipeline_window=64") == 0
+
+
 def test_replay_crash_cli(capsys):
     code = run_cli("replay-crash", str(SCENARIOS / "lifecycle.scn"), "--at", "7")
     assert code == 0

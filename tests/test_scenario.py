@@ -257,6 +257,16 @@ def test_fuzz_small_sweep_no_violations():
         assert result.quiescent
 
 
+@pytest.mark.parametrize("seed", [1, 2])
+def test_wide_window_fuzz_stream_keeps_reply_latency_bounded(seed):
+    # 64 commands in flight: the orchestrator must keep pace with the
+    # gateway, or replies queue for about twice the window (past K = 100)
+    cfg = RunConfig(seed=seed, pipeline_window=64)
+    result = run_scenario(generate(seed, 3000, cfg), cfg)
+    assert [v.status for v in result.verdicts] == ["holds"] * 12
+    assert result.monitor.max_reply_latency <= 20
+
+
 @pytest.mark.parametrize("seed", [21, 22, 23])
 def test_fuzzed_journal_replays_to_identical_store(seed):
     from unimas.store import replay
