@@ -8,8 +8,6 @@ from .bdi import (
     Goal,
     Intention,
     Plan,
-    commit,
-    deliberate,
     step,
     update_beliefs,
 )
@@ -39,8 +37,6 @@ __all__ = [
     "Term",
     "Verdict",
     "World",
-    "commit",
-    "deliberate",
     "load_test",
     "parse_scenario",
     "register_agent",

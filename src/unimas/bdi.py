@@ -7,8 +7,8 @@ execution).  ``step`` runs one full cycle:
     1. perceive   -- fold inbox envelopes and queued belief percepts into
                      new goals via plan triggers; unhandled percepts are
                      persisted as plain beliefs,
-    2. deliberate -- collect (goal, plan) options and commit the first
-                     option of every uncommitted goal,
+    2. commit     -- every goal without a live intention commits the first
+                     plan, in declaration order, whose context holds,
     3. execute    -- advance the oldest intention by exactly one step; an
                      agent with ``advance_every_intention`` set advances
                      every intention it holds at this point by one step
@@ -288,10 +288,6 @@ def make_agent(agent_id: str, plans: Sequence[Plan], beliefs: Iterable[Belief] =
     return AgentState(id=agent_id, beliefs=BeliefBase(beliefs), plan_library=tuple(plans))
 
 
-class CommitError(Exception):
-    """Raised when a goal with a live intention is committed again."""
-
-
 def adopt_goal(state: AgentState, name: str, params: tuple[Scalar, ...]) -> AgentState:
     goal = Goal(name, params, state.next_seq)
     return replace(state, goals=state.goals + (goal,), next_seq=state.next_seq + 1)
@@ -302,33 +298,6 @@ def inject_percepts(state: AgentState, beliefs: Sequence[Belief]) -> AgentState:
     if not beliefs:
         return state
     return replace(state, percepts=state.percepts + tuple(beliefs))
-
-
-def deliberate(state: AgentState) -> list[tuple[Goal, Plan]]:
-    """All applicable (goal, plan) options.
-
-    A pair applies when the plan serves the goal's name, its context holds
-    on current beliefs, and the goal has no live intention.  Options are
-    ordered by (goal adoption_seq, plan declaration order).
-    """
-    committed = {i.origin_goal.adoption_seq for i in state.intentions}
-    options: list[tuple[Goal, Plan]] = []
-    for goal in sorted(state.goals, key=lambda g: g.adoption_seq):
-        if goal.adoption_seq in committed:
-            continue
-        for plan in state.plan_library:
-            if plan.goal == goal.name and plan.context_holds(state.beliefs, goal.params):
-                options.append((goal, plan))
-    return options
-
-
-def commit(state: AgentState, option: tuple[Goal, Plan]) -> AgentState:
-    goal, plan = option
-    for i in state.intentions:
-        if i.origin_goal.adoption_seq == goal.adoption_seq:
-            raise CommitError(f"goal {goal.name}#{goal.adoption_seq} already committed")
-    intention = Intention(plan=plan, bound_params=goal.params, pc=0, origin_goal=goal)
-    return replace(state, intentions=state.intentions + (intention,))
 
 
 @dataclass(frozen=True)

@@ -6,11 +6,15 @@ use dotted keys (``max_marks.Math = 50``).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 
 class ConfigError(Exception):
     pass
+
+
+#: Fault-injection flags: each disables the guard behind one property.
+INJECT_FLAGS = tuple(f"p{i}" for i in range(1, 12))
 
 
 @dataclass(frozen=True)
@@ -43,6 +47,8 @@ class RunConfig:
                 raise ConfigError(f"{name} must be positive")
         if self.min_marks > self.max_marks:
             raise ConfigError("min_marks must not exceed max_marks")
+        if self.inject is not None and self.inject not in INJECT_FLAGS:
+            raise ConfigError(f"inject expects p1..p11, got {self.inject!r}")
 
     def marks_bounds(self, subject: str) -> tuple[int, int]:
         for sub, lo, hi in self.marks_overrides:

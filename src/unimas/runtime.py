@@ -50,10 +50,6 @@ class World:
         self.command_handler = command_handler or _no_store
         self.log = log or TraceLog()
         self.observers: list[Callable[[TraceEvent], None]] = []
-        # message-loss accounting: routed == delivered + failed
-        self.routed = 0
-        self.delivered = 0
-        self.failed = 0
 
     def emit(self, kind: str, **fields: str) -> TraceEvent:
         event = TraceEvent(seq=self.log.next_seq(), round=self.round, kind=kind, **fields)
@@ -99,39 +95,27 @@ def route(world: World, envelopes: Sequence[Envelope]) -> World:
     sender, so no message is ever silently lost.
     """
     for env in envelopes:
-        world.routed += 1
-        if env.receiver not in world.agents:
-            world.failed += 1
-            bounce = Envelope(
+        if env.receiver in world.agents:
+            landed, traced = env, (env,)
+        else:
+            landed = Envelope(
                 sender=env.receiver,
                 receiver=env.sender,
                 performative=Performative.FAILURE,
                 conversation=env.conversation,
                 content=Term("failed", (encode_blob("unknown agent"),)),
             )
-            world.routed += 1
-            world.delivered += 1
-            world.mailboxes[env.sender].append(bounce)
-            for e in (env, bounce):
-                world.emit(
-                    "envelope",
-                    sender=e.sender,
-                    receiver=e.receiver,
-                    performative=e.performative.value,
-                    conversation=e.conversation,
-                    content=e.content.render(),
-                )
-            continue
-        world.delivered += 1
-        world.mailboxes[env.receiver].append(env)
-        world.emit(
-            "envelope",
-            sender=env.sender,
-            receiver=env.receiver,
-            performative=env.performative.value,
-            conversation=env.conversation,
-            content=env.content.render(),
-        )
+            traced = (env, landed)
+        world.mailboxes[landed.receiver].append(landed)
+        for e in traced:
+            world.emit(
+                "envelope",
+                sender=e.sender,
+                receiver=e.receiver,
+                performative=e.performative.value,
+                conversation=e.conversation,
+                content=e.content.render(),
+            )
     return world
 
 

@@ -322,9 +322,6 @@ class ScenarioRunner:
         fresh_world.log = self.world.log  # the trace survives the crash
         fresh_world.observers = self.world.observers
         fresh_world.round = self.world.round
-        fresh_world.routed = self.world.routed
-        fresh_world.delivered = self.world.delivered
-        fresh_world.failed = self.world.failed
         fresh_world.command_handler = store_handler(rebuilt)
         for aid, old_state in self.world.agents.items():
             # conversation ids must stay unique across the restart
@@ -478,18 +475,25 @@ class CrashVerdict:
 
 def replay_crash(
     commands: list[ScenarioCommand],
-    crash_at: int | None,
+    crash_at: int,
     cfg: RunConfig | None = None,
     torn: bool = False,
 ) -> CrashVerdict:
-    """Crash-and-recover equivalence check against the uninterrupted run, at window 1."""
+    """Crash-and-recover equivalence check against the uninterrupted run, at window 1.
+
+    ``crash_at`` is a journal index of the uninterrupted run; one the run
+    never reaches is refused, since no crash would happen there.
+    """
     cfg = with_fixed_window(cfg or RunConfig(), 1, "replay-crash")
     baseline = run_scenario(commands, cfg)
+    events = len(baseline.store.journal_lines)
+    if not 0 <= crash_at <= events:
+        raise ValueError(f"crash index {crash_at} outside the run's journal, 0..{events}")
     crashed = run_scenario(commands, cfg, crash_at=crash_at, torn=torn)
     dump_a, dump_b = baseline.store.dump(), crashed.store.dump()
     return CrashVerdict(
         equivalent=dump_a == dump_b,
-        crash_at=-1 if crash_at is None else crash_at,
+        crash_at=crash_at,
         baseline_dump=dump_a,
         crashed_dump=dump_b,
     )

@@ -121,19 +121,9 @@ Row = dict[str, str]
 
 
 @dataclass(frozen=True)
-class DomainEvent:
-    """A journaled, accepted command plus the rows it produced."""
-
-    seq: int
-    command: Command
-    row_image: tuple[str, ...] = ()
-
-
-@dataclass(frozen=True)
 class Outcome:
     result: Term | Refusal
     drafts: tuple[tuple[str, str], ...] = ()  # (trace kind, content)
-    event: DomainEvent | None = None
 
     @property
     def accepted(self) -> bool:
@@ -263,19 +253,6 @@ class Store:
 
     # -- reads ---------------------------------------------------------
 
-    def rows(self, table: str) -> list[Row]:
-        return [self.tables[table][k] for k in sorted(self.tables[table])]
-
-    def query(self, table: str, **filters: Scalar) -> list[Row]:
-        if table not in self.tables:
-            raise KeyError(table)
-        wanted = {k: render_scalar(v) for k, v in filters.items()}
-        return [
-            row
-            for row in self.rows(table)
-            if all(row.get(k) == v for k, v in wanted.items())
-        ]
-
     def dump(self) -> str:
         lines = []
         for table in sorted(self.tables):
@@ -335,10 +312,9 @@ class Store:
             return Outcome(result=refusal, drafts=(draft,))
 
         assert normalized is not None
-        seq = self.next_seq
+        self.journal_lines.append(journal_line(self.next_seq, normalized))  # journal first
         self.next_seq += 1
-        self.journal_lines.append(journal_line(seq, normalized))  # journal first
-        reply, extra, rows = self._mutate(normalized)
+        reply, extra = self._mutate(normalized)
         kind = {
             "open_session": "session_open",
             "close_session": "session_close",
@@ -346,12 +322,7 @@ class Store:
         content_args = normalized.render_args()
         if extra:
             content_args = f"{content_args},{extra}" if content_args else extra
-        event = DomainEvent(seq=seq, command=normalized, row_image=tuple(rows))
-        return Outcome(
-            result=reply,
-            drafts=((kind, f"{normalized.name}({content_args})"),),
-            event=event,
-        )
+        return Outcome(result=reply, drafts=((kind, f"{normalized.name}({content_args})"),))
 
     def _run_query(self, command: Command) -> Outcome:
         aggregate = REPORT_QUERIES.get(str(command.get("q")))
@@ -467,32 +438,30 @@ class Store:
 
     # -- mutation (also the replay path; never validates) ----------------
 
-    def _mutate(self, cmd: Command) -> tuple[Term, str, list[str]]:
-        """Apply an accepted command; returns (reply, extra trace kv, rows)."""
+    def _mutate(self, cmd: Command) -> tuple[Term, str]:
+        """Apply an accepted command; returns (reply, extra trace kv)."""
         name = cmd.name
         a = dict(cmd.args)
 
-        def put(table: str, row: Row) -> str:
+        def put(table: str, row: Row) -> None:
             key = _pk_key(table, row)
-            line = render_row(table, row)
             self.tables[table][key] = row
-            self._rendered[table][key] = line
-            return line
+            self._rendered[table][key] = render_row(table, row)
 
         if name == "open_session":
             sid = self.counters["sid"]
             self.counters["sid"] += 1
-            row = put("sessions", {"sid": str(sid), "dpt_id": str(a["dpt_id"])})
-            return Term("ok", (sid,)), f"sid={sid}", [row]
+            put("sessions", {"sid": str(sid), "dpt_id": str(a["dpt_id"])})
+            return Term("ok", (sid,)), f"sid={sid}"
         if name == "close_session":
             self.tables["sessions"].pop((int(a["sid"]),), None)
             self._rendered["sessions"].pop((int(a["sid"]),), None)
-            return Term("ok"), "", []
+            return Term("ok"), ""
         if name == "add_student":
             student_id = self.counters["student_id"]
             self.counters["student_id"] += 1
             self._st_ids.add(render_scalar(a["st_id"]))
-            row = put(
+            put(
                 "students",
                 {
                     "student_id": str(student_id),
@@ -503,12 +472,12 @@ class Store:
                     "admit_year": "",
                 },
             )
-            return Term("ok", (student_id,)), f"student_id={student_id}", [row]
+            return Term("ok", (student_id,)), f"student_id={student_id}"
         if name == "add_teacher":
             teacher_id = self.counters["teacher_id"]
             self.counters["teacher_id"] += 1
             self._emails.add(render_scalar(a["email"]))
-            row = put(
+            put(
                 "teachers",
                 {
                     "teacher_id": str(teacher_id),
@@ -518,41 +487,37 @@ class Store:
                     "email": render_scalar(a["email"]),
                 },
             )
-            return Term("ok", (teacher_id,)), f"teacher_id={teacher_id}", [row]
+            return Term("ok", (teacher_id,)), f"teacher_id={teacher_id}"
         if name == "admit":
-            student = self.tables["students"][(int(a["student_id"]),)]
-            student = dict(student)
+            student = dict(self.tables["students"][(int(a["student_id"]),)])
             student["program_id"] = render_scalar(a["p_id"])
             student["admit_year"] = render_scalar(a["year"])
-            return Term("ok"), "", [put("students", student)]
+            put("students", student)
+            return Term("ok"), ""
         if name == "add_program":
             p_id = self.counters["p_id"]
             self.counters["p_id"] += 1
-            rows = [
-                put(
-                    "programs",
-                    {
-                        "p_id": str(p_id),
-                        "name": render_scalar(a["name"]),
-                        "session": render_scalar(a["session"]),
-                        "semester_count": render_scalar(a["semester_count"]),
-                    },
-                )
-            ]
+            put(
+                "programs",
+                {
+                    "p_id": str(p_id),
+                    "name": render_scalar(a["name"]),
+                    "session": render_scalar(a["session"]),
+                    "semester_count": render_scalar(a["semester_count"]),
+                },
+            )
             if not self._injected("p5"):
                 # fee rows are created atomically with the program
                 for semester in range(1, int(a["semester_count"]) + 1):
-                    rows.append(
-                        put(
-                            "fees",
-                            {
-                                "p_id": str(p_id),
-                                "semester": str(semester),
-                                "amount": render_scalar(a["fee"]),
-                            },
-                        )
+                    put(
+                        "fees",
+                        {
+                            "p_id": str(p_id),
+                            "semester": str(semester),
+                            "amount": render_scalar(a["fee"]),
+                        },
                     )
-            return Term("ok", (p_id,)), f"p_id={p_id}", rows
+            return Term("ok", (p_id,)), f"p_id={p_id}"
         if name == "add_class":
             class_id = self.counters["class_id"]
             self.counters["class_id"] += 1
@@ -564,43 +529,43 @@ class Store:
                     render_scalar(a["period"]),
                 )
             )
-            rows = [
-                put(
-                    "classes",
-                    {
-                        "class_id": str(class_id),
-                        "p_id": render_scalar(a["p_id"]),
-                        "semester": render_scalar(a["semester"]),
-                        "subject": render_scalar(a["subject"]),
-                        "day": render_scalar(a["day"]),
-                        "period": render_scalar(a["period"]),
-                        "teacher_id": "",
-                    },
-                ),
-                put(
-                    "lecture_logs",
-                    {
-                        "class_id": str(class_id),
-                        "subject": render_scalar(a["subject"]),
-                        "lectures_delivered": "0",
-                    },
-                ),
-            ]
-            return Term("ok", (class_id,)), f"class_id={class_id}", rows
+            put(
+                "classes",
+                {
+                    "class_id": str(class_id),
+                    "p_id": render_scalar(a["p_id"]),
+                    "semester": render_scalar(a["semester"]),
+                    "subject": render_scalar(a["subject"]),
+                    "day": render_scalar(a["day"]),
+                    "period": render_scalar(a["period"]),
+                    "teacher_id": "",
+                },
+            )
+            put(
+                "lecture_logs",
+                {
+                    "class_id": str(class_id),
+                    "subject": render_scalar(a["subject"]),
+                    "lectures_delivered": "0",
+                },
+            )
+            return Term("ok", (class_id,)), f"class_id={class_id}"
         if name == "assign_teacher":
             cls = dict(self.tables["classes"][(int(a["class_id"]),)])
             if cls["teacher_id"]:
                 self._teacher_slots.pop((cls["teacher_id"], cls["day"], cls["period"]), None)
             cls["teacher_id"] = render_scalar(a["teacher_id"])
             self._teacher_slots[(cls["teacher_id"], cls["day"], cls["period"])] = cls["class_id"]
-            return Term("ok"), "", [put("classes", cls)]
+            put("classes", cls)
+            return Term("ok"), ""
         if name == "deliver_lecture":
             log = dict(self.tables["lecture_logs"][(int(a["class_id"]),)])
             count = int(log["lectures_delivered"]) + int(a["times"])
             log["lectures_delivered"] = str(count)
-            return Term("ok", (count,)), f"total={count}", [put("lecture_logs", log)]
+            put("lecture_logs", log)
+            return Term("ok", (count,)), f"total={count}"
         if name == "schedule_exam":
-            row = put(
+            put(
                 "datesheet",
                 {
                     "class_id": render_scalar(a["class_id"]),
@@ -609,9 +574,9 @@ class Store:
                     "subject": render_scalar(a["subject"]),
                 },
             )
-            return Term("ok"), "", [row]
+            return Term("ok"), ""
         if name == "record_result":
-            row = put(
+            put(
                 "results",
                 {
                     "student_id": render_scalar(a["student_id"]),
@@ -621,27 +586,8 @@ class Store:
                     "year": render_scalar(a["year"]),
                 },
             )
-            return Term("ok"), "", [row]
+            return Term("ok"), ""
         raise ValueError(f"no mutation for command {name}")
-
-
-# -- spec-level convenience wrappers ------------------------------------
-
-
-def open_session(store: Store, dpt_id: str) -> int | Refusal:
-    outcome = store.execute(Command("open_session", (("dpt_id", dpt_id),), "local:0"))
-    if isinstance(outcome.result, Refusal):
-        return outcome.result
-    return int(outcome.result.args[0])
-
-
-def apply(store: Store, command: Command) -> DomainEvent | Refusal:
-    outcome = store.execute(command)
-    if isinstance(outcome.result, Refusal):
-        return outcome.result
-    if outcome.event is None:
-        raise ValueError("apply expects a mutating command")
-    return outcome.event
 
 
 def _parse_journal_line(expected_seq: int, line: str) -> Command:

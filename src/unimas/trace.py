@@ -75,7 +75,6 @@ class TraceLog:
 
     def __init__(self, header: str = "") -> None:
         self.lines: list[str] = []
-        self.events: list[TraceEvent] = []
         self._next_seq = 0
         if header:
             self.lines.append(f"# config {header}")
@@ -86,7 +85,6 @@ class TraceLog:
         return seq
 
     def append(self, event: TraceEvent) -> None:
-        self.events.append(event)
         self.lines.append(event.render())
 
     def close(self, complete: bool) -> None:

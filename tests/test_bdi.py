@@ -7,14 +7,12 @@ from pathlib import Path
 import pytest
 from hypothesis import given, strategies as st
 
-from unimas import bdi
 from unimas.bdi import (
     AgentState,
     Belief,
     BeliefBase,
     BelieveStep,
     CommandStep,
-    CommitError,
     GoalStep,
     MessageDraft,
     MessageMatch,
@@ -22,8 +20,6 @@ from unimas.bdi import (
     SendStep,
     add,
     adopt_goal,
-    commit,
-    deliberate,
     make_agent,
     remove,
     step,
@@ -100,7 +96,7 @@ def test_update_beliefs_idempotent_on_readds(ds):
             assert b in again
 
 
-# -- deliberate / commit -----------------------------------------------------
+# -- deliberation, driven through step ---------------------------------------
 
 
 def _noop_send(ctx):
@@ -111,56 +107,84 @@ def _plan(name, goal, context=None):
     return Plan(name=name, goal=goal, body=(SendStep(_noop_send),), context=context)
 
 
+def _two_step(name, goal, context=None):
+    """A plan whose two steps each send one message naming the plan and step."""
+
+    def send(k):
+        return SendStep(lambda ctx: [MessageDraft("B", Performative.INFORM, "A:0", Term(f"{name}_{k}"))])
+
+    return Plan(name=name, goal=goal, body=(send(1), send(2)), context=context)
+
+
+def _running(state):
+    return [(i.plan.name, i.pc) for i in state.intentions]
+
+
+def _sent(result):
+    return [e.content.name for e in result.outbox]
+
+
 def test_no_goals_no_options():
-    agent = make_agent("A", [_plan("p1", "g")])
-    assert deliberate(agent) == []
+    result = step(make_agent("A", [_two_step("p1", "g")]), [])
+    assert result.state.intentions == () and result.outbox == ()
+    # a goal no plan serves stays adopted but uncommitted
+    agent = adopt_goal(make_agent("A", [_two_step("p1", "g")]), "other", ())
+    result = step(agent, [])
+    assert result.state.intentions == () and result.outbox == ()
+    assert [g.name for g in result.state.goals] == ["other"]
 
 
 def test_single_goal_single_plan():
-    agent = adopt_goal(make_agent("A", [_plan("p1", "g")]), "g", ())
-    options = deliberate(agent)
-    assert len(options) == 1
-    assert options[0][1].name == "p1"
+    agent = adopt_goal(make_agent("A", [_two_step("p1", "g")]), "g", ())
+    result = step(agent, [])
+    assert _running(result.state) == [("p1", 1)]
+    assert _sent(result) == ["p1_1"]
 
 
 def test_two_matching_plans_in_declaration_order():
-    # hand enumeration for a 2-plan library: both plans serve g, both apply
-    agent = make_agent("A", [_plan("p1", "g"), _plan("p2", "g")])
-    agent = adopt_goal(agent, "g", ())
-    names = [plan.name for _, plan in deliberate(agent)]
-    assert names == ["p1", "p2"]
+    agent = make_agent("A", [_two_step("p1", "g"), _two_step("p2", "g")])
+    result = step(adopt_goal(agent, "g", ()), [])
+    assert _running(result.state) == [("p1", 1)]
+    assert _sent(result) == ["p1_1"]
 
 
 def test_context_filters_options():
-    never = _plan("p1", "g", context=lambda beliefs, params: False)
-    agent = adopt_goal(make_agent("A", [never, _plan("p2", "g")]), "g", ())
-    assert [p.name for _, p in deliberate(agent)] == ["p2"]
+    never = _two_step("p1", "g", context=lambda beliefs, params: False)
+    agent = adopt_goal(make_agent("A", [never, _two_step("p2", "g")]), "g", ())
+    result = step(agent, [])
+    assert _running(result.state) == [("p2", 1)]
+    assert _sent(result) == ["p2_1"]
 
 
 def test_commit_appends_intention_pc_zero():
-    agent = adopt_goal(make_agent("A", [_plan("p1", "g")]), "g", ())
-    goal, plan = deliberate(agent)[0]
-    agent = commit(agent, (goal, plan))
-    assert len(agent.intentions) == 1
-    assert agent.intentions[0].pc == 0
-    assert agent.goals  # goals unchanged until the intention completes
-
-
-def test_commit_twice_same_goal_rejected():
-    agent = adopt_goal(make_agent("A", [_plan("p1", "g")]), "g", ())
-    option = deliberate(agent)[0]
-    agent = commit(agent, option)
-    with pytest.raises(CommitError):
-        commit(agent, option)
+    agent = make_agent("A", [_two_step("p1", "g1"), _two_step("p2", "g2")])
+    agent = adopt_goal(adopt_goal(agent, "g1", ()), "g2", ())
+    result = step(agent, [])
+    # g2's intention is committed behind g1's, which took this cycle's step
+    assert _running(result.state) == [("p1", 1), ("p2", 0)]
+    assert [g.name for g in result.state.goals] == ["g1", "g2"]  # kept until completion
 
 
 def test_commits_keep_adoption_order():
-    agent = make_agent("A", [_plan("p1", "g1"), _plan("p2", "g2")])
+    # the library declares g2's plan first; intentions still follow adoption
+    agent = make_agent("A", [_two_step("p2", "g2"), _two_step("p1", "g1")])
     agent = adopt_goal(adopt_goal(agent, "g1", ()), "g2", ())
-    for option in deliberate(agent):
-        if option[0].adoption_seq not in {i.origin_goal.adoption_seq for i in agent.intentions}:
-            agent = commit(agent, option)
-    assert [i.origin_goal.name for i in agent.intentions] == ["g1", "g2"]
+    result = step(agent, [])
+    assert _running(result.state) == [("p1", 1), ("p2", 0)]
+    assert _sent(result) == ["p1_1"]
+
+
+def test_commit_twice_same_goal_rejected():
+    agent = make_agent("A", [_two_step("p1", "g1"), _two_step("p2", "g2")])
+    agent = adopt_goal(adopt_goal(agent, "g1", ()), "g2", ())
+    first = step(agent, [])
+    assert _running(first.state) == [("p1", 1), ("p2", 0)]
+    # both goals hold live intentions now; the second cycle's deliberation
+    # must leave them alone, so p1 finishes and p2 is still there once
+    second = step(first.state, [])
+    assert _sent(second) == ["p1_2"]
+    assert _running(second.state) == [("p2", 0)]
+    assert [g.name for g in second.state.goals] == ["g2"]
 
 
 # -- step ---------------------------------------------------------------------

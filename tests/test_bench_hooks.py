@@ -1,0 +1,43 @@
+"""The benchmark's per-layer tracer (``bench/layers.py``) patches entry points
+of the program by name.  Tier-1 does not run the benchmark, so this checks
+that every name it patches still exists and that it leaves no wrapper
+behind.  The harness itself is not run here."""
+
+from pathlib import Path
+
+from unimas import agents, bdi, monitor, runtime, scenario, store, terms, trace
+
+BENCH = Path(__file__).parent.parent / "bench"
+
+
+def _entry_points():
+    return {
+        "bdi.step": bdi.step,
+        "runtime.route": runtime.route,
+        "scenario.run_round": scenario.run_round,
+        "World.is_quiescent": runtime.World.is_quiescent,
+        "Store.execute": store.Store.execute,
+        "agents.build_report": agents.build_report,
+        "terms.check_scalar": terms.check_scalar,
+        "terms.encode_blob": terms.encode_blob,
+        "Monitor.observe": monitor.Monitor.observe,
+        "Monitor.check_snapshot": monitor.Monitor.check_snapshot,
+        "TraceLog.append": trace.TraceLog.append,
+        "ScenarioRunner.run": scenario.ScenarioRunner.run,
+    }
+
+
+def test_layer_tracer_installs_and_restores_the_originals(monkeypatch):
+    monkeypatch.syspath_prepend(str(BENCH))
+    import layers
+
+    before = _entry_points()
+    tracer = layers.Tracer()
+    try:
+        tracer.install()
+        wrapped = _entry_points()
+        assert all(wrapped[name] is not fn for name, fn in before.items())
+    finally:
+        tracer.uninstall()
+    after = _entry_points()
+    assert all(after[name] is fn for name, fn in before.items())

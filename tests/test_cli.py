@@ -143,5 +143,21 @@ def test_replay_crash_cli(capsys):
     assert code == 0
 
 
-def test_bad_inject_flag_exits_three():
-    assert run_cli("run", str(SCENARIOS / "registration.scn"), "--inject", "p99") == 3
+def test_bad_inject_flag_exits_three(tmp_path):
+    scenario = str(SCENARIOS / "registration.scn")
+    assert run_cli("run", scenario, "--inject", "p99") == 3
+    assert run_cli("run", scenario, "--set", "inject=p99") == 3
+    assert run_cli("run", scenario, "--set", "inject=P1") == 3
+    cfg = tmp_path / "inject.cfg"
+    cfg.write_text("inject = p99\n")
+    assert run_cli("run", scenario, "--config", str(cfg)) == 3
+    # the flag itself is case-insensitive
+    assert run_cli("run", scenario, "--inject", "P1") == 2
+
+
+def test_replay_crash_beyond_the_journal_exits_three(capsys):
+    # lifecycle.scn journals 50 events; a crash index outside 0..50 never fires
+    for at in ("100000", "-1", "51"):
+        assert run_cli("replay-crash", str(SCENARIOS / "lifecycle.scn"), "--at", at) == 3
+        assert "outside the run's journal, 0..50" in capsys.readouterr().err
+    assert run_cli("replay-crash", str(SCENARIOS / "lifecycle.scn"), "--at", "50") == 0

@@ -12,6 +12,7 @@ from unimas.runtime import (
     run_until_quiescent,
 )
 from unimas.terms import Envelope, Performative, Term
+from unimas.trace import parse_trace
 
 
 def _agent(agent_id, plans=()):
@@ -43,7 +44,7 @@ def test_route_empty_is_noop():
     register_agent(world, _agent("SA"))
     route(world, [])
     assert world.mailboxes["SA"] == []
-    assert world.routed == 0
+    assert world.log.lines == []  # nothing routed, nothing traced
 
 
 def test_route_is_fifo_per_receiver():
@@ -65,7 +66,12 @@ def test_route_unknown_receiver_bounces_failure():
     bounce = world.mailboxes["GW"][0]
     assert bounce.performative is Performative.FAILURE
     assert bounce.conversation == "GW:0"
-    assert world.routed == world.delivered + world.failed
+    # the trace shows the lost envelope, then its bounce
+    traced = [
+        (e.seq, e.sender, e.receiver, e.performative, e.conversation)
+        for e in parse_trace(world.log.lines).events
+    ]
+    assert traced == [(0, "GW", "XX", "request", "GW:0"), (1, "XX", "GW", "failure", "GW:0")]
 
 
 def test_quiescent_round_only_advances_counter():

@@ -7,6 +7,7 @@ from unimas.monitor import PropertyId
 from unimas.scenario import (
     ScenarioCommand,
     ScenarioError,
+    ScenarioRunner,
     load_test,
     parse_scenario,
     render_scenario,
@@ -99,6 +100,12 @@ def test_config_rejects_unknown_key_and_bad_value():
         parse_config_text("cap = many\n")
     with pytest.raises(ConfigError):
         parse_config_text("cap = 0\n")
+    # inject takes p1..p11 wherever the config comes from
+    for flag in ("p99", "P1", "p0", "p12"):
+        with pytest.raises(ConfigError):
+            parse_config_text(f"inject = {flag}\n")
+        with pytest.raises(ConfigError):
+            parse_header(RunConfig().header().replace("inject=-", f"inject={flag}"))
 
 
 # -- runner --------------------------------------------------------------------
@@ -280,9 +287,14 @@ def test_fuzzed_journal_replays_to_identical_store(seed):
 def test_trace_text_roundtrips_to_same_events(seed):
     from unimas.trace import parse_trace
 
-    result = fuzz(seed, 120)
+    cfg = RunConfig(seed=seed, pipeline_window=8)
+    runner = ScenarioRunner(cfg)
+    seen = []
+    runner.world.observers.append(seen.append)
+    result = runner.run(generate(seed, 120, cfg))
+    assert result.log.text() == fuzz(seed, 120).log.text()  # the fuzz run itself
     parsed = parse_trace(result.log.text().splitlines())
-    assert list(parsed.events) == result.log.events
+    assert list(parsed.events) == seen
     assert parsed.complete == result.quiescent
     assert parsed.header == result.cfg.header()
 

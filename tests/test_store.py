@@ -16,13 +16,11 @@ from unimas.store import (
     UNAUTHORIZED,
     JournalCorruption,
     Store,
-    apply,
-    open_session,
     parse_dump,
     recover,
     replay,
 )
-from unimas.terms import Command, Refusal, Term
+from unimas.terms import Command, Refusal, Term, decode_blob
 
 
 def cmd(__name: str, **kv) -> Command:
@@ -34,15 +32,35 @@ def refused(outcome) -> str:
     return outcome.reason
 
 
+def ok(store: Store, command: Command) -> Term:
+    """Execute a command the store must accept; returns its reply."""
+    result = store.execute(command).result
+    assert isinstance(result, Term), f"expected acceptance, got {result}"
+    return result
+
+
+def open_session(store: Store, dpt_id: str) -> Term | Refusal:
+    return store.execute(cmd("open_session", dpt_id=dpt_id)).result
+
+
+def rows(store: Store, table: str, **filters) -> list[dict[str, str]]:
+    """A table's rows as the store's dump shows them, in key order."""
+    wanted = {k: str(v) for k, v in filters.items()}
+    return [
+        row
+        for row in parse_dump(store.dump())[table]
+        if all(row[k] == v for k, v in wanted.items())
+    ]
+
+
 @pytest.fixture
 def store() -> Store:
     return Store(RunConfig())
 
 
 def seed_class(store: Store, semesters: int = 2) -> int:
-    apply(store, cmd("add_program", name="prog", session="morning", semester_count=semesters, fee=1000))
-    event = apply(store, cmd("add_class", p_id=1, semester=1, subject="Math", day=0, period=0))
-    return int(event.command.get("class_id", 1) or 1)
+    ok(store, cmd("add_program", name="prog", session="morning", semester_count=semesters, fee=1000))
+    return ok(store, cmd("add_class", p_id=1, semester=1, subject="Math", day=0, period=0)).args[0]
 
 
 # -- sessions ---------------------------------------------------------------
@@ -54,19 +72,19 @@ def test_unauthorized_department_refused(store):
 
 def test_busy_beyond_cap():
     store = Store(RunConfig(cap=10))
-    for _ in range(10):
-        assert isinstance(open_session(store, "CS"), int)
+    for sid in range(1, 11):
+        assert open_session(store, "CS") == Term("ok", (sid,))
     assert refused(open_session(store, "CS")) == BUSY
     # close one, retry succeeds
-    apply(store, cmd("close_session", sid=1))
-    assert isinstance(open_session(store, "CS"), int)
+    ok(store, cmd("close_session", sid=1))
+    assert open_session(store, "CS") == Term("ok", (11,))
 
 
 def test_cap_default_is_paper_value():
     assert RunConfig().cap == 1000
 
 
-# -- apply / validation -------------------------------------------------------
+# -- execute / validation -----------------------------------------------------
 
 
 def test_missing_required_field_is_incomplete(store):
@@ -74,58 +92,58 @@ def test_missing_required_field_is_incomplete(store):
 
 
 def test_add_student_assigns_monotone_ids(store):
-    e1 = apply(store, cmd("add_student", st_id="111", name="Ali", dpt_id="CS"))
-    e2 = apply(store, cmd("add_student", st_id="222", name="Sara", dpt_id="CS"))
-    assert e1.command.get("st_id") == "111"
-    rows = store.query("students")
-    assert [r["student_id"] for r in rows] == ["1", "2"]
-    assert e2.seq == e1.seq + 1  # dense event sequence
+    assert ok(store, cmd("add_student", st_id="111", name="Ali", dpt_id="CS")) == Term("ok", (1,))
+    assert ok(store, cmd("add_student", st_id="222", name="Sara", dpt_id="CS")) == Term("ok", (2,))
+    students = rows(store, "students")
+    assert [(r["student_id"], r["st_id"]) for r in students] == [("1", "111"), ("2", "222")]
+    assert [line.split("|")[0] for line in store.journal_lines] == ["1", "2"]  # dense event sequence
 
 
 def test_duplicate_st_id_uses_paper_literal(store):
-    apply(store, cmd("add_student", st_id="111", name="Ali", dpt_id="CS"))
+    ok(store, cmd("add_student", st_id="111", name="Ali", dpt_id="CS"))
     outcome = store.execute(cmd("add_student", st_id="111", name="Ali", dpt_id="CS")).result
     assert refused(outcome) == ALREADY_REGISTERED == "Student Already Registerd"
 
 
 def test_duplicate_teacher_email_refused(store):
     teacher = dict(name="T", designation="lecturer", contact="0300", email="t@u.edu")
-    apply(store, cmd("add_teacher", **teacher))
+    ok(store, cmd("add_teacher", **teacher))
     assert "Registerd" in refused(store.execute(cmd("add_teacher", **teacher)).result)
 
 
 def test_admit_sets_program_once(store):
-    apply(store, cmd("add_student", st_id="111", name="Ali", dpt_id="CS"))
-    apply(store, cmd("add_program", name="p", session="morning", semester_count=2, fee=100))
-    apply(store, cmd("admit", student_id=1, p_id=1))
-    assert store.query("students", student_id=1)[0]["program_id"] == "1"
+    ok(store, cmd("add_student", st_id="111", name="Ali", dpt_id="CS"))
+    ok(store, cmd("add_program", name="p", session="morning", semester_count=2, fee=100))
+    ok(store, cmd("admit", student_id=1, p_id=1))
+    assert rows(store, "students", student_id=1)[0]["program_id"] == "1"
     again = store.execute(cmd("admit", student_id=1, p_id=1)).result
     assert refused(again) == DUPLICATE_ADMISSION
 
 
 def test_admit_unknown_program_is_fault(store):
-    apply(store, cmd("add_student", st_id="111", name="Ali", dpt_id="CS"))
+    ok(store, cmd("add_student", st_id="111", name="Ali", dpt_id="CS"))
     outcome = store.execute(cmd("admit", student_id=1, p_id=9)).result
     assert isinstance(outcome, Refusal) and outcome.fault
 
 
 def test_program_creates_fee_row_per_semester(store):
-    apply(store, cmd("add_program", name="bscs", session="morning", semester_count=8, fee=5000))
-    fee_rows = store.query("fees", p_id=1)
+    ok(store, cmd("add_program", name="bscs", session="morning", semester_count=8, fee=5000))
+    fee_rows = rows(store, "fees", p_id=1)
     assert len(fee_rows) == 8  # row count equals the semester count
     assert {r["amount"] for r in fee_rows} == {"5000"}
 
 
 def test_two_programs_get_distinct_ids(store):
-    e1 = apply(store, cmd("add_program", name="a", session="morning", semester_count=1, fee=1))
-    e2 = apply(store, cmd("add_program", name="b", session="evening", semester_count=1, fee=1))
-    assert {e1.row_image[0].split("|")[1], e2.row_image[0].split("|")[1]} == {"1", "2"}
+    p1 = ok(store, cmd("add_program", name="a", session="morning", semester_count=1, fee=1))
+    p2 = ok(store, cmd("add_program", name="b", session="evening", semester_count=1, fee=1))
+    assert (p1.args, p2.args) == ((1,), (2,))
+    assert [(r["p_id"], r["name"]) for r in rows(store, "programs")] == [("1", "a"), ("2", "b")]
 
 
 def test_incomplete_program_creates_nothing(store):
     outcome = store.execute(cmd("add_program", name="a", session="morning", semester_count=2)).result
     assert refused(outcome) == INCOMPLETE
-    assert store.query("programs") == [] and store.query("fees") == []
+    assert rows(store, "programs") == [] and rows(store, "fees") == []
     assert store.journal_lines == []  # refusal purity
 
 
@@ -143,23 +161,23 @@ def test_same_slot_same_cohort_refused(store):
 def test_same_slot_other_semester_accepted(store):
     # conflict scope is the (program, semester) cohort
     seed_class(store, semesters=2)
-    event = apply(store, cmd("add_class", p_id=1, semester=2, subject="Phy", day=0, period=0))
-    assert event.command.get("semester") == 2
+    assert ok(store, cmd("add_class", p_id=1, semester=2, subject="Phy", day=0, period=0)).args == (2,)
+    assert rows(store, "classes", class_id=2)[0]["semester"] == "2"
 
 
 def test_assign_teacher_slot_conflict(store):
     seed_class(store)
-    apply(store, cmd("add_class", p_id=1, semester=1, subject="Phy", day=0, period=1))
-    apply(store, cmd("add_class", p_id=1, semester=2, subject="Lab", day=0, period=0))
-    apply(store, cmd("add_teacher", name="T", designation="prof", contact="1", email="t@u"))
-    apply(store, cmd("assign_teacher", class_id=1, teacher_id=1))
+    ok(store, cmd("add_class", p_id=1, semester=1, subject="Phy", day=0, period=1))
+    ok(store, cmd("add_class", p_id=1, semester=2, subject="Lab", day=0, period=0))
+    ok(store, cmd("add_teacher", name="T", designation="prof", contact="1", email="t@u"))
+    ok(store, cmd("assign_teacher", class_id=1, teacher_id=1))
     # same teacher, same (day, period) in another cohort: refused
     outcome = store.execute(cmd("assign_teacher", class_id=3, teacher_id=1)).result
     assert refused(outcome) == TEACHER_CONFLICT
     # different slot is fine, and reassignment overwrites
-    apply(store, cmd("assign_teacher", class_id=2, teacher_id=1))
-    apply(store, cmd("assign_teacher", class_id=1, teacher_id=1))
-    assert store.query("classes", class_id=1)[0]["teacher_id"] == "1"
+    ok(store, cmd("assign_teacher", class_id=2, teacher_id=1))
+    ok(store, cmd("assign_teacher", class_id=1, teacher_id=1))
+    assert rows(store, "classes", class_id=1)[0]["teacher_id"] == "1"
 
 
 @pytest.mark.parametrize(
@@ -168,7 +186,7 @@ def test_assign_teacher_slot_conflict(store):
 )
 def test_exam_lecture_thresholds(store, term, count, accepted):
     seed_class(store)
-    apply(store, cmd("deliver_lecture", class_id=1, subject="Math", times=count))
+    ok(store, cmd("deliver_lecture", class_id=1, subject="Math", times=count))
     outcome = store.execute(
         cmd("schedule_exam", term=term, class_id=1, subject="Math", date="2025-05-01")
     ).result
@@ -180,20 +198,20 @@ def test_exam_lecture_thresholds(store, term, count, accepted):
 
 def test_same_class_same_day_refused(store):
     seed_class(store)
-    apply(store, cmd("deliver_lecture", class_id=1, subject="Math", times=32))
-    apply(store, cmd("schedule_exam", term="mid", class_id=1, subject="Math", date="2025-05-01"))
+    ok(store, cmd("deliver_lecture", class_id=1, subject="Math", times=32))
+    ok(store, cmd("schedule_exam", term="mid", class_id=1, subject="Math", date="2025-05-01"))
     outcome = store.execute(
         cmd("schedule_exam", term="final", class_id=1, subject="Math", date="2025-05-01")
     ).result
     assert refused(outcome) == SAME_DATE
     # another day is fine
-    apply(store, cmd("schedule_exam", term="final", class_id=1, subject="Math", date="2025-05-02"))
+    ok(store, cmd("schedule_exam", term="final", class_id=1, subject="Math", date="2025-05-02"))
 
 
 def _seed_result_target(store):
-    apply(store, cmd("add_student", st_id="1", name="A", dpt_id="CS"))
+    ok(store, cmd("add_student", st_id="1", name="A", dpt_id="CS"))
     seed_class(store)
-    apply(store, cmd("admit", student_id=1, p_id=1))
+    ok(store, cmd("admit", student_id=1, p_id=1))
 
 
 @pytest.mark.parametrize("marks,accepted", [(-1, False), (0, True), (100, True), (101, False)])
@@ -204,7 +222,7 @@ def test_marks_bounds_inclusive(store, marks, accepted):
     ).result
     if accepted:
         assert not isinstance(outcome, Refusal)
-        stored = store.query("results", student_id=1)[0]["marks"]
+        stored = rows(store, "results", student_id=1)[0]["marks"]
         assert stored == str(marks)  # accepted, never clamped
     else:
         assert refused(outcome) == MARKS_BOUNDS
@@ -216,20 +234,31 @@ def test_per_subject_marks_override():
     assert refused(
         store.execute(cmd("record_result", student_id=1, class_id=1, subject="Math", marks=51)).result
     ) == MARKS_BOUNDS
-    apply(store, cmd("record_result", student_id=1, class_id=1, subject="Math", marks=50))
+    ok(store, cmd("record_result", student_id=1, class_id=1, subject="Math", marks=50))
 
 
 # -- query ---------------------------------------------------------------------
 
 
+def answer(store: Store, q: str) -> str:
+    return decode_blob(str(ok(store, cmd("query", q=q)).args[0]))
+
+
 def test_query_empty_store(store):
-    assert store.query("students") == []
+    assert {q: answer(store, q) for q in REPORT_QUERIES} == {
+        "graduates_per_year": "",
+        "admissions_per_year": "",
+        "attendance": "",
+        "teacher_student_ratio": "teachers|0\nstudents|0\n",
+        "lab_student_ratio": "students|0\n",
+    }
 
 
 def test_query_read_your_write(store):
-    apply(store, cmd("add_student", st_id="777", name="Zoe", dpt_id="CS"))
-    rows = store.query("students", st_id="777")
-    assert len(rows) == 1 and rows[0]["name"] == "Zoe"
+    ok(store, cmd("add_student", st_id="777", name="Zoe", dpt_id="CS"))
+    assert answer(store, "lab_student_ratio") == "students|1\n"
+    students = rows(store, "students", st_id="777")
+    assert len(students) == 1 and students[0]["name"] == "Zoe"
 
 
 def test_query_unknown_table_is_fault(store):
@@ -240,17 +269,17 @@ def test_query_unknown_table_is_fault(store):
 
 
 def test_queries_are_not_journaled(store):
-    apply(store, cmd("add_student", st_id="111", name="Ali", dpt_id="CS"))
+    ok(store, cmd("add_student", st_id="111", name="Ali", dpt_id="CS"))
     for q in REPORT_QUERIES:
         assert store.execute(cmd("query", q=q)).accepted
     assert len(store.journal_lines) == 1
 
 
 def test_report_query_answer_is_its_aggregate_rows_only(store):
-    apply(store, cmd("add_program", name="p", session="morning", semester_count=1, fee=10))
+    ok(store, cmd("add_program", name="p", session="morning", semester_count=1, fee=10))
     for i in range(300):
-        apply(store, cmd("add_student", st_id=f"S{i:03d}", name=f"N{i}", dpt_id="CS"))
-        apply(store, cmd("admit", student_id=i + 1, p_id=1, year=2024))
+        ok(store, cmd("add_student", st_id=f"S{i:03d}", name=f"N{i}", dpt_id="CS"))
+        ok(store, cmd("admit", student_id=i + 1, p_id=1, year=2024))
     sizes = {}
     for q in ("teacher_student_ratio", "lab_student_ratio", "admissions_per_year"):
         answer = store.execute(cmd("query", q=q)).result
@@ -269,14 +298,14 @@ def test_replay_empty_journal_is_empty_store():
 
 def _busy_store() -> Store:
     store = Store(RunConfig())
-    open_session(store, "CS")
-    apply(store, cmd("add_student", st_id="111", name="Ali", dpt_id="CS"))
-    apply(store, cmd("add_program", name="p", session="morning", semester_count=3, fee=900))
-    apply(store, cmd("admit", student_id=1, p_id=1))
-    apply(store, cmd("add_class", p_id=1, semester=1, subject="Math", day=1, period=2))
-    apply(store, cmd("deliver_lecture", class_id=1, subject="Math", times=16))
-    apply(store, cmd("schedule_exam", term="mid", class_id=1, subject="Math", date="2025-05-01"))
-    apply(store, cmd("record_result", student_id=1, class_id=1, subject="Math", marks=98))
+    ok(store, cmd("open_session", dpt_id="CS"))
+    ok(store, cmd("add_student", st_id="111", name="Ali", dpt_id="CS"))
+    ok(store, cmd("add_program", name="p", session="morning", semester_count=3, fee=900))
+    ok(store, cmd("admit", student_id=1, p_id=1))
+    ok(store, cmd("add_class", p_id=1, semester=1, subject="Math", day=1, period=2))
+    ok(store, cmd("deliver_lecture", class_id=1, subject="Math", times=16))
+    ok(store, cmd("schedule_exam", term="mid", class_id=1, subject="Math", date="2025-05-01"))
+    ok(store, cmd("record_result", student_id=1, class_id=1, subject="Math", marks=98))
     return store
 
 
@@ -316,8 +345,8 @@ def test_dump_parses_back(store):
 
 def test_injection_disables_exactly_one_guard():
     store = Store(RunConfig(inject="p1"))
-    apply(store, cmd("add_student", st_id="111", name="Ali", dpt_id="CS"))
-    event = apply(store, cmd("add_student", st_id="111", name="Ali2", dpt_id="CS"))
-    assert event.command.get("st_id") == "111"  # duplicate accepted under p1
+    ok(store, cmd("add_student", st_id="111", name="Ali", dpt_id="CS"))
+    ok(store, cmd("add_student", st_id="111", name="Ali2", dpt_id="CS"))
+    assert [r["st_id"] for r in rows(store, "students")] == ["111", "111"]  # duplicate accepted under p1
     # other guards still live
     assert refused(store.execute(cmd("add_student", st_id="222", name="", dpt_id="CS")).result) == INCOMPLETE
