@@ -15,15 +15,12 @@ need no routing tables.
 
 from __future__ import annotations
 
-from dataclasses import replace
-
 from . import bdi, runtime
 from .bdi import (
     Belief,
     BelieveStep,
     BeliefMatch,
     CommandStep,
-    MessageDraft,
     MessageMatch,
     Plan,
     SendStep,
@@ -37,6 +34,7 @@ from .trace import TraceLog
 from .terms import (
     REPLIES,
     Command,
+    Envelope,
     Performative,
     Ratio,
     Refusal,
@@ -84,11 +82,12 @@ def agent_for_command(command: str) -> str:
 # -- gateway -----------------------------------------------------------------
 
 
-def _issue(ctx: bdi.StepCtx) -> list[MessageDraft]:
+def _issue(ctx: bdi.StepCtx) -> list[Envelope]:
     receiver = str(ctx.params[0])
     content = Term(str(ctx.params[1]), ctx.params[2:])
     return [
-        MessageDraft(
+        Envelope(
+            sender=ctx.agent_id,
             receiver=receiver,
             performative=Performative.REQUEST,
             conversation=ctx.conversation(),
@@ -123,10 +122,11 @@ def _original_conversation(conversation: str) -> str:
     return original
 
 
-def _relay_request(ctx: bdi.StepCtx) -> list[MessageDraft]:
+def _relay_request(ctx: bdi.StepCtx) -> list[Envelope]:
     _, _, _, content_name = ctx.params[:4]
     return [
-        MessageDraft(
+        Envelope(
+            sender=ctx.agent_id,
             receiver=ORCHESTRATOR,
             performative=Performative.REQUEST,
             conversation=_relay_conversation(ctx),
@@ -135,11 +135,12 @@ def _relay_request(ctx: bdi.StepCtx) -> list[MessageDraft]:
     ]
 
 
-def _relay_reply(ctx: bdi.StepCtx) -> list[MessageDraft]:
+def _relay_reply(ctx: bdi.StepCtx) -> list[Envelope]:
     _, performative, conversation, content_name = ctx.params[:4]
     original = _original_conversation(str(conversation))
     return [
-        MessageDraft(
+        Envelope(
+            sender=ctx.agent_id,
             receiver=conversation_origin(original),
             performative=Performative(str(performative)),
             conversation=original,
@@ -187,9 +188,10 @@ def build_report(kind: str, rows_text: str, cfg: RunConfig) -> Report:
     return Report(kind=kind, rows=tuple(rows))
 
 
-def _report_query(ctx: bdi.StepCtx) -> list[MessageDraft]:
+def _report_query(ctx: bdi.StepCtx) -> list[Envelope]:
     return [
-        MessageDraft(
+        Envelope(
+            sender=ctx.agent_id,
             receiver=ORCHESTRATOR,
             performative=Performative.REQUEST,
             conversation=_relay_conversation(ctx),
@@ -214,7 +216,7 @@ def _pending_report_of(ctx: bdi.StepCtx) -> tuple[Scalar, ...]:
 def report_agent(cfg: RunConfig) -> bdi.AgentState:
     broken = cfg.inject == "p11"
 
-    def reply_with_report(ctx: bdi.StepCtx) -> list[MessageDraft]:
+    def reply_with_report(ctx: bdi.StepCtx) -> list[Envelope]:
         _, performative, _, content_name = ctx.params[:4]
         row = _pending_report_of(ctx)
         original, kind = str(row[1]), str(row[2])
@@ -230,7 +232,8 @@ def report_agent(cfg: RunConfig) -> bdi.AgentState:
             content = Term("report", (kind, len(report.rows), blob))
             performative_out = Performative.INFORM
         return [
-            MessageDraft(
+            Envelope(
+                sender=ctx.agent_id,
                 receiver=conversation_origin(original),
                 performative=performative_out,
                 conversation=original,
@@ -275,10 +278,11 @@ def _build_command(ctx: bdi.StepCtx) -> list[Command]:
     return [Command(name, args, conversation)]
 
 
-def _reject_malformed(ctx: bdi.StepCtx) -> list[MessageDraft]:
+def _reject_malformed(ctx: bdi.StepCtx) -> list[Envelope]:
     conversation = str(ctx.params[2])
     return [
-        MessageDraft(
+        Envelope(
+            sender=ctx.agent_id,
             receiver=conversation_origin(conversation),
             performative=Performative.FAILURE,
             conversation=conversation,
@@ -287,10 +291,11 @@ def _reject_malformed(ctx: bdi.StepCtx) -> list[MessageDraft]:
     ]
 
 
-def _reply_ok(ctx: bdi.StepCtx) -> list[MessageDraft]:
+def _reply_ok(ctx: bdi.StepCtx) -> list[Envelope]:
     conversation, blob = str(ctx.params[0]), str(ctx.params[1])
     return [
-        MessageDraft(
+        Envelope(
+            sender=ctx.agent_id,
             receiver=conversation_origin(conversation),
             performative=Performative.INFORM,
             conversation=conversation,
@@ -299,14 +304,15 @@ def _reply_ok(ctx: bdi.StepCtx) -> list[MessageDraft]:
     ]
 
 
-def _reply_refused(ctx: bdi.StepCtx) -> list[MessageDraft]:
+def _reply_refused(ctx: bdi.StepCtx) -> list[Envelope]:
     conversation, reason, fault = str(ctx.params[0]), str(ctx.params[1]), int(ctx.params[2])
     if fault:
         performative, content = Performative.FAILURE, Term("failed", (reason,))
     else:
         performative, content = Performative.REFUSE, Term("refused", (reason,))
     return [
-        MessageDraft(
+        Envelope(
+            sender=ctx.agent_id,
             receiver=conversation_origin(conversation),
             performative=performative,
             conversation=conversation,
@@ -350,7 +356,7 @@ def orchestrator_agent() -> bdi.AgentState:
             body=(SendStep(_reply_refused),),
         ),
     ]
-    return replace(bdi.make_agent(ORCHESTRATOR, plans), advance_every_intention=True)
+    return bdi.make_agent(ORCHESTRATOR, plans, advance_every_intention=True)
 
 
 # -- world assembly ----------------------------------------------------------

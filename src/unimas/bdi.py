@@ -1,8 +1,8 @@
 """Belief-desire-intention kernel with one deterministic deliberation step.
 
-An agent is a value: beliefs (ground facts), goals (adopted desires), a
+An agent's state holds beliefs (ground facts), goals (adopted desires), a
 static plan library, and a stack of intentions (committed plans in
-execution).  ``step`` runs one full cycle:
+execution).  ``step`` runs one full cycle on a copy of it:
 
     1. perceive   -- fold inbox envelopes and queued belief percepts into
                      new goals via plan triggers; unhandled percepts are
@@ -12,19 +12,22 @@ execution).  ``step`` runs one full cycle:
     3. execute    -- advance the oldest intention by exactly one step; an
                      agent with ``advance_every_intention`` set advances
                      every intention it holds at this point by one step
-                     instead, oldest first.
+                     instead, oldest first.  The orchestrator, the relays
+                     and the report agent set it; the gateway does not, so
+                     it stays the one throttle on how fast commands enter.
 
-The cycle is a pure function of (state, inbox): no clocks, no randomness,
-no shared mutation.  All tie-breaking is fixed (goals by adoption order,
-plans by declaration order) so that traces are reproducible bit for bit.
+``step`` returns a fresh state and never mutates its input (a quiescent
+state comes back as is): no clocks, no randomness, no shared mutation.
+All tie-breaking is fixed (goals by adoption order, plans by declaration
+order) so that traces are reproducible bit for bit.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, Iterable, Sequence
 
-from .terms import Command, Envelope, Performative, Scalar, Term, check_scalar
+from .terms import Command, Envelope, Performative, Scalar, check_scalar
 
 
 @dataclass(frozen=True)
@@ -200,35 +203,23 @@ class StepCtx:
 
 
 @dataclass(frozen=True)
-class MessageDraft:
-    receiver: str
-    performative: Performative
-    conversation: str
-    content: Term
-
-
-@dataclass(frozen=True)
 class SendStep:
-    make: Callable[[StepCtx], list[MessageDraft]]
-    kind: str = field(default="send-message", init=False)
+    make: Callable[[StepCtx], list[Envelope]]
 
 
 @dataclass(frozen=True)
 class BelieveStep:
     make: Callable[[StepCtx], list[BeliefDelta]]
-    kind: str = field(default="update-belief", init=False)
 
 
 @dataclass(frozen=True)
 class CommandStep:
     make: Callable[[StepCtx], list[Command]]
-    kind: str = field(default="store-command", init=False)
 
 
 @dataclass(frozen=True)
 class GoalStep:
     make: Callable[[StepCtx], list[tuple[str, tuple[Scalar, ...]]]]
-    kind: str = field(default="emit-goal", init=False)
 
 
 Step = SendStep | BelieveStep | CommandStep | GoalStep
@@ -265,73 +256,33 @@ class Intention:
     """A committed plan: program counter over the plan body."""
 
     plan: Plan
-    bound_params: tuple[Scalar, ...]
     pc: int
     origin_goal: Goal
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class AgentState:
     id: str
     beliefs: BeliefBase
     plan_library: tuple[Plan, ...]
-    goals: tuple[Goal, ...] = ()
-    intentions: tuple[Intention, ...] = ()
+    goals: list[Goal] = field(default_factory=list)
+    intentions: list[Intention] = field(default_factory=list)
     next_seq: int = 0
-    percepts: tuple[Belief, ...] = ()
+    percepts: list[Belief] = field(default_factory=list)
     #: False: one intention step per cycle (AgentSpeak(L)); True: every
     #: intention held at the start of the execute phase steps once.
     advance_every_intention: bool = False
 
-
-def make_agent(agent_id: str, plans: Sequence[Plan], beliefs: Iterable[Belief] = ()) -> AgentState:
-    return AgentState(id=agent_id, beliefs=BeliefBase(beliefs), plan_library=tuple(plans))
-
-
-def adopt_goal(state: AgentState, name: str, params: tuple[Scalar, ...]) -> AgentState:
-    goal = Goal(name, params, state.next_seq)
-    return replace(state, goals=state.goals + (goal,), next_seq=state.next_seq + 1)
-
-
-def inject_percepts(state: AgentState, beliefs: Sequence[Belief]) -> AgentState:
-    """Queue belief percepts for the agent's next perceive phase."""
-    if not beliefs:
-        return state
-    return replace(state, percepts=state.percepts + tuple(beliefs))
-
-
-@dataclass(frozen=True)
-class StepResult:
-    state: AgentState
-    outbox: tuple[Envelope, ...]
-    commands: tuple[Command, ...]
-
-
-class _Work:
-    """Mutable working copy of an AgentState for one cycle."""
-
-    __slots__ = ("id", "beliefs", "plans", "goals", "intentions", "next_seq", "percepts", "every")
-
-    def __init__(self, state: AgentState) -> None:
-        self.id = state.id
-        self.beliefs = state.beliefs
-        self.plans = state.plan_library
-        self.goals = list(state.goals)
-        self.intentions = list(state.intentions)
-        self.next_seq = state.next_seq
-        self.percepts = list(state.percepts)
-        self.every = state.advance_every_intention
-
-    def freeze(self) -> AgentState:
+    def copy(self) -> "AgentState":
         return AgentState(
-            id=self.id,
-            beliefs=self.beliefs,
-            plan_library=self.plans,
-            goals=tuple(self.goals),
-            intentions=tuple(self.intentions),
-            next_seq=self.next_seq,
-            percepts=tuple(self.percepts),
-            advance_every_intention=self.every,
+            self.id,
+            self.beliefs,
+            self.plan_library,
+            list(self.goals),
+            list(self.intentions),
+            self.next_seq,
+            list(self.percepts),
+            self.advance_every_intention,
         )
 
     def adopt(self, name: str, params: tuple[Scalar, ...]) -> None:
@@ -344,9 +295,37 @@ class _Work:
         self.goals = [g for g in self.goals if g.adoption_seq != seq]
 
 
-def _perceive(work: _Work, inbox: Sequence[Envelope]) -> None:
+def make_agent(
+    agent_id: str,
+    plans: Sequence[Plan],
+    beliefs: Iterable[Belief] = (),
+    advance_every_intention: bool = False,
+) -> AgentState:
+    return AgentState(
+        id=agent_id,
+        beliefs=BeliefBase(beliefs),
+        plan_library=tuple(plans),
+        advance_every_intention=advance_every_intention,
+    )
+
+
+def adopt_goal(state: AgentState, name: str, params: tuple[Scalar, ...]) -> AgentState:
+    """A copy of ``state`` with one more goal adopted."""
+    twin = state.copy()
+    twin.adopt(name, params)
+    return twin
+
+
+@dataclass(frozen=True)
+class StepResult:
+    state: AgentState
+    outbox: tuple[Envelope, ...]
+    commands: tuple[Command, ...]
+
+
+def _perceive(state: AgentState, inbox: Sequence[Envelope]) -> None:
     for env in inbox:
-        for plan in work.plans:
+        for plan in state.plan_library:
             if isinstance(plan.when, MessageMatch) and plan.when.matches(env):
                 params = (
                     env.sender,
@@ -354,87 +333,71 @@ def _perceive(work: _Work, inbox: Sequence[Envelope]) -> None:
                     env.conversation,
                     env.content.name,
                 ) + env.content.args
-                work.adopt(plan.goal, params)
+                state.adopt(plan.goal, params)
                 break  # first matching plan names the goal
 
-    pending, work.percepts = work.percepts, []
+    pending, state.percepts = state.percepts, []
     for percept in pending:
-        for plan in work.plans:
+        for plan in state.plan_library:
             if isinstance(plan.when, BeliefMatch) and plan.when.matches(percept):
-                work.adopt(plan.goal, percept.args)
+                state.adopt(plan.goal, percept.args)
                 break
         else:
-            work.beliefs = work.beliefs.add(percept)  # unhandled percepts become knowledge
+            state.beliefs = state.beliefs.add(percept)  # unhandled percepts become knowledge
 
 
-def _commit_options(work: _Work) -> None:
-    committed = {i.origin_goal.adoption_seq for i in work.intentions}
-    for goal in work.goals:
+def _commit_options(state: AgentState) -> None:
+    committed = {i.origin_goal.adoption_seq for i in state.intentions}
+    for goal in state.goals:
         if goal.adoption_seq in committed:
             continue
-        for plan in work.plans:
-            if plan.goal == goal.name and plan.context_holds(work.beliefs, goal.params):
-                work.intentions.append(
-                    Intention(plan=plan, bound_params=goal.params, pc=0, origin_goal=goal)
-                )
+        for plan in state.plan_library:
+            if plan.goal == goal.name and plan.context_holds(state.beliefs, goal.params):
+                state.intentions.append(Intention(plan=plan, pc=0, origin_goal=goal))
                 break  # first applicable plan per goal wins
 
 
 def _execute_one(
-    work: _Work, index: int = 0
+    state: AgentState, index: int = 0
 ) -> tuple[tuple[Envelope, ...], tuple[Command, ...]]:
     """Advance the intention at ``index`` (default: the oldest) by one step."""
-    if not work.intentions:
+    if not state.intentions:
         return (), ()
 
-    intention = work.intentions[index]
+    intention = state.intentions[index]
     step = intention.plan.body[intention.pc]
-    ctx = StepCtx(agent_id=work.id, beliefs=work.beliefs, goal=intention.origin_goal)
+    ctx = StepCtx(agent_id=state.id, beliefs=state.beliefs, goal=intention.origin_goal)
 
-    outbox: list[Envelope] = []
-    commands: list[Command] = []
+    outbox: Sequence[Envelope] = ()
+    commands: Sequence[Command] = ()
     try:
         if isinstance(step, SendStep):
-            for draft in step.make(ctx):
-                outbox.append(
-                    Envelope(
-                        sender=work.id,
-                        receiver=draft.receiver,
-                        performative=draft.performative,
-                        conversation=draft.conversation,
-                        content=draft.content,
-                    )
-                )
+            outbox = step.make(ctx)
         elif isinstance(step, BelieveStep):
             deltas = step.make(ctx)
-            work.beliefs = update_beliefs(work.beliefs, deltas)
-            work.percepts.extend(d.belief for d in deltas if d.op == "add")
+            state.beliefs = update_beliefs(state.beliefs, deltas)
+            state.percepts.extend(d.belief for d in deltas if d.op == "add")
         elif isinstance(step, CommandStep):
-            commands.extend(step.make(ctx))
+            commands = step.make(ctx)
         elif isinstance(step, GoalStep):
             for name, params in step.make(ctx):
-                work.adopt(name, params)
+                state.adopt(name, params)
     except Exception:
         # Plan failure never escapes the cycle: the intention is dropped and
         # a failure belief surfaces next cycle for recovery plans.
-        work.drop(intention)
-        work.percepts.append(Belief("failed", (intention.origin_goal.name,)))
+        state.drop(intention)
+        state.percepts.append(Belief("failed", (intention.origin_goal.name,)))
         return (), ()
 
     pc = intention.pc + 1
     if pc == len(intention.plan.body):
-        work.drop(intention)  # completion removes goal too
+        state.drop(intention)  # completion removes goal too
     else:
-        work.intentions[index] = Intention(
-            plan=intention.plan,
-            bound_params=intention.bound_params,
-            pc=pc,
-            origin_goal=intention.origin_goal,
-        )
+        state.intentions[index] = Intention(intention.plan, pc, intention.origin_goal)
     return tuple(outbox), tuple(commands)
 
 
-def _execute_each(work: _Work) -> tuple[tuple[Envelope, ...], tuple[Command, ...]]:
+def _execute_each(state: AgentState) -> tuple[tuple[Envelope, ...], tuple[Command, ...]]:
     """Advance every intention held now by one step, oldest first.
 
     Steps only adopt goals, never intentions, so the list can only shrink:
@@ -444,23 +407,26 @@ def _execute_each(work: _Work) -> tuple[tuple[Envelope, ...], tuple[Command, ...
     outbox: list[Envelope] = []
     commands: list[Command] = []
     index = 0
-    for _ in range(len(work.intentions)):
-        held = len(work.intentions)
-        sent, issued = _execute_one(work, index)
+    for _ in range(len(state.intentions)):
+        held = len(state.intentions)
+        sent, issued = _execute_one(state, index)
         outbox.extend(sent)
         commands.extend(issued)
-        if len(work.intentions) == held:
+        if len(state.intentions) == held:
             index += 1
     return tuple(outbox), tuple(commands)
 
 
 def step(state: AgentState, inbox: Sequence[Envelope]) -> StepResult:
-    """One full deliberation cycle; pure in (state, inbox)."""
+    """One full deliberation cycle on a copy of ``state``; pure in (state, inbox)."""
     if not inbox and not state.percepts and not state.goals and not state.intentions:
         return StepResult(state, (), ())  # quiescent fast path
 
-    work = _Work(state)
-    _perceive(work, inbox)
-    _commit_options(work)
-    outbox, commands = _execute_each(work) if work.every else _execute_one(work)
-    return StepResult(work.freeze(), outbox, commands)
+    state = state.copy()
+    _perceive(state, inbox)
+    _commit_options(state)
+    if state.advance_every_intention:
+        outbox, commands = _execute_each(state)
+    else:
+        outbox, commands = _execute_one(state)
+    return StepResult(state, outbox, commands)

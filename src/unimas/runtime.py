@@ -129,7 +129,7 @@ def run_round(world: World) -> World:
             continue  # idle agent, nothing to do this round
         world.mailboxes[aid] = []
         result = bdi.step(state, inbox)
-        state = result.state
+        state = result.state  # fresh from step, so the outcome percepts go on it
         for command in result.commands:
             drafts, percepts = world.command_handler(aid, command)
             for kind, content in drafts:
@@ -140,7 +140,7 @@ def run_round(world: World) -> World:
                     conversation=command.conversation,
                     content=content,
                 )
-            state = bdi.inject_percepts(state, percepts)
+            state.percepts.extend(percepts)
         world.agents[aid] = state
         produced.extend(result.outbox)
     route(world, produced)

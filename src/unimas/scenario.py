@@ -10,9 +10,8 @@ the no-loss story the store is supposed to support.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace as dc_replace
+from dataclasses import dataclass
 
-from . import bdi
 from .agents import GATEWAY, REPORT_KINDS, agent_for_command, build_world, store_handler
 from .config import RunConfig, with_fixed_window
 from .monitor import Monitor, Verdict, exit_code as verdict_exit_code
@@ -306,7 +305,7 @@ class ScenarioRunner:
         receiver, name, args = _content_for(command)
         gw = self.world.agents[GATEWAY]
         conversation = f"{GATEWAY}:{gw.next_seq}"
-        self.world.agents[GATEWAY] = bdi.adopt_goal(gw, "issue", (receiver, name) + args)
+        gw.adopt("issue", (receiver, name) + args)
         self.pending[conversation] = idx
         return "injected"
 
@@ -325,9 +324,7 @@ class ScenarioRunner:
         fresh_world.command_handler = store_handler(rebuilt)
         for aid, old_state in self.world.agents.items():
             # conversation ids must stay unique across the restart
-            fresh_world.agents[aid] = dc_replace(
-                fresh_world.agents[aid], next_seq=old_state.next_seq
-            )
+            fresh_world.agents[aid].next_seq = old_state.next_seq
         self.world = fresh_world
         self.store = rebuilt
         # a snapshot of the rebuilt store marks the crash boundary on the

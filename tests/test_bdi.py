@@ -14,7 +14,6 @@ from unimas.bdi import (
     BelieveStep,
     CommandStep,
     GoalStep,
-    MessageDraft,
     MessageMatch,
     Plan,
     SendStep,
@@ -25,7 +24,8 @@ from unimas.bdi import (
     step,
     update_beliefs,
 )
-from unimas.terms import Command, Envelope, Performative, Term
+from unimas.agents import orchestrator_agent
+from unimas.terms import Command, Envelope, Performative, Term, encode_blob
 
 DATA = Path(__file__).parent / "data"
 
@@ -111,7 +111,7 @@ def _two_step(name, goal, context=None):
     """A plan whose two steps each send one message naming the plan and step."""
 
     def send(k):
-        return SendStep(lambda ctx: [MessageDraft("B", Performative.INFORM, "A:0", Term(f"{name}_{k}"))])
+        return SendStep(lambda ctx: [Envelope("A", "B", Performative.INFORM, "A:0", Term(f"{name}_{k}"))])
 
     return Plan(name=name, goal=goal, body=(send(1), send(2)), context=context)
 
@@ -126,11 +126,11 @@ def _sent(result):
 
 def test_no_goals_no_options():
     result = step(make_agent("A", [_two_step("p1", "g")]), [])
-    assert result.state.intentions == () and result.outbox == ()
+    assert result.state.intentions == [] and result.outbox == ()
     # a goal no plan serves stays adopted but uncommitted
     agent = adopt_goal(make_agent("A", [_two_step("p1", "g")]), "other", ())
     result = step(agent, [])
-    assert result.state.intentions == () and result.outbox == ()
+    assert result.state.intentions == [] and result.outbox == ()
     assert [g.name for g in result.state.goals] == ["other"]
 
 
@@ -216,12 +216,12 @@ def test_request_creates_intention_same_cycle():
 
 def test_last_step_completion_removes_goal_and_intention():
     plan = Plan(name="one_shot", goal="g", body=(SendStep(
-        lambda ctx: [MessageDraft("B", Performative.INFORM, "A:0", Term("hi"))]
+        lambda ctx: [Envelope("A", "B", Performative.INFORM, "A:0", Term("hi"))]
     ),))
     agent = adopt_goal(make_agent("A", [plan]), "g", ())
     result = step(agent, [])
-    assert result.state.intentions == ()
-    assert result.state.goals == ()
+    assert result.state.intentions == []
+    assert result.state.goals == []
     assert len(result.outbox) == 1
     assert result.outbox[0].sender == "A"
 
@@ -232,7 +232,7 @@ def test_step_failure_becomes_failed_belief():
 
     agent = adopt_goal(make_agent("A", [Plan(name="p", goal="g", body=(SendStep(boom),))]), "g", ())
     result = step(agent, [])
-    assert result.state.intentions == ()
+    assert result.state.intentions == []
     follow_up = step(result.state, [])
     assert Belief("failed", ("g",)) in follow_up.state.beliefs
 
@@ -320,7 +320,9 @@ def test_oldest_runnable_intention_advances_each_cycle():
 
 
 def _send(text):
-    return SendStep(lambda ctx: [MessageDraft("B", Performative.INFORM, ctx.conversation(), Term(text))])
+    return SendStep(
+        lambda ctx: [Envelope("A", "B", Performative.INFORM, ctx.conversation(), Term(text))]
+    )
 
 
 def _command(name):
@@ -350,12 +352,59 @@ def test_every_intention_advances_once_per_cycle_oldest_first():
         ("send", "A:5"),
     ]
     assert [(i.plan.name, i.pc) for i in first.state.intentions] == [("two", 1)]
-    assert first.state.percepts == (Belief("failed", ("broken",)),)
+    assert first.state.percepts == [Belief("failed", ("broken",))]
     # the goal adopted mid-cycle waits for the next cycle's deliberation, and
     # the two-step intention takes its second step only now: each once, not drain
     assert [g.name for g in first.state.goals] == ["two", "late"]
     second = step(first.state, [])
     assert [c.name for c in second.commands] == ["late"]
     assert [e.content.name for e in second.outbox] == ["two_2"]
-    assert second.state.intentions == () and second.state.goals == ()
+    assert second.state.intentions == [] and second.state.goals == []
     assert second.state.advance_every_intention
+
+
+# -- step never mutates its input -----------------------------------------------
+
+
+def _observable(state):
+    return (
+        list(state.goals),
+        list(state.intentions),
+        list(state.percepts),
+        state.next_seq,
+        state.beliefs.as_beliefs(),
+    )
+
+
+def _assert_step_leaves_input_alone(state, inbox):
+    before = _observable(state)
+    result = step(state, inbox)
+    assert _observable(state) == before
+    return result
+
+
+def test_step_never_mutates_its_input():
+    state = _toy_agent()
+    for _ in range(10):
+        state = _assert_step_leaves_input_alone(state, []).state
+
+    # the orchestrator with a request in its inbox and a store outcome queued
+    oa = orchestrator_agent()
+    oa.percepts.append(Belief("store_ok", ("GW:1", encode_blob(Term("ok", (1,)).render()))))
+    request = Envelope("GW", "OA", Performative.REQUEST, "GW:0", Term("open_session", ("CS",)))
+    result = _assert_step_leaves_input_alone(oa, [request])
+    assert len(result.commands) == 1 and len(result.outbox) == 1
+
+    def boom(ctx):
+        raise RuntimeError("broken step")
+
+    broken = adopt_goal(make_agent("A", [Plan(name="p", goal="g", body=(SendStep(boom),))]), "g", ())
+    result = _assert_step_leaves_input_alone(broken, [])
+    assert result.state.percepts == [Belief("failed", ("g",))]
+
+    every = make_agent(
+        "A", [_two_step("p1", "g1"), _two_step("p2", "g2")], advance_every_intention=True
+    )
+    every = adopt_goal(adopt_goal(every, "g1", ()), "g2", ())
+    for _ in range(3):
+        every = _assert_step_leaves_input_alone(every, []).state

@@ -92,7 +92,8 @@ def test_round_delivers_next_round():
         body=(
             SendStep(
                 lambda ctx: [
-                    bdi.MessageDraft(
+                    Envelope(
+                        "SA",
                         str(ctx.params[0]),
                         Performative.INFORM,
                         str(ctx.params[2]),
@@ -185,7 +186,7 @@ def test_self_messaging_agent_never_quiesces():
         when=MessageMatch(None, "tick"),
         body=(
             SendStep(
-                lambda ctx: [bdi.MessageDraft("A", Performative.INFORM, str(ctx.params[2]), Term("tick"))]
+                lambda ctx: [Envelope("A", "A", Performative.INFORM, str(ctx.params[2]), Term("tick"))]
             ),
         ),
     )
