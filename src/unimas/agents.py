@@ -167,7 +167,7 @@ def relay_agent(agent_id: str, commands: tuple[str, ...]) -> bdi.AgentState:
             body=(SendStep(_relay_reply),),
         )
     )
-    return bdi.make_agent(agent_id, plans)
+    return bdi.make_agent(agent_id, plans, advance_every_intention=True)
 
 
 # -- report agent ------------------------------------------------------------
@@ -258,7 +258,7 @@ def report_agent(cfg: RunConfig) -> bdi.AgentState:
             body=(SendStep(reply_with_report), BelieveStep(forget_pending_report)),
         ),
     ]
-    return bdi.make_agent("RPA", plans)
+    return bdi.make_agent("RPA", plans, advance_every_intention=True)
 
 
 # -- orchestrator ------------------------------------------------------------
@@ -322,11 +322,11 @@ def _reply_refused(ctx: bdi.StepCtx) -> list[Envelope]:
 
 
 def orchestrator_agent() -> bdi.AgentState:
-    """The store's only client, so each cycle advances all its intentions.
+    """The store's only client; every command passes through here.
 
-    Every command passes through here. Advancing every intention, not just
-    the oldest, lets a command's store step and the reply to an earlier one
-    share a round, so the orchestrator keeps pace with the gateway's one
+    Like the relays and the report agent, it advances every intention each
+    cycle, not just the oldest, so a command's store step and the reply to
+    an earlier one share a round and it keeps pace with the gateway's one
     request per round.
     """
     plans = [

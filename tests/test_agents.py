@@ -393,5 +393,6 @@ def test_only_orchestrator_produces_commands():
 def test_roster_is_ten_agents_registered_before_commands():
     world, _ = build_world()
     assert tuple(world.order) == ROSTER and len(ROSTER) == 10
-    # only the orchestrator advances all its intentions in one cycle
-    assert [a for a in ROSTER if world.agents[a].advance_every_intention] == [ORCHESTRATOR]
+    # every agent but the gateway advances all its intentions in one cycle;
+    # the gateway, one request per round, is the throttle
+    assert [a for a in ROSTER if not world.agents[a].advance_every_intention] == [GATEWAY]

@@ -274,6 +274,26 @@ def test_wide_window_fuzz_stream_keeps_reply_latency_bounded(seed):
     assert result.monitor.max_reply_latency <= 20
 
 
+_ONE_RELAY_STREAM = (
+    "OPEN_SESSION dept=CS\n"
+    "ADD_PROGRAM name=BSc session=morning semesters=2 fee=5000\n"
+    "ADD_CLASS p_id=1 semester=1 subject=Math day=0 period=0\n"
+    + "DELIVER_LECTURE class_id=1 subject=Math\n" * 400
+)
+_REPORT_STREAM = "OPEN_SESSION dept=CS\n" + "GENERATE_REPORT kind=attendance\n" * 400
+
+
+@pytest.mark.parametrize("window", [64, 128])
+@pytest.mark.parametrize("text", [_ONE_RELAY_STREAM, _REPORT_STREAM], ids=["relay", "report"])
+def test_one_verb_stream_keeps_reply_latency_bounded(text, window):
+    # every command of the stream queues at one relay (CSA) or at the report
+    # agent: each must keep pace with the gateway as the orchestrator does,
+    # or replies wait for several windows' worth of rounds (past K = 100)
+    result = run_scenario(parse_scenario(text), RunConfig(pipeline_window=window))
+    assert [v.status for v in result.verdicts] == ["holds"] * 12
+    assert result.monitor.max_reply_latency <= 10
+
+
 @pytest.mark.parametrize("seed", [21, 22, 23])
 def test_fuzzed_journal_replays_to_identical_store(seed):
     from unimas.store import replay
