@@ -13,6 +13,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field, replace as dc_replace
 
+from .agents import REPORT_KINDS
 from .config import RunConfig, with_fixed_window
 from .scenario import ScenarioCommand, RunResult, run_scenario
 
@@ -38,13 +39,6 @@ _WEIGHTED_VERBS = (
 
 _SUBJECTS = ("Math", "Physics", "Programming", "Databases", "Networks", "Logic")
 _DATES = tuple(f"2025-05-{day:02d}" for day in range(1, 6))
-_REPORTS = (
-    "graduates_per_year",
-    "admissions_per_year",
-    "attendance",
-    "teacher_student_ratio",
-    "lab_student_ratio",
-)
 
 
 @dataclass
@@ -229,7 +223,7 @@ def generate(seed: int, n_events: int, cfg: RunConfig | None = None) -> list[Sce
         elif verb == "RECORD_RESULT" and model.classes and model.students:
             out.append(record_result())
         elif verb == "GENERATE_REPORT":
-            out.append(_cmd("GENERATE_REPORT", kind=rng.choice(_REPORTS)))
+            out.append(_cmd("GENERATE_REPORT", kind=rng.choice(REPORT_KINDS)))
         elif verb == "OPEN_SESSION":
             out.append(_cmd("OPEN_SESSION", dept=cfg.cs_roster[0]))
     return out[:n_events]

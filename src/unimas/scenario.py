@@ -118,7 +118,10 @@ EXPECT_REFUSAL = "EXPECT_REFUSAL"
 VERBS = tuple(_VERB_COMMANDS) + (GENERATE_REPORT, CRASH, EXPECT_REFUSAL)
 
 #: Scenario keys whose command fields are optional (store defaults apply).
-_OPTIONAL_KEYS = {"ADMIT": ("year",), "DELIVER_LECTURE": ("times",), "RECORD_RESULT": ("year",)}
+_OPTIONAL_KEYS = {
+    verb: {key for key, name in key_map for f in SCHEMAS[command] if f.name == name and not f.required}
+    for verb, (command, key_map) in _VERB_COMMANDS.items()
+}
 
 #: Verbs allowed without an open session.
 _SESSION_EXEMPT = ("OPEN_SESSION", "CLOSE_SESSION", CRASH, EXPECT_REFUSAL)
@@ -178,10 +181,9 @@ def _validate_keys(command: ScenarioCommand) -> None:
         return
     _, key_map = _VERB_COMMANDS[command.verb]
     known = {k for k, _ in key_map}
-    optional = set(_OPTIONAL_KEYS.get(command.verb, ()))
     if not given <= known:
         raise ScenarioError(lineno, f"unknown key {sorted(given - known)[0]}")
-    missing = known - optional - given
+    missing = known - _OPTIONAL_KEYS[command.verb] - given
     if missing:
         raise ScenarioError(lineno, f"missing key {sorted(missing)[0]}")
 
@@ -437,10 +439,11 @@ class ScenarioRunner:
         self, plain: list[ScenarioCommand], queue: list[int], cursor: int
     ) -> tuple[list[int], int]:
         """After a crash, line up every command that was never acknowledged."""
-        redo = [i for i in range(len(plain)) if self.outcomes[i] is None and i not in queue[cursor:]]
-        remaining = redo + [i for i in queue[cursor:]]
+        queued = queue[cursor:]
+        still_queued = set(queued)
+        redo = [i for i in range(len(plain)) if self.outcomes[i] is None and i not in still_queued]
         self.pending.clear()
-        return remaining, 0
+        return redo + queued, 0
 
 
 def _journal_conversations(lines: list[str]) -> set[str]:

@@ -1,13 +1,15 @@
 """The benchmark's per-layer tracer (``bench/layers.py``) patches entry points
 of the program by name.  Tier-1 does not run the benchmark, so this checks
-that every name it patches still exists and that it leaves no wrapper
-behind.  The harness itself is not run here."""
+that every name it patches still exists, that it leaves no wrapper
+behind, and that its after-call hooks can read a live run.  The harness
+itself is not run here."""
 
 from pathlib import Path
 
 from unimas import agents, bdi, monitor, runtime, scenario, store, terms, trace
 
 BENCH = Path(__file__).parent.parent / "bench"
+SCENARIOS = Path(__file__).parent.parent / "scenarios"
 
 
 def _entry_points():
@@ -41,3 +43,25 @@ def test_layer_tracer_installs_and_restores_the_originals(monkeypatch):
         tracer.uninstall()
     after = _entry_points()
     assert all(after[name] is fn for name, fn in before.items())
+
+
+def test_layer_tracer_callbacks_read_a_live_run(monkeypatch):
+    # the tracer's after-call hooks read kernel, router and store values
+    # (AgentState.id/.goals/.intentions, Outcome.accepted); run them once
+    monkeypatch.syspath_prepend(str(BENCH))
+    import layers
+
+    commands = scenario.parse_scenario((SCENARIOS / "registration.scn").read_text())
+    tracer = layers.Tracer()
+    try:
+        tracer.install()
+        runner = scenario.ScenarioRunner()
+        tracer.trace_runner(runner)
+        result = runner.run(commands)
+    finally:
+        tracer.uninstall()
+    assert result.exit_code == 0
+    assert tracer.calls("bdi.step") > 0
+    assert tracer.counted("oa_steps") > 0
+    assert tracer.counted("envelopes") > 0
+    assert tracer.calls("agents.store_handler") > 0
