@@ -3,9 +3,10 @@
 Every domain agent is a mediated relay: a request from the gateway is
 re-issued to the orchestrator under a fresh conversation id, and the
 store's answer is forwarded back to whoever opened the original
-conversation.  Only the orchestrator ever emits store commands.  For a
-report the store aggregates (one query per report kind answers with that
-report's rows only) and the report agent builds the report from them.
+conversation; both hops pass the received content term on as is.  Only
+the orchestrator ever emits store commands.  For a report the store
+aggregates (one query per report kind answers with that report's rows
+only) and the report agent builds the report from them.
 
 Conversation ids are ``<agent>:<seq>``, optionally suffixed with the
 conversation they serve (``FSA:0>GW:2``), so both the opener of any hop
@@ -112,7 +113,7 @@ def _relay_conversation(ctx: bdi.StepCtx) -> str:
     # fresh id for this hop, with the originating conversation as a suffix so
     # the reply can be routed home and store events stay attributable to the
     # request that caused them
-    return f"{ctx.conversation()}>{ctx.params[2]}"
+    return f"{ctx.conversation()}>{ctx.message.conversation}"
 
 
 def _original_conversation(conversation: str) -> str:
@@ -123,28 +124,27 @@ def _original_conversation(conversation: str) -> str:
 
 
 def _relay_request(ctx: bdi.StepCtx) -> list[Envelope]:
-    _, _, _, content_name = ctx.params[:4]
     return [
         Envelope(
             sender=ctx.agent_id,
             receiver=ORCHESTRATOR,
             performative=Performative.REQUEST,
             conversation=_relay_conversation(ctx),
-            content=Term(str(content_name), ctx.params[4:]),
+            content=ctx.message.content,
         )
     ]
 
 
 def _relay_reply(ctx: bdi.StepCtx) -> list[Envelope]:
-    _, performative, conversation, content_name = ctx.params[:4]
-    original = _original_conversation(str(conversation))
+    reply = ctx.message
+    original = _original_conversation(reply.conversation)
     return [
         Envelope(
             sender=ctx.agent_id,
             receiver=conversation_origin(original),
-            performative=Performative(str(performative)),
+            performative=reply.performative,
             conversation=original,
-            content=Term(str(content_name), ctx.params[4:]),
+            content=reply.content,
         )
     ]
 
@@ -195,18 +195,18 @@ def _report_query(ctx: bdi.StepCtx) -> list[Envelope]:
             receiver=ORCHESTRATOR,
             performative=Performative.REQUEST,
             conversation=_relay_conversation(ctx),
-            content=Term("query", (ctx.params[4],)),
+            content=Term("query", (ctx.params[0],)),
         )
     ]
 
 
 def _note_pending_report(ctx: bdi.StepCtx) -> list[bdi.BeliefDelta]:
-    original, kind = str(ctx.params[2]), str(ctx.params[4])
+    original, kind = ctx.message.conversation, str(ctx.params[0])
     return [add("pending_report", _relay_conversation(ctx), original, kind)]
 
 
 def _pending_report_of(ctx: bdi.StepCtx) -> tuple[Scalar, ...]:
-    conversation = str(ctx.params[2])
+    conversation = ctx.message.conversation
     for row in ctx.beliefs.matching("pending_report"):
         if row[0] == conversation:
             return row
@@ -217,17 +217,16 @@ def report_agent(cfg: RunConfig) -> bdi.AgentState:
     broken = cfg.inject == "p11"
 
     def reply_with_report(ctx: bdi.StepCtx) -> list[Envelope]:
-        _, performative, _, content_name = ctx.params[:4]
         row = _pending_report_of(ctx)
         original, kind = str(row[1]), str(row[2])
-        if Performative(str(performative)) is not Performative.INFORM:
+        if ctx.message.performative is not Performative.INFORM:
             content = Term("failed", (encode_blob("store query failed"),))
             performative_out = Performative.FAILURE
         elif broken:
             content = Term("report", (kind,))  # guard off: absent result
             performative_out = Performative.INFORM
         else:
-            report = build_report(kind, decode_blob(str(ctx.params[4])), cfg)
+            report = build_report(kind, decode_blob(str(ctx.params[0])), cfg)
             blob = encode_blob("\n".join(report.render_lines()))
             content = Term("report", (kind, len(report.rows), blob))
             performative_out = Performative.INFORM
@@ -264,22 +263,21 @@ def report_agent(cfg: RunConfig) -> bdi.AgentState:
 # -- orchestrator ------------------------------------------------------------
 
 
-def _known_command(beliefs: bdi.BeliefBase, params: tuple[Scalar, ...]) -> bool:
-    name = str(params[3])
-    schema = SCHEMAS.get(name)
-    return schema is not None and len(params) - 4 == len(schema)
+def _known_command(beliefs: bdi.BeliefBase, goal: bdi.Goal) -> bool:
+    # oa_handle goals are raised by requests, so each keeps its envelope
+    schema = SCHEMAS.get(goal.message.content.name)
+    return schema is not None and len(goal.params) == len(schema)
 
 
 def _build_command(ctx: bdi.StepCtx) -> list[Command]:
-    name = str(ctx.params[3])
-    schema = SCHEMAS[name]
-    conversation = str(ctx.params[2])
-    args = tuple((f.name, value) for f, value in zip(schema, ctx.params[4:]))
-    return [Command(name, args, conversation)]
+    request = ctx.message
+    name = request.content.name
+    args = tuple((f.name, value) for f, value in zip(SCHEMAS[name], ctx.params))
+    return [Command(name, args, request.conversation)]
 
 
 def _reject_malformed(ctx: bdi.StepCtx) -> list[Envelope]:
-    conversation = str(ctx.params[2])
+    conversation = ctx.message.conversation
     return [
         Envelope(
             sender=ctx.agent_id,
@@ -292,14 +290,14 @@ def _reject_malformed(ctx: bdi.StepCtx) -> list[Envelope]:
 
 
 def _reply_ok(ctx: bdi.StepCtx) -> list[Envelope]:
-    conversation, blob = str(ctx.params[0]), str(ctx.params[1])
+    conversation, name = str(ctx.params[0]), str(ctx.params[1])
     return [
         Envelope(
             sender=ctx.agent_id,
             receiver=conversation_origin(conversation),
             performative=Performative.INFORM,
             conversation=conversation,
-            content=Term.parse(decode_blob(blob)),
+            content=Term(name, ctx.params[2:]),
         )
     ]
 
@@ -340,7 +338,7 @@ def orchestrator_agent() -> bdi.AgentState:
         Plan(
             name="oa_malformed",
             goal="oa_handle",
-            context=lambda beliefs, params: not _known_command(beliefs, params),
+            context=lambda beliefs, goal: not _known_command(beliefs, goal),
             body=(SendStep(_reject_malformed),),
         ),
         Plan(
@@ -377,7 +375,8 @@ def store_handler(store: Store) -> runtime.CommandHandler:
                 ),
             )
         else:
-            percept = Belief("store_ok", (command.conversation, encode_blob(outcome.result.render())))
+            reply = outcome.result
+            percept = Belief("store_ok", (command.conversation, reply.name) + reply.args)
         return list(outcome.drafts), [percept]
 
     return handle

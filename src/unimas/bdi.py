@@ -6,7 +6,9 @@ execution).  ``step`` runs one full cycle on a copy of it:
 
     1. perceive   -- fold inbox envelopes and queued belief percepts into
                      new goals via plan triggers; unhandled percepts are
-                     persisted as plain beliefs,
+                     persisted as plain beliefs.  A goal raised by a
+                     message keeps that envelope, and its params are the
+                     content's args,
     2. commit     -- every goal without a live intention commits the first
                      plan, in declaration order, whose context holds,
     3. execute    -- advance the oldest intention by exactly one step; an
@@ -149,11 +151,16 @@ def update_beliefs(base: BeliefBase, deltas: Sequence[BeliefDelta]) -> BeliefBas
 
 @dataclass(frozen=True)
 class Goal:
-    """An adopted desire; adoption_seq is unique per agent lifetime."""
+    """An adopted desire; adoption_seq is unique per agent lifetime.
+
+    A goal raised by an inbox envelope keeps it as ``message``, and its
+    params are the envelope content's args.
+    """
 
     name: str
     params: tuple[Scalar, ...]
     adoption_seq: int
+    message: Envelope | None = None
 
 
 # --- plans ----------------------------------------------------------------
@@ -187,7 +194,11 @@ class BeliefMatch:
 
 @dataclass
 class StepCtx:
-    """Execution context handed to a plan step."""
+    """Execution context handed to a plan step.
+
+    ``params`` are the goal's params; for a goal raised by a message,
+    ``message`` is that envelope and ``params`` its content's args.
+    """
 
     agent_id: str
     beliefs: BeliefBase
@@ -196,6 +207,12 @@ class StepCtx:
     @property
     def params(self) -> tuple[Scalar, ...]:
         return self.goal.params
+
+    @property
+    def message(self) -> Envelope:
+        if self.goal.message is None:
+            raise LookupError(f"goal {self.goal.name} was not raised by a message")
+        return self.goal.message
 
     def conversation(self) -> str:
         """Deterministic conversation id for requests opened by this intention."""
@@ -224,7 +241,7 @@ class GoalStep:
 
 Step = SendStep | BelieveStep | CommandStep | GoalStep
 
-Context = Callable[[BeliefBase, tuple[Scalar, ...]], bool]
+Context = Callable[[BeliefBase, Goal], bool]
 
 
 @dataclass(frozen=True)
@@ -247,8 +264,8 @@ class Plan:
         if not self.body:
             raise ValueError(f"plan {self.name} has an empty body")
 
-    def context_holds(self, beliefs: BeliefBase, params: tuple[Scalar, ...]) -> bool:
-        return True if self.context is None else bool(self.context(beliefs, params))
+    def context_holds(self, beliefs: BeliefBase, goal: Goal) -> bool:
+        return True if self.context is None else bool(self.context(beliefs, goal))
 
 
 @dataclass(frozen=True)
@@ -285,8 +302,10 @@ class AgentState:
             self.advance_every_intention,
         )
 
-    def adopt(self, name: str, params: tuple[Scalar, ...]) -> None:
-        self.goals.append(Goal(name, params, self.next_seq))
+    def adopt(
+        self, name: str, params: tuple[Scalar, ...], message: Envelope | None = None
+    ) -> None:
+        self.goals.append(Goal(name, params, self.next_seq, message))
         self.next_seq += 1
 
     def drop(self, intention: Intention) -> None:
@@ -327,13 +346,7 @@ def _perceive(state: AgentState, inbox: Sequence[Envelope]) -> None:
     for env in inbox:
         for plan in state.plan_library:
             if isinstance(plan.when, MessageMatch) and plan.when.matches(env):
-                params = (
-                    env.sender,
-                    env.performative.value,
-                    env.conversation,
-                    env.content.name,
-                ) + env.content.args
-                state.adopt(plan.goal, params)
+                state.adopt(plan.goal, env.content.args, env)
                 break  # first matching plan names the goal
 
     pending, state.percepts = state.percepts, []
@@ -352,7 +365,7 @@ def _commit_options(state: AgentState) -> None:
         if goal.adoption_seq in committed:
             continue
         for plan in state.plan_library:
-            if plan.goal == goal.name and plan.context_holds(state.beliefs, goal.params):
+            if plan.goal == goal.name and plan.context_holds(state.beliefs, goal):
                 state.intentions.append(Intention(plan=plan, pc=0, origin_goal=goal))
                 break  # first applicable plan per goal wins
 

@@ -7,6 +7,7 @@ use dotted keys (``max_marks.Math = 50``).
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from typing import get_type_hints
 
 
 class ConfigError(Exception):
@@ -90,18 +91,7 @@ def with_fixed_window(cfg: RunConfig, window: int, command: str) -> RunConfig:
     return replace(cfg, pipeline_window=window)
 
 
-_INT_KEYS = {
-    "cap",
-    "min_lectures_mid",
-    "min_lectures_final",
-    "min_marks",
-    "max_marks",
-    "liveness_k",
-    "seed",
-    "max_rounds",
-    "lab_count",
-    "pipeline_window",
-}
+_INT_KEYS = {name for name, hint in get_type_hints(RunConfig).items() if hint is int}
 
 
 def apply_setting(cfg: RunConfig, key: str, value: str) -> RunConfig:

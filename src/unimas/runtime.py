@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from . import bdi
-from .terms import Command, Envelope, Performative, Term, encode_blob
+from .terms import Command, Envelope, Performative, Term, encode_blob, refusal_line
 from .trace import TraceEvent, TraceLog
 
 #: Applies a command; returns ((trace kind, content line) drafts, percepts).
@@ -28,10 +28,10 @@ class RegistrationError(Exception):
 
 
 def _no_store(producer: str, command: Command) -> tuple[list[tuple[str, str]], list[bdi.Belief]]:
-    reason = encode_blob("no store attached")
+    reason = "no store attached"
     return (
-        [("refusal", f"refused(cmd={command.name},reason={reason})")],
-        [bdi.Belief("store_refused", (command.conversation, reason, 1))],
+        [("refusal", refusal_line(command.name, reason))],
+        [bdi.Belief("store_refused", (command.conversation, encode_blob(reason), 1))],
     )
 
 

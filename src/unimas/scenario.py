@@ -17,7 +17,7 @@ from .config import RunConfig, with_fixed_window
 from .monitor import Monitor, Verdict, exit_code as verdict_exit_code
 from .runtime import World, run_round
 from .store import SCHEMAS, Store, recover
-from .terms import Scalar, Term, check_scalar, decode_blob, encode_blob, parse_scalar
+from .terms import Scalar, Term, check_scalar, decode_blob, parse_scalar, refusal_line
 from .trace import TraceLog
 
 
@@ -45,70 +45,28 @@ class ScenarioCommand:
         return f"{self.verb} " + " ".join(f"{k}={v}" for k, v in self.args)
 
 
-# verb -> (store command, scenario key -> command field)
+#: verb -> store command
+_VERB_TO_COMMAND = {
+    "OPEN_SESSION": "open_session",
+    "CLOSE_SESSION": "close_session",
+    "REGISTER_STUDENT": "add_student",
+    "REGISTER_TEACHER": "add_teacher",
+    "ADMIT": "admit",
+    "ADD_PROGRAM": "add_program",
+    "ADD_CLASS": "add_class",
+    "ASSIGN_TEACHER": "assign_teacher",
+    "DELIVER_LECTURE": "deliver_lecture",
+    "SCHEDULE_EXAM": "schedule_exam",
+    "RECORD_RESULT": "record_result",
+}
+
+#: Command fields whose scenario key is not the field name.
+_RENAMED = {"dpt_id": "dept", "semester_count": "semesters"}
+
+# verb -> (store command, scenario key -> command field), in schema order
 _VERB_COMMANDS: dict[str, tuple[str, tuple[tuple[str, str], ...]]] = {
-    "OPEN_SESSION": ("open_session", (("dept", "dpt_id"),)),
-    "CLOSE_SESSION": ("close_session", (("sid", "sid"),)),
-    "REGISTER_STUDENT": (
-        "add_student",
-        (("st_id", "st_id"), ("name", "name"), ("dept", "dpt_id")),
-    ),
-    "REGISTER_TEACHER": (
-        "add_teacher",
-        (
-            ("name", "name"),
-            ("designation", "designation"),
-            ("contact", "contact"),
-            ("email", "email"),
-        ),
-    ),
-    "ADMIT": ("admit", (("student_id", "student_id"), ("p_id", "p_id"), ("year", "year"))),
-    "ADD_PROGRAM": (
-        "add_program",
-        (
-            ("name", "name"),
-            ("session", "session"),
-            ("semesters", "semester_count"),
-            ("fee", "fee"),
-        ),
-    ),
-    "ADD_CLASS": (
-        "add_class",
-        (
-            ("p_id", "p_id"),
-            ("semester", "semester"),
-            ("subject", "subject"),
-            ("day", "day"),
-            ("period", "period"),
-        ),
-    ),
-    "ASSIGN_TEACHER": (
-        "assign_teacher",
-        (("class_id", "class_id"), ("teacher_id", "teacher_id")),
-    ),
-    "DELIVER_LECTURE": (
-        "deliver_lecture",
-        (("class_id", "class_id"), ("subject", "subject"), ("times", "times")),
-    ),
-    "SCHEDULE_EXAM": (
-        "schedule_exam",
-        (
-            ("term", "term"),
-            ("class_id", "class_id"),
-            ("subject", "subject"),
-            ("date", "date"),
-        ),
-    ),
-    "RECORD_RESULT": (
-        "record_result",
-        (
-            ("student_id", "student_id"),
-            ("class_id", "class_id"),
-            ("subject", "subject"),
-            ("marks", "marks"),
-            ("year", "year"),
-        ),
-    ),
+    verb: (command, tuple((_RENAMED.get(f.name, f.name), f.name) for f in SCHEMAS[command]))
+    for verb, command in _VERB_TO_COMMAND.items()
 }
 
 GENERATE_REPORT = "GENERATE_REPORT"
@@ -119,8 +77,8 @@ VERBS = tuple(_VERB_COMMANDS) + (GENERATE_REPORT, CRASH, EXPECT_REFUSAL)
 
 #: Scenario keys whose command fields are optional (store defaults apply).
 _OPTIONAL_KEYS = {
-    verb: {key for key, name in key_map for f in SCHEMAS[command] if f.name == name and not f.required}
-    for verb, (command, key_map) in _VERB_COMMANDS.items()
+    verb: {_RENAMED.get(f.name, f.name) for f in SCHEMAS[command] if not f.required}
+    for verb, command in _VERB_TO_COMMAND.items()
 }
 
 #: Verbs allowed without an open session.
@@ -295,12 +253,11 @@ class ScenarioRunner:
         if command.verb not in _SESSION_EXEMPT and self.sessions_open == 0:
             if any(self._verbs[i] == "OPEN_SESSION" for i in self.pending.values()):
                 return "wait"  # a session open is in flight; don't jump the gun
-            reason = encode_blob("no open session")
             self.world.emit(
                 "refusal",
                 sender=GATEWAY,
                 receiver="gateway",
-                content=f"refused(cmd={command.verb},reason={reason})",
+                content=refusal_line(command.verb, "no open session"),
             )
             self.outcomes[idx] = CommandOutcome("gateway_refused", reason="no open session")
             return "refused"

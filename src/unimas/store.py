@@ -17,7 +17,7 @@ from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 
 from .config import RunConfig
-from .terms import Command, Refusal, Scalar, Term, encode_blob, render_scalar
+from .terms import Command, Refusal, Scalar, Term, encode_blob, refusal_line, render_scalar
 
 # Refusal reason literals; the odd spellings are load-bearing.
 ALREADY_REGISTERED = "Student Already Registerd"
@@ -299,19 +299,18 @@ class Store:
         normalized, refusal = self._normalize(command)
         if refusal is None:
             assert normalized is not None
-            if normalized.name == "query":
-                return self._run_query(normalized)
             try:
                 refusal = self._validate(normalized)
             except (ValueError, KeyError):
                 # reachable only with p9 injected and an int field left empty
                 refusal = Refusal("invalid field", fault=True)
         if refusal is not None:
-            reason = encode_blob(refusal.reason)
-            draft = ("refusal", f"refused(cmd={command.name},reason={reason})")
+            draft = ("refusal", refusal_line(command.name, refusal.reason))
             return Outcome(result=refusal, drafts=(draft,))
 
         assert normalized is not None
+        if normalized.name == "query":
+            return self._run_query(normalized)
         self.journal_lines.append(journal_line(self.next_seq, normalized))  # journal first
         self.next_seq += 1
         reply, extra = self._mutate(normalized)
@@ -325,13 +324,7 @@ class Store:
         return Outcome(result=reply, drafts=((kind, f"{normalized.name}({content_args})"),))
 
     def _run_query(self, command: Command) -> Outcome:
-        aggregate = REPORT_QUERIES.get(str(command.get("q")))
-        if aggregate is None:
-            reason = encode_blob("unknown query")
-            return Outcome(
-                result=Refusal("unknown query", fault=True),
-                drafts=(("refusal", f"refused(cmd=query,reason={reason})"),),
-            )
+        aggregate = REPORT_QUERIES[str(command.get("q"))]
         text = "".join(f"{label}|{value}\n" for label, value in aggregate(self.tables))
         return Outcome(result=Term("rows", (encode_blob(text),)))
 
@@ -434,6 +427,9 @@ class Store:
             marks = int(cmd.get("marks", 0))
             if not lo <= marks <= hi and not self._injected("p10"):
                 return Refusal(MARKS_BOUNDS)
+        elif name == "query":
+            if str(cmd.get("q")) not in REPORT_QUERIES:
+                return Refusal("unknown query", fault=True)
         return None
 
     # -- mutation (also the replay path; never validates) ----------------

@@ -44,6 +44,11 @@ def decode_blob(token: str) -> str:
     return base64.urlsafe_b64decode(token[1:].encode()).decode()
 
 
+def refusal_line(command: str, reason: str) -> str:
+    """Trace content of a refused command: its name and blob-encoded reason."""
+    return f"refused(cmd={command},reason={encode_blob(reason)})"
+
+
 def render_scalar(value: Scalar) -> str:
     return str(value)
 
@@ -70,14 +75,6 @@ class Term:
 
     def render(self) -> str:
         return f"{self.name}({','.join(render_scalar(a) for a in self.args)})"
-
-    @staticmethod
-    def parse(text: str) -> "Term":
-        if not text.endswith(")") or "(" not in text:
-            raise ValueError(f"bad term syntax: {text!r}")
-        name, _, inner = text[:-1].partition("(")
-        args = tuple(parse_scalar(t) for t in inner.split(",")) if inner else ()
-        return Term(name, args)
 
 
 class Performative(str, Enum):

@@ -10,7 +10,19 @@ from pathlib import Path
 import pytest
 from oracle import reference_report
 
-from unimas.agents import GATEWAY, ORCHESTRATOR, REPORT_KINDS, ROSTER, build_report, build_world
+from unimas import bdi
+from unimas.agents import (
+    AGENT_COMMANDS,
+    GATEWAY,
+    ORCHESTRATOR,
+    REPORT_KINDS,
+    ROSTER,
+    build_report,
+    build_world,
+    relay_agent,
+    store_handler,
+)
+from unimas.bdi import Belief
 from unimas.config import RunConfig
 from unimas.fuzz import generate
 from unimas.runtime import route, run_round
@@ -349,6 +361,30 @@ def test_oa_handle_malformed_content_fails():
     reply, commands, _ = _ask_orchestrator(Term("dance", (1, 2)))
     assert reply.performative is Performative.FAILURE
     assert commands == []
+
+
+def test_relay_forwards_the_received_terms_and_performative():
+    sa = relay_agent("SA", AGENT_COMMANDS["SA"])
+    request_content = Term("add_student", ("111", "Ali", "CS"))
+    request = Envelope(GATEWAY, "SA", Performative.REQUEST, "GW:0", request_content)
+    first = bdi.step(sa, [request])
+    [to_oa] = first.outbox
+    assert (to_oa.receiver, to_oa.conversation) == (ORCHESTRATOR, "SA:0>GW:0")
+    assert to_oa.content is request_content
+    reply_content = Term("refused", (encode_blob("Student Already Registerd"),))
+    reply = Envelope(ORCHESTRATOR, "SA", Performative.REFUSE, to_oa.conversation, reply_content)
+    [to_gw] = bdi.step(first.state, [reply]).outbox
+    assert (to_gw.receiver, to_gw.conversation) == (GATEWAY, "GW:0")
+    assert to_gw.performative is Performative.REFUSE
+    assert to_gw.content is reply_content
+
+
+def test_store_ok_percept_is_the_reply_term_unencoded():
+    handle = store_handler(Store())
+    _, [opened] = handle(ORCHESTRATOR, Command("open_session", (("dpt_id", "CS"),), "GW:0"))
+    assert opened == Belief("store_ok", ("GW:0", "ok", 1))
+    _, [closed] = handle(ORCHESTRATOR, Command("close_session", (("sid", 1),), "GW:1"))
+    assert closed == Belief("store_ok", ("GW:1", "ok"))
 
 
 def test_exactly_one_reply_per_request_in_trace():

@@ -25,7 +25,7 @@ from unimas.bdi import (
     update_beliefs,
 )
 from unimas.agents import orchestrator_agent
-from unimas.terms import Command, Envelope, Performative, Term, encode_blob
+from unimas.terms import Command, Envelope, Performative, Term
 
 DATA = Path(__file__).parent / "data"
 
@@ -204,7 +204,7 @@ def test_request_creates_intention_same_cycle():
         name="on_register",
         goal="register",
         when=MessageMatch(Performative.REQUEST, "register"),
-        body=(BelieveStep(lambda ctx: [add("seen", ctx.params[0])]), SendStep(_noop_send)),
+        body=(BelieveStep(lambda ctx: [add("seen", ctx.message.sender)]), SendStep(_noop_send)),
     )
     agent = make_agent("SA", [plan])
     env = Envelope("GW", "SA", Performative.REQUEST, "GW:0", Term("register", (7,)))
@@ -242,7 +242,7 @@ def test_step_is_deterministic():
         name="on_msg",
         goal="handle",
         when=MessageMatch(None, None),
-        body=(BelieveStep(lambda ctx: [add("got", ctx.params[2])]),),
+        body=(BelieveStep(lambda ctx: [add("got", ctx.message.conversation)]),),
     )
     env = Envelope("B", "A", Performative.INFORM, "B:4", Term("note", (1,)))
     results = [step(make_agent("A", [plan]), [env]) for _ in range(2)]
@@ -390,7 +390,7 @@ def test_step_never_mutates_its_input():
 
     # the orchestrator with a request in its inbox and a store outcome queued
     oa = orchestrator_agent()
-    oa.percepts.append(Belief("store_ok", ("GW:1", encode_blob(Term("ok", (1,)).render()))))
+    oa.percepts.append(Belief("store_ok", ("GW:1", "ok", 1)))
     request = Envelope("GW", "OA", Performative.REQUEST, "GW:0", Term("open_session", ("CS",)))
     result = _assert_step_leaves_input_alone(oa, [request])
     assert len(result.commands) == 1 and len(result.outbox) == 1

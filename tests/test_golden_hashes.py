@@ -1,0 +1,53 @@
+"""Pinned outputs: trace and journal sha256 plus exit code of fixed runs.
+
+``tests/data/golden_hashes.txt`` holds one ``name trace_sha256
+journal_sha256 exit_code`` line per run.  A change that alters any trace
+or journal on purpose regenerates the file with
+
+    PYTHONPATH=src python tests/test_golden_hashes.py
+
+and says so in CHANGES.md.
+"""
+
+from __future__ import annotations
+
+import hashlib
+from pathlib import Path
+
+from test_acceptance import GOLDEN, GOLDEN_CFG, SCENARIOS
+
+from unimas.config import RunConfig
+from unimas.fuzz import fuzz
+from unimas.scenario import RunResult, parse_scenario, run_scenario
+
+HASHES = Path(__file__).parent / "data" / "golden_hashes.txt"
+
+
+def _scenario(name: str, cfg: RunConfig) -> RunResult:
+    return run_scenario(parse_scenario((SCENARIOS / name).read_text()), cfg)
+
+
+def _runs():
+    for name in GOLDEN:
+        yield name, lambda name=name: _scenario(name, GOLDEN_CFG.get(name, RunConfig()))
+    yield "reports.scn+inject=p11", lambda: _scenario("reports.scn", RunConfig(inject="p11"))
+    yield "fuzz-seed1-2000", lambda: fuzz(1, 2000)
+
+
+def _line(name: str, result: RunResult) -> str:
+    journal = "\n".join(result.store.journal_lines) + "\n"
+    journal_hash = hashlib.sha256(journal.encode()).hexdigest()
+    return f"{name} {result.trace_hash} {journal_hash} {result.exit_code}"
+
+
+def golden_lines() -> list[str]:
+    return [_line(name, run()) for name, run in _runs()]
+
+
+def test_golden_outputs_match_pinned_hashes():
+    pinned = HASHES.read_text().splitlines()
+    assert golden_lines() == pinned
+
+
+if __name__ == "__main__":
+    HASHES.write_text("\n".join(golden_lines()) + "\n")

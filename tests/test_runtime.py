@@ -94,9 +94,9 @@ def test_round_delivers_next_round():
                 lambda ctx: [
                     Envelope(
                         "SA",
-                        str(ctx.params[0]),
+                        ctx.message.sender,
                         Performative.INFORM,
-                        str(ctx.params[2]),
+                        ctx.message.conversation,
                         Term("pong"),
                     )
                 ]
@@ -125,7 +125,7 @@ def test_same_scenario_same_trace_hash():
                         name="noter",
                         goal="note",
                         when=MessageMatch(None, None),
-                        body=(BelieveStep(lambda ctx: [add("noted", ctx.params[2])]),),
+                        body=(BelieveStep(lambda ctx: [add("noted", ctx.message.conversation)]),),
                     )
                 ],
             ),
@@ -186,7 +186,9 @@ def test_self_messaging_agent_never_quiesces():
         when=MessageMatch(None, "tick"),
         body=(
             SendStep(
-                lambda ctx: [Envelope("A", "A", Performative.INFORM, str(ctx.params[2]), Term("tick"))]
+                lambda ctx: [
+                    Envelope("A", "A", Performative.INFORM, ctx.message.conversation, Term("tick"))
+                ]
             ),
         ),
     )

@@ -1,3 +1,5 @@
+from dataclasses import fields
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -88,8 +90,18 @@ def test_parse_print_roundtrip(commands):
 
 
 def test_config_file_roundtrip_via_header():
-    cfg = parse_config_text("cap = 10\nmin_lectures_mid = 4\ncs_roster = CS IT\nseed = 9\n")
+    cfg = parse_config_text(
+        "cap = 10\nmin_lectures_mid = 4\nmin_lectures_final = 8\nmin_marks = 5\n"
+        "max_marks = 90\nliveness_k = 50\nseed = 9\nmax_rounds = 500\nlab_count = 3\n"
+        "cs_roster = CS IT\npipeline_window = 4\ninject = p3\n"
+        "min_marks.Math = 10\nmax_marks.Math = 50\n"
+    )
+    # every key away from its default, so none can round-trip by falling back to it
+    default = RunConfig()
+    unchanged = [f.name for f in fields(cfg) if getattr(cfg, f.name) == getattr(default, f.name)]
+    assert unchanged == []
     assert cfg.cap == 10 and cfg.cs_roster == ("CS", "IT")
+    assert cfg.marks_overrides == (("Math", 10, 50),)
     assert parse_header(cfg.header()) == cfg
 
 

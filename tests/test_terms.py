@@ -46,18 +46,6 @@ def test_blob_roundtrip(text):
     assert decode_blob(token) == text
 
 
-@given(safe_text, st.lists(st.one_of(st.integers(), safe_text), max_size=4))
-def test_term_render_parse_roundtrip(name, args):
-    term = Term(name, tuple(args))
-    assert Term.parse(term.render()) == term
-
-
-def test_term_parse_rejects_garbage():
-    for bad in ("noparens", "open(unclosed", ""):
-        with pytest.raises(ValueError):
-            Term.parse(bad)
-
-
 def test_command_roundtrip_preserves_kv_order():
     command = Command("add_student", (("st_id", 111), ("name", "Ali")), "GW:0")
     parsed = Command.parse(command.render(), "GW:0")
