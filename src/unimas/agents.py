@@ -84,21 +84,12 @@ def agent_for_command(command: str) -> str:
 
 
 def _issue(ctx: bdi.StepCtx) -> list[Envelope]:
-    receiver = str(ctx.params[0])
-    content = Term(str(ctx.params[1]), ctx.params[2:])
-    return [
-        Envelope(
-            sender=ctx.agent_id,
-            receiver=receiver,
-            performative=Performative.REQUEST,
-            conversation=ctx.conversation(),
-            content=content,
-        )
-    ]
+    return [ctx.message]
 
 
 def gateway_agent() -> bdi.AgentState:
-    """Scenario bridge: injected ``issue`` goals become outbound requests.
+    """Scenario bridge: an injected ``issue`` goal keeps the request it
+    sends as its message, under the conversation ``GW:<adoption seq>``.
 
     Replies are read off the mailbox by the harness; the gateway keeps no
     plans for them.

@@ -154,7 +154,8 @@ class Goal:
     """An adopted desire; adoption_seq is unique per agent lifetime.
 
     A goal raised by an inbox envelope keeps it as ``message``, and its
-    params are the envelope content's args.
+    params are the envelope content's args; so does a goal adopted with
+    the request it is to send (the gateway's ``issue``).
     """
 
     name: str

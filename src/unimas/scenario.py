@@ -17,7 +17,15 @@ from .config import RunConfig, with_fixed_window
 from .monitor import Monitor, Verdict, exit_code as verdict_exit_code
 from .runtime import World, run_round
 from .store import SCHEMAS, Store, recover
-from .terms import Scalar, Term, check_scalar, decode_blob, parse_scalar, refusal_line
+from .terms import (
+    Envelope,
+    Performative,
+    Term,
+    check_scalar,
+    decode_blob,
+    parse_scalar,
+    refusal_line,
+)
 from .trace import TraceLog
 
 
@@ -150,10 +158,10 @@ def render_scenario(commands: list[ScenarioCommand]) -> str:
     return "\n".join(c.render() for c in commands) + "\n"
 
 
-def _content_for(command: ScenarioCommand) -> tuple[str, str, tuple[Scalar, ...]]:
-    """(receiver, content name, content args in schema order)."""
+def _content_for(command: ScenarioCommand) -> tuple[str, Term]:
+    """(receiver, request content with its args in schema order)."""
     if command.verb == GENERATE_REPORT:
-        return "RPA", "report", (command.get("kind"),)
+        return "RPA", Term("report", (command.get("kind"),))
     store_command, key_map = _VERB_COMMANDS[command.verb]
     by_field = {f: command.get(k) for k, f in key_map}
     schema = SCHEMAS[store_command]
@@ -161,7 +169,7 @@ def _content_for(command: ScenarioCommand) -> tuple[str, str, tuple[Scalar, ...]
         parse_scalar(by_field[f.name] if by_field.get(f.name, "") != "" else (f.default or ""))
         for f in schema
     )
-    return agent_for_command(store_command), store_command, args
+    return agent_for_command(store_command), Term(store_command, args)
 
 
 @dataclass
@@ -261,10 +269,11 @@ class ScenarioRunner:
             )
             self.outcomes[idx] = CommandOutcome("gateway_refused", reason="no open session")
             return "refused"
-        receiver, name, args = _content_for(command)
+        receiver, content = _content_for(command)
         gw = self.world.agents[GATEWAY]
         conversation = f"{GATEWAY}:{gw.next_seq}"
-        gw.adopt("issue", (receiver, name) + args)
+        request = Envelope(GATEWAY, receiver, Performative.REQUEST, conversation, content)
+        gw.adopt("issue", content.args, request)
         self.pending[conversation] = idx
         return "injected"
 

@@ -6,7 +6,9 @@ then applied; ``replay`` folds a journal back into an identical store by
 re-running the mutations without validation, since journaled events are
 facts.  All row values are stored as rendered strings so dumps, journals
 and comparisons stay canonical.  A report query is answered with only the
-aggregate rows of its report, computed from the live tables when asked.
+aggregate rows of its report, read from aggregates that ``_mutate``
+maintains on every write (so ``replay`` rebuilds them), not computed from
+the live tables when asked.
 """
 
 from __future__ import annotations
@@ -178,52 +180,36 @@ def parse_dump(text: str) -> dict[str, list[Row]]:
     return tables
 
 
-# -- report queries: aggregate rows computed from the live tables ---------
+# -- report queries: aggregate rows read from what _mutate maintains -------
 
-Tables = dict[str, dict[tuple, Row]]
-
-
-def _per_year(counts: Counter[str]) -> list[tuple[str, str]]:
-    return [(year, str(counts[year])) for year in sorted(counts, key=int)]
+Rows = list[tuple[str, str]]
 
 
-def _admissions_per_year(tables: Tables) -> list[tuple[str, str]]:
-    return _per_year(Counter(s["admit_year"] for s in tables["students"].values() if s["admit_year"]))
+def _per_year(counts: Counter[int]) -> Rows:
+    return [(str(year), str(n)) for year, n in sorted(counts.items()) if n]
 
 
-def _graduates_per_year(tables: Tables) -> list[tuple[str, str]]:
-    # A student graduates in the year their last final-semester result
-    # lands, once every final-semester class of their program has one.
-    semesters = {p["p_id"]: p["semester_count"] for p in tables["programs"].values()}
-    final_program = {
-        c["class_id"]: c["p_id"]
-        for c in tables["classes"].values()
-        if semesters.get(c["p_id"]) == c["semester"]
-    }
-    finals = Counter(final_program.values())
-    students = tables["students"]
-    years: dict[tuple[str, str], list[int]] = defaultdict(list)
-    for r in tables["results"].values():
-        p_id = final_program.get(r["class_id"])
-        if p_id is not None and students[(int(r["student_id"]),)]["program_id"] == p_id:
-            years[(r["student_id"], p_id)].append(int(r["year"]))
-    return _per_year(
-        Counter(str(max(got)) for (_, p_id), got in years.items() if len(got) == finals[p_id])
-    )
+def _admissions_per_year(store: Store) -> Rows:
+    return _per_year(store._admissions)
 
 
-def _attendance(tables: Tables) -> list[tuple[str, str]]:
-    logs = tables["lecture_logs"]
-    in_order = (logs[key] for key in sorted(logs))
-    return [(f"{log['class_id']}:{log['subject']}", log["lectures_delivered"]) for log in in_order]
+def _graduates_per_year(store: Store) -> Rows:
+    return _per_year(store._graduates)
 
 
-def _teacher_student_counts(tables: Tables) -> list[tuple[str, str]]:
+def _attendance(store: Store) -> Rows:
+    # class ids rise and put updates in place, so dict order is key order
+    logs = store.tables["lecture_logs"].values()
+    return [(f"{log['class_id']}:{log['subject']}", log["lectures_delivered"]) for log in logs]
+
+
+def _teacher_student_counts(store: Store) -> Rows:
+    tables = store.tables
     return [("teachers", str(len(tables["teachers"]))), ("students", str(len(tables["students"])))]
 
 
-def _student_count(tables: Tables) -> list[tuple[str, str]]:
-    return [("students", str(len(tables["students"])))]
+def _student_count(store: Store) -> Rows:
+    return [("students", str(len(store.tables["students"])))]
 
 
 #: ``query(q=<report kind>)``: the aggregate rows each report is built from.
@@ -248,6 +234,14 @@ class Store:
         self._emails: set[str] = set()
         self._slots: set[tuple[str, str, str, str]] = set()
         self._teacher_slots: dict[tuple[str, str, str], str] = {}  # -> class_id
+        # report aggregates, maintained by _mutate so replay rebuilds them
+        self._admissions: Counter[int] = Counter()  # admit_year -> students
+        self._final_program: dict[str, str] = {}  # final-semester class_id -> p_id
+        self._finals: Counter[str] = Counter()  # p_id -> final-semester classes
+        # (student_id, p_id) -> final class_id -> year of the student's result
+        self._final_years: dict[tuple[str, str], dict[str, int]] = defaultdict(dict)
+        self._graduated: dict[str, dict[str, int]] = defaultdict(dict)  # p_id -> student_id -> year
+        self._graduates: Counter[int] = Counter()  # graduation year -> students
         # dump lines cached per row; re-rendered only on mutation
         self._rendered: dict[str, dict[tuple, str]] = {name: {} for name in TABLE_FIELDS}
 
@@ -325,7 +319,7 @@ class Store:
 
     def _run_query(self, command: Command) -> Outcome:
         aggregate = REPORT_QUERIES[str(command.get("q"))]
-        text = "".join(f"{label}|{value}\n" for label, value in aggregate(self.tables))
+        text = "".join(f"{label}|{value}\n" for label, value in aggregate(self))
         return Outcome(result=Term("rows", (encode_blob(text),)))
 
     # -- validation (business rules; skipped checks are fault injection) --
@@ -434,6 +428,20 @@ class Store:
 
     # -- mutation (also the replay path; never validates) ----------------
 
+    def _grade(self, student_id: str, p_id: str) -> None:
+        """Recount one student's graduation from one program: they graduate
+        in the year of their latest final-semester result once they are in
+        the program and every final-semester class of it has their result."""
+        year = self._graduated[p_id].pop(student_id, None)
+        if year is not None:
+            self._graduates[year] -= 1
+        years = self._final_years.get((student_id, p_id))
+        enrolled = self.tables["students"][(int(student_id),)]["program_id"] == p_id
+        if enrolled and years and len(years) == self._finals[p_id]:
+            year = max(years.values())
+            self._graduated[p_id][student_id] = year
+            self._graduates[year] += 1
+
     def _mutate(self, cmd: Command) -> tuple[Term, str]:
         """Apply an accepted command; returns (reply, extra trace kv)."""
         name = cmd.name
@@ -486,9 +494,16 @@ class Store:
             return Term("ok", (teacher_id,)), f"teacher_id={teacher_id}"
         if name == "admit":
             student = dict(self.tables["students"][(int(a["student_id"]),)])
+            left = student["program_id"]  # set only on a re-admission, under p4
+            if left:
+                self._admissions[int(student["admit_year"])] -= 1
             student["program_id"] = render_scalar(a["p_id"])
             student["admit_year"] = render_scalar(a["year"])
+            self._admissions[int(student["admit_year"])] += 1
             put("students", student)
+            if left:  # a first admission has no results yet to count
+                self._grade(student["student_id"], left)
+                self._grade(student["student_id"], student["program_id"])
             return Term("ok"), ""
         if name == "add_program":
             p_id = self.counters["p_id"]
@@ -515,22 +530,23 @@ class Store:
                     )
             return Term("ok", (p_id,)), f"p_id={p_id}"
         if name == "add_class":
+            p_id, semester = render_scalar(a["p_id"]), render_scalar(a["semester"])
+            final = self.tables["programs"][(int(p_id),)]["semester_count"] == semester
             class_id = self.counters["class_id"]
             self.counters["class_id"] += 1
-            self._slots.add(
-                (
-                    render_scalar(a["p_id"]),
-                    render_scalar(a["semester"]),
-                    render_scalar(a["day"]),
-                    render_scalar(a["period"]),
-                )
-            )
+            if final:
+                # a new final class: nobody has its result yet
+                self._final_program[str(class_id)] = p_id
+                self._finals[p_id] += 1
+                for year in self._graduated.pop(p_id, {}).values():
+                    self._graduates[year] -= 1
+            self._slots.add((p_id, semester, render_scalar(a["day"]), render_scalar(a["period"])))
             put(
                 "classes",
                 {
                     "class_id": str(class_id),
-                    "p_id": render_scalar(a["p_id"]),
-                    "semester": render_scalar(a["semester"]),
+                    "p_id": p_id,
+                    "semester": semester,
                     "subject": render_scalar(a["subject"]),
                     "day": render_scalar(a["day"]),
                     "period": render_scalar(a["period"]),
@@ -572,16 +588,21 @@ class Store:
             )
             return Term("ok"), ""
         if name == "record_result":
+            student_id, class_id = render_scalar(a["student_id"]), render_scalar(a["class_id"])
             put(
                 "results",
                 {
-                    "student_id": render_scalar(a["student_id"]),
-                    "class_id": render_scalar(a["class_id"]),
+                    "student_id": student_id,
+                    "class_id": class_id,
                     "subject": render_scalar(a["subject"]),
                     "marks": render_scalar(a["marks"]),
                     "year": render_scalar(a["year"]),
                 },
             )
+            p_id = self._final_program.get(class_id)
+            if p_id is not None:  # overwrites the year of an earlier result
+                self._final_years[(student_id, p_id)][class_id] = int(a["year"])
+                self._grade(student_id, p_id)
             return Term("ok"), ""
         raise ValueError(f"no mutation for command {name}")
 

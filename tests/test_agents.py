@@ -26,7 +26,7 @@ from unimas.bdi import Belief
 from unimas.config import RunConfig
 from unimas.fuzz import generate
 from unimas.runtime import route, run_round
-from unimas.scenario import parse_scenario, run_scenario
+from unimas.scenario import ScenarioRunner, parse_scenario, run_scenario
 from unimas.store import Store, parse_dump
 from unimas.terms import Command, Envelope, Performative, Term, decode_blob, encode_blob
 from unimas.trace import parse_trace
@@ -268,8 +268,57 @@ SPREAD_FINALS = (
     + "RECORD_RESULT student_id=1 class_id=1 subject=Math marks=90 year=2024\n"
     + "RECORD_RESULT student_id=2 class_id=1 subject=Math marks=80 year=2025\n"
 )
+#: Two programs of one final-semester class each; students 1 and 2 of
+#: program 1 graduate in 2022 and 2023, student 3 of program 2 does not.
+TRAP_BASE = (
+    SESSION
+    + "REGISTER_STUDENT st_id=1 name=A dept=CS\n"
+    + "REGISTER_STUDENT st_id=2 name=B dept=CS\n"
+    + "REGISTER_STUDENT st_id=3 name=C dept=CS\n"
+    + "ADD_PROGRAM name=p session=morning semesters=1 fee=10\n"
+    + "ADD_PROGRAM name=q session=evening semesters=1 fee=20\n"
+    + "ADMIT student_id=1 p_id=1 year=2020\n"
+    + "ADMIT student_id=2 p_id=1 year=2021\n"
+    + "ADMIT student_id=3 p_id=2 year=2021\n"
+    + "ADD_CLASS p_id=1 semester=1 subject=Math day=0 period=0\n"
+    + "ADD_CLASS p_id=2 semester=1 subject=Art day=1 period=0\n"
+    + "RECORD_RESULT student_id=1 class_id=1 subject=Math marks=60 year=2022\n"
+    + "RECORD_RESULT student_id=2 class_id=1 subject=Math marks=70 year=2023\n"
+)
+#: Later writes that must revise the graduate and admission counts.
+TRAP_CASES = {
+    # a new final-semester class un-graduates program 1 until its result lands
+    "late_final": (
+        "ADD_CLASS p_id=1 semester=1 subject=Logic day=0 period=1\n"
+        "RECORD_RESULT student_id=2 class_id=3 subject=Logic marks=80 year=2021\n",
+        RunConfig(),
+    ),
+    "overwrite_later": (
+        "RECORD_RESULT student_id=1 class_id=1 subject=Math marks=65 year=2024\n",
+        RunConfig(),
+    ),
+    "overwrite_earlier": (
+        "RECORD_RESULT student_id=2 class_id=1 subject=Math marks=75 year=2019\n",
+        RunConfig(),
+    ),
+    # program 1's final class does not count for a student of program 2
+    "other_program": (
+        "RECORD_RESULT student_id=3 class_id=1 subject=Math marks=50 year=2024\n",
+        RunConfig(),
+    ),
+    # re-admissions move student 3 into the program of that result, and
+    # student 1 out of the program they graduated from
+    "p4_move": (
+        "RECORD_RESULT student_id=3 class_id=1 subject=Math marks=50 year=2024\n"
+        "ADMIT student_id=3 p_id=1 year=2025\n"
+        "ADMIT student_id=1 p_id=2 year=2026\n",
+        RunConfig(inject="p4"),
+    ),
+}
+#: All the traps in one run, with reports between the writes.
+TRAPS = Path(__file__).parent / "data" / "traps.scn"
 REPORT_CASES = [p.name for p in sorted(SCENARIOS.glob("*.scn"))] + [
-    "fuzz1", "fuzz2", "fuzz3", "empty", "spread_finals"
+    "fuzz1", "fuzz2", "fuzz3", "empty", "spread_finals", "traps", "traps+p4", *TRAP_CASES
 ]
 
 
@@ -278,6 +327,12 @@ def _report_case(case: str):
         return parse_scenario(SESSION), RunConfig()
     if case == "spread_finals":
         return parse_scenario(SPREAD_FINALS), RunConfig()
+    if case.startswith("traps"):
+        cfg = RunConfig(inject="p4") if case.endswith("+p4") else RunConfig()
+        return parse_scenario(TRAPS.read_text()), cfg
+    if case in TRAP_CASES:
+        text, cfg = TRAP_CASES[case]
+        return parse_scenario(TRAP_BASE + text), cfg
     if case.startswith("fuzz"):
         seed = int(case[len("fuzz") :])
         cfg = RunConfig(seed=seed, lab_count=seed)
@@ -377,6 +432,17 @@ def test_relay_forwards_the_received_terms_and_performative():
     assert (to_gw.receiver, to_gw.conversation) == (GATEWAY, "GW:0")
     assert to_gw.performative is Performative.REFUSE
     assert to_gw.content is reply_content
+
+
+def test_gateway_issue_goal_keeps_its_request():
+    runner = ScenarioRunner()
+    assert runner._inject(0, parse_scenario(SESSION)[0]) == "injected"
+    gw = runner.world.agents[GATEWAY]
+    [goal] = gw.goals
+    content = Term("open_session", ("CS",))
+    assert goal.message == Envelope(GATEWAY, ORCHESTRATOR, Performative.REQUEST, "GW:0", content)
+    [sent] = bdi.step(gw, []).outbox
+    assert sent is goal.message
 
 
 def test_store_ok_percept_is_the_reply_term_unencoded():

@@ -15,6 +15,7 @@ import hashlib
 from pathlib import Path
 
 from test_acceptance import GOLDEN, GOLDEN_CFG, SCENARIOS
+from test_agents import TRAPS
 
 from unimas.config import RunConfig
 from unimas.fuzz import fuzz
@@ -32,6 +33,9 @@ def _runs():
         yield name, lambda name=name: _scenario(name, GOLDEN_CFG.get(name, RunConfig()))
     yield "reports.scn+inject=p11", lambda: _scenario("reports.scn", RunConfig(inject="p11"))
     yield "fuzz-seed1-2000", lambda: fuzz(1, 2000)
+    yield "traps.scn+inject=p4", lambda: run_scenario(
+        parse_scenario(TRAPS.read_text()), RunConfig(inject="p4")
+    )
 
 
 def _line(name: str, result: RunResult) -> str:

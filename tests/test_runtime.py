@@ -1,6 +1,5 @@
 import pytest
 
-from unimas import bdi
 from unimas.agents import ROSTER, build_world
 from unimas.bdi import BelieveStep, MessageMatch, Plan, SendStep, add, make_agent
 from unimas.runtime import (
@@ -208,8 +207,9 @@ def test_monitor_observer_does_not_change_trace():
         world, _store = build_world(RunConfig())
         if attach_monitor:
             world.observers.append(Monitor(RunConfig()).observe)
-        gw = world.agents["GW"]
-        world.agents["GW"] = bdi.adopt_goal(gw, "issue", ("OA", "open_session", "CS"))
+        content = Term("open_session", ("CS",))
+        request = Envelope("GW", "OA", Performative.REQUEST, "GW:0", content)
+        world.agents["GW"].adopt("issue", content.args, request)
         for _ in range(8):
             run_round(world)
         world.log.close(complete=True)

@@ -1,7 +1,12 @@
+from pathlib import Path
+
 import pytest
 from hypothesis import given, strategies as st
+from oracle import reference_report
 
+from unimas.agents import build_report
 from unimas.config import RunConfig
+from unimas.scenario import parse_scenario, run_scenario
 from unimas.store import (
     ALREADY_REGISTERED,
     BUSY,
@@ -289,6 +294,38 @@ def test_report_query_answer_is_its_aggregate_rows_only(store):
 
 
 # -- journal / replay -----------------------------------------------------------
+
+TRAPS = Path(__file__).parent / "data" / "traps.scn"
+P4 = RunConfig(inject="p4")
+
+
+def _trap_store() -> Store:
+    """The live store after every report-aggregate trap, re-admissions included."""
+    return run_scenario(parse_scenario(TRAPS.read_text()), P4).store
+
+
+def test_recovered_reports_equal_reference_at_every_journal_prefix():
+    journal = _trap_store().journal_lines
+    for k in range(len(journal) + 1):
+        store, bad = recover(journal[:k], P4)
+        assert bad is None
+        dump = store.dump()
+        for q in REPORT_QUERIES:
+            lines = build_report(q, answer(store, q), P4).render_lines()
+            assert lines == reference_report(q, dump, P4.lab_count), (k, q)
+
+
+def test_lecture_logs_iterate_in_key_order():
+    # attendance lists the lecture logs in dict order, which must be key
+    # order: class ids rise and a delivered lecture updates its log in place
+    live = _trap_store()
+    journal = live.journal_lines
+    assert sum(line.split("|")[1] == "add_class" for line in journal) > 2
+    assert sum(line.split("|")[1] == "deliver_lecture" for line in journal) > 2
+    stores = [live] + [recover(journal[:k], P4)[0] for k in range(len(journal) + 1)]
+    for store in stores:
+        logs = store.tables["lecture_logs"]
+        assert list(logs) == sorted(logs)
 
 
 def test_replay_empty_journal_is_empty_store():
