@@ -3,31 +3,23 @@
 Every domain agent is a mediated relay: a request from the gateway is
 re-issued to the orchestrator under a fresh conversation id, and the
 store's answer is forwarded back to whoever opened the original
-conversation; both hops pass the received content term on as is.  Only
-the orchestrator ever emits store commands.  For a report the store
-aggregates (one query per report kind answers with that report's rows
-only) and the report agent builds the report from them.
+conversation.  The report agent is a relay too: it asks the store for one
+report kind's aggregate rows (``query(kind)`` is answered with
+``rows(<blob>,<kind>)``) and answers with the report built from them.
+Only the orchestrator ever emits store commands.
 
-Conversation ids are ``<agent>:<seq>``, optionally suffixed with the
-conversation they serve (``FSA:0>GW:2``), so both the opener of any hop
-and the originating request are recoverable from the id alone and replies
-need no routing tables.
+Conversation ids (``terms.conversation_id``) are ``<agent>:<seq>``,
+suffixed with the conversation they serve (``FSA:0>GW:2``), so both the
+opener of any hop and the originating request are recoverable from the id
+alone: every reply is routed by its id, and no agent keeps a routing
+table.  Each plan step sends one envelope built by ``_request`` (a hop to
+the orchestrator) or ``_reply`` (an answer to a conversation's opener).
 """
 
 from __future__ import annotations
 
 from . import bdi, runtime
-from .bdi import (
-    Belief,
-    BelieveStep,
-    BeliefMatch,
-    CommandStep,
-    MessageMatch,
-    Plan,
-    SendStep,
-    add,
-    remove,
-)
+from .bdi import Belief, BeliefMatch, CommandStep, MessageMatch, Plan, SendStep
 from .config import RunConfig
 from .runtime import World, register_agent
 from .store import REPORT_QUERIES, SCHEMAS, Store
@@ -40,11 +32,12 @@ from .terms import (
     Ratio,
     Refusal,
     Report,
-    Scalar,
     Term,
     conversation_origin,
     decode_blob,
     encode_blob,
+    failed,
+    served_conversation,
 )
 
 GATEWAY = "GW"
@@ -97,47 +90,36 @@ def gateway_agent() -> bdi.AgentState:
     return bdi.make_agent(GATEWAY, [Plan(name="gw_issue", goal="issue", body=(SendStep(_issue),))])
 
 
+# -- envelopes ---------------------------------------------------------------
+
+
+def _request(ctx: bdi.StepCtx, content: Term) -> Envelope:
+    """A hop to the orchestrator under a fresh conversation id that carries
+    the conversation it serves, so the reply can be routed home and store
+    events stay attributable to the request that caused them."""
+    conversation = ctx.conversation(ctx.message.conversation)
+    return Envelope(ctx.agent_id, ORCHESTRATOR, Performative.REQUEST, conversation, content)
+
+
+def _reply(
+    ctx: bdi.StepCtx, conversation: str, performative: Performative, content: Term
+) -> Envelope:
+    """An answer on ``conversation``, to the agent that opened it."""
+    receiver = conversation_origin(conversation)
+    return Envelope(ctx.agent_id, receiver, performative, conversation, content)
+
+
 # -- relay agents ------------------------------------------------------------
 
 
-def _relay_conversation(ctx: bdi.StepCtx) -> str:
-    # fresh id for this hop, with the originating conversation as a suffix so
-    # the reply can be routed home and store events stay attributable to the
-    # request that caused them
-    return f"{ctx.conversation()}>{ctx.message.conversation}"
-
-
-def _original_conversation(conversation: str) -> str:
-    _, sep, original = conversation.partition(">")
-    if not sep:
-        raise LookupError(f"no originating conversation in {conversation}")
-    return original
-
-
 def _relay_request(ctx: bdi.StepCtx) -> list[Envelope]:
-    return [
-        Envelope(
-            sender=ctx.agent_id,
-            receiver=ORCHESTRATOR,
-            performative=Performative.REQUEST,
-            conversation=_relay_conversation(ctx),
-            content=ctx.message.content,
-        )
-    ]
+    return [_request(ctx, ctx.message.content)]
 
 
 def _relay_reply(ctx: bdi.StepCtx) -> list[Envelope]:
     reply = ctx.message
-    original = _original_conversation(reply.conversation)
-    return [
-        Envelope(
-            sender=ctx.agent_id,
-            receiver=conversation_origin(original),
-            performative=reply.performative,
-            conversation=original,
-            content=reply.content,
-        )
-    ]
+    home = served_conversation(reply.conversation)
+    return [_reply(ctx, home, reply.performative, reply.content)]
 
 
 def relay_agent(agent_id: str, commands: tuple[str, ...]) -> bdi.AgentState:
@@ -180,72 +162,40 @@ def build_report(kind: str, rows_text: str, cfg: RunConfig) -> Report:
 
 
 def _report_query(ctx: bdi.StepCtx) -> list[Envelope]:
-    return [
-        Envelope(
-            sender=ctx.agent_id,
-            receiver=ORCHESTRATOR,
-            performative=Performative.REQUEST,
-            conversation=_relay_conversation(ctx),
-            content=Term("query", (ctx.params[0],)),
-        )
-    ]
-
-
-def _note_pending_report(ctx: bdi.StepCtx) -> list[bdi.BeliefDelta]:
-    original, kind = ctx.message.conversation, str(ctx.params[0])
-    return [add("pending_report", _relay_conversation(ctx), original, kind)]
-
-
-def _pending_report_of(ctx: bdi.StepCtx) -> tuple[Scalar, ...]:
-    conversation = ctx.message.conversation
-    for row in ctx.beliefs.matching("pending_report"):
-        if row[0] == conversation:
-            return row
-    raise LookupError(f"no pending report for {conversation}")
+    return [_request(ctx, Term("query", (ctx.params[0],)))]
 
 
 def report_agent(cfg: RunConfig) -> bdi.AgentState:
+    """A relay that turns ``report(kind)`` into ``query(kind)`` and the
+    store's ``rows(<blob>,<kind>)`` into the report; like every relay it
+    keeps nothing between the two hops."""
     broken = cfg.inject == "p11"
 
     def reply_with_report(ctx: bdi.StepCtx) -> list[Envelope]:
-        row = _pending_report_of(ctx)
-        original, kind = str(row[1]), str(row[2])
+        home = served_conversation(ctx.message.conversation)
         if ctx.message.performative is not Performative.INFORM:
-            content = Term("failed", (encode_blob("store query failed"),))
-            performative_out = Performative.FAILURE
-        elif broken:
+            return [_reply(ctx, home, Performative.FAILURE, failed("store query failed"))]
+        blob, kind = str(ctx.params[0]), str(ctx.params[1])
+        if broken:
             content = Term("report", (kind,))  # guard off: absent result
-            performative_out = Performative.INFORM
         else:
-            report = build_report(kind, decode_blob(str(ctx.params[0])), cfg)
-            blob = encode_blob("\n".join(report.render_lines()))
-            content = Term("report", (kind, len(report.rows), blob))
-            performative_out = Performative.INFORM
-        return [
-            Envelope(
-                sender=ctx.agent_id,
-                receiver=conversation_origin(original),
-                performative=performative_out,
-                conversation=original,
-                content=content,
-            )
-        ]
-
-    def forget_pending_report(ctx: bdi.StepCtx) -> list[bdi.BeliefDelta]:
-        return [remove("pending_report", *_pending_report_of(ctx))]
+            report = build_report(kind, decode_blob(blob), cfg)
+            rendered = encode_blob("\n".join(report.render_lines()))
+            content = Term("report", (kind, len(report.rows), rendered))
+        return [_reply(ctx, home, Performative.INFORM, content)]
 
     plans = [
         Plan(
             name="rpa_report",
             goal="handle_report",
             when=MessageMatch(Performative.REQUEST, "report"),
-            body=(BelieveStep(_note_pending_report), SendStep(_report_query)),
+            body=(SendStep(_report_query),),
         ),
         Plan(
             name="rpa_reply",
             goal="forward_reply",
             when=MessageMatch(REPLIES, None),
-            body=(SendStep(reply_with_report), BelieveStep(forget_pending_report)),
+            body=(SendStep(reply_with_report),),
         ),
     ]
     return bdi.make_agent("RPA", plans, advance_every_intention=True)
@@ -269,45 +219,22 @@ def _build_command(ctx: bdi.StepCtx) -> list[Command]:
 
 def _reject_malformed(ctx: bdi.StepCtx) -> list[Envelope]:
     conversation = ctx.message.conversation
-    return [
-        Envelope(
-            sender=ctx.agent_id,
-            receiver=conversation_origin(conversation),
-            performative=Performative.FAILURE,
-            conversation=conversation,
-            content=Term("failed", (encode_blob("malformed content term"),)),
-        )
-    ]
+    return [_reply(ctx, conversation, Performative.FAILURE, failed("malformed content term"))]
 
 
 def _reply_ok(ctx: bdi.StepCtx) -> list[Envelope]:
     conversation, name = str(ctx.params[0]), str(ctx.params[1])
-    return [
-        Envelope(
-            sender=ctx.agent_id,
-            receiver=conversation_origin(conversation),
-            performative=Performative.INFORM,
-            conversation=conversation,
-            content=Term(name, ctx.params[2:]),
-        )
-    ]
+    return [_reply(ctx, conversation, Performative.INFORM, Term(name, ctx.params[2:]))]
 
 
 def _reply_refused(ctx: bdi.StepCtx) -> list[Envelope]:
+    # the percept carries the store's reason already as a blob
     conversation, reason, fault = str(ctx.params[0]), str(ctx.params[1]), int(ctx.params[2])
     if fault:
         performative, content = Performative.FAILURE, Term("failed", (reason,))
     else:
         performative, content = Performative.REFUSE, Term("refused", (reason,))
-    return [
-        Envelope(
-            sender=ctx.agent_id,
-            receiver=conversation_origin(conversation),
-            performative=performative,
-            conversation=conversation,
-            content=content,
-        )
-    ]
+    return [_reply(ctx, conversation, performative, content)]
 
 
 def orchestrator_agent() -> bdi.AgentState:

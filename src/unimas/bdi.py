@@ -29,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Sequence
 
-from .terms import Command, Envelope, Performative, Scalar, check_scalar
+from .terms import Command, Envelope, Performative, Scalar, check_scalar, conversation_id
 
 
 @dataclass(frozen=True)
@@ -215,9 +215,9 @@ class StepCtx:
             raise LookupError(f"goal {self.goal.name} was not raised by a message")
         return self.goal.message
 
-    def conversation(self) -> str:
+    def conversation(self, served: str = "") -> str:
         """Deterministic conversation id for requests opened by this intention."""
-        return f"{self.agent_id}:{self.goal.adoption_seq}"
+        return conversation_id(self.agent_id, self.goal.adoption_seq, served)
 
 
 @dataclass(frozen=True)

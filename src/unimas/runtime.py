@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from . import bdi
-from .terms import Command, Envelope, Performative, Term, encode_blob, refusal_line
+from .terms import Command, Envelope, Performative, encode_blob, failed, refusal_line
 from .trace import TraceEvent, TraceLog
 
 #: Applies a command; returns ((trace kind, content line) drafts, percepts).
@@ -43,8 +43,7 @@ class World:
         command_handler: CommandHandler | None = None,
         log: TraceLog | None = None,
     ) -> None:
-        self.agents: dict[str, bdi.AgentState] = {}
-        self.order: list[str] = []
+        self.agents: dict[str, bdi.AgentState] = {}  # in registration order
         self.mailboxes: dict[str, list[Envelope]] = {}
         self.round = 0
         self.command_handler = command_handler or _no_store
@@ -62,11 +61,8 @@ class World:
         self.emit("snapshot", content=encode_blob(dump_text))
 
     def is_quiescent(self) -> bool:
-        for aid in self.order:
-            if self.mailboxes[aid]:
-                return False
-            state = self.agents[aid]
-            if state.intentions or state.percepts:
+        for aid, state in self.agents.items():
+            if self.mailboxes[aid] or state.intentions or state.percepts:
                 return False
         # only now is the expensive check worth it: an adopted goal that some
         # plan still serves counts as pending work
@@ -83,7 +79,6 @@ def register_agent(world: World, state: bdi.AgentState) -> World:
     if state.id in world.agents:
         raise RegistrationError(f"agent {state.id} already registered")
     world.agents[state.id] = state
-    world.order.append(state.id)
     world.mailboxes[state.id] = []
     return world
 
@@ -103,7 +98,7 @@ def route(world: World, envelopes: Sequence[Envelope]) -> World:
                 receiver=env.sender,
                 performative=Performative.FAILURE,
                 conversation=env.conversation,
-                content=Term("failed", (encode_blob("unknown agent"),)),
+                content=failed("unknown agent"),
             )
             traced = (env, landed)
         world.mailboxes[landed.receiver].append(landed)
@@ -122,7 +117,7 @@ def route(world: World, envelopes: Sequence[Envelope]) -> World:
 def run_round(world: World) -> World:
     """Step every agent once over its round-start mailbox; route at round end."""
     produced: list[Envelope] = []
-    for aid in world.order:
+    for aid in world.agents:
         inbox = world.mailboxes[aid]
         state = world.agents[aid]
         if not inbox and not state.percepts and not state.goals and not state.intentions:

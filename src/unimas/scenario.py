@@ -16,15 +16,17 @@ from .agents import GATEWAY, REPORT_KINDS, agent_for_command, build_world, store
 from .config import RunConfig, with_fixed_window
 from .monitor import Monitor, Verdict, exit_code as verdict_exit_code
 from .runtime import World, run_round
-from .store import SCHEMAS, Store, recover
+from .store import SCHEMAS, Store, journal_conversations, recover
 from .terms import (
     Envelope,
     Performative,
     Term,
     check_scalar,
+    conversation_id,
     decode_blob,
     parse_scalar,
     refusal_line,
+    served_conversation,
 )
 from .trace import TraceLog
 
@@ -220,7 +222,6 @@ class ScenarioRunner:
         self.outcomes: list[CommandOutcome | None] = []
         self.reports: list[str] = []
         self.sessions_open = 0
-        self.rounds_used = 0
 
     # -- outcome intake ---------------------------------------------------
 
@@ -271,7 +272,7 @@ class ScenarioRunner:
             return "refused"
         receiver, content = _content_for(command)
         gw = self.world.agents[GATEWAY]
-        conversation = f"{GATEWAY}:{gw.next_seq}"
+        conversation = conversation_id(GATEWAY, gw.next_seq)
         request = Envelope(GATEWAY, receiver, Performative.REQUEST, conversation, content)
         gw.adopt("issue", content.args, request)
         self.pending[conversation] = idx
@@ -284,7 +285,8 @@ class ScenarioRunner:
         if torn and journal:
             journal[-1] = journal[-1][: max(1, len(journal[-1]) // 2)]
         rebuilt, _bad = recover(journal, self.cfg)
-        applied = _journal_conversations(rebuilt.journal_lines)
+        # journaled commands by the gateway request they serve
+        applied = {served_conversation(c, c) for c in journal_conversations(rebuilt.journal_lines)}
         fresh_world, _ = build_world(self.cfg)
         fresh_world.log = self.world.log  # the trace survives the crash
         fresh_world.observers = self.world.observers
@@ -366,10 +368,9 @@ class ScenarioRunner:
                 continue
             if quiet and cursor >= len(queue) and not crash_positions:
                 break
-            if self.rounds_used >= self.cfg.max_rounds:
+            if self.world.round >= self.cfg.max_rounds:
                 break
             run_round(self.world)
-            self.rounds_used += 1
 
         quiescent = self.world.is_quiescent() and not self.pending
         self.world.emit_snapshot(self.store.dump())
@@ -396,7 +397,7 @@ class ScenarioRunner:
             log=self.world.log,
             store=self.store,
             world=self.world,
-            rounds_used=self.rounds_used,
+            rounds_used=self.world.round,
             quiescent=quiescent,
             monitor=self.monitor,
         )
@@ -410,16 +411,6 @@ class ScenarioRunner:
         redo = [i for i in range(len(plain)) if self.outcomes[i] is None and i not in still_queued]
         self.pending.clear()
         return redo + queued, 0
-
-
-def _journal_conversations(lines: list[str]) -> set[str]:
-    """Originating conversations of journaled events (relay suffixes peeled)."""
-    out: set[str] = set()
-    for line in lines:
-        for pair in line.split("|")[2].split(","):
-            if pair.startswith("_conv="):
-                out.add(pair[len("_conv="):].split(">")[-1])
-    return out
 
 
 def run_scenario(

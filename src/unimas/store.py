@@ -5,10 +5,13 @@ Commands are validated first (refusals touch nothing), then journaled,
 then applied; ``replay`` folds a journal back into an identical store by
 re-running the mutations without validation, since journaled events are
 facts.  All row values are stored as rendered strings so dumps, journals
-and comparisons stay canonical.  A report query is answered with only the
-aggregate rows of its report, read from aggregates that ``_mutate``
+and comparisons stay canonical; ``dump`` renders them in key order.  A
+report query ``query(kind)`` is answered with ``rows(<blob>,<kind>)``, only
+the aggregate rows of that report, read from aggregates that ``_mutate``
 maintains on every write (so ``replay`` rebuilds them), not computed from
-the live tables when asked.
+the live tables when asked.  Each journal record carries the conversation
+of the request that caused it (``_conv``), which reads back as its
+command's conversation.
 """
 
 from __future__ import annotations
@@ -242,17 +245,15 @@ class Store:
         self._final_years: dict[tuple[str, str], dict[str, int]] = defaultdict(dict)
         self._graduated: dict[str, dict[str, int]] = defaultdict(dict)  # p_id -> student_id -> year
         self._graduates: Counter[int] = Counter()  # graduation year -> students
-        # dump lines cached per row; re-rendered only on mutation
-        self._rendered: dict[str, dict[tuple, str]] = {name: {} for name in TABLE_FIELDS}
 
     # -- reads ---------------------------------------------------------
 
     def dump(self) -> str:
-        lines = []
-        for table in sorted(self.tables):
-            rendered = self._rendered[table]
-            for key in sorted(rendered):
-                lines.append(rendered[key])
+        lines = [
+            render_row(table, rows[key])
+            for table, rows in sorted(self.tables.items())
+            for key in sorted(rows)
+        ]
         return "\n".join(lines) + ("\n" if lines else "")
 
     def open_session_count(self) -> int:
@@ -318,9 +319,9 @@ class Store:
         return Outcome(result=reply, drafts=((kind, f"{normalized.name}({content_args})"),))
 
     def _run_query(self, command: Command) -> Outcome:
-        aggregate = REPORT_QUERIES[str(command.get("q"))]
-        text = "".join(f"{label}|{value}\n" for label, value in aggregate(self))
-        return Outcome(result=Term("rows", (encode_blob(text),)))
+        kind = str(command.get("q"))
+        text = "".join(f"{label}|{value}\n" for label, value in REPORT_QUERIES[kind](self))
+        return Outcome(result=Term("rows", (encode_blob(text), kind)))
 
     # -- validation (business rules; skipped checks are fault injection) --
 
@@ -448,9 +449,7 @@ class Store:
         a = dict(cmd.args)
 
         def put(table: str, row: Row) -> None:
-            key = _pk_key(table, row)
-            self.tables[table][key] = row
-            self._rendered[table][key] = render_row(table, row)
+            self.tables[table][_pk_key(table, row)] = row
 
         if name == "open_session":
             sid = self.counters["sid"]
@@ -459,7 +458,6 @@ class Store:
             return Term("ok", (sid,)), f"sid={sid}"
         if name == "close_session":
             self.tables["sessions"].pop((int(a["sid"]),), None)
-            self._rendered["sessions"].pop((int(a["sid"]),), None)
             return Term("ok"), ""
         if name == "add_student":
             student_id = self.counters["student_id"]
@@ -618,10 +616,18 @@ def _parse_journal_line(expected_seq: int, line: str) -> Command:
         raise JournalCorruption(expected_seq, f"unexpected seq {seq_text!r}")
     if name not in SCHEMAS or name == "query":
         raise JournalCorruption(expected_seq, f"unknown event {name!r}")
+    args, sep, conversation = kv.rpartition(",_conv=")
+    if not sep:
+        raise JournalCorruption(expected_seq, "no conversation")
     try:
-        return Command.parse(f"{name}({kv})", conversation="replay")
+        return Command.parse(f"{name}({args})", conversation)
     except ValueError as exc:
         raise JournalCorruption(expected_seq, str(exc)) from exc
+
+
+def journal_conversations(journal: list[str]) -> list[str]:
+    """The conversation of each record of a valid journal, in order."""
+    return [_parse_journal_line(seq, line).conversation for seq, line in enumerate(journal, 1)]
 
 
 def recover(journal: list[str], cfg: RunConfig | None = None) -> tuple[Store, int | None]:

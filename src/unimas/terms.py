@@ -105,9 +105,33 @@ class Envelope:
             raise ValueError("conversation id must be non-empty")
 
 
+def conversation_id(agent: str, seq: int, served: str = "") -> str:
+    """``<agent>:<seq>``, the id of a conversation an agent opens; one opened
+    to serve another conversation carries it after a ``>`` (``FSA:0>GW:2``),
+    so a reply finds its way home from the id alone."""
+    opened = f"{agent}:{seq}"
+    return f"{opened}>{served}" if served else opened
+
+
 def conversation_origin(conversation: str) -> str:
     """The agent that opened a conversation (encoded as the id prefix)."""
     return conversation.split(":", 1)[0]
+
+
+def served_conversation(conversation: str, default: str | None = None) -> str:
+    """The conversation a hop serves, after its ``>``; for an id that serves
+    none, ``default``, or LookupError when there is no default."""
+    _, sep, served = conversation.partition(">")
+    if sep:
+        return served
+    if default is None:
+        raise LookupError(f"no originating conversation in {conversation}")
+    return default
+
+
+def failed(reason: str) -> Term:
+    """The content of a failure reply: its reason as a blob."""
+    return Term("failed", (encode_blob(reason),))
 
 
 @dataclass(frozen=True)

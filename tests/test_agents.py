@@ -20,6 +20,7 @@ from unimas.agents import (
     build_report,
     build_world,
     relay_agent,
+    report_agent,
     store_handler,
 )
 from unimas.bdi import Belief
@@ -250,6 +251,59 @@ def test_report_from_query_rows_directly():
     report = build_report("lab_student_ratio", rows_text, RunConfig(lab_count=4))
     assert report.rows == (("labs_to_students", "undefined"),)
     assert report.render_lines() == ["lab_student_ratio|labs_to_students|undefined"]
+
+
+def _report_round_trip(cfg: RunConfig, answer: Envelope) -> Envelope:
+    """Step a fresh report agent over one report request and the given answer
+    to its query; returns the agent's reply, checking that it kept nothing."""
+    rpa = report_agent(cfg)
+    request_content = Term("report", ("lab_student_ratio",))
+    request = Envelope(GATEWAY, "RPA", Performative.REQUEST, "GW:0", request_content)
+    asked = bdi.step(rpa, [request])
+    query = Term("query", ("lab_student_ratio",))
+    assert asked.outbox == (
+        Envelope("RPA", ORCHESTRATOR, Performative.REQUEST, "RPA:0>GW:0", query),
+    )
+    assert len(asked.state.beliefs) == 0 and not asked.state.intentions
+    answered = bdi.step(asked.state, [answer])
+    assert len(answered.state.beliefs) == 0 and not answered.state.intentions
+    [reply] = answered.outbox
+    assert (reply.sender, reply.receiver, reply.conversation) == ("RPA", GATEWAY, "GW:0")
+    return reply
+
+
+ROWS = Term("rows", (encode_blob("students|4\n"), "lab_student_ratio"))
+
+
+def test_report_agent_routes_the_rows_home_by_conversation_id():
+    answer = Envelope(ORCHESTRATOR, "RPA", Performative.INFORM, "RPA:0>GW:0", ROWS)
+    reply = _report_round_trip(RunConfig(lab_count=2), answer)
+    assert reply.performative is Performative.INFORM
+    rendered = encode_blob("lab_student_ratio|labs_to_students|2/4")
+    assert reply.content == Term("report", ("lab_student_ratio", 1, rendered))
+
+
+def test_report_agent_fails_a_refused_query():
+    refused = Term("refused", (encode_blob("busy"),))
+    answer = Envelope(ORCHESTRATOR, "RPA", Performative.REFUSE, "RPA:0>GW:0", refused)
+    reply = _report_round_trip(RunConfig(), answer)
+    assert reply.performative is Performative.FAILURE
+    assert reply.content == Term("failed", (encode_blob("store query failed"),))
+
+
+def test_report_agent_under_p11_answers_an_absent_report():
+    answer = Envelope(ORCHESTRATOR, "RPA", Performative.INFORM, "RPA:0>GW:0", ROWS)
+    reply = _report_round_trip(RunConfig(inject="p11"), answer)
+    assert reply.performative is Performative.INFORM
+    assert reply.content == Term("report", ("lab_student_ratio",))
+
+
+def test_report_replies_within_four_rounds():
+    # gateway -> RPA -> OA, store, OA -> RPA -> gateway: as many rounds as a
+    # relayed write
+    result = run_scenario(parse_scenario((SCENARIOS / "reports.scn").read_text()))
+    assert result.cfg.pipeline_window == 1
+    assert result.monitor.max_reply_latency == 4
 
 
 GOLDEN_CFG = {"sessions.scn": RunConfig(cap=3)}
@@ -494,7 +548,7 @@ def test_only_orchestrator_produces_commands():
 
 def test_roster_is_ten_agents_registered_before_commands():
     world, _ = build_world()
-    assert tuple(world.order) == ROSTER and len(ROSTER) == 10
+    assert tuple(world.agents) == ROSTER and len(ROSTER) == 10
     # every agent but the gateway advances all its intentions in one cycle;
     # the gateway, one request per round, is the throttle
     assert [a for a in ROSTER if not world.agents[a].advance_every_intention] == [GATEWAY]

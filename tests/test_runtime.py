@@ -35,7 +35,7 @@ def test_register_twice_is_an_error():
 def test_register_full_roster():
     world, _ = build_world()
     assert len(world.agents) == 10
-    assert tuple(world.order) == ROSTER
+    assert tuple(world.agents) == ROSTER
 
 
 def test_route_empty_is_noop():

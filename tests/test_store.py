@@ -21,6 +21,8 @@ from unimas.store import (
     UNAUTHORIZED,
     JournalCorruption,
     Store,
+    _crc,
+    journal_conversations,
     parse_dump,
     recover,
     replay,
@@ -361,6 +363,18 @@ def test_truncated_journal_halts_at_bad_seq():
     rebuilt, bad = recover(lines, RunConfig())
     assert bad == 5
     assert len(rebuilt.journal_lines) == 4
+
+
+def test_journal_records_read_back_their_conversations():
+    store = Store(RunConfig())
+    ok(store, Command("open_session", (("dpt_id", "CS"),), "GW:0"))
+    ok(store, Command("add_student", (("st_id", "1"), ("name", "A"), ("dpt_id", "CS")), "SA:0>GW:1"))
+    assert journal_conversations(store.journal_lines) == ["GW:0", "SA:0>GW:1"]
+    # a framed record that names no conversation is corrupt
+    payload = "1|open_session|dpt_id=CS"
+    without_conv = f"{payload}|{_crc(payload)}"
+    with pytest.raises(JournalCorruption):
+        replay([without_conv], RunConfig())
 
 
 @given(st.integers(0, 8))

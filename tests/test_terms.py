@@ -7,11 +7,13 @@ from unimas.terms import (
     Performative,
     Term,
     check_scalar,
+    conversation_id,
     conversation_origin,
     decode_blob,
     encode_blob,
     parse_scalar,
     render_scalar,
+    served_conversation,
 )
 
 safe_text = st.text(
@@ -55,6 +57,17 @@ def test_command_roundtrip_preserves_kv_order():
 def test_conversation_origin():
     assert conversation_origin("GW:15") == "GW"
     assert conversation_origin("SA:3") == "SA"
+
+
+def test_conversation_ids_carry_the_conversation_they_serve():
+    hop = conversation_id("FSA", 0, served=conversation_id("GW", 2))
+    assert hop == "FSA:0>GW:2"
+    assert conversation_origin(hop) == "FSA"
+    assert served_conversation(hop) == "GW:2"
+    # a gateway request serves no other conversation
+    assert served_conversation("GW:2", default="GW:2") == "GW:2"
+    with pytest.raises(LookupError):
+        served_conversation("GW:2")
 
 
 def test_envelope_requires_conversation():
