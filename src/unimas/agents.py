@@ -21,7 +21,7 @@ from __future__ import annotations
 from . import bdi, runtime
 from .bdi import Belief, BeliefMatch, CommandStep, MessageMatch, Plan, SendStep
 from .config import RunConfig
-from .runtime import World, register_agent
+from .runtime import World, register_agent, store_reply
 from .store import REPORT_QUERIES, SCHEMAS, Store
 from .trace import TraceLog
 from .terms import (
@@ -222,19 +222,11 @@ def _reject_malformed(ctx: bdi.StepCtx) -> list[Envelope]:
     return [_reply(ctx, conversation, Performative.FAILURE, failed("malformed content term"))]
 
 
-def _reply_ok(ctx: bdi.StepCtx) -> list[Envelope]:
-    conversation, name = str(ctx.params[0]), str(ctx.params[1])
-    return [_reply(ctx, conversation, Performative.INFORM, Term(name, ctx.params[2:]))]
-
-
-def _reply_refused(ctx: bdi.StepCtx) -> list[Envelope]:
-    # the percept carries the store's reason already as a blob
-    conversation, reason, fault = str(ctx.params[0]), str(ctx.params[1]), int(ctx.params[2])
-    if fault:
-        performative, content = Performative.FAILURE, Term("failed", (reason,))
-    else:
-        performative, content = Performative.REFUSE, Term("refused", (reason,))
-    return [_reply(ctx, conversation, performative, content)]
+def _reply_stored(ctx: bdi.StepCtx) -> list[Envelope]:
+    # a runtime.store_reply percept: conversation, performative, content term
+    conversation, performative, name = (str(p) for p in ctx.params[:3])
+    content = Term(name, ctx.params[3:])
+    return [_reply(ctx, conversation, Performative(performative), content)]
 
 
 def orchestrator_agent() -> bdi.AgentState:
@@ -260,16 +252,10 @@ def orchestrator_agent() -> bdi.AgentState:
             body=(SendStep(_reject_malformed),),
         ),
         Plan(
-            name="oa_store_ok",
-            goal="oa_reply_ok",
-            when=BeliefMatch("store_ok"),
-            body=(SendStep(_reply_ok),),
-        ),
-        Plan(
-            name="oa_store_refused",
-            goal="oa_reply_refused",
-            when=BeliefMatch("store_refused"),
-            body=(SendStep(_reply_refused),),
+            name="oa_store_reply",
+            goal="oa_reply",
+            when=BeliefMatch("store_reply"),
+            body=(SendStep(_reply_stored),),
         ),
     ]
     return bdi.make_agent(ORCHESTRATOR, plans, advance_every_intention=True)
@@ -283,19 +269,15 @@ def store_handler(store: Store) -> runtime.CommandHandler:
 
     def handle(producer: str, command: Command) -> tuple[list[tuple[str, str]], list[Belief]]:
         outcome = store.execute(command)
-        if isinstance(outcome.result, Refusal):
-            percept = Belief(
-                "store_refused",
-                (
-                    command.conversation,
-                    encode_blob(outcome.result.reason),
-                    int(outcome.result.fault),
-                ),
+        result = outcome.result
+        if isinstance(result, Refusal):
+            performative, name = (
+                (Performative.FAILURE, "failed") if result.fault else (Performative.REFUSE, "refused")
             )
+            args = (encode_blob(result.reason),)
         else:
-            reply = outcome.result
-            percept = Belief("store_ok", (command.conversation, reply.name) + reply.args)
-        return list(outcome.drafts), [percept]
+            performative, name, args = Performative.INFORM, result.name, result.args
+        return list(outcome.drafts), [store_reply(command.conversation, performative, name, *args)]
 
     return handle
 

@@ -28,7 +28,7 @@ from enum import Enum
 
 from .config import RunConfig
 from .store import OPTIONAL_ROW_FIELDS, SCHEMAS, TABLE_FIELDS, parse_dump
-from .terms import Command, decode_blob
+from .terms import decode_blob
 from .trace import ParsedTrace, TraceEvent
 
 
@@ -83,7 +83,19 @@ class MonitorFault(Exception):
     """Instrumentation bug: events arrived out of order."""
 
 
-@dataclass
+def command_fields(content: str) -> tuple[str, dict[str, str]]:
+    """The name and fields of a ``domain_event`` or ``session_open`` line,
+    each field as its trace text; ValueError on bad syntax."""
+    if not content.endswith(")") or "(" not in content:
+        raise ValueError(f"bad command syntax: {content!r}")
+    name, _, inner = content[:-1].partition("(")
+    try:
+        return name, dict(pair.split("=", 1) for pair in inner.split(",")) if inner else {}
+    except ValueError:
+        raise ValueError(f"bad command args: {content!r}") from None
+
+
+@dataclass(slots=True)
 class _Conversation:
     requests: int = 0
     replies: int = 0
@@ -138,7 +150,9 @@ class Monitor:
         # refusals carry no obligations: refusing bad input is correct
 
     def _observe_envelope(self, event: TraceEvent) -> None:
-        conv = self._conversations.setdefault(event.conversation, _Conversation())
+        conv = self._conversations.get(event.conversation)
+        if conv is None:
+            conv = self._conversations[event.conversation] = _Conversation()
         if event.performative == "request":
             conv.requests += 1
             conv.request_seq = event.seq
@@ -170,10 +184,9 @@ class Monitor:
             self._flag(PropertyId.P11, event.seq, f"null or malformed report: {exc}")
 
     def _observe_domain(self, event: TraceEvent) -> None:
-        command = Command.parse(event.content, event.conversation)
-        self._check_completeness(command, event.seq)
-        name = command.name
-        get = lambda k: str(command.get(k, ""))
+        name, fields = command_fields(event.content)
+        self._check_completeness(name, fields, event.seq)
+        get = lambda k: fields.get(k, "")
 
         if name == "add_student":
             st_id = get("st_id")
@@ -223,8 +236,7 @@ class Monitor:
                 )
 
     def _observe_session_open(self, event: TraceEvent) -> None:
-        command = Command.parse(event.content, event.conversation)
-        dpt = str(command.get("dpt_id", ""))
+        dpt = command_fields(event.content)[1].get("dpt_id", "")
         if dpt not in self.cfg.cs_roster:
             self._flag(PropertyId.P3, event.seq, f"session for department {dpt} outside roster")
         if self._open_sessions >= self.cfg.cap:
@@ -235,15 +247,10 @@ class Monitor:
             )
         self._open_sessions += 1
 
-    def _check_completeness(self, command: Command, seq: int) -> None:
-        schema = SCHEMAS.get(command.name)
-        if schema is None:
-            return
-        for f in schema:
-            if f.required and str(command.get(f.name, "")) == "":
-                self._flag(
-                    PropertyId.P9, seq, f"{command.name} accepted with empty {f.name}"
-                )
+    def _check_completeness(self, name: str, fields: dict[str, str], seq: int) -> None:
+        for f in SCHEMAS.get(name, ()):
+            if f.required and fields.get(f.name, "") == "":
+                self._flag(PropertyId.P9, seq, f"{name} accepted with empty {f.name}")
 
     # -- state-level rules (independent re-check over a dump) ------------
 

@@ -16,8 +16,8 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from . import bdi
-from .terms import Command, Envelope, Performative, encode_blob, failed, refusal_line
-from .trace import TraceEvent, TraceLog
+from .terms import Command, Envelope, Performative, Scalar, encode_blob, failed, refusal_line
+from .trace import KINDS, TraceEvent, TraceLog
 
 #: Applies a command; returns ((trace kind, content line) drafts, percepts).
 CommandHandler = Callable[[str, Command], tuple[list[tuple[str, str]], list[bdi.Belief]]]
@@ -27,11 +27,19 @@ class RegistrationError(Exception):
     pass
 
 
+def store_reply(
+    conversation: str, performative: Performative, name: str, *args: Scalar
+) -> bdi.Belief:
+    """The orchestrator's percept of a store outcome: the reply it is to
+    send on ``conversation``, as a performative and a content term."""
+    return bdi.Belief("store_reply", (conversation, performative.value, name, *args))
+
+
 def _no_store(producer: str, command: Command) -> tuple[list[tuple[str, str]], list[bdi.Belief]]:
     reason = "no store attached"
     return (
         [("refusal", refusal_line(command.name, reason))],
-        [bdi.Belief("store_refused", (command.conversation, encode_blob(reason), 1))],
+        [store_reply(command.conversation, Performative.FAILURE, "failed", encode_blob(reason))],
     )
 
 
@@ -51,7 +59,9 @@ class World:
         self.observers: list[Callable[[TraceEvent], None]] = []
 
     def emit(self, kind: str, **fields: str) -> TraceEvent:
-        event = TraceEvent(seq=self.log.next_seq(), round=self.round, kind=kind, **fields)
+        if kind not in KINDS:
+            raise ValueError(f"unknown trace kind: {kind}")
+        event = TraceEvent(self.log.next_seq(), self.round, kind, **fields)
         self.log.append(event)
         for observe in self.observers:
             observe(event)

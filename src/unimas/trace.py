@@ -16,15 +16,17 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 KINDS = ("envelope", "domain_event", "refusal", "session_open", "session_close", "snapshot")
 
 _NA = "-"
 
 
-@dataclass(frozen=True)
-class TraceEvent:
+class TraceEvent(NamedTuple):
+    """One trace line as a tuple; ``parse`` and ``World.emit``, the two
+    places that make events, refuse a kind outside ``KINDS``."""
+
     seq: int
     round: int
     kind: str
@@ -34,23 +36,9 @@ class TraceEvent:
     conversation: str = _NA
     content: str = _NA
 
-    def __post_init__(self) -> None:
-        if self.kind not in KINDS:
-            raise ValueError(f"unknown trace kind: {self.kind}")
-
     def render(self) -> str:
-        return "|".join(
-            (
-                str(self.round),
-                str(self.seq),
-                self.kind,
-                self.sender,
-                self.receiver,
-                self.performative,
-                self.conversation,
-                self.content,
-            )
-        )
+        seq, rnd, kind, sender, receiver, performative, conversation, content = self
+        return f"{rnd}|{seq}|{kind}|{sender}|{receiver}|{performative}|{conversation}|{content}"
 
     @staticmethod
     def parse(line: str) -> "TraceEvent":
@@ -58,15 +46,10 @@ class TraceEvent:
         if len(parts) != 8:
             raise ValueError(f"bad trace line: {line!r}")
         rnd, seq, kind, sender, receiver, performative, conversation, content = parts
+        if kind not in KINDS:
+            raise ValueError(f"unknown trace kind: {kind}")
         return TraceEvent(
-            seq=int(seq),
-            round=int(rnd),
-            kind=kind,
-            sender=sender,
-            receiver=receiver,
-            performative=performative,
-            conversation=conversation,
-            content=content,
+            int(seq), int(rnd), kind, sender, receiver, performative, conversation, content
         )
 
 
@@ -112,12 +95,10 @@ def parse_trace(lines: Iterable[str]) -> ParsedTrace:
         line = raw.rstrip("\n")
         if not line:
             continue
-        if line.startswith("# config "):
+        if line[0] != "#":
+            events.append(TraceEvent.parse(line))
+        elif line.startswith("# config "):
             header = line[len("# config "):]
         elif line.startswith("# end "):
             complete = line.endswith("complete=true")
-        elif line.startswith("#"):
-            continue
-        else:
-            events.append(TraceEvent.parse(line))
     return ParsedTrace(header=header, events=tuple(events), complete=complete)

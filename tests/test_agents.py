@@ -502,9 +502,19 @@ def test_gateway_issue_goal_keeps_its_request():
 def test_store_ok_percept_is_the_reply_term_unencoded():
     handle = store_handler(Store())
     _, [opened] = handle(ORCHESTRATOR, Command("open_session", (("dpt_id", "CS"),), "GW:0"))
-    assert opened == Belief("store_ok", ("GW:0", "ok", 1))
+    assert opened == Belief("store_reply", ("GW:0", "inform", "ok", 1))
     _, [closed] = handle(ORCHESTRATOR, Command("close_session", (("sid", 1),), "GW:1"))
-    assert closed == Belief("store_ok", ("GW:1", "ok"))
+    assert closed == Belief("store_reply", ("GW:1", "inform", "ok"))
+    # a refusal is replied with refused(<blob>), a fault with failed(<blob>)
+    _, [unknown] = handle(ORCHESTRATOR, Command("close_session", (("sid", 1),), "GW:2"))
+    assert unknown == Belief(
+        "store_reply", ("GW:2", "failure", "failed", encode_blob("unknown session"))
+    )
+    student = Command("add_student", (("st_id", 5), ("name", "A"), ("dpt_id", "CS")), "GW:3")
+    handle(ORCHESTRATOR, student)
+    _, [twice] = handle(ORCHESTRATOR, student)
+    reason = encode_blob("Student Already Registerd")
+    assert twice == Belief("store_reply", ("GW:3", "refuse", "refused", reason))
 
 
 def test_exactly_one_reply_per_request_in_trace():

@@ -390,7 +390,7 @@ def test_step_never_mutates_its_input():
 
     # the orchestrator with a request in its inbox and a store outcome queued
     oa = orchestrator_agent()
-    oa.percepts.append(Belief("store_ok", ("GW:1", "ok", 1)))
+    oa.percepts.append(Belief("store_reply", ("GW:1", "inform", "ok", 1)))
     request = Envelope("GW", "OA", Performative.REQUEST, "GW:0", Term("open_session", ("CS",)))
     result = _assert_step_leaves_input_alone(oa, [request])
     assert len(result.commands) == 1 and len(result.outbox) == 1

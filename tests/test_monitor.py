@@ -1,8 +1,10 @@
 import pytest
 
 from oracle import naive_statuses
+from test_acceptance import GOLDEN, GOLDEN_CFG, SCENARIOS
 from unimas.bdi import BelieveStep, MessageMatch, Plan, make_agent
 from unimas.config import RunConfig
+from unimas.fuzz import fuzz
 from unimas.monitor import (
     HOLDS,
     INCONCLUSIVE,
@@ -10,11 +12,12 @@ from unimas.monitor import (
     Monitor,
     MonitorFault,
     PropertyId,
+    command_fields,
     evaluate_trace,
 )
 from unimas.scenario import parse_scenario, run_scenario
 from unimas.store import Store
-from unimas.terms import Performative, encode_blob
+from unimas.terms import Command, Performative, encode_blob
 from unimas.trace import TraceEvent, parse_trace
 
 
@@ -24,6 +27,35 @@ def ev(seq, kind, **fields):
 
 def domain(seq, content, conversation="GW:0"):
     return ev(seq, "domain_event", sender="OA", receiver="store", conversation=conversation, content=content)
+
+
+def test_command_fields_refuse_bad_syntax():
+    for bad in ("add_student", "add_student(st_id=1", "add_student(st_id)", "admit(p_id=1,)"):
+        with pytest.raises(ValueError):
+            command_fields(bad)
+    assert command_fields("close_session()") == ("close_session", {})
+
+
+def _traffic():
+    for name in GOLDEN:
+        commands = parse_scenario((SCENARIOS / name).read_text())
+        yield run_scenario(commands, GOLDEN_CFG.get(name, RunConfig()))
+    for seed in (1, 2, 3):
+        yield fuzz(seed, 2000)
+
+
+def test_command_fields_equal_the_parsed_command_on_real_traffic():
+    # the store renders canonical scalars only, so reading a field as text
+    # gives what str() of its parsed scalar gives
+    seen = 0
+    for result in _traffic():
+        for event in parse_trace(result.log.lines).events:
+            if event.kind in ("domain_event", "session_open"):
+                command = Command.parse(event.content, event.conversation)
+                expected = (command.name, {k: str(v) for k, v in command.args})
+                assert command_fields(event.content) == expected, event
+                seen += 1
+    assert seen > 1000
 
 
 def statuses(verdicts):
