@@ -9,11 +9,10 @@ from .bdi import (
     Intention,
     Plan,
     step,
-    update_beliefs,
 )
 from .config import RunConfig
 from .monitor import Monitor, PropertyId, Verdict
-from .runtime import World, register_agent, route, run_round, run_until_quiescent
+from .runtime import World, register_agent, route, run_round
 from .scenario import load_test, parse_scenario, replay_crash, run_scenario
 from .store import Store, replay
 from .terms import Command, Envelope, Performative, Term
@@ -45,7 +44,5 @@ __all__ = [
     "route",
     "run_round",
     "run_scenario",
-    "run_until_quiescent",
     "step",
-    "update_beliefs",
 ]

@@ -22,7 +22,7 @@ from . import bdi, runtime
 from .bdi import Belief, BeliefMatch, CommandStep, MessageMatch, Plan, SendStep
 from .config import RunConfig
 from .runtime import World, register_agent, store_reply
-from .store import REPORT_QUERIES, SCHEMAS, Store
+from .store import FIELD_NAMES, REPORT_QUERIES, Store
 from .trace import TraceLog
 from .terms import (
     REPLIES,
@@ -206,15 +206,14 @@ def report_agent(cfg: RunConfig) -> bdi.AgentState:
 
 def _known_command(beliefs: bdi.BeliefBase, goal: bdi.Goal) -> bool:
     # oa_handle goals are raised by requests, so each keeps its envelope
-    schema = SCHEMAS.get(goal.message.content.name)
-    return schema is not None and len(goal.params) == len(schema)
+    fields = FIELD_NAMES.get(goal.message.content.name)
+    return fields is not None and len(goal.params) == len(fields)
 
 
 def _build_command(ctx: bdi.StepCtx) -> list[Command]:
     request = ctx.message
     name = request.content.name
-    args = tuple((f.name, value) for f, value in zip(SCHEMAS[name], ctx.params))
-    return [Command(name, args, request.conversation)]
+    return [Command(name, tuple(zip(FIELD_NAMES[name], ctx.params)), request.conversation)]
 
 
 def _reject_malformed(ctx: bdi.StepCtx) -> list[Envelope]:
@@ -224,9 +223,9 @@ def _reject_malformed(ctx: bdi.StepCtx) -> list[Envelope]:
 
 def _reply_stored(ctx: bdi.StepCtx) -> list[Envelope]:
     # a runtime.store_reply percept: conversation, performative, content term
-    conversation, performative, name = (str(p) for p in ctx.params[:3])
-    content = Term(name, ctx.params[3:])
-    return [_reply(ctx, conversation, Performative(performative), content)]
+    conversation, performative, name = ctx.params[:3]
+    content = Term(str(name), ctx.params[3:])
+    return [_reply(ctx, str(conversation), Performative(performative), content)]
 
 
 def orchestrator_agent() -> bdi.AgentState:

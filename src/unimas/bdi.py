@@ -27,23 +27,17 @@ order) so that traces are reproducible bit for bit.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .terms import Command, Envelope, Performative, Scalar, check_scalar, conversation_id
 
 
-@dataclass(frozen=True)
-class Belief:
-    """A ground fact: predicate name plus scalar arguments."""
+class Belief(NamedTuple):
+    """A ground fact: predicate name plus scalar arguments.  Construction
+    checks nothing; plan-authored facts are checked by ``add``/``remove``."""
 
     predicate: str
     args: tuple[Scalar, ...] = ()
-
-    def __post_init__(self) -> None:
-        if not self.predicate:
-            raise ValueError("belief predicate must be non-empty")
-        for a in self.args:
-            check_scalar(a)
 
 
 class BeliefBase:
@@ -80,10 +74,6 @@ class BeliefBase:
 
     def __contains__(self, belief: Belief) -> bool:
         return belief.args in self._by_pred.get(belief.predicate, ())
-
-    def matching(self, predicate: str) -> list[tuple[Scalar, ...]]:
-        """All argument tuples for a predicate, in sorted order."""
-        return sorted(self._by_pred.get(predicate, ()), key=repr)
 
     def _copy(self) -> "BeliefBase":
         twin = BeliefBase.__new__(BeliefBase)
@@ -134,12 +124,20 @@ class BeliefDelta:
             raise ValueError(f"bad delta op: {self.op}")
 
 
+def _checked_belief(predicate: str, args: tuple[Scalar, ...]) -> Belief:
+    if not predicate:
+        raise ValueError("belief predicate must be non-empty")
+    for a in args:
+        check_scalar(a)
+    return Belief(predicate, args)
+
+
 def add(predicate: str, *args: Scalar) -> BeliefDelta:
-    return BeliefDelta("add", Belief(predicate, args))
+    return BeliefDelta("add", _checked_belief(predicate, args))
 
 
 def remove(predicate: str, *args: Scalar) -> BeliefDelta:
-    return BeliefDelta("remove", Belief(predicate, args))
+    return BeliefDelta("remove", _checked_belief(predicate, args))
 
 
 def update_beliefs(base: BeliefBase, deltas: Sequence[BeliefDelta]) -> BeliefBase:
@@ -149,8 +147,7 @@ def update_beliefs(base: BeliefBase, deltas: Sequence[BeliefDelta]) -> BeliefBas
     return base
 
 
-@dataclass(frozen=True)
-class Goal:
+class Goal(NamedTuple):
     """An adopted desire; adoption_seq is unique per agent lifetime.
 
     A goal raised by an inbox envelope keeps it as ``message``, and its
@@ -193,8 +190,7 @@ class BeliefMatch:
         return belief.predicate == self.predicate
 
 
-@dataclass
-class StepCtx:
+class StepCtx(NamedTuple):
     """Execution context handed to a plan step.
 
     ``params`` are the goal's params; for a goal raised by a message,
@@ -265,12 +261,8 @@ class Plan:
         if not self.body:
             raise ValueError(f"plan {self.name} has an empty body")
 
-    def context_holds(self, beliefs: BeliefBase, goal: Goal) -> bool:
-        return True if self.context is None else bool(self.context(beliefs, goal))
 
-
-@dataclass(frozen=True)
-class Intention:
+class Intention(NamedTuple):
     """A committed plan: program counter over the plan body."""
 
     plan: Plan
@@ -309,11 +301,6 @@ class AgentState:
         self.goals.append(Goal(name, params, self.next_seq, message))
         self.next_seq += 1
 
-    def drop(self, intention: Intention) -> None:
-        seq = intention.origin_goal.adoption_seq
-        self.intentions = [i for i in self.intentions if i.origin_goal.adoption_seq != seq]
-        self.goals = [g for g in self.goals if g.adoption_seq != seq]
-
 
 def make_agent(
     agent_id: str,
@@ -336,8 +323,7 @@ def adopt_goal(state: AgentState, name: str, params: tuple[Scalar, ...]) -> Agen
     return twin
 
 
-@dataclass(frozen=True)
-class StepResult:
+class StepResult(NamedTuple):
     state: AgentState
     outbox: tuple[Envelope, ...]
     commands: tuple[Command, ...]
@@ -362,72 +348,70 @@ def _perceive(state: AgentState, inbox: Sequence[Envelope]) -> None:
 
 def _commit_options(state: AgentState) -> None:
     committed = {i.origin_goal.adoption_seq for i in state.intentions}
+    beliefs = state.beliefs
     for goal in state.goals:
         if goal.adoption_seq in committed:
             continue
         for plan in state.plan_library:
-            if plan.goal == goal.name and plan.context_holds(state.beliefs, goal):
-                state.intentions.append(Intention(plan=plan, pc=0, origin_goal=goal))
+            if plan.goal == goal.name and (plan.context is None or plan.context(beliefs, goal)):
+                state.intentions.append(Intention(plan, 0, goal))
                 break  # first applicable plan per goal wins
 
 
-def _execute_one(
-    state: AgentState, index: int = 0
-) -> tuple[tuple[Envelope, ...], tuple[Command, ...]]:
-    """Advance the intention at ``index`` (default: the oldest) by one step."""
-    if not state.intentions:
-        return (), ()
-
-    intention = state.intentions[index]
+def _advance(
+    state: AgentState, intention: Intention, outbox: list[Envelope], commands: list[Command]
+) -> Intention | None:
+    """Run the intention's next step; the intention moved on by one, or None
+    when it finished or failed (its goal is then to be dropped)."""
     step = intention.plan.body[intention.pc]
-    ctx = StepCtx(agent_id=state.id, beliefs=state.beliefs, goal=intention.origin_goal)
-
-    outbox: Sequence[Envelope] = ()
-    commands: Sequence[Command] = ()
+    ctx = StepCtx(state.id, state.beliefs, intention.origin_goal)
     try:
         if isinstance(step, SendStep):
-            outbox = step.make(ctx)
+            outbox.extend(step.make(ctx))
         elif isinstance(step, BelieveStep):
             deltas = step.make(ctx)
             state.beliefs = update_beliefs(state.beliefs, deltas)
             state.percepts.extend(d.belief for d in deltas if d.op == "add")
         elif isinstance(step, CommandStep):
-            commands = step.make(ctx)
+            commands.extend(step.make(ctx))
         elif isinstance(step, GoalStep):
             for name, params in step.make(ctx):
                 state.adopt(name, params)
     except Exception:
         # Plan failure never escapes the cycle: the intention is dropped and
         # a failure belief surfaces next cycle for recovery plans.
-        state.drop(intention)
         state.percepts.append(Belief("failed", (intention.origin_goal.name,)))
-        return (), ()
-
+        return None
     pc = intention.pc + 1
     if pc == len(intention.plan.body):
-        state.drop(intention)  # completion removes goal too
-    else:
-        state.intentions[index] = Intention(intention.plan, pc, intention.origin_goal)
-    return tuple(outbox), tuple(commands)
+        return None  # completion removes goal too
+    return Intention(intention.plan, pc, intention.origin_goal)
 
 
-def _execute_each(state: AgentState) -> tuple[tuple[Envelope, ...], tuple[Command, ...]]:
-    """Advance every intention held now by one step, oldest first.
+def _execute(state: AgentState) -> tuple[tuple[Envelope, ...], tuple[Command, ...]]:
+    """Advance the oldest intention by one step or, with
+    ``advance_every_intention``, every intention held now, oldest first.
 
-    Steps only adopt goals, never intentions, so the list can only shrink:
-    a finished or failed intention leaves it and the next one takes its
-    index.
+    Steps only adopt goals, never intentions, so the intentions that go on
+    are collected in one pass and the finished goals dropped after it.
     """
     outbox: list[Envelope] = []
     commands: list[Command] = []
-    index = 0
-    for _ in range(len(state.intentions)):
-        held = len(state.intentions)
-        sent, issued = _execute_one(state, index)
-        outbox.extend(sent)
-        commands.extend(issued)
-        if len(state.intentions) == held:
-            index += 1
+    held = state.intentions
+    if not held:
+        return (), ()
+    count = len(held) if state.advance_every_intention else 1
+    kept: list[Intention] = []
+    finished: set[int] = set()
+    for intention in held[:count]:
+        advanced = _advance(state, intention, outbox, commands)
+        if advanced is None:
+            finished.add(intention.origin_goal.adoption_seq)
+        else:
+            kept.append(advanced)
+    state.intentions = kept + held[count:]
+    if finished:
+        state.goals = [g for g in state.goals if g.adoption_seq not in finished]
     return tuple(outbox), tuple(commands)
 
 
@@ -439,8 +423,5 @@ def step(state: AgentState, inbox: Sequence[Envelope]) -> StepResult:
     state = state.copy()
     _perceive(state, inbox)
     _commit_options(state)
-    if state.advance_every_intention:
-        outbox, commands = _execute_each(state)
-    else:
-        outbox, commands = _execute_one(state)
+    outbox, commands = _execute(state)
     return StepResult(state, outbox, commands)

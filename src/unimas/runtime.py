@@ -12,12 +12,11 @@ flow back to the emitting agent as belief percepts for its next cycle.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from . import bdi
 from .terms import Command, Envelope, Performative, Scalar, encode_blob, failed, refusal_line
-from .trace import KINDS, TraceEvent, TraceLog
+from .trace import _NA, KINDS, TraceEvent, TraceLog
 
 #: Applies a command; returns ((trace kind, content line) drafts, percepts).
 CommandHandler = Callable[[str, Command], tuple[list[tuple[str, str]], list[bdi.Belief]]]
@@ -58,10 +57,20 @@ class World:
         self.log = log or TraceLog()
         self.observers: list[Callable[[TraceEvent], None]] = []
 
-    def emit(self, kind: str, **fields: str) -> TraceEvent:
+    def emit(
+        self,
+        kind: str,
+        sender: str = _NA,
+        receiver: str = _NA,
+        performative: str = _NA,
+        conversation: str = _NA,
+        content: str = _NA,
+    ) -> TraceEvent:
         if kind not in KINDS:
             raise ValueError(f"unknown trace kind: {kind}")
-        event = TraceEvent(self.log.next_seq(), self.round, kind, **fields)
+        event = TraceEvent(
+            self.log.next_seq(), self.round, kind, sender, receiver, performative, conversation, content
+        )
         self.log.append(event)
         for observe in self.observers:
             observe(event)
@@ -99,40 +108,31 @@ def route(world: World, envelopes: Sequence[Envelope]) -> World:
     An unknown receiver turns the envelope into a failure reply back to the
     sender, so no message is ever silently lost.
     """
+    mailboxes, emit = world.mailboxes, world.emit
     for env in envelopes:
-        if env.receiver in world.agents:
-            landed, traced = env, (env,)
+        if env.receiver in mailboxes:
+            mailboxes[env.receiver].append(env)
+            traced: tuple[Envelope, ...] = (env,)
         else:
-            landed = Envelope(
-                sender=env.receiver,
-                receiver=env.sender,
-                performative=Performative.FAILURE,
-                conversation=env.conversation,
-                content=failed("unknown agent"),
+            bounced = Envelope(
+                env.receiver, env.sender, Performative.FAILURE, env.conversation, failed("unknown agent")
             )
-            traced = (env, landed)
-        world.mailboxes[landed.receiver].append(landed)
-        for e in traced:
-            world.emit(
-                "envelope",
-                sender=e.sender,
-                receiver=e.receiver,
-                performative=e.performative.value,
-                conversation=e.conversation,
-                content=e.content.render(),
-            )
+            mailboxes[env.sender].append(bounced)
+            traced = (env, bounced)
+        for sender, receiver, performative, conversation, content in traced:
+            emit("envelope", sender, receiver, performative.value, conversation, content.render())
     return world
 
 
 def run_round(world: World) -> World:
     """Step every agent once over its round-start mailbox; route at round end."""
     produced: list[Envelope] = []
-    for aid in world.agents:
-        inbox = world.mailboxes[aid]
-        state = world.agents[aid]
+    mailboxes = world.mailboxes
+    for aid, state in world.agents.items():
+        inbox = mailboxes[aid]
         if not inbox and not state.percepts and not state.goals and not state.intentions:
             continue  # idle agent, nothing to do this round
-        world.mailboxes[aid] = []
+        mailboxes[aid] = []
         result = bdi.step(state, inbox)
         state = result.state  # fresh from step, so the outcome percepts go on it
         for command in result.commands:
@@ -151,22 +151,3 @@ def run_round(world: World) -> World:
     route(world, produced)
     world.round += 1
     return world
-
-
-@dataclass(frozen=True)
-class QuiescenceResult:
-    world: World
-    rounds_used: int
-    quiescent: bool
-
-
-def run_until_quiescent(world: World, max_rounds: int) -> QuiescenceResult:
-    if max_rounds < 1:
-        raise ValueError("max_rounds must be >= 1")
-    rounds = 0
-    while not world.is_quiescent():
-        if rounds >= max_rounds:
-            return QuiescenceResult(world, rounds, quiescent=False)
-        run_round(world)
-        rounds += 1
-    return QuiescenceResult(world, rounds, quiescent=True)

@@ -20,6 +20,7 @@ from .store import SCHEMAS, Store, journal_conversations, recover
 from .terms import (
     Envelope,
     Performative,
+    Scalar,
     Term,
     check_scalar,
     conversation_id,
@@ -73,9 +74,17 @@ _VERB_TO_COMMAND = {
 #: Command fields whose scenario key is not the field name.
 _RENAMED = {"dpt_id": "dept", "semester_count": "semesters"}
 
-# verb -> (store command, scenario key -> command field), in schema order
-_VERB_COMMANDS: dict[str, tuple[str, tuple[tuple[str, str], ...]]] = {
-    verb: (command, tuple((_RENAMED.get(f.name, f.name), f.name) for f in SCHEMAS[command]))
+# verb -> (receiving agent, store command, (scenario key, default) per
+# command field in schema order)
+_VERB_COMMANDS: dict[str, tuple[str, str, tuple[tuple[str, Scalar], ...]]] = {
+    verb: (
+        agent_for_command(command),
+        command,
+        tuple(
+            (_RENAMED.get(f.name, f.name), "" if f.default is None else f.default)
+            for f in SCHEMAS[command]
+        ),
+    )
     for verb, command in _VERB_TO_COMMAND.items()
 }
 
@@ -147,8 +156,8 @@ def _validate_keys(command: ScenarioCommand) -> None:
         if given != {"kind"} or kind not in REPORT_KINDS:
             raise ScenarioError(lineno, f"GENERATE_REPORT needs kind= one of {REPORT_KINDS}")
         return
-    _, key_map = _VERB_COMMANDS[command.verb]
-    known = {k for k, _ in key_map}
+    _, _, fields = _VERB_COMMANDS[command.verb]
+    known = {k for k, _ in fields}
     if not given <= known:
         raise ScenarioError(lineno, f"unknown key {sorted(given - known)[0]}")
     missing = known - _OPTIONAL_KEYS[command.verb] - given
@@ -156,22 +165,23 @@ def _validate_keys(command: ScenarioCommand) -> None:
         raise ScenarioError(lineno, f"missing key {sorted(missing)[0]}")
 
 
-def render_scenario(commands: list[ScenarioCommand]) -> str:
-    return "\n".join(c.render() for c in commands) + "\n"
-
-
 def _content_for(command: ScenarioCommand) -> tuple[str, Term]:
-    """(receiver, request content with its args in schema order)."""
+    """(receiver, request content with its args in schema order).
+
+    This is where a scenario value enters the system, so each is checked
+    here, once: ``fuzz`` and ``load_test`` build commands without
+    ``parse_scenario``, and nothing downstream checks again.
+    """
     if command.verb == GENERATE_REPORT:
-        return "RPA", Term("report", (command.get("kind"),))
-    store_command, key_map = _VERB_COMMANDS[command.verb]
-    by_field = {f: command.get(k) for k, f in key_map}
-    schema = SCHEMAS[store_command]
+        return "RPA", Term("report", (check_scalar(command.get("kind")),))
+    receiver, store_command, fields = _VERB_COMMANDS[command.verb]
     args = tuple(
-        parse_scalar(by_field[f.name] if by_field.get(f.name, "") != "" else (f.default or ""))
-        for f in schema
+        [
+            check_scalar(parse_scalar(value)) if (value := command.get(key)) else default
+            for key, default in fields
+        ]
     )
-    return agent_for_command(store_command), Term(store_command, args)
+    return receiver, Term(store_command, args)
 
 
 @dataclass
@@ -381,7 +391,9 @@ class ScenarioRunner:
         for idx, expected_reason in sorted(expectations.items()):
             outcome = self.outcomes[idx] if 0 <= idx < len(self.outcomes) else None
             line = plain[idx].line
-            if outcome is None or outcome.accepted:
+            if outcome is None:
+                failures.append(f"line {line}: expected refusal, no reply")
+            elif outcome.accepted:
                 failures.append(f"line {line}: expected refusal, command was accepted")
             elif expected_reason is not None and outcome.reason != expected_reason.replace("_", " "):
                 failures.append(

@@ -19,7 +19,8 @@ from __future__ import annotations
 import datetime
 import zlib
 from collections import Counter, defaultdict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import NamedTuple
 
 from .config import RunConfig
 from .terms import Command, Refusal, Scalar, Term, encode_blob, refusal_line, render_scalar
@@ -43,7 +44,7 @@ class Field:
     name: str
     int_typed: bool = False
     required: bool = True
-    default: str | None = None
+    default: Scalar | None = None
 
 
 # Command vocabulary: field order is canonical for journal and trace lines.
@@ -55,7 +56,7 @@ SCHEMAS: dict[str, tuple[Field, ...]] = {
     "admit": (
         Field("student_id", int_typed=True),
         Field("p_id", int_typed=True),
-        Field("year", int_typed=True, required=False, default="1"),
+        Field("year", int_typed=True, required=False, default=1),
     ),
     "add_program": (
         Field("name"),
@@ -74,7 +75,7 @@ SCHEMAS: dict[str, tuple[Field, ...]] = {
     "deliver_lecture": (
         Field("class_id", int_typed=True),
         Field("subject"),
-        Field("times", int_typed=True, required=False, default="1"),
+        Field("times", int_typed=True, required=False, default=1),
     ),
     "schedule_exam": (
         Field("term"),
@@ -87,7 +88,7 @@ SCHEMAS: dict[str, tuple[Field, ...]] = {
         Field("class_id", int_typed=True),
         Field("subject"),
         Field("marks", int_typed=True),
-        Field("year", int_typed=True, required=False, default="1"),
+        Field("year", int_typed=True, required=False, default=1),
     ),
     "query": (Field("q"),),
 }
@@ -124,9 +125,14 @@ OPTIONAL_ROW_FIELDS = {
 
 Row = dict[str, str]
 
+#: command -> the names of its fields, in schema order
+FIELD_NAMES = {name: tuple(f.name for f in schema) for name, schema in SCHEMAS.items()}
 
-@dataclass(frozen=True)
-class Outcome:
+#: trace kind of an accepted command's event, where it is not domain_event
+_EVENT_KINDS = {"open_session": "session_open", "close_session": "session_close"}
+
+
+class Outcome(NamedTuple):
     result: Term | Refusal
     drafts: tuple[tuple[str, str], ...] = ()  # (trace kind, content)
 
@@ -145,11 +151,11 @@ def _crc(payload: str) -> str:
     return f"{zlib.crc32(payload.encode()) & 0xFFFFFFFF:08x}"
 
 
-def journal_line(seq: int, command: Command) -> str:
+def journal_line(seq: int, command: Command, args_text: str) -> str:
+    """The journal record of ``command``, whose rendered args are ``args_text``."""
     # _conv ties the event back to the request that caused it, which is how
     # crash recovery tells re-drivable commands from durable ones.
-    kv = f"{command.render_args()},_conv={command.conversation}"
-    payload = f"{seq}|{command.name}|{kv}"
+    payload = f"{seq}|{command.name}|{args_text},_conv={command.conversation}"
     return f"{payload}|{_crc(payload)}"
 
 
@@ -265,12 +271,16 @@ class Store:
         return self.cfg.inject == flag
 
     def _normalize(self, command: Command) -> tuple[Command | None, Refusal | None]:
-        """Fill defaults, check completeness and types; canonical arg order."""
+        """Fill defaults, check completeness and types; canonical arg order.
+
+        Args arrive as canonical scalars (``parse_scalar``), so an int field
+        holds an int; text there is refused, not parsed.
+        """
         schema = SCHEMAS.get(command.name)
         if schema is None:
             return None, Refusal("unknown command", fault=True)
-        given = {k: render_scalar(v) for k, v in command.args}
-        unknown = set(given) - {f.name for f in schema}
+        given = dict(command.args)
+        unknown = given.keys() - FIELD_NAMES[command.name]
         if unknown:
             return None, Refusal(f"unknown field {sorted(unknown)[0]}", fault=True)
         values: list[tuple[str, Scalar]] = []
@@ -281,12 +291,9 @@ class Store:
                     v = f.default
                 elif f.required and not self._injected("p9"):
                     return None, Refusal(INCOMPLETE)
-            if f.int_typed and v != "":
-                if not v.lstrip("-").isdigit():
-                    return None, Refusal(f"invalid field {f.name}", fault=True)
-                values.append((f.name, int(v)))
-            else:
-                values.append((f.name, v))
+            elif f.int_typed and type(v) is not int:
+                return None, Refusal(f"invalid field {f.name}", fault=True)
+            values.append((f.name, v))
         return Command(command.name, tuple(values), command.conversation), None
 
     def execute(self, command: Command) -> Outcome:
@@ -306,17 +313,14 @@ class Store:
         assert normalized is not None
         if normalized.name == "query":
             return self._run_query(normalized)
-        self.journal_lines.append(journal_line(self.next_seq, normalized))  # journal first
+        args_text = normalized.render_args()
+        self.journal_lines.append(journal_line(self.next_seq, normalized, args_text))  # journal first
         self.next_seq += 1
         reply, extra = self._mutate(normalized)
-        kind = {
-            "open_session": "session_open",
-            "close_session": "session_close",
-        }.get(normalized.name, "domain_event")
-        content_args = normalized.render_args()
         if extra:
-            content_args = f"{content_args},{extra}" if content_args else extra
-        return Outcome(result=reply, drafts=((kind, f"{normalized.name}({content_args})"),))
+            args_text = f"{args_text},{extra}" if args_text else extra
+        kind = _EVENT_KINDS.get(normalized.name, "domain_event")
+        return Outcome(reply, ((kind, f"{normalized.name}({args_text})"),))
 
     def _run_query(self, command: Command) -> Outcome:
         kind = str(command.get("q"))

@@ -11,8 +11,9 @@ from __future__ import annotations
 
 import base64
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
+from typing import Callable, NamedTuple
 
 Scalar = int | str
 
@@ -49,8 +50,9 @@ def refusal_line(command: str, reason: str) -> str:
     return f"refused(cmd={command},reason={encode_blob(reason)})"
 
 
-def render_scalar(value: Scalar) -> str:
-    return str(value)
+#: A scalar's wire text; the builtin itself, so that rendering a term's
+#: args stays a C-level ``map``.
+render_scalar: Callable[[Scalar], str] = str
 
 
 def parse_scalar(token: str) -> Scalar:
@@ -60,21 +62,18 @@ def parse_scalar(token: str) -> Scalar:
     return token
 
 
-@dataclass(frozen=True)
-class Term:
-    """A predicate term: name plus ordered scalar arguments."""
+class Term(NamedTuple):
+    """A predicate term: name plus ordered scalar arguments.
+
+    Construction checks nothing: a value is checked once, where it enters
+    the system (``check_scalar``), and names are literals of the program.
+    """
 
     name: str
     args: tuple[Scalar, ...] = ()
 
-    def __post_init__(self) -> None:
-        if not self.name or _FORBIDDEN.search(self.name):
-            raise ValueError(f"bad term name: {self.name!r}")
-        for a in self.args:
-            check_scalar(a)
-
     def render(self) -> str:
-        return f"{self.name}({','.join(render_scalar(a) for a in self.args)})"
+        return f"{self.name}({','.join(map(render_scalar, self.args))})"
 
 
 class Performative(str, Enum):
@@ -90,9 +89,8 @@ class Performative(str, Enum):
 REPLIES = (Performative.INFORM, Performative.REFUSE, Performative.FAILURE)
 
 
-@dataclass(frozen=True)
-class Envelope:
-    """Typed inter-agent message."""
+class Envelope(NamedTuple):
+    """Typed inter-agent message; construction refuses an empty conversation."""
 
     sender: str
     receiver: str
@@ -100,9 +98,22 @@ class Envelope:
     conversation: str
     content: Term
 
-    def __post_init__(self) -> None:
-        if not self.conversation:
-            raise ValueError("conversation id must be non-empty")
+
+def _new_envelope(
+    cls: type[Envelope],
+    sender: str,
+    receiver: str,
+    performative: Performative,
+    conversation: str,
+    content: Term,
+) -> Envelope:
+    if not conversation:
+        raise ValueError("conversation id must be non-empty")
+    return tuple.__new__(cls, (sender, receiver, performative, conversation, content))
+
+
+# A NamedTuple may not define __new__ in its body, so the check is set here.
+Envelope.__new__ = _new_envelope  # type: ignore[assignment]
 
 
 def conversation_id(agent: str, seq: int, served: str = "") -> str:
@@ -134,9 +145,8 @@ def failed(reason: str) -> Term:
     return Term("failed", (encode_blob(reason),))
 
 
-@dataclass(frozen=True)
-class Command:
-    """A validated store mutation request: name, named args, conversation."""
+class Command(NamedTuple):
+    """A store mutation request: name, named args, conversation."""
 
     name: str
     args: tuple[tuple[str, Scalar], ...]
@@ -149,7 +159,7 @@ class Command:
         return default
 
     def render_args(self) -> str:
-        return ",".join(f"{k}={render_scalar(v)}" for k, v in self.args)
+        return ",".join([f"{k}={render_scalar(v)}" for k, v in self.args])
 
     def render(self) -> str:
         return f"{self.name}({self.render_args()})"

@@ -82,7 +82,7 @@ def test_update_beliefs_matches_set_fold(ds):
         else:
             expected.discard(d.belief.args)
     base = update_beliefs(BeliefBase(), ds)
-    assert set(base.matching("p")) == expected
+    assert {b.args for b in base.as_beliefs() if b.predicate == "p"} == expected
 
 
 @given(deltas)

@@ -8,7 +8,6 @@ from unimas.runtime import (
     register_agent,
     route,
     run_round,
-    run_until_quiescent,
 )
 from unimas.terms import Envelope, Performative, Term
 from unimas.trace import parse_trace
@@ -16,6 +15,15 @@ from unimas.trace import parse_trace
 
 def _agent(agent_id, plans=()):
     return make_agent(agent_id, plans or [Plan(name="idle", goal="never", body=(SendStep(lambda c: []),))])
+
+
+def _rounds_to_quiescence(world, max_rounds):
+    """Run rounds until the world is quiescent or ``max_rounds`` ran; the rounds run."""
+    rounds = 0
+    while not world.is_quiescent() and rounds < max_rounds:
+        run_round(world)
+        rounds += 1
+    return rounds
 
 
 def test_register_into_empty_world():
@@ -76,9 +84,12 @@ def test_route_unknown_receiver_bounces_failure():
 def test_quiescent_round_only_advances_counter():
     world = World()
     register_agent(world, _agent("SA"))
+    assert world.is_quiescent()
     run_round(world)
     assert world.round == 1
     assert world.mailboxes["SA"] == []
+    assert world.is_quiescent()
+    assert world.log.lines == []  # an idle round traces nothing
 
 
 def test_round_delivers_next_round():
@@ -138,14 +149,6 @@ def test_same_scenario_same_trace_hash():
     assert run_once() == run_once()
 
 
-def test_run_until_quiescent_on_quiescent_world():
-    world = World()
-    register_agent(world, _agent("SA"))
-    result = run_until_quiescent(world, max_rounds=10)
-    assert result.rounds_used == 0
-    assert result.quiescent
-
-
 def test_register_request_quiesces_quickly():
     from unimas.scenario import ScenarioRunner, parse_scenario
 
@@ -173,9 +176,8 @@ def test_single_register_request_quiescent_in_five_rounds():
         world,
         [Envelope("GW", "SA", Performative.REQUEST, "GW:0", Term("add_student", ("1", "A", "CS")))],
     )
-    result = run_until_quiescent(world, max_rounds=10)
-    assert result.quiescent
-    assert result.rounds_used == 5
+    assert _rounds_to_quiescence(world, max_rounds=10) == 5
+    assert world.is_quiescent()
 
 
 def test_self_messaging_agent_never_quiesces():
@@ -194,9 +196,8 @@ def test_self_messaging_agent_never_quiesces():
     world = World()
     register_agent(world, make_agent("A", [loop_plan]))
     route(world, [Envelope("A", "A", Performative.INFORM, "A:0", Term("tick"))])
-    result = run_until_quiescent(world, max_rounds=25)
-    assert not result.quiescent
-    assert result.rounds_used == 25
+    assert _rounds_to_quiescence(world, max_rounds=25) == 25
+    assert not world.is_quiescent()
 
 
 def test_monitor_observer_does_not_change_trace():

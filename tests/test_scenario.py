@@ -1,8 +1,10 @@
-from dataclasses import fields
+import sys
+from dataclasses import fields, replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from unimas import terms
 from unimas.config import ConfigError, RunConfig, parse_config_text, parse_header
 from unimas.fuzz import fuzz, generate
 from unimas.monitor import PropertyId
@@ -12,10 +14,10 @@ from unimas.scenario import (
     ScenarioRunner,
     load_test,
     parse_scenario,
-    render_scenario,
     replay_crash,
     run_scenario,
 )
+from unimas.trace import TraceEvent
 
 # -- parsing -------------------------------------------------------------------
 
@@ -81,7 +83,7 @@ _token = st.text(
 )
 @settings(max_examples=50)
 def test_parse_print_roundtrip(commands):
-    printed = render_scenario(commands) if commands else ""
+    printed = "".join(f"{c.render()}\n" for c in commands)
     reparsed = parse_scenario(printed)
     assert [(c.verb, c.args) for c in reparsed] == [(c.verb, c.args) for c in commands]
 
@@ -149,6 +151,19 @@ def test_expect_refusal_passes_on_refusal_and_fails_on_accept():
     )
     assert accepted.exit_code == 2
     assert accepted.expectation_failures
+
+
+def test_truncated_run_reports_an_unanswered_expectation_as_no_reply():
+    text = (
+        "OPEN_SESSION dept=CS\n"
+        "REGISTER_STUDENT st_id=1 name=A dept=CS\n"
+        "REGISTER_STUDENT st_id=1 name=A dept=CS\n"
+        "EXPECT_REFUSAL\n"
+    )
+    result = run_scenario(parse_scenario(text), RunConfig(max_rounds=5))
+    assert result.outcomes[2] is None  # cut off before any reply came
+    assert result.expectation_failures == ["line 3: expected refusal, no reply"]
+    assert result.exit_code == 2
 
 
 def test_injected_run_exits_2_with_expected_property():
@@ -363,3 +378,69 @@ def test_p9_injection_with_empty_int_field_stays_contained():
     result = run_scenario(parse_scenario(text), RunConfig(inject="p9"))
     assert result.outcomes[1].status == "failed"
     assert result.quiescent
+
+
+# -- trust boundary: each value is checked once, where it enters -----------------
+
+
+@pytest.mark.parametrize("value", ["Ali|B", "Ali,B", "Ali B"])
+def test_unsafe_value_of_a_built_command_is_refused_before_it_is_traced(value):
+    # fuzz and load_test build commands without parse_scenario, so the
+    # gateway's check is the one they pass through
+    student = ScenarioCommand(
+        "REGISTER_STUDENT", (("st_id", "1"), ("name", value), ("dept", "CS"))
+    )
+    runner = ScenarioRunner()
+    with pytest.raises(ValueError, match="unsafe"):
+        runner.run([ScenarioCommand("OPEN_SESSION", (("dept", "CS"),)), student])
+    assert runner.world.log.lines[1:]  # the session was traced, the value never
+    assert not any(value in line for line in runner.world.log.lines)
+    # parsed, the same value is refused with its line number
+    with pytest.raises(ScenarioError) as err:
+        parse_scenario(f"OPEN_SESSION dept=CS\n{student.render()}\n")
+    assert err.value.line == 2
+
+
+@given(
+    seed=st.integers(0, 10_000),
+    events=st.integers(1, 40),
+    name=st.text(alphabet="Ab1|,() \"", min_size=1, max_size=4),
+)
+@settings(max_examples=25, deadline=None)
+def test_every_trace_line_parses_into_eight_fields(seed, events, name):
+    # the property the scalar check protects: no value can split a trace line
+    cfg = RunConfig(seed=seed, pipeline_window=8)
+    commands = [
+        replace(c, args=tuple((k, name if k == "name" else v) for k, v in c.args))
+        if c.verb == "REGISTER_STUDENT"
+        else c
+        for c in generate(seed, events, cfg)
+    ]
+    runner = ScenarioRunner(cfg)
+    try:
+        runner.run(commands)
+    except ValueError as exc:
+        assert "unsafe" in str(exc)
+    for line in runner.world.log.lines:
+        if not line.startswith("#"):
+            assert len(line.split("|")) == len(TraceEvent.parse(line)) == 8
+
+
+def test_each_scalar_is_checked_once_per_command(monkeypatch):
+    # counted by name in every module that holds check_scalar, so a re-check
+    # added downstream of the gateway shows up here
+    calls = 0
+    check = terms.check_scalar
+
+    def counted(value):
+        nonlocal calls
+        calls += 1
+        return check(value)
+
+    for name, module in list(sys.modules.items()):
+        if name == "unimas" or name.startswith("unimas."):
+            for attr, value in list(vars(module).items()):
+                if value is check:
+                    monkeypatch.setattr(module, attr, counted)
+    fuzz(1, 2000)
+    assert 0 < calls / 2000 <= 4

@@ -98,6 +98,17 @@ def test_missing_required_field_is_incomplete(store):
     assert refused(store.execute(cmd("add_student", st_id="111", dpt_id="CS")).result) == INCOMPLETE
 
 
+@pytest.mark.parametrize("bad", ["--2", "2x", "two"])
+def test_text_in_an_int_field_is_a_fault_not_a_crash(store, bad):
+    # args arrive as canonical scalars, so text where an int belongs is
+    # refused as it is, never parsed ("--2" once reached int() and raised)
+    outcome = store.execute(
+        cmd("add_program", name="p", session="morning", semester_count=bad, fee=100)
+    ).result
+    assert refused(outcome) == "invalid field semester_count" and outcome.fault
+    assert store.journal_lines == []
+
+
 def test_add_student_assigns_monotone_ids(store):
     assert ok(store, cmd("add_student", st_id="111", name="Ali", dpt_id="CS")) == Term("ok", (1,))
     assert ok(store, cmd("add_student", st_id="222", name="Sara", dpt_id="CS")) == Term("ok", (2,))
