@@ -92,6 +92,14 @@ def test_quiescent_round_only_advances_counter():
     assert world.log.lines == []  # an idle round traces nothing
 
 
+def test_run_until_quiescent_on_quiescent_world():
+    world = World()
+    register_agent(world, _agent("SA"))
+    assert _rounds_to_quiescence(world, max_rounds=10) == 0
+    assert world.is_quiescent()
+    assert world.round == 0
+
+
 def test_round_delivers_next_round():
     """Hand-traced two rounds: a request handled in round 1 is answered in
     round 2, and the reply is readable in round 3."""
