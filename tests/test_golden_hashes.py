@@ -14,7 +14,9 @@ from __future__ import annotations
 import hashlib
 from pathlib import Path
 
-from test_acceptance import GOLDEN, GOLDEN_CFG, SCENARIOS
+from dataclasses import replace
+
+from test_acceptance import GOLDEN, GOLDEN_CFG, MUTATIONS, SCENARIOS
 from test_agents import TRAPS
 
 from unimas.config import RunConfig
@@ -36,6 +38,12 @@ def _runs():
     yield "traps.scn+inject=p4", lambda: run_scenario(
         parse_scenario(TRAPS.read_text()), RunConfig(inject="p4")
     )
+    # each guard-off path, under the flag its mutation case detects
+    for flag, (text, cfg) in MUTATIONS.items():
+        injected = replace(cfg, inject=flag)
+        yield f"mutation-{flag}+inject={flag}", lambda text=text, cfg=injected: run_scenario(
+            parse_scenario(text), cfg
+        )
 
 
 def _line(name: str, result: RunResult) -> str:
