@@ -101,9 +101,7 @@ def _request(ctx: bdi.StepCtx, content: Term) -> Envelope:
     return Envelope(ctx.agent_id, ORCHESTRATOR, Performative.REQUEST, conversation, content)
 
 
-def _reply(
-    ctx: bdi.StepCtx, conversation: str, performative: Performative, content: Term
-) -> Envelope:
+def _reply(ctx: bdi.StepCtx, conversation: str, performative: str, content: Term) -> Envelope:
     """An answer on ``conversation``, to the agent that opened it."""
     receiver = conversation_origin(conversation)
     return Envelope(ctx.agent_id, receiver, performative, conversation, content)
@@ -173,7 +171,7 @@ def report_agent(cfg: RunConfig) -> bdi.AgentState:
 
     def reply_with_report(ctx: bdi.StepCtx) -> list[Envelope]:
         home = served_conversation(ctx.message.conversation)
-        if ctx.message.performative is not Performative.INFORM:
+        if ctx.message.performative != Performative.INFORM:
             return [_reply(ctx, home, Performative.FAILURE, failed("store query failed"))]
         blob, kind = str(ctx.params[0]), str(ctx.params[1])
         if broken:
@@ -225,7 +223,7 @@ def _reply_stored(ctx: bdi.StepCtx) -> list[Envelope]:
     # a runtime.store_reply percept: conversation, performative, content term
     conversation, performative, name = ctx.params[:3]
     content = Term(str(name), ctx.params[3:])
-    return [_reply(ctx, str(conversation), Performative(performative), content)]
+    return [_reply(ctx, str(conversation), str(performative), content)]
 
 
 def orchestrator_agent() -> bdi.AgentState:

@@ -29,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, NamedTuple, Sequence
 
-from .terms import Command, Envelope, Performative, Scalar, check_scalar, conversation_id
+from .terms import Command, Envelope, Scalar, check_scalar, conversation_id
 
 
 class Belief(NamedTuple):
@@ -168,7 +168,7 @@ class Goal(NamedTuple):
 class MessageMatch:
     """Trigger pattern over incoming envelopes; None fields match anything."""
 
-    performative: Performative | tuple[Performative, ...] | None = None
+    performative: str | tuple[str, ...] | None = None
     content: str | None = None
 
     def matches(self, env: Envelope) -> bool:

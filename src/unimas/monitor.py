@@ -47,21 +47,6 @@ class PropertyId(str, Enum):
     P12 = "P12"
 
 
-PROPERTY_TITLES = {
-    PropertyId.P1: "registration-uniqueness",
-    PropertyId.P2: "scalability-cap",
-    PropertyId.P3: "access-roster",
-    PropertyId.P4: "duplicate-admission",
-    PropertyId.P5: "fee-sync",
-    PropertyId.P6: "time-conflict",
-    PropertyId.P7: "term-thresholds",
-    PropertyId.P8: "datesheet-conflict",
-    PropertyId.P9: "no-loss-completeness",
-    PropertyId.P10: "marks-bounds",
-    PropertyId.P11: "report-not-null",
-    PropertyId.P12: "bounded-liveness",
-}
-
 HOLDS = "holds"
 VIOLATED = "violated"
 INCONCLUSIVE = "inconclusive"

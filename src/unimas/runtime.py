@@ -26,12 +26,10 @@ class RegistrationError(Exception):
     pass
 
 
-def store_reply(
-    conversation: str, performative: Performative, name: str, *args: Scalar
-) -> bdi.Belief:
+def store_reply(conversation: str, performative: str, name: str, *args: Scalar) -> bdi.Belief:
     """The orchestrator's percept of a store outcome: the reply it is to
     send on ``conversation``, as a performative and a content term."""
-    return bdi.Belief("store_reply", (conversation, performative.value, name, *args))
+    return bdi.Belief("store_reply", (conversation, performative, name, *args))
 
 
 def _no_store(producer: str, command: Command) -> tuple[list[tuple[str, str]], list[bdi.Belief]]:
@@ -120,7 +118,7 @@ def route(world: World, envelopes: Sequence[Envelope]) -> World:
             mailboxes[env.sender].append(bounced)
             traced = (env, bounced)
         for sender, receiver, performative, conversation, content in traced:
-            emit("envelope", sender, receiver, performative.value, conversation, content.render())
+            emit("envelope", sender, receiver, performative, conversation, content.render())
     return world
 
 

@@ -2,16 +2,20 @@
 append-only journal, deterministic replay, and session admission control.
 
 Commands are validated first (refusals touch nothing), then journaled,
-then applied; ``replay`` folds a journal back into an identical store by
-re-running the mutations without validation, since journaled events are
-facts.  All row values are stored as rendered strings so dumps, journals
-and comparisons stay canonical; ``dump`` renders them in key order.  A
-report query ``query(kind)`` is answered with ``rows(<blob>,<kind>)``, only
-the aggregate rows of that report, read from aggregates that ``_mutate``
-maintains on every write (so ``replay`` rebuilds them), not computed from
-the live tables when asked.  Each journal record carries the conversation
-of the request that caused it (``_conv``), which reads back as its
-command's conversation.
+then applied.  A command is read once, as wire text: ``_normalize`` turns
+its args into one ``dict[str, str]`` in schema order, the text the journal
+and the trace carry, and validation, the journal record and ``_mutate``
+all read that dict.  Numbers are compared as ``int(text)``; rows are
+spread from the dict and stay text, so dumps stay canonical, under the
+int-tuple key each write computes; ``dump`` renders them in key order.
+``replay`` folds a journal back into an identical store by passing each
+record's text straight to ``_mutate``, without validation, since
+journaled events are facts.  A report query ``query(kind)`` is answered
+with ``rows(<blob>,<kind>)``, only the aggregate rows of that report, read
+from aggregates that ``_mutate`` maintains on every write (so ``replay``
+rebuilds them), not computed from the live tables when asked.  Each
+journal record carries the conversation of the request that caused it
+(``_conv``), which reads back as its command's conversation.
 """
 
 from __future__ import annotations
@@ -159,14 +163,6 @@ def journal_line(seq: int, command: Command, args_text: str) -> str:
     return f"{payload}|{_crc(payload)}"
 
 
-def _pk_key(table: str, row: Row) -> tuple:
-    out = []
-    for f in TABLE_PK[table]:
-        v = row[f]
-        out.append(int(v) if v.lstrip("-").isdigit() else v)
-    return tuple(out)
-
-
 def render_row(table: str, row: Row) -> str:
     pk = ":".join(row[f] for f in TABLE_PK[table])
     kv = ",".join(f"{f}={row.get(f, '')}" for f in TABLE_FIELDS[table])
@@ -207,7 +203,7 @@ def _graduates_per_year(store: Store) -> Rows:
 
 
 def _attendance(store: Store) -> Rows:
-    # class ids rise and put updates in place, so dict order is key order
+    # class ids rise and an update keeps its row's place, so dict order is key order
     logs = store.tables["lecture_logs"].values()
     return [(f"{log['class_id']}:{log['subject']}", log["lectures_delivered"]) for log in logs]
 
@@ -270,164 +266,158 @@ class Store:
     def _injected(self, flag: str) -> bool:
         return self.cfg.inject == flag
 
-    def _normalize(self, command: Command) -> tuple[Command | None, Refusal | None]:
-        """Fill defaults, check completeness and types; canonical arg order.
+    def _normalize(self, command: Command) -> tuple[dict[str, str], Refusal | None]:
+        """Fill defaults, check completeness and types; the args as wire
+        text in schema order, the text the journal and the trace carry.
 
         Args arrive as canonical scalars (``parse_scalar``), so an int field
         holds an int; text there is refused, not parsed.
         """
         schema = SCHEMAS.get(command.name)
         if schema is None:
-            return None, Refusal("unknown command", fault=True)
+            return {}, Refusal("unknown command", fault=True)
         given = dict(command.args)
         unknown = given.keys() - FIELD_NAMES[command.name]
         if unknown:
-            return None, Refusal(f"unknown field {sorted(unknown)[0]}", fault=True)
-        values: list[tuple[str, Scalar]] = []
+            return {}, Refusal(f"unknown field {sorted(unknown)[0]}", fault=True)
+        args: dict[str, str] = {}
         for f in schema:
             v = given.get(f.name, "")
             if v == "":
                 if f.default is not None:
                     v = f.default
                 elif f.required and not self._injected("p9"):
-                    return None, Refusal(INCOMPLETE)
+                    return {}, Refusal(INCOMPLETE)
             elif f.int_typed and type(v) is not int:
-                return None, Refusal(f"invalid field {f.name}", fault=True)
-            values.append((f.name, v))
-        return Command(command.name, tuple(values), command.conversation), None
+                return {}, Refusal(f"invalid field {f.name}", fault=True)
+            args[f.name] = render_scalar(v)
+        return args, None
 
     def execute(self, command: Command) -> Outcome:
         """Validate and apply one command; queries are read-only."""
-        normalized, refusal = self._normalize(command)
+        name = command.name
+        a, refusal = self._normalize(command)
         if refusal is None:
-            assert normalized is not None
             try:
-                refusal = self._validate(normalized)
+                refusal = self._validate(name, a)
             except (ValueError, KeyError):
                 # reachable only with p9 injected and an int field left empty
                 refusal = Refusal("invalid field", fault=True)
         if refusal is not None:
-            draft = ("refusal", refusal_line(command.name, refusal.reason))
+            draft = ("refusal", refusal_line(name, refusal.reason))
             return Outcome(result=refusal, drafts=(draft,))
 
-        assert normalized is not None
-        if normalized.name == "query":
-            return self._run_query(normalized)
-        args_text = normalized.render_args()
-        self.journal_lines.append(journal_line(self.next_seq, normalized, args_text))  # journal first
+        if name == "query":
+            return self._run_query(a["q"])
+        args_text = ",".join([f"{k}={v}" for k, v in a.items()])
+        self.journal_lines.append(journal_line(self.next_seq, command, args_text))  # journal first
         self.next_seq += 1
-        reply, extra = self._mutate(normalized)
-        if extra:
-            args_text = f"{args_text},{extra}" if args_text else extra
-        kind = _EVENT_KINDS.get(normalized.name, "domain_event")
-        return Outcome(reply, ((kind, f"{normalized.name}({args_text})"),))
+        reply, extra = self._mutate(name, a)
+        if extra:  # every command has a field, so args_text is never empty
+            args_text = f"{args_text},{extra}"
+        kind = _EVENT_KINDS.get(name, "domain_event")
+        return Outcome(reply, ((kind, f"{name}({args_text})"),))
 
-    def _run_query(self, command: Command) -> Outcome:
-        kind = str(command.get("q"))
+    def _run_query(self, kind: str) -> Outcome:
         text = "".join(f"{label}|{value}\n" for label, value in REPORT_QUERIES[kind](self))
         return Outcome(result=Term("rows", (encode_blob(text), kind)))
 
     # -- validation (business rules; skipped checks are fault injection) --
 
-    def _validate(self, cmd: Command) -> Refusal | None:
-        name = cmd.name
+    def _validate(self, name: str, a: dict[str, str]) -> Refusal | None:
+        """Numbers are compared as ``int(a[k])``, text as its wire text."""
+        t = self.tables
         if name == "open_session":
-            if str(cmd.get("dpt_id")) not in self.cfg.cs_roster and not self._injected("p3"):
+            if a["dpt_id"] not in self.cfg.cs_roster and not self._injected("p3"):
                 return Refusal(UNAUTHORIZED)
             if self.open_session_count() >= self.cfg.cap and not self._injected("p2"):
                 return Refusal(BUSY)
         elif name == "close_session":
-            if (int(cmd.get("sid", 0)),) not in self.tables["sessions"]:
+            if (int(a["sid"]),) not in t["sessions"]:
                 return Refusal("unknown session", fault=True)
         elif name == "add_student":
-            if render_scalar(cmd.get("st_id")) in self._st_ids and not self._injected("p1"):
+            if a["st_id"] in self._st_ids and not self._injected("p1"):
                 return Refusal(ALREADY_REGISTERED)
         elif name == "add_teacher":
-            if render_scalar(cmd.get("email")) in self._emails:
+            if a["email"] in self._emails:
                 return Refusal(TEACHER_ALREADY_REGISTERED)
         elif name == "admit":
-            student = self.tables["students"].get((int(cmd.get("student_id", 0)),))
+            student = t["students"].get((int(a["student_id"]),))
             if student is None:
                 return Refusal("unknown student", fault=True)
-            if (int(cmd.get("p_id", 0)),) not in self.tables["programs"]:
+            if (int(a["p_id"]),) not in t["programs"]:
                 return Refusal("unknown program", fault=True)
             if student["program_id"] != "" and not self._injected("p4"):
                 return Refusal(DUPLICATE_ADMISSION)
         elif name == "add_program":
-            if str(cmd.get("session")) not in ("morning", "evening"):
+            if a["session"] not in ("morning", "evening"):
                 return Refusal("invalid field session", fault=True)
-            if int(cmd.get("semester_count", 0)) < 1:
+            if int(a["semester_count"]) < 1:
                 return Refusal("invalid field semester_count", fault=True)
-            if int(cmd.get("fee", -1)) < 0:
+            if int(a["fee"]) < 0:
                 return Refusal("invalid field fee", fault=True)
         elif name == "add_class":
-            program = self.tables["programs"].get((int(cmd.get("p_id", 0)),))
+            program = t["programs"].get((int(a["p_id"]),))
             if program is None:
                 return Refusal("unknown program", fault=True)
-            semester = int(cmd.get("semester", 0))
-            if not 1 <= semester <= int(program["semester_count"]):
+            if not 1 <= int(a["semester"]) <= int(program["semester_count"]):
                 return Refusal("invalid semester", fault=True)
-            day, period = int(cmd.get("day", -1)), int(cmd.get("period", -1))
-            if not (0 <= day <= 4 and 0 <= period <= 7):
+            if not (0 <= int(a["day"]) <= 4 and 0 <= int(a["period"]) <= 7):
                 return Refusal("invalid timing", fault=True)
-            slot = (render_scalar(cmd.get("p_id")), str(semester), str(day), str(period))
+            slot = (a["p_id"], a["semester"], a["day"], a["period"])
             if slot in self._slots and not self._injected("p6"):
                 return Refusal(SAME_TIMING)
         elif name == "assign_teacher":
-            target = self.tables["classes"].get((int(cmd.get("class_id", 0)),))
+            target = t["classes"].get((int(a["class_id"]),))
             if target is None:
                 return Refusal("unknown class", fault=True)
-            teacher_id = render_scalar(cmd.get("teacher_id"))
-            if (int(teacher_id),) not in self.tables["teachers"]:
+            teacher_id = a["teacher_id"]
+            if (int(teacher_id),) not in t["teachers"]:
                 return Refusal("unknown teacher", fault=True)
             holder = self._teacher_slots.get((teacher_id, target["day"], target["period"]))
             if holder is not None and holder != target["class_id"]:
                 return Refusal(TEACHER_CONFLICT)
         elif name in ("deliver_lecture", "schedule_exam"):
-            cls = self.tables["classes"].get((int(cmd.get("class_id", 0)),))
+            class_id = int(a["class_id"])
+            cls = t["classes"].get((class_id,))
             if cls is None:
                 return Refusal("unknown class", fault=True)
-            if render_scalar(cmd.get("subject")) != cls["subject"]:
+            if a["subject"] != cls["subject"]:
                 return Refusal("unknown subject", fault=True)
             if name == "deliver_lecture":
-                if int(cmd.get("times", 0)) < 1:
+                if int(a["times"]) < 1:
                     return Refusal("invalid field times", fault=True)
             else:
-                term = str(cmd.get("term"))
+                term, date = a["term"], a["date"]
                 if term not in ("mid", "final"):
                     return Refusal("invalid field term", fault=True)
-                try:
-                    datetime.date.fromisoformat(str(cmd.get("date")))
-                except ValueError:
+                if not _canonical_date(date):
                     return Refusal("invalid field date", fault=True)
-                log = self.tables["lecture_logs"][(int(cmd.get("class_id", 0)),)]
-                delivered = int(log["lectures_delivered"])
+                delivered = int(t["lecture_logs"][(class_id,)]["lectures_delivered"])
                 minimum = (
                     self.cfg.min_lectures_mid if term == "mid" else self.cfg.min_lectures_final
                 )
                 if delivered < minimum and not self._injected("p7"):
                     return Refusal(INSUFFICIENT_LECTURES)
-                key = (int(cmd.get("class_id", 0)), str(cmd.get("date")))
-                if key in self.tables["datesheet"] and not self._injected("p8"):
+                if (class_id, date) in t["datesheet"] and not self._injected("p8"):
                     return Refusal(SAME_DATE)
         elif name == "record_result":
-            student = self.tables["students"].get((int(cmd.get("student_id", 0)),))
+            student = t["students"].get((int(a["student_id"]),))
             if student is None:
                 return Refusal("unknown student", fault=True)
             if student["program_id"] == "":
                 return Refusal("student not admitted", fault=True)
-            cls = self.tables["classes"].get((int(cmd.get("class_id", 0)),))
+            cls = t["classes"].get((int(a["class_id"]),))
             if cls is None:
                 return Refusal("unknown class", fault=True)
-            subject = render_scalar(cmd.get("subject"))
+            subject = a["subject"]
             if subject != cls["subject"]:
                 return Refusal("unknown subject", fault=True)
             lo, hi = self.cfg.marks_bounds(subject)
-            marks = int(cmd.get("marks", 0))
-            if not lo <= marks <= hi and not self._injected("p10"):
+            if not lo <= int(a["marks"]) <= hi and not self._injected("p10"):
                 return Refusal(MARKS_BOUNDS)
         elif name == "query":
-            if str(cmd.get("q")) not in REPORT_QUERIES:
+            if a["q"] not in REPORT_QUERIES:
                 return Refusal("unknown query", fault=True)
         return None
 
@@ -447,160 +437,105 @@ class Store:
             self._graduated[p_id][student_id] = year
             self._graduates[year] += 1
 
-    def _mutate(self, cmd: Command) -> tuple[Term, str]:
-        """Apply an accepted command; returns (reply, extra trace kv)."""
-        name = cmd.name
-        a = dict(cmd.args)
+    def _next_id(self, counter: str) -> int:
+        """The next id of ``counter``."""
+        n = self.counters[counter]
+        self.counters[counter] = n + 1
+        return n
 
-        def put(table: str, row: Row) -> None:
-            self.tables[table][_pk_key(table, row)] = row
-
+    def _mutate(self, name: str, a: dict[str, str]) -> tuple[Term, str]:
+        """Apply an accepted command, its args as wire text; returns (reply,
+        extra trace kv).  Each row is stored under its int-tuple key."""
+        t = self.tables
         if name == "open_session":
-            sid = self.counters["sid"]
-            self.counters["sid"] += 1
-            put("sessions", {"sid": str(sid), "dpt_id": str(a["dpt_id"])})
+            sid = self._next_id("sid")
+            t["sessions"][(sid,)] = {"sid": str(sid), **a}
             return Term("ok", (sid,)), f"sid={sid}"
         if name == "close_session":
-            self.tables["sessions"].pop((int(a["sid"]),), None)
+            t["sessions"].pop((int(a["sid"]),), None)
             return Term("ok"), ""
         if name == "add_student":
-            student_id = self.counters["student_id"]
-            self.counters["student_id"] += 1
-            self._st_ids.add(render_scalar(a["st_id"]))
-            put(
-                "students",
-                {
-                    "student_id": str(student_id),
-                    "st_id": render_scalar(a["st_id"]),
-                    "name": render_scalar(a["name"]),
-                    "dpt_id": render_scalar(a["dpt_id"]),
-                    "program_id": "",
-                    "admit_year": "",
-                },
-            )
+            student_id = self._next_id("student_id")
+            self._st_ids.add(a["st_id"])
+            t["students"][(student_id,)] = {
+                "student_id": str(student_id),
+                **a,
+                "program_id": "",
+                "admit_year": "",
+            }
             return Term("ok", (student_id,)), f"student_id={student_id}"
         if name == "add_teacher":
-            teacher_id = self.counters["teacher_id"]
-            self.counters["teacher_id"] += 1
-            self._emails.add(render_scalar(a["email"]))
-            put(
-                "teachers",
-                {
-                    "teacher_id": str(teacher_id),
-                    "name": render_scalar(a["name"]),
-                    "designation": render_scalar(a["designation"]),
-                    "contact": render_scalar(a["contact"]),
-                    "email": render_scalar(a["email"]),
-                },
-            )
+            teacher_id = self._next_id("teacher_id")
+            self._emails.add(a["email"])
+            t["teachers"][(teacher_id,)] = {"teacher_id": str(teacher_id), **a}
             return Term("ok", (teacher_id,)), f"teacher_id={teacher_id}"
         if name == "admit":
-            student = dict(self.tables["students"][(int(a["student_id"]),)])
+            key = (int(a["student_id"]),)
+            student = dict(t["students"][key])
             left = student["program_id"]  # set only on a re-admission, under p4
             if left:
                 self._admissions[int(student["admit_year"])] -= 1
-            student["program_id"] = render_scalar(a["p_id"])
-            student["admit_year"] = render_scalar(a["year"])
-            self._admissions[int(student["admit_year"])] += 1
-            put("students", student)
+            student["program_id"], student["admit_year"] = a["p_id"], a["year"]
+            self._admissions[int(a["year"])] += 1
+            t["students"][key] = student
             if left:  # a first admission has no results yet to count
                 self._grade(student["student_id"], left)
-                self._grade(student["student_id"], student["program_id"])
+                self._grade(student["student_id"], a["p_id"])
             return Term("ok"), ""
         if name == "add_program":
-            p_id = self.counters["p_id"]
-            self.counters["p_id"] += 1
-            put(
-                "programs",
-                {
-                    "p_id": str(p_id),
-                    "name": render_scalar(a["name"]),
-                    "session": render_scalar(a["session"]),
-                    "semester_count": render_scalar(a["semester_count"]),
-                },
-            )
+            p_id = self._next_id("p_id")
+            program = {"p_id": str(p_id), **a}
+            fee = program.pop("fee")
+            t["programs"][(p_id,)] = program
             if not self._injected("p5"):
                 # fee rows are created atomically with the program
                 for semester in range(1, int(a["semester_count"]) + 1):
-                    put(
-                        "fees",
-                        {
-                            "p_id": str(p_id),
-                            "semester": str(semester),
-                            "amount": render_scalar(a["fee"]),
-                        },
-                    )
+                    t["fees"][(p_id, semester)] = {
+                        "p_id": str(p_id),
+                        "semester": str(semester),
+                        "amount": fee,
+                    }
             return Term("ok", (p_id,)), f"p_id={p_id}"
         if name == "add_class":
-            p_id, semester = render_scalar(a["p_id"]), render_scalar(a["semester"])
-            final = self.tables["programs"][(int(p_id),)]["semester_count"] == semester
-            class_id = self.counters["class_id"]
-            self.counters["class_id"] += 1
+            p_id, semester = a["p_id"], a["semester"]
+            final = t["programs"][(int(p_id),)]["semester_count"] == semester
+            class_id = self._next_id("class_id")
             if final:
                 # a new final class: nobody has its result yet
                 self._final_program[str(class_id)] = p_id
                 self._finals[p_id] += 1
                 for year in self._graduated.pop(p_id, {}).values():
                     self._graduates[year] -= 1
-            self._slots.add((p_id, semester, render_scalar(a["day"]), render_scalar(a["period"])))
-            put(
-                "classes",
-                {
-                    "class_id": str(class_id),
-                    "p_id": p_id,
-                    "semester": semester,
-                    "subject": render_scalar(a["subject"]),
-                    "day": render_scalar(a["day"]),
-                    "period": render_scalar(a["period"]),
-                    "teacher_id": "",
-                },
-            )
-            put(
-                "lecture_logs",
-                {
-                    "class_id": str(class_id),
-                    "subject": render_scalar(a["subject"]),
-                    "lectures_delivered": "0",
-                },
-            )
+            self._slots.add((p_id, semester, a["day"], a["period"]))
+            t["classes"][(class_id,)] = {"class_id": str(class_id), **a, "teacher_id": ""}
+            t["lecture_logs"][(class_id,)] = {
+                "class_id": str(class_id),
+                "subject": a["subject"],
+                "lectures_delivered": "0",
+            }
             return Term("ok", (class_id,)), f"class_id={class_id}"
         if name == "assign_teacher":
-            cls = dict(self.tables["classes"][(int(a["class_id"]),)])
+            key = (int(a["class_id"]),)
+            cls = dict(t["classes"][key])
             if cls["teacher_id"]:
                 self._teacher_slots.pop((cls["teacher_id"], cls["day"], cls["period"]), None)
-            cls["teacher_id"] = render_scalar(a["teacher_id"])
+            cls["teacher_id"] = a["teacher_id"]
             self._teacher_slots[(cls["teacher_id"], cls["day"], cls["period"])] = cls["class_id"]
-            put("classes", cls)
+            t["classes"][key] = cls
             return Term("ok"), ""
         if name == "deliver_lecture":
-            log = dict(self.tables["lecture_logs"][(int(a["class_id"]),)])
+            key = (int(a["class_id"]),)
+            log = dict(t["lecture_logs"][key])
             count = int(log["lectures_delivered"]) + int(a["times"])
             log["lectures_delivered"] = str(count)
-            put("lecture_logs", log)
+            t["lecture_logs"][key] = log
             return Term("ok", (count,)), f"total={count}"
         if name == "schedule_exam":
-            put(
-                "datesheet",
-                {
-                    "class_id": render_scalar(a["class_id"]),
-                    "date": render_scalar(a["date"]),
-                    "term": render_scalar(a["term"]),
-                    "subject": render_scalar(a["subject"]),
-                },
-            )
+            t["datesheet"][(int(a["class_id"]), a["date"])] = a
             return Term("ok"), ""
         if name == "record_result":
-            student_id, class_id = render_scalar(a["student_id"]), render_scalar(a["class_id"])
-            put(
-                "results",
-                {
-                    "student_id": student_id,
-                    "class_id": class_id,
-                    "subject": render_scalar(a["subject"]),
-                    "marks": render_scalar(a["marks"]),
-                    "year": render_scalar(a["year"]),
-                },
-            )
+            student_id, class_id = a["student_id"], a["class_id"]
+            t["results"][(int(student_id), int(class_id))] = a
             p_id = self._final_program.get(class_id)
             if p_id is not None:  # overwrites the year of an earlier result
                 self._final_years[(student_id, p_id)][class_id] = int(a["year"])
@@ -609,7 +544,17 @@ class Store:
         raise ValueError(f"no mutation for command {name}")
 
 
-def _parse_journal_line(expected_seq: int, line: str) -> Command:
+def _canonical_date(text: str) -> bool:
+    """Whether ``text`` is a date in its one ISO form, ``YYYY-MM-DD``;
+    ``fromisoformat`` alone also takes ``20250501`` and ``2025-W18-4``."""
+    try:
+        return datetime.date.fromisoformat(text).isoformat() == text
+    except ValueError:
+        return False
+
+
+def _parse_journal_line(expected_seq: int, line: str) -> tuple[str, dict[str, str], str]:
+    """(command name, args as wire text, conversation) of one record."""
     parts = line.split("|")
     if len(parts) != 4:
         raise JournalCorruption(expected_seq, "bad frame")
@@ -624,14 +569,14 @@ def _parse_journal_line(expected_seq: int, line: str) -> Command:
     if not sep:
         raise JournalCorruption(expected_seq, "no conversation")
     try:
-        return Command.parse(f"{name}({args})", conversation)
+        return name, dict(pair.split("=", 1) for pair in args.split(",")), conversation
     except ValueError as exc:
-        raise JournalCorruption(expected_seq, str(exc)) from exc
+        raise JournalCorruption(expected_seq, f"bad command args {args!r}") from exc
 
 
 def journal_conversations(journal: list[str]) -> list[str]:
     """The conversation of each record of a valid journal, in order."""
-    return [_parse_journal_line(seq, line).conversation for seq, line in enumerate(journal, 1)]
+    return [_parse_journal_line(seq, line)[2] for seq, line in enumerate(journal, 1)]
 
 
 def recover(journal: list[str], cfg: RunConfig | None = None) -> tuple[Store, int | None]:
@@ -644,8 +589,8 @@ def recover(journal: list[str], cfg: RunConfig | None = None) -> tuple[Store, in
     for line in journal:
         expected = store.next_seq
         try:
-            command = _parse_journal_line(expected, line)
-            store._mutate(command)
+            name, args, _ = _parse_journal_line(expected, line)
+            store._mutate(name, args)
         except JournalCorruption:
             return store, expected
         except Exception:  # a framed-but-inapplicable record is corruption too

@@ -12,7 +12,6 @@ from __future__ import annotations
 import base64
 import re
 from dataclasses import dataclass
-from enum import Enum
 from typing import Callable, NamedTuple
 
 Scalar = int | str
@@ -76,8 +75,9 @@ class Term(NamedTuple):
         return f"{self.name}({','.join(map(render_scalar, self.args))})"
 
 
-class Performative(str, Enum):
-    """Speech-act type of a message."""
+class Performative:
+    """Speech-act type of a message: plain str constants, which the trace
+    and the orchestrator's percepts carry as they are."""
 
     REQUEST = "request"
     INFORM = "inform"
@@ -94,7 +94,7 @@ class Envelope(NamedTuple):
 
     sender: str
     receiver: str
-    performative: Performative
+    performative: str  # a Performative constant
     conversation: str
     content: Term
 
@@ -103,7 +103,7 @@ def _new_envelope(
     cls: type[Envelope],
     sender: str,
     receiver: str,
-    performative: Performative,
+    performative: str,
     conversation: str,
     content: Term,
 ) -> Envelope:
@@ -151,32 +151,6 @@ class Command(NamedTuple):
     name: str
     args: tuple[tuple[str, Scalar], ...]
     conversation: str
-
-    def get(self, key: str, default: Scalar | None = None) -> Scalar | None:
-        for k, v in self.args:
-            if k == key:
-                return v
-        return default
-
-    def render_args(self) -> str:
-        return ",".join([f"{k}={render_scalar(v)}" for k, v in self.args])
-
-    def render(self) -> str:
-        return f"{self.name}({self.render_args()})"
-
-    @staticmethod
-    def parse(text: str, conversation: str) -> "Command":
-        if not text.endswith(")") or "(" not in text:
-            raise ValueError(f"bad command syntax: {text!r}")
-        name, _, inner = text[:-1].partition("(")
-        args: list[tuple[str, Scalar]] = []
-        if inner:
-            for pair in inner.split(","):
-                k, eq, v = pair.partition("=")
-                if not eq:
-                    raise ValueError(f"bad command arg: {pair!r}")
-                args.append((k, parse_scalar(v)))
-        return Command(name, tuple(args), conversation)
 
 
 @dataclass(frozen=True)

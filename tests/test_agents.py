@@ -202,6 +202,20 @@ def test_same_day_conflict_through_agents():
     assert result.outcomes[6].reason == "same date conflict"
 
 
+@pytest.mark.parametrize("spelling", ["2025-W18-4", "20250501"])
+def test_exam_date_in_another_iso_spelling_is_refused(spelling):
+    # date.fromisoformat reads both as 2025-05-01; only that form is a date
+    result = run_lines(
+        CLASS_PREFIX
+        + "DELIVER_LECTURE class_id=1 subject=Math times=32\n"
+        + "SCHEDULE_EXAM term=mid class_id=1 subject=Math date=2025-05-01\n"
+        + f"SCHEDULE_EXAM term=final class_id=1 subject=Math date={spelling}\n"
+    )
+    assert (result.outcomes[6].status, result.outcomes[6].reason) == ("failed", "invalid field date")
+    assert result.exit_code == 0
+    assert result.store.dump().count("datesheet|") == 1
+
+
 # -- result agent -----------------------------------------------------------------
 
 

@@ -17,7 +17,7 @@ from unimas.monitor import (
 )
 from unimas.scenario import parse_scenario, run_scenario
 from unimas.store import Store
-from unimas.terms import Command, Performative, encode_blob
+from unimas.terms import Command, Performative, encode_blob, parse_scalar, render_scalar
 from unimas.trace import TraceEvent, parse_trace
 
 
@@ -45,15 +45,17 @@ def _traffic():
 
 
 def test_command_fields_equal_the_parsed_command_on_real_traffic():
-    # the store renders canonical scalars only, so reading a field as text
-    # gives what str() of its parsed scalar gives
+    # the store renders canonical scalars only, so each field's trace text
+    # is what rendering its parsed scalar gives back, and the fields, in
+    # order, spell the event's content
     seen = 0
     for result in _traffic():
         for event in parse_trace(result.log.lines).events:
             if event.kind in ("domain_event", "session_open"):
-                command = Command.parse(event.content, event.conversation)
-                expected = (command.name, {k: str(v) for k, v in command.args})
-                assert command_fields(event.content) == expected, event
+                name, fields = command_fields(event.content)
+                assert all(render_scalar(parse_scalar(v)) == v for v in fields.values()), event
+                kv = ",".join(f"{k}={v}" for k, v in fields.items())
+                assert f"{name}({kv})" == event.content
                 seen += 1
     assert seen > 1000
 

@@ -291,6 +291,30 @@ def test_fuzz_small_sweep_no_violations():
         assert result.quiescent
 
 
+#: Each documented configuration key (README, "Configuration") away from
+#: its default, as a config line.
+DOCUMENTED_SETTINGS = (
+    "cap = 1",
+    "cap = 2",
+    "min_lectures_mid = 3",
+    "min_lectures_mid = 40",
+    "min_lectures_final = 5",
+    "max_marks = 50",
+    "min_marks = 40",
+    "max_marks.Math = 10",
+    "lab_count = 3",
+    "cs_roster = CS+EE",
+    "liveness_k = 4",
+)
+
+
+def test_fuzz_holds_under_every_documented_configuration():
+    for setting in DOCUMENTED_SETTINGS:
+        result = fuzz(2, 2000, parse_config_text(setting))
+        assert result.exit_code == 0, (setting, [v.render() for v in result.verdicts])
+        assert [v.status for v in result.verdicts] == ["holds"] * 12, setting
+
+
 @pytest.mark.parametrize("seed", [1, 2])
 def test_wide_window_fuzz_stream_keeps_reply_latency_bounded(seed):
     # 64 commands in flight: the orchestrator must keep pace with the

@@ -2,7 +2,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from unimas.terms import (
-    Command,
     Envelope,
     Performative,
     Term,
@@ -46,12 +45,6 @@ def test_blob_roundtrip(text):
     token = encode_blob(text)
     assert check_scalar(token) == token or token == ""
     assert decode_blob(token) == text
-
-
-def test_command_roundtrip_preserves_kv_order():
-    command = Command("add_student", (("st_id", 111), ("name", "Ali")), "GW:0")
-    parsed = Command.parse(command.render(), "GW:0")
-    assert parsed == command
 
 
 def test_conversation_origin():
