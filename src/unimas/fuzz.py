@@ -43,7 +43,11 @@ _DATES = tuple(f"2025-05-{day:02d}" for day in range(1, 6))
 
 @dataclass
 class _Model:
-    """Shadow of the store, tracking only what generation needs."""
+    """Shadow of the store, tracking only what generation needs.
+
+    Program and class ids run from 1 without gaps and are never deleted, so
+    a pick among them is ``rng.choice(range(1, next_...))``.
+    """
 
     st_ids: list[str] = field(default_factory=list)
     students: list[int] = field(default_factory=list)  # registered student ids
@@ -86,7 +90,7 @@ def generate(seed: int, n_events: int, cfg: RunConfig | None = None) -> list[Sce
     fresh_pool: list[int] = []  # registered but not yet admitted
 
     def admit(force_duplicate: bool = False) -> ScenarioCommand:
-        p_id = rng.choice(sorted(model.programs))
+        p_id = rng.choice(range(1, model.next_program))
         fresh_pool.extend(s for s in model.students[len(fresh_pool) + len(model.admitted):])
         if model.admitted and (force_duplicate or rng.random() < DUPLICATE_ID_BIAS or not fresh_pool):
             student = rng.choice(model.admitted)
@@ -109,11 +113,11 @@ def generate(seed: int, n_events: int, cfg: RunConfig | None = None) -> list[Sce
     slots: set[tuple[int, int, int, int]] = set()
 
     def add_class() -> ScenarioCommand:
-        p_id = rng.choice(sorted(model.programs))
+        p_id = rng.choice(range(1, model.next_program))
         semester = rng.randint(1, model.programs[p_id])
         if model.classes and rng.random() < SLOT_PRESSURE_BIAS:
             # aim at an occupied slot of the same cohort
-            cls = rng.choice(sorted(model.classes))
+            cls = rng.choice(range(1, model.next_class))
             p_id, semester, _, day, period = model.classes[cls]
         else:
             day, period = rng.randint(0, 4), rng.randint(0, 7)
@@ -133,11 +137,11 @@ def generate(seed: int, n_events: int, cfg: RunConfig | None = None) -> list[Sce
         )
 
     def assign_teacher() -> ScenarioCommand:
-        class_id = rng.choice(sorted(model.classes))
+        class_id = rng.choice(range(1, model.next_class))
         return _cmd("ASSIGN_TEACHER", class_id=class_id, teacher_id=rng.randint(1, model.teachers))
 
     def deliver_lecture() -> ScenarioCommand:
-        class_id = rng.choice(sorted(model.classes))
+        class_id = rng.choice(range(1, model.next_class))
         current = model.lectures[class_id]
         boundary = rng.choice(
             (
@@ -153,7 +157,7 @@ def generate(seed: int, n_events: int, cfg: RunConfig | None = None) -> list[Sce
         return _cmd("DELIVER_LECTURE", class_id=class_id, subject=subject, times=times)
 
     def schedule_exam() -> ScenarioCommand:
-        class_id = rng.choice(sorted(model.classes))
+        class_id = rng.choice(range(1, model.next_class))
         return _cmd(
             "SCHEDULE_EXAM",
             term=rng.choice(("mid", "final")),
@@ -163,7 +167,7 @@ def generate(seed: int, n_events: int, cfg: RunConfig | None = None) -> list[Sce
         )
 
     def record_result() -> ScenarioCommand:
-        class_id = rng.choice(sorted(model.classes))
+        class_id = rng.choice(range(1, model.next_class))
         subject = model.classes[class_id][2]
         lo, hi = cfg.marks_bounds(subject)
         marks = rng.choice((lo - 1, lo, lo + 1, (lo + hi) // 2, hi - 1, hi, hi + 1))
