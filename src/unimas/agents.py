@@ -22,7 +22,7 @@ from . import bdi, runtime
 from .bdi import Belief, BeliefMatch, CommandStep, MessageMatch, Plan, SendStep
 from .config import RunConfig
 from .runtime import World, register_agent, store_reply
-from .store import FIELD_NAMES, REPORT_QUERIES, Store
+from .store import REPORT_QUERIES, SCHEMAS, Store
 from .trace import TraceLog
 from .terms import (
     REPLIES,
@@ -173,13 +173,13 @@ def report_agent(cfg: RunConfig) -> bdi.AgentState:
         home = served_conversation(ctx.message.conversation)
         if ctx.message.performative != Performative.INFORM:
             return [_reply(ctx, home, Performative.FAILURE, failed("store query failed"))]
-        blob, kind = str(ctx.params[0]), str(ctx.params[1])
+        blob, kind = ctx.params[:2]
         if broken:
             content = Term("report", (kind,))  # guard off: absent result
         else:
             report = build_report(kind, decode_blob(blob), cfg)
             rendered = encode_blob("\n".join(report.render_lines()))
-            content = Term("report", (kind, len(report.rows), rendered))
+            content = Term("report", (kind, str(len(report.rows)), rendered))
         return [_reply(ctx, home, Performative.INFORM, content)]
 
     plans = [
@@ -204,14 +204,13 @@ def report_agent(cfg: RunConfig) -> bdi.AgentState:
 
 def _known_command(beliefs: bdi.BeliefBase, goal: bdi.Goal) -> bool:
     # oa_handle goals are raised by requests, so each keeps its envelope
-    fields = FIELD_NAMES.get(goal.message.content.name)
-    return fields is not None and len(goal.params) == len(fields)
+    schema = SCHEMAS.get(goal.message.content.name)
+    return schema is not None and len(goal.params) == len(schema)
 
 
 def _build_command(ctx: bdi.StepCtx) -> list[Command]:
     request = ctx.message
-    name = request.content.name
-    return [Command(name, tuple(zip(FIELD_NAMES[name], ctx.params)), request.conversation)]
+    return [Command(request.content.name, ctx.params, request.conversation)]
 
 
 def _reject_malformed(ctx: bdi.StepCtx) -> list[Envelope]:
@@ -222,8 +221,7 @@ def _reject_malformed(ctx: bdi.StepCtx) -> list[Envelope]:
 def _reply_stored(ctx: bdi.StepCtx) -> list[Envelope]:
     # a runtime.store_reply percept: conversation, performative, content term
     conversation, performative, name = ctx.params[:3]
-    content = Term(str(name), ctx.params[3:])
-    return [_reply(ctx, str(conversation), str(performative), content)]
+    return [_reply(ctx, conversation, performative, Term(name, ctx.params[3:]))]
 
 
 def orchestrator_agent() -> bdi.AgentState:

@@ -29,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, NamedTuple, Sequence
 
-from .terms import Command, Envelope, Scalar, check_scalar, conversation_id
+from .terms import Command, Envelope, check_scalar, conversation_id
 
 
 class Belief(NamedTuple):
@@ -37,7 +37,7 @@ class Belief(NamedTuple):
     checks nothing; plan-authored facts are checked by ``add``/``remove``."""
 
     predicate: str
-    args: tuple[Scalar, ...] = ()
+    args: tuple[str, ...] = ()
 
 
 class BeliefBase:
@@ -50,7 +50,7 @@ class BeliefBase:
     __slots__ = ("_by_pred", "_size")
 
     def __init__(self, beliefs: Iterable[Belief] = ()) -> None:
-        self._by_pred: dict[str, frozenset[tuple[Scalar, ...]]] = {}
+        self._by_pred: dict[str, frozenset[tuple[str, ...]]] = {}
         self._size = 0
         for b in beliefs:
             bucket = self._by_pred.get(b.predicate, frozenset())
@@ -124,7 +124,7 @@ class BeliefDelta:
             raise ValueError(f"bad delta op: {self.op}")
 
 
-def _checked_belief(predicate: str, args: tuple[Scalar, ...]) -> Belief:
+def _checked_belief(predicate: str, args: tuple[str, ...]) -> Belief:
     if not predicate:
         raise ValueError("belief predicate must be non-empty")
     for a in args:
@@ -132,11 +132,11 @@ def _checked_belief(predicate: str, args: tuple[Scalar, ...]) -> Belief:
     return Belief(predicate, args)
 
 
-def add(predicate: str, *args: Scalar) -> BeliefDelta:
+def add(predicate: str, *args: str) -> BeliefDelta:
     return BeliefDelta("add", _checked_belief(predicate, args))
 
 
-def remove(predicate: str, *args: Scalar) -> BeliefDelta:
+def remove(predicate: str, *args: str) -> BeliefDelta:
     return BeliefDelta("remove", _checked_belief(predicate, args))
 
 
@@ -156,7 +156,7 @@ class Goal(NamedTuple):
     """
 
     name: str
-    params: tuple[Scalar, ...]
+    params: tuple[str, ...]
     adoption_seq: int
     message: Envelope | None = None
 
@@ -202,7 +202,7 @@ class StepCtx(NamedTuple):
     goal: Goal
 
     @property
-    def params(self) -> tuple[Scalar, ...]:
+    def params(self) -> tuple[str, ...]:
         return self.goal.params
 
     @property
@@ -233,7 +233,7 @@ class CommandStep:
 
 @dataclass(frozen=True)
 class GoalStep:
-    make: Callable[[StepCtx], list[tuple[str, tuple[Scalar, ...]]]]
+    make: Callable[[StepCtx], list[tuple[str, tuple[str, ...]]]]
 
 
 Step = SendStep | BelieveStep | CommandStep | GoalStep
@@ -296,7 +296,7 @@ class AgentState:
         )
 
     def adopt(
-        self, name: str, params: tuple[Scalar, ...], message: Envelope | None = None
+        self, name: str, params: tuple[str, ...], message: Envelope | None = None
     ) -> None:
         self.goals.append(Goal(name, params, self.next_seq, message))
         self.next_seq += 1
@@ -316,7 +316,7 @@ def make_agent(
     )
 
 
-def adopt_goal(state: AgentState, name: str, params: tuple[Scalar, ...]) -> AgentState:
+def adopt_goal(state: AgentState, name: str, params: tuple[str, ...]) -> AgentState:
     """A copy of ``state`` with one more goal adopted."""
     twin = state.copy()
     twin.adopt(name, params)

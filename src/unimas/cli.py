@@ -1,7 +1,9 @@
 """Command-line entry point.
 
 Exit codes: 0 all properties hold, 2 a property was violated (or a
-scenario expectation failed), 3 parse or configuration error.
+scenario expectation failed), 3 parse or configuration error, 4 no
+property was violated but one is inconclusive (the run was cut off by
+``max_rounds`` before it went quiet).
 """
 
 from __future__ import annotations

@@ -344,7 +344,12 @@ def render_verdicts(verdicts: list[Verdict]) -> str:
 
 
 def exit_code(verdicts: list[Verdict]) -> int:
-    return 2 if any(v.status == VIOLATED for v in verdicts) else 0
+    """2 if a property is violated, else 4 if one is inconclusive (a run
+    cut off before quiescence), else 0."""
+    statuses = {v.status for v in verdicts}
+    if VIOLATED in statuses:
+        return 2
+    return 4 if INCONCLUSIVE in statuses else 0
 
 
 def evaluate_trace(parsed: ParsedTrace, cfg: RunConfig) -> list[Verdict]:

@@ -15,7 +15,7 @@ from __future__ import annotations
 from typing import Callable, Sequence
 
 from . import bdi
-from .terms import Command, Envelope, Performative, Scalar, encode_blob, failed, refusal_line
+from .terms import Command, Envelope, Performative, encode_blob, failed, refusal_line
 from .trace import _NA, KINDS, TraceEvent, TraceLog
 
 #: Applies a command; returns ((trace kind, content line) drafts, percepts).
@@ -26,7 +26,7 @@ class RegistrationError(Exception):
     pass
 
 
-def store_reply(conversation: str, performative: str, name: str, *args: Scalar) -> bdi.Belief:
+def store_reply(conversation: str, performative: str, name: str, *args: str) -> bdi.Belief:
     """The orchestrator's percept of a store outcome: the reply it is to
     send on ``conversation``, as a performative and a content term."""
     return bdi.Belief("store_reply", (conversation, performative, name, *args))

@@ -20,12 +20,10 @@ from .store import SCHEMAS, Store, journal_conversations, recover
 from .terms import (
     Envelope,
     Performative,
-    Scalar,
     Term,
     check_scalar,
     conversation_id,
     decode_blob,
-    parse_scalar,
     refusal_line,
     served_conversation,
 )
@@ -76,7 +74,7 @@ _RENAMED = {"dpt_id": "dept", "semester_count": "semesters"}
 
 # verb -> (receiving agent, store command, (scenario key, default) per
 # command field in schema order)
-_VERB_COMMANDS: dict[str, tuple[str, str, tuple[tuple[str, Scalar], ...]]] = {
+_VERB_COMMANDS: dict[str, tuple[str, str, tuple[tuple[str, str], ...]]] = {
     verb: (
         agent_for_command(command),
         command,
@@ -170,16 +168,14 @@ def _content_for(command: ScenarioCommand) -> tuple[str, Term]:
 
     This is where a scenario value enters the system, so each is checked
     here, once: ``fuzz`` and ``load_test`` build commands without
-    ``parse_scenario``, and nothing downstream checks again.
+    ``parse_scenario``, and nothing downstream checks again.  Values pass
+    as written; the store alone reads the int fields.
     """
     if command.verb == GENERATE_REPORT:
         return "RPA", Term("report", (check_scalar(command.get("kind")),))
     receiver, store_command, fields = _VERB_COMMANDS[command.verb]
     args = tuple(
-        [
-            check_scalar(parse_scalar(value)) if (value := command.get(key)) else default
-            for key, default in fields
-        ]
+        [check_scalar(value) if (value := command.get(key)) else default for key, default in fields]
     )
     return receiver, Term(store_command, args)
 
@@ -248,9 +244,9 @@ class ScenarioRunner:
                 if content.name == "report":
                     self._note_report(content)
             elif content.name == "refused":
-                outcome = CommandOutcome("refused", reason=decode_blob(str(content.args[0])))
+                outcome = CommandOutcome("refused", reason=decode_blob(content.args[0]))
             else:
-                reason = decode_blob(str(content.args[0])) if content.args else "failure"
+                reason = decode_blob(content.args[0]) if content.args else "failure"
                 outcome = CommandOutcome("failed", reason=reason)
             self.outcomes[idx] = outcome
 
@@ -263,7 +259,7 @@ class ScenarioRunner:
 
     def _note_report(self, content: Term) -> None:
         if len(content.args) == 3:
-            self.reports.extend(decode_blob(str(content.args[2])).splitlines())
+            self.reports.extend(decode_blob(content.args[2]).splitlines())
 
     # -- command injection --------------------------------------------------
 

@@ -2,12 +2,16 @@
 append-only journal, deterministic replay, and session admission control.
 
 Commands are validated first (refusals touch nothing), then journaled,
-then applied.  A command is read once, as wire text: ``_normalize`` turns
-its args into one ``dict[str, str]`` in schema order, the text the journal
-and the trace carry, and validation, the journal record and ``_mutate``
-all read that dict.  Numbers are compared as ``int(text)``; rows are
-spread from the dict and stay text, so dumps stay canonical, under the
-int-tuple key each write computes; ``dump`` renders them in key order.
+then applied.  A command is read once, as wire text: ``_normalize`` zips
+its args (the request term's args, in schema order) with the schema into
+one ``dict[str, str]``, the text the journal and the trace carry, and
+validation, the journal record and ``_mutate`` all read that dict.  The
+schema is the one place that knows a field is a number: an int field must
+be ASCII decimal text (``-?[0-9]+``) and is kept in canonical form
+(``02025`` becomes ``2025``); text fields are kept as written.  Numbers are
+compared as ``int(text)``; rows are spread from the dict and stay text, so
+dumps stay canonical, under the int-tuple key each write computes;
+``dump`` renders them in key order.
 ``replay`` folds a journal back into an identical store by passing each
 record's text straight to ``_mutate``, without validation, since
 journaled events are facts.  A report query ``query(kind)`` is answered
@@ -21,13 +25,14 @@ journal record carries the conversation of the request that caused it
 from __future__ import annotations
 
 import datetime
+import re
 import zlib
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 from typing import NamedTuple
 
 from .config import RunConfig
-from .terms import Command, Refusal, Scalar, Term, encode_blob, refusal_line, render_scalar
+from .terms import Command, Refusal, Term, encode_blob, refusal_line
 
 # Refusal reason literals; the odd spellings are load-bearing.
 ALREADY_REGISTERED = "Student Already Registerd"
@@ -48,7 +53,7 @@ class Field:
     name: str
     int_typed: bool = False
     required: bool = True
-    default: Scalar | None = None
+    default: str | None = None
 
 
 # Command vocabulary: field order is canonical for journal and trace lines.
@@ -60,7 +65,7 @@ SCHEMAS: dict[str, tuple[Field, ...]] = {
     "admit": (
         Field("student_id", int_typed=True),
         Field("p_id", int_typed=True),
-        Field("year", int_typed=True, required=False, default=1),
+        Field("year", int_typed=True, required=False, default="1"),
     ),
     "add_program": (
         Field("name"),
@@ -79,7 +84,7 @@ SCHEMAS: dict[str, tuple[Field, ...]] = {
     "deliver_lecture": (
         Field("class_id", int_typed=True),
         Field("subject"),
-        Field("times", int_typed=True, required=False, default=1),
+        Field("times", int_typed=True, required=False, default="1"),
     ),
     "schedule_exam": (
         Field("term"),
@@ -92,7 +97,7 @@ SCHEMAS: dict[str, tuple[Field, ...]] = {
         Field("class_id", int_typed=True),
         Field("subject"),
         Field("marks", int_typed=True),
-        Field("year", int_typed=True, required=False, default=1),
+        Field("year", int_typed=True, required=False, default="1"),
     ),
     "query": (Field("q"),),
 }
@@ -129,8 +134,8 @@ OPTIONAL_ROW_FIELDS = {
 
 Row = dict[str, str]
 
-#: command -> the names of its fields, in schema order
-FIELD_NAMES = {name: tuple(f.name for f in schema) for name, schema in SCHEMAS.items()}
+#: the text an int field takes
+_INT = re.compile(r"-?[0-9]+")
 
 #: trace kind of an accepted command's event, where it is not domain_event
 _EVENT_KINDS = {"open_session": "session_open", "close_session": "session_close"}
@@ -267,30 +272,24 @@ class Store:
         return self.cfg.inject == flag
 
     def _normalize(self, command: Command) -> tuple[dict[str, str], Refusal | None]:
-        """Fill defaults, check completeness and types; the args as wire
-        text in schema order, the text the journal and the trace carry.
-
-        Args arrive as canonical scalars (``parse_scalar``), so an int field
-        holds an int; text there is refused, not parsed.
-        """
+        """Name the args by the schema, fill defaults, check completeness and
+        int fields; the args as wire text in schema order, the text the
+        journal and the trace carry, with each int field in canonical form."""
         schema = SCHEMAS.get(command.name)
-        if schema is None:
-            return {}, Refusal("unknown command", fault=True)
-        given = dict(command.args)
-        unknown = given.keys() - FIELD_NAMES[command.name]
-        if unknown:
-            return {}, Refusal(f"unknown field {sorted(unknown)[0]}", fault=True)
+        if schema is None or len(command.args) != len(schema):
+            return {}, Refusal("malformed command", fault=True)
         args: dict[str, str] = {}
-        for f in schema:
-            v = given.get(f.name, "")
+        for f, v in zip(schema, command.args):
             if v == "":
                 if f.default is not None:
                     v = f.default
                 elif f.required and not self._injected("p9"):
                     return {}, Refusal(INCOMPLETE)
-            elif f.int_typed and type(v) is not int:
-                return {}, Refusal(f"invalid field {f.name}", fault=True)
-            args[f.name] = render_scalar(v)
+            elif f.int_typed:
+                if not _INT.fullmatch(v):
+                    return {}, Refusal(f"invalid field {f.name}", fault=True)
+                v = str(int(v))
+            args[f.name] = v
         return args, None
 
     def execute(self, command: Command) -> Outcome:
@@ -450,7 +449,7 @@ class Store:
         if name == "open_session":
             sid = self._next_id("sid")
             t["sessions"][(sid,)] = {"sid": str(sid), **a}
-            return Term("ok", (sid,)), f"sid={sid}"
+            return Term("ok", (str(sid),)), f"sid={sid}"
         if name == "close_session":
             t["sessions"].pop((int(a["sid"]),), None)
             return Term("ok"), ""
@@ -463,12 +462,12 @@ class Store:
                 "program_id": "",
                 "admit_year": "",
             }
-            return Term("ok", (student_id,)), f"student_id={student_id}"
+            return Term("ok", (str(student_id),)), f"student_id={student_id}"
         if name == "add_teacher":
             teacher_id = self._next_id("teacher_id")
             self._emails.add(a["email"])
             t["teachers"][(teacher_id,)] = {"teacher_id": str(teacher_id), **a}
-            return Term("ok", (teacher_id,)), f"teacher_id={teacher_id}"
+            return Term("ok", (str(teacher_id),)), f"teacher_id={teacher_id}"
         if name == "admit":
             key = (int(a["student_id"]),)
             student = dict(t["students"][key])
@@ -495,7 +494,7 @@ class Store:
                         "semester": str(semester),
                         "amount": fee,
                     }
-            return Term("ok", (p_id,)), f"p_id={p_id}"
+            return Term("ok", (str(p_id),)), f"p_id={p_id}"
         if name == "add_class":
             p_id, semester = a["p_id"], a["semester"]
             final = t["programs"][(int(p_id),)]["semester_count"] == semester
@@ -513,7 +512,7 @@ class Store:
                 "subject": a["subject"],
                 "lectures_delivered": "0",
             }
-            return Term("ok", (class_id,)), f"class_id={class_id}"
+            return Term("ok", (str(class_id),)), f"class_id={class_id}"
         if name == "assign_teacher":
             key = (int(a["class_id"]),)
             cls = dict(t["classes"][key])
@@ -529,7 +528,7 @@ class Store:
             count = int(log["lectures_delivered"]) + int(a["times"])
             log["lectures_delivered"] = str(count)
             t["lecture_logs"][key] = log
-            return Term("ok", (count,)), f"total={count}"
+            return Term("ok", (log["lectures_delivered"],)), f"total={count}"
         if name == "schedule_exam":
             t["datesheet"][(int(a["class_id"]), a["date"])] = a
             return Term("ok"), ""

@@ -1,10 +1,11 @@
 """Wire-level value types shared by every layer.
 
 Everything that crosses an agent boundary (message content, store commands,
-trace lines) is built from scalars: ints and restricted text tokens.  The
-restriction keeps every rendered line (trace, journal, dump) parseable
-without an escaping scheme; payloads that need arbitrary text travel as
-percent-encoded blobs.
+trace lines) is built from scalars: restricted text tokens, carried as
+written.  A number is its decimal text; only the store's schema knows which
+fields are numbers.  The restriction keeps every rendered line (trace,
+journal, dump) parseable without an escaping scheme; payloads that need
+arbitrary text travel as base64 blobs.
 """
 
 from __future__ import annotations
@@ -12,22 +13,16 @@ from __future__ import annotations
 import base64
 import re
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
-
-Scalar = int | str
+from typing import NamedTuple
 
 # Characters that would break the line-oriented wire formats.
 _FORBIDDEN = re.compile(r'[|,()" \n\r\t]')
 
 
-def check_scalar(value: Scalar) -> Scalar:
-    """Validate a term argument; raises ValueError on unsafe text."""
-    if isinstance(value, bool):
-        raise ValueError("bool is not a term scalar")
-    if isinstance(value, int):
-        return value
+def check_scalar(value: str) -> str:
+    """Validate a term argument; raises ValueError on non-text or unsafe text."""
     if not isinstance(value, str):
-        raise ValueError(f"term scalar must be int or str, got {type(value).__name__}")
+        raise ValueError(f"term scalar must be str, got {type(value).__name__}")
     if _FORBIDDEN.search(value):
         raise ValueError(f"unsafe characters in term scalar: {value!r}")
     return value
@@ -49,18 +44,6 @@ def refusal_line(command: str, reason: str) -> str:
     return f"refused(cmd={command},reason={encode_blob(reason)})"
 
 
-#: A scalar's wire text; the builtin itself, so that rendering a term's
-#: args stays a C-level ``map``.
-render_scalar: Callable[[Scalar], str] = str
-
-
-def parse_scalar(token: str) -> Scalar:
-    """Canonical inverse of render_scalar: decimal tokens become ints."""
-    if token and (token.isdigit() or (token[0] == "-" and token[1:].isdigit())):
-        return int(token)
-    return token
-
-
 class Term(NamedTuple):
     """A predicate term: name plus ordered scalar arguments.
 
@@ -69,10 +52,10 @@ class Term(NamedTuple):
     """
 
     name: str
-    args: tuple[Scalar, ...] = ()
+    args: tuple[str, ...] = ()
 
     def render(self) -> str:
-        return f"{self.name}({','.join(map(render_scalar, self.args))})"
+        return f"{self.name}({','.join(self.args)})"
 
 
 class Performative:
@@ -146,10 +129,11 @@ def failed(reason: str) -> Term:
 
 
 class Command(NamedTuple):
-    """A store mutation request: name, named args, conversation."""
+    """A store command: name, args in schema order (the request term's
+    args), conversation."""
 
     name: str
-    args: tuple[tuple[str, Scalar], ...]
+    args: tuple[str, ...]
     conversation: str
 
 

@@ -56,7 +56,7 @@ def table(result, name):
 
 def test_first_student_gets_id_one():
     result = run_lines(SESSION + "REGISTER_STUDENT st_id=111 name=Ali dept=CS\n")
-    assert result.outcomes[1].reply == Term("ok", (1,))
+    assert result.outcomes[1].reply == Term("ok", ("1",))
 
 
 def test_duplicate_registration_refused_with_paper_literal():
@@ -75,7 +75,60 @@ def test_two_students_monotone_ids():
         + "REGISTER_STUDENT st_id=111 name=Ali dept=CS\n"
         + "REGISTER_STUDENT st_id=222 name=Sara dept=CS\n"
     )
-    assert [o.reply.args[0] for o in result.outcomes[1:]] == [1, 2]
+    assert [o.reply.args[0] for o in result.outcomes[1:]] == ["1", "2"]
+
+
+# -- values as written ------------------------------------------------------------
+
+# Each case: scenario lines after the session, the status and reason of the
+# last command, and lines the final dump or a journal record's args must hold.
+VALUE_CASES = {
+    "leading-zero-contact": (
+        "REGISTER_TEACHER name=T designation=d contact=03001234567 email=t@u\n",
+        ("ok", ""),
+        ["teachers|1|teacher_id=1,name=T,designation=d,contact=03001234567,email=t@u"],
+    ),
+    "st-id-0111-then-111": (
+        "REGISTER_STUDENT st_id=0111 name=A dept=CS\nREGISTER_STUDENT st_id=111 name=B dept=CS\n",
+        ("ok", ""),
+        [
+            "students|1|student_id=1,st_id=0111,name=A,dpt_id=CS,program_id=,admit_year=",
+            "students|2|student_id=2,st_id=111,name=B,dpt_id=CS,program_id=,admit_year=",
+        ],
+    ),
+    "superscript-digit": (
+        "REGISTER_STUDENT st_id=² name=A dept=CS\n"
+        "ADD_PROGRAM name=p session=morning semesters=2 fee=10\n"
+        "ADMIT student_id=² p_id=1\n",
+        ("failed", "invalid field student_id"),
+        ["students|1|student_id=1,st_id=²,name=A,dpt_id=CS,program_id=,admit_year="],
+    ),
+    "int-fields-canonical": (
+        "REGISTER_STUDENT st_id=1 name=A dept=CS\n"
+        "ADD_PROGRAM name=p session=morning semesters=2 fee=10\n"
+        "ADMIT student_id=01 p_id=1 year=02025\n",
+        ("ok", ""),
+        [
+            "student_id=1,p_id=1,year=2025",
+            "students|1|student_id=1,st_id=1,name=A,dpt_id=CS,program_id=1,admit_year=2025",
+        ],
+    ),
+}
+
+
+@pytest.mark.parametrize("case", VALUE_CASES)
+def test_values_cross_as_written_and_only_int_fields_are_read(case):
+    # text fields keep the scenario's text; the store's schema alone reads a
+    # field as a number, refuses one that is not ASCII decimal, and keeps it
+    # in canonical form
+    lines, last, held = VALUE_CASES[case]
+    result = run_lines(SESSION + lines)
+    assert all(o.status in ("ok", "failed") for o in result.outcomes)
+    assert (result.outcomes[-1].status, result.outcomes[-1].reason) == last
+    assert result.exit_code == 0  # P1-P12 hold
+    journal = [line.split("|")[2].rpartition(",_conv=")[0] for line in result.store.journal_lines]
+    stored = set(result.store.dump().splitlines()) | set(journal)
+    assert set(held) <= stored, sorted(stored)
 
 
 # -- teacher agent ---------------------------------------------------------------
@@ -88,7 +141,7 @@ def test_teacher_registration_mirrors_student_rule():
         + "REGISTER_TEACHER name=Other designation=professor contact=0301 email=t@u.edu\n"
         + "REGISTER_TEACHER name=NoDesignation designation= contact=0302 email=x@u.edu\n"
     )
-    assert result.outcomes[1].reply == Term("ok", (1,))
+    assert result.outcomes[1].reply == Term("ok", ("1",))
     assert result.outcomes[2].status == "refused"
     assert result.outcomes[3].status == "refused"
     assert result.outcomes[3].reason == "incomplete record"
@@ -153,7 +206,7 @@ def test_first_class_id_one_and_slot_conflicts():
         + "ADD_CLASS p_id=1 semester=1 subject=Physics day=0 period=0\n"
         + "ADD_CLASS p_id=1 semester=2 subject=Physics day=0 period=0\n"
     )
-    assert result.outcomes[3].reply == Term("ok", (1,))
+    assert result.outcomes[3].reply == Term("ok", ("1",))
     assert result.outcomes[4].status == "refused"
     assert result.outcomes[4].reason == "same timing"
     assert result.outcomes[5].status == "ok"  # other semester, same slot
@@ -236,7 +289,7 @@ def test_marks_boundaries_through_agents(marks, status):
 def test_report_on_empty_store_is_zero_rows_not_absent():
     result = run_lines(SESSION + "GENERATE_REPORT kind=admissions_per_year\n")
     assert result.outcomes[1].status == "ok"
-    assert result.outcomes[1].reply.args[1] == 0
+    assert result.outcomes[1].reply.args[1] == "0"
     assert result.reports == []
 
 
@@ -260,8 +313,8 @@ def test_zero_denominator_is_undefined_marker():
 
 def test_report_from_query_rows_directly():
     store = Store(RunConfig())
-    answer = store.execute(Command("query", (("q", "lab_student_ratio"),), "t:0")).result
-    rows_text = decode_blob(str(answer.args[0]))
+    answer = store.execute(Command("query", ("lab_student_ratio",), "t:0")).result
+    rows_text = decode_blob(answer.args[0])
     report = build_report("lab_student_ratio", rows_text, RunConfig(lab_count=4))
     assert report.rows == (("labs_to_students", "undefined"),)
     assert report.render_lines() == ["lab_student_ratio|labs_to_students|undefined"]
@@ -294,7 +347,7 @@ def test_report_agent_routes_the_rows_home_by_conversation_id():
     reply = _report_round_trip(RunConfig(lab_count=2), answer)
     assert reply.performative is Performative.INFORM
     rendered = encode_blob("lab_student_ratio|labs_to_students|2/4")
-    assert reply.content == Term("report", ("lab_student_ratio", 1, rendered))
+    assert reply.content == Term("report", ("lab_student_ratio", "1", rendered))
 
 
 def test_report_agent_fails_a_refused_query():
@@ -419,7 +472,7 @@ def test_live_reports_equal_reference_from_dump(case):
     finals = result.outcomes[-len(REPORT_KINDS) :]
     for kind, outcome in zip(REPORT_KINDS, finals):
         assert outcome.status == "ok" and outcome.reply.args[0] == kind
-        lines = decode_blob(str(outcome.reply.args[2])).splitlines()
+        lines = decode_blob(outcome.reply.args[2]).splitlines()
         assert lines == reference_report(kind, dump, cfg.lab_count)
 
 
@@ -477,11 +530,11 @@ def test_oa_handle_query_informs_rows():
 def test_oa_handle_passes_store_refusal_through():
     reply, _, _ = _ask_orchestrator(Term("open_session", ("EE",)))
     assert reply.performative is Performative.REFUSE
-    assert decode_blob(str(reply.content.args[0])) == "unauthorized access"
+    assert decode_blob(reply.content.args[0]) == "unauthorized access"
 
 
 def test_oa_handle_malformed_content_fails():
-    reply, commands, _ = _ask_orchestrator(Term("dance", (1, 2)))
+    reply, commands, _ = _ask_orchestrator(Term("dance", ("1", "2")))
     assert reply.performative is Performative.FAILURE
     assert commands == []
 
@@ -515,16 +568,16 @@ def test_gateway_issue_goal_keeps_its_request():
 
 def test_store_ok_percept_is_the_reply_term_unencoded():
     handle = store_handler(Store())
-    _, [opened] = handle(ORCHESTRATOR, Command("open_session", (("dpt_id", "CS"),), "GW:0"))
-    assert opened == Belief("store_reply", ("GW:0", "inform", "ok", 1))
-    _, [closed] = handle(ORCHESTRATOR, Command("close_session", (("sid", 1),), "GW:1"))
+    _, [opened] = handle(ORCHESTRATOR, Command("open_session", ("CS",), "GW:0"))
+    assert opened == Belief("store_reply", ("GW:0", "inform", "ok", "1"))
+    _, [closed] = handle(ORCHESTRATOR, Command("close_session", ("1",), "GW:1"))
     assert closed == Belief("store_reply", ("GW:1", "inform", "ok"))
     # a refusal is replied with refused(<blob>), a fault with failed(<blob>)
-    _, [unknown] = handle(ORCHESTRATOR, Command("close_session", (("sid", 1),), "GW:2"))
+    _, [unknown] = handle(ORCHESTRATOR, Command("close_session", ("1",), "GW:2"))
     assert unknown == Belief(
         "store_reply", ("GW:2", "failure", "failed", encode_blob("unknown session"))
     )
-    student = Command("add_student", (("st_id", 5), ("name", "A"), ("dpt_id", "CS")), "GW:3")
+    student = Command("add_student", ("5", "A", "CS"), "GW:3")
     handle(ORCHESTRATOR, student)
     _, [twice] = handle(ORCHESTRATOR, student)
     reason = encode_blob("Student Already Registerd")

@@ -34,38 +34,38 @@ DATA = Path(__file__).parent / "data"
 
 
 def test_add_to_empty_base():
-    base = update_beliefs(BeliefBase(), [add("student", 1, "Ali")])
-    assert Belief("student", (1, "Ali")) in base
+    base = update_beliefs(BeliefBase(), [add("student", "1", "Ali")])
+    assert Belief("student", ("1", "Ali")) in base
     assert len(base) == 1
 
 
 def test_readd_is_noop():
-    base = BeliefBase([Belief("student", (1, "Ali"))])
-    after = update_beliefs(base, [add("student", 1, "Ali")])
+    base = BeliefBase([Belief("student", ("1", "Ali"))])
+    after = update_beliefs(base, [add("student", "1", "Ali")])
     assert len(after) == 1
 
 
 def test_remove_absent_is_noop():
-    base = BeliefBase([Belief("p", (1,)), Belief("p", (2,))])
-    after = update_beliefs(base, [remove("p", 3)])
+    base = BeliefBase([Belief("p", ("1",)), Belief("p", ("2",))])
+    after = update_beliefs(base, [remove("p", "3")])
     assert len(after) == 2
-    assert Belief("p", (1,)) in after and Belief("p", (2,)) in after
+    assert Belief("p", ("1",)) in after and Belief("p", ("2",)) in after
 
 
 def test_updates_do_not_mutate_parent():
     base = BeliefBase()
-    child = update_beliefs(base, [add("q", 7)])
+    child = update_beliefs(base, [add("q", "7")])
     assert len(base) == 0 and len(child) == 1
 
 
 def test_arity_is_fixed_per_predicate():
-    base = BeliefBase([Belief("p", (1,))])
+    base = BeliefBase([Belief("p", ("1",))])
     with pytest.raises(ValueError):
-        base.add(Belief("p", (1, 2)))
+        base.add(Belief("p", ("1", "2")))
 
 
 deltas = st.lists(
-    st.tuples(st.sampled_from(["add", "remove"]), st.integers(0, 5)).map(
+    st.tuples(st.sampled_from(["add", "remove"]), st.integers(0, 5).map(str)).map(
         lambda t: add("p", t[1]) if t[0] == "add" else remove("p", t[1])
     ),
     max_size=12,
@@ -207,7 +207,7 @@ def test_request_creates_intention_same_cycle():
         body=(BelieveStep(lambda ctx: [add("seen", ctx.message.sender)]), SendStep(_noop_send)),
     )
     agent = make_agent("SA", [plan])
-    env = Envelope("GW", "SA", Performative.REQUEST, "GW:0", Term("register", (7,)))
+    env = Envelope("GW", "SA", Performative.REQUEST, "GW:0", Term("register", ("7",)))
     result = step(agent, [env])
     assert len(result.state.intentions) == 1
     assert result.state.intentions[0].pc == 1  # first step already executed
@@ -244,7 +244,7 @@ def test_step_is_deterministic():
         when=MessageMatch(None, None),
         body=(BelieveStep(lambda ctx: [add("got", ctx.message.conversation)]),),
     )
-    env = Envelope("B", "A", Performative.INFORM, "B:4", Term("note", (1,)))
+    env = Envelope("B", "A", Performative.INFORM, "B:4", Term("note", ("1",)))
     results = [step(make_agent("A", [plan]), [env]) for _ in range(2)]
     assert results[0].state.beliefs.as_beliefs() == results[1].state.beliefs.as_beliefs()
     assert results[0].outbox == results[1].outbox
@@ -280,8 +280,8 @@ def _toy_agent() -> AgentState:
         body=(BelieveStep(lambda ctx: [add("done", ctx.params[0])]),),
     )
     agent = make_agent("TOY", [ping, pong])
-    agent = adopt_goal(agent, "ping", (1,))
-    agent = adopt_goal(agent, "ping", (2,))
+    agent = adopt_goal(agent, "ping", ("1",))
+    agent = adopt_goal(agent, "ping", ("2",))
     return agent
 
 
@@ -390,7 +390,7 @@ def test_step_never_mutates_its_input():
 
     # the orchestrator with a request in its inbox and a store outcome queued
     oa = orchestrator_agent()
-    oa.percepts.append(Belief("store_reply", ("GW:1", "inform", "ok", 1)))
+    oa.percepts.append(Belief("store_reply", ("GW:1", "inform", "ok", "1")))
     request = Envelope("GW", "OA", Performative.REQUEST, "GW:0", Term("open_session", ("CS",)))
     result = _assert_step_leaves_input_alone(oa, [request])
     assert len(result.commands) == 1 and len(result.outbox) == 1

@@ -67,6 +67,21 @@ def test_trace_report_roundtrip(tmp_path, capsys):
     assert offline_verdicts == live_verdicts
 
 
+def test_truncated_run_exits_four_live_and_offline(tmp_path, capsys):
+    scenario = tmp_path / "short.scn"
+    scenario.write_text(
+        "OPEN_SESSION dept=CS\n"
+        "REGISTER_STUDENT st_id=C1 name=A dept=CS\n"
+        "REGISTER_STUDENT st_id=C2 name=B dept=CS\n"
+    )
+    trace = tmp_path / "run.trace"
+    code = run_cli("run", str(scenario), "--set", "max_rounds=5", "--trace", str(trace))
+    assert code == 4
+    assert "P12|inconclusive|" in capsys.readouterr().out
+    assert run_cli("report", str(trace)) == 4
+    assert "P12|inconclusive|" in capsys.readouterr().out
+
+
 def test_dump_and_journal_outputs(tmp_path, capsys):
     dump = tmp_path / "store.dump"
     journal = tmp_path / "events.journal"

@@ -16,8 +16,8 @@ from unimas.monitor import (
     evaluate_trace,
 )
 from unimas.scenario import parse_scenario, run_scenario
-from unimas.store import Store
-from unimas.terms import Command, Performative, encode_blob, parse_scalar, render_scalar
+from unimas.store import SCHEMAS, Store
+from unimas.terms import Command, Performative, encode_blob
 from unimas.trace import TraceEvent, parse_trace
 
 
@@ -45,15 +45,16 @@ def _traffic():
 
 
 def test_command_fields_equal_the_parsed_command_on_real_traffic():
-    # the store renders canonical scalars only, so each field's trace text
-    # is what rendering its parsed scalar gives back, and the fields, in
-    # order, spell the event's content
+    # the store keeps each int field in canonical form, so its trace text
+    # is what rendering its int gives back, and the fields, in order, spell
+    # the event's content
     seen = 0
     for result in _traffic():
         for event in parse_trace(result.log.lines).events:
             if event.kind in ("domain_event", "session_open"):
                 name, fields = command_fields(event.content)
-                assert all(render_scalar(parse_scalar(v)) == v for v in fields.values()), event
+                ints = [fields[f.name] for f in SCHEMAS[name] if f.int_typed]
+                assert all(str(int(v)) == v for v in ints), event
                 kv = ",".join(f"{k}={v}" for k, v in fields.items())
                 assert f"{name}({kv})" == event.content
                 seen += 1
@@ -143,15 +144,7 @@ def test_violation_is_monotone():
 
 def _dump_with_missing_fee() -> str:
     store = Store(RunConfig())
-    from unimas.terms import Command
-
-    store.execute(
-        Command(
-            "add_program",
-            (("name", "p"), ("session", "morning"), ("semester_count", 8), ("fee", 100)),
-            "t:0",
-        )
-    )
+    store.execute(Command("add_program", ("p", "morning", "8", "100"), "t:0"))
     dump = store.dump()
     lines = [ln for ln in dump.splitlines() if not ln.startswith("fees|8:")]
     missing = next(ln for ln in dump.splitlines() if ln.startswith("fees|"))
@@ -173,15 +166,7 @@ def test_snapshot_on_empty_store_holds_vacuously():
 
 def test_snapshot_clean_store_all_holds():
     store = Store(RunConfig())
-    from unimas.terms import Command
-
-    store.execute(
-        Command(
-            "add_program",
-            (("name", "p"), ("session", "morning"), ("semester_count", 2), ("fee", 10)),
-            "t:0",
-        )
-    )
+    store.execute(Command("add_program", ("p", "morning", "2", "10"), "t:0"))
     monitor = Monitor()
     verdicts = monitor.check_snapshot(store.dump())
     assert all(v.status == HOLDS for v in verdicts if v.property is not PropertyId.P12)

@@ -148,7 +148,7 @@ def test_same_scenario_same_trace_hash():
                 ],
             ),
         )
-        route(world, [Envelope("GW", "SA", Performative.REQUEST, "GW:0", Term("x", (1,)))])
+        route(world, [Envelope("GW", "SA", Performative.REQUEST, "GW:0", Term("x", ("1",)))])
         for _ in range(4):
             run_round(world)
         world.log.close(complete=True)

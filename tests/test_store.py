@@ -16,6 +16,7 @@ from unimas.store import (
     MARKS_BOUNDS,
     REPORT_QUERIES,
     SAME_DATE,
+    SCHEMAS,
     SAME_TIMING,
     TEACHER_CONFLICT,
     UNAUTHORIZED,
@@ -30,8 +31,11 @@ from unimas.store import (
 from unimas.terms import Command, Refusal, Term, decode_blob
 
 
-def cmd(__name: str, **kv) -> Command:
-    return Command(__name, tuple((k, v) for k, v in kv.items()), "t:0")
+def cmd(__name: str, **kv: str) -> Command:
+    """A command with its args named; a field not named is sent empty."""
+    fields = [f.name for f in SCHEMAS[__name]]
+    assert kv.keys() <= set(fields), kv
+    return Command(__name, tuple(kv.get(f, "") for f in fields), "t:0")
 
 
 def refused(outcome) -> str:
@@ -66,8 +70,8 @@ def store() -> Store:
 
 
 def seed_class(store: Store, semesters: int = 2) -> int:
-    ok(store, cmd("add_program", name="prog", session="morning", semester_count=semesters, fee=1000))
-    return ok(store, cmd("add_class", p_id=1, semester=1, subject="Math", day=0, period=0)).args[0]
+    ok(store, cmd("add_program", name="prog", session="morning", semester_count=str(semesters), fee="1000"))
+    return ok(store, cmd("add_class", p_id="1", semester="1", subject="Math", day="0", period="0")).args[0]
 
 
 # -- sessions ---------------------------------------------------------------
@@ -80,11 +84,11 @@ def test_unauthorized_department_refused(store):
 def test_busy_beyond_cap():
     store = Store(RunConfig(cap=10))
     for sid in range(1, 11):
-        assert open_session(store, "CS") == Term("ok", (sid,))
+        assert open_session(store, "CS") == Term("ok", (str(sid),))
     assert refused(open_session(store, "CS")) == BUSY
     # close one, retry succeeds
-    ok(store, cmd("close_session", sid=1))
-    assert open_session(store, "CS") == Term("ok", (11,))
+    ok(store, cmd("close_session", sid="1"))
+    assert open_session(store, "CS") == Term("ok", ("11",))
 
 
 def test_cap_default_is_paper_value():
@@ -98,20 +102,31 @@ def test_missing_required_field_is_incomplete(store):
     assert refused(store.execute(cmd("add_student", st_id="111", dpt_id="CS")).result) == INCOMPLETE
 
 
-@pytest.mark.parametrize("bad", ["--2", "2x", "two"])
+@pytest.mark.parametrize("bad", ["--2", "2x", "two", "+2", "1_0", "²"])
 def test_text_in_an_int_field_is_a_fault_not_a_crash(store, bad):
-    # args arrive as canonical scalars, so text where an int belongs is
-    # refused as it is, never parsed ("--2" once reached int() and raised)
+    # an int field takes ASCII decimal text only: "--2" once reached int()
+    # and raised, and int() alone would take "+2", "1_0" and "²"
     outcome = store.execute(
-        cmd("add_program", name="p", session="morning", semester_count=bad, fee=100)
+        cmd("add_program", name="p", session="morning", semester_count=bad, fee="100")
     ).result
     assert refused(outcome) == "invalid field semester_count" and outcome.fault
     assert store.journal_lines == []
 
 
+def test_unknown_command_or_wrong_arity_is_one_fault(store):
+    for command in (
+        Command("enroll", ("1",), "t:0"),
+        Command("add_student", ("111", "Ali"), "t:0"),
+        Command("add_student", ("111", "Ali", "CS", "x"), "t:0"),
+    ):
+        outcome = store.execute(command).result
+        assert refused(outcome) == "malformed command" and outcome.fault
+    assert store.journal_lines == []
+
+
 def test_add_student_assigns_monotone_ids(store):
-    assert ok(store, cmd("add_student", st_id="111", name="Ali", dpt_id="CS")) == Term("ok", (1,))
-    assert ok(store, cmd("add_student", st_id="222", name="Sara", dpt_id="CS")) == Term("ok", (2,))
+    assert ok(store, cmd("add_student", st_id="111", name="Ali", dpt_id="CS")) == Term("ok", ("1",))
+    assert ok(store, cmd("add_student", st_id="222", name="Sara", dpt_id="CS")) == Term("ok", ("2",))
     students = rows(store, "students")
     assert [(r["student_id"], r["st_id"]) for r in students] == [("1", "111"), ("2", "222")]
     assert [line.split("|")[0] for line in store.journal_lines] == ["1", "2"]  # dense event sequence
@@ -131,35 +146,35 @@ def test_duplicate_teacher_email_refused(store):
 
 def test_admit_sets_program_once(store):
     ok(store, cmd("add_student", st_id="111", name="Ali", dpt_id="CS"))
-    ok(store, cmd("add_program", name="p", session="morning", semester_count=2, fee=100))
-    ok(store, cmd("admit", student_id=1, p_id=1))
+    ok(store, cmd("add_program", name="p", session="morning", semester_count="2", fee="100"))
+    ok(store, cmd("admit", student_id="1", p_id="1"))
     assert rows(store, "students", student_id=1)[0]["program_id"] == "1"
-    again = store.execute(cmd("admit", student_id=1, p_id=1)).result
+    again = store.execute(cmd("admit", student_id="1", p_id="1")).result
     assert refused(again) == DUPLICATE_ADMISSION
 
 
 def test_admit_unknown_program_is_fault(store):
     ok(store, cmd("add_student", st_id="111", name="Ali", dpt_id="CS"))
-    outcome = store.execute(cmd("admit", student_id=1, p_id=9)).result
+    outcome = store.execute(cmd("admit", student_id="1", p_id="9")).result
     assert isinstance(outcome, Refusal) and outcome.fault
 
 
 def test_program_creates_fee_row_per_semester(store):
-    ok(store, cmd("add_program", name="bscs", session="morning", semester_count=8, fee=5000))
+    ok(store, cmd("add_program", name="bscs", session="morning", semester_count="8", fee="5000"))
     fee_rows = rows(store, "fees", p_id=1)
     assert len(fee_rows) == 8  # row count equals the semester count
     assert {r["amount"] for r in fee_rows} == {"5000"}
 
 
 def test_two_programs_get_distinct_ids(store):
-    p1 = ok(store, cmd("add_program", name="a", session="morning", semester_count=1, fee=1))
-    p2 = ok(store, cmd("add_program", name="b", session="evening", semester_count=1, fee=1))
-    assert (p1.args, p2.args) == ((1,), (2,))
+    p1 = ok(store, cmd("add_program", name="a", session="morning", semester_count="1", fee="1"))
+    p2 = ok(store, cmd("add_program", name="b", session="evening", semester_count="1", fee="1"))
+    assert (p1.args, p2.args) == (("1",), ("2",))
     assert [(r["p_id"], r["name"]) for r in rows(store, "programs")] == [("1", "a"), ("2", "b")]
 
 
 def test_incomplete_program_creates_nothing(store):
-    outcome = store.execute(cmd("add_program", name="a", session="morning", semester_count=2)).result
+    outcome = store.execute(cmd("add_program", name="a", session="morning", semester_count="2")).result
     assert refused(outcome) == INCOMPLETE
     assert rows(store, "programs") == [] and rows(store, "fees") == []
     assert store.journal_lines == []  # refusal purity
@@ -167,46 +182,46 @@ def test_incomplete_program_creates_nothing(store):
 
 def test_first_class_id_is_one(store):
     class_id = seed_class(store)
-    assert class_id == 1
+    assert class_id == "1"
 
 
 def test_same_slot_same_cohort_refused(store):
     seed_class(store)
-    outcome = store.execute(cmd("add_class", p_id=1, semester=1, subject="Phy", day=0, period=0)).result
+    outcome = store.execute(cmd("add_class", p_id="1", semester="1", subject="Phy", day="0", period="0")).result
     assert refused(outcome) == SAME_TIMING
 
 
 def test_same_slot_other_semester_accepted(store):
     # conflict scope is the (program, semester) cohort
     seed_class(store, semesters=2)
-    assert ok(store, cmd("add_class", p_id=1, semester=2, subject="Phy", day=0, period=0)).args == (2,)
+    assert ok(store, cmd("add_class", p_id="1", semester="2", subject="Phy", day="0", period="0")).args == ("2",)
     assert rows(store, "classes", class_id=2)[0]["semester"] == "2"
 
 
 def test_assign_teacher_slot_conflict(store):
     seed_class(store)
-    ok(store, cmd("add_class", p_id=1, semester=1, subject="Phy", day=0, period=1))
-    ok(store, cmd("add_class", p_id=1, semester=2, subject="Lab", day=0, period=0))
+    ok(store, cmd("add_class", p_id="1", semester="1", subject="Phy", day="0", period="1"))
+    ok(store, cmd("add_class", p_id="1", semester="2", subject="Lab", day="0", period="0"))
     ok(store, cmd("add_teacher", name="T", designation="prof", contact="1", email="t@u"))
-    ok(store, cmd("assign_teacher", class_id=1, teacher_id=1))
+    ok(store, cmd("assign_teacher", class_id="1", teacher_id="1"))
     # same teacher, same (day, period) in another cohort: refused
-    outcome = store.execute(cmd("assign_teacher", class_id=3, teacher_id=1)).result
+    outcome = store.execute(cmd("assign_teacher", class_id="3", teacher_id="1")).result
     assert refused(outcome) == TEACHER_CONFLICT
     # different slot is fine, and reassignment overwrites
-    ok(store, cmd("assign_teacher", class_id=2, teacher_id=1))
-    ok(store, cmd("assign_teacher", class_id=1, teacher_id=1))
+    ok(store, cmd("assign_teacher", class_id="2", teacher_id="1"))
+    ok(store, cmd("assign_teacher", class_id="1", teacher_id="1"))
     assert rows(store, "classes", class_id=1)[0]["teacher_id"] == "1"
 
 
 @pytest.mark.parametrize(
     "term,count,accepted",
-    [("mid", 15, False), ("mid", 16, True), ("final", 31, False), ("final", 32, True)],
+    [("mid", "15", False), ("mid", "16", True), ("final", "31", False), ("final", "32", True)],
 )
 def test_exam_lecture_thresholds(store, term, count, accepted):
     seed_class(store)
-    ok(store, cmd("deliver_lecture", class_id=1, subject="Math", times=count))
+    ok(store, cmd("deliver_lecture", class_id="1", subject="Math", times=count))
     outcome = store.execute(
-        cmd("schedule_exam", term=term, class_id=1, subject="Math", date="2025-05-01")
+        cmd("schedule_exam", term=term, class_id="1", subject="Math", date="2025-05-01")
     ).result
     if accepted:
         assert not isinstance(outcome, Refusal)
@@ -216,32 +231,32 @@ def test_exam_lecture_thresholds(store, term, count, accepted):
 
 def test_same_class_same_day_refused(store):
     seed_class(store)
-    ok(store, cmd("deliver_lecture", class_id=1, subject="Math", times=32))
-    ok(store, cmd("schedule_exam", term="mid", class_id=1, subject="Math", date="2025-05-01"))
+    ok(store, cmd("deliver_lecture", class_id="1", subject="Math", times="32"))
+    ok(store, cmd("schedule_exam", term="mid", class_id="1", subject="Math", date="2025-05-01"))
     outcome = store.execute(
-        cmd("schedule_exam", term="final", class_id=1, subject="Math", date="2025-05-01")
+        cmd("schedule_exam", term="final", class_id="1", subject="Math", date="2025-05-01")
     ).result
     assert refused(outcome) == SAME_DATE
     # another day is fine
-    ok(store, cmd("schedule_exam", term="final", class_id=1, subject="Math", date="2025-05-02"))
+    ok(store, cmd("schedule_exam", term="final", class_id="1", subject="Math", date="2025-05-02"))
 
 
 def _seed_result_target(store):
     ok(store, cmd("add_student", st_id="1", name="A", dpt_id="CS"))
     seed_class(store)
-    ok(store, cmd("admit", student_id=1, p_id=1))
+    ok(store, cmd("admit", student_id="1", p_id="1"))
 
 
-@pytest.mark.parametrize("marks,accepted", [(-1, False), (0, True), (100, True), (101, False)])
+@pytest.mark.parametrize("marks,accepted", [("-1", False), ("0", True), ("100", True), ("101", False)])
 def test_marks_bounds_inclusive(store, marks, accepted):
     _seed_result_target(store)
     outcome = store.execute(
-        cmd("record_result", student_id=1, class_id=1, subject="Math", marks=marks)
+        cmd("record_result", student_id="1", class_id="1", subject="Math", marks=marks)
     ).result
     if accepted:
         assert not isinstance(outcome, Refusal)
         stored = rows(store, "results", student_id=1)[0]["marks"]
-        assert stored == str(marks)  # accepted, never clamped
+        assert stored == marks  # accepted, never clamped
     else:
         assert refused(outcome) == MARKS_BOUNDS
 
@@ -250,16 +265,16 @@ def test_per_subject_marks_override():
     store = Store(RunConfig(marks_overrides=(("Math", 10, 50),)))
     _seed_result_target(store)
     assert refused(
-        store.execute(cmd("record_result", student_id=1, class_id=1, subject="Math", marks=51)).result
+        store.execute(cmd("record_result", student_id="1", class_id="1", subject="Math", marks="51")).result
     ) == MARKS_BOUNDS
-    ok(store, cmd("record_result", student_id=1, class_id=1, subject="Math", marks=50))
+    ok(store, cmd("record_result", student_id="1", class_id="1", subject="Math", marks="50"))
 
 
 # -- query ---------------------------------------------------------------------
 
 
 def answer(store: Store, q: str) -> str:
-    return decode_blob(str(ok(store, cmd("query", q=q)).args[0]))
+    return decode_blob(ok(store, cmd("query", q=q)).args[0])
 
 
 def test_query_empty_store(store):
@@ -294,10 +309,10 @@ def test_queries_are_not_journaled(store):
 
 
 def test_report_query_answer_is_its_aggregate_rows_only(store):
-    ok(store, cmd("add_program", name="p", session="morning", semester_count=1, fee=10))
+    ok(store, cmd("add_program", name="p", session="morning", semester_count="1", fee="10"))
     for i in range(300):
         ok(store, cmd("add_student", st_id=f"S{i:03d}", name=f"N{i}", dpt_id="CS"))
-        ok(store, cmd("admit", student_id=i + 1, p_id=1, year=2024))
+        ok(store, cmd("admit", student_id=str(i + 1), p_id="1", year="2024"))
     sizes = {}
     for q in ("teacher_student_ratio", "lab_student_ratio", "admissions_per_year"):
         answer = store.execute(cmd("query", q=q)).result
@@ -350,12 +365,12 @@ def _busy_store() -> Store:
     store = Store(RunConfig())
     ok(store, cmd("open_session", dpt_id="CS"))
     ok(store, cmd("add_student", st_id="111", name="Ali", dpt_id="CS"))
-    ok(store, cmd("add_program", name="p", session="morning", semester_count=3, fee=900))
-    ok(store, cmd("admit", student_id=1, p_id=1))
-    ok(store, cmd("add_class", p_id=1, semester=1, subject="Math", day=1, period=2))
-    ok(store, cmd("deliver_lecture", class_id=1, subject="Math", times=16))
-    ok(store, cmd("schedule_exam", term="mid", class_id=1, subject="Math", date="2025-05-01"))
-    ok(store, cmd("record_result", student_id=1, class_id=1, subject="Math", marks=98))
+    ok(store, cmd("add_program", name="p", session="morning", semester_count="3", fee="900"))
+    ok(store, cmd("admit", student_id="1", p_id="1"))
+    ok(store, cmd("add_class", p_id="1", semester="1", subject="Math", day="1", period="2"))
+    ok(store, cmd("deliver_lecture", class_id="1", subject="Math", times="16"))
+    ok(store, cmd("schedule_exam", term="mid", class_id="1", subject="Math", date="2025-05-01"))
+    ok(store, cmd("record_result", student_id="1", class_id="1", subject="Math", marks="98"))
     return store
 
 
@@ -378,8 +393,8 @@ def test_truncated_journal_halts_at_bad_seq():
 
 def test_journal_records_read_back_their_conversations():
     store = Store(RunConfig())
-    ok(store, Command("open_session", (("dpt_id", "CS"),), "GW:0"))
-    ok(store, Command("add_student", (("st_id", "1"), ("name", "A"), ("dpt_id", "CS")), "SA:0>GW:1"))
+    ok(store, Command("open_session", ("CS",), "GW:0"))
+    ok(store, Command("add_student", ("1", "A", "CS"), "SA:0>GW:1"))
     assert journal_conversations(store.journal_lines) == ["GW:0", "SA:0>GW:1"]
     # a framed record that names no conversation is corrupt
     payload = "1|open_session|dpt_id=CS"

@@ -10,16 +10,8 @@ from unimas.terms import (
     conversation_origin,
     decode_blob,
     encode_blob,
-    parse_scalar,
-    render_scalar,
     served_conversation,
 )
-
-safe_text = st.text(
-    alphabet=st.characters(whitelist_categories=("L", "N"), whitelist_characters="_:@.-"),
-    min_size=1,
-    max_size=12,
-).filter(lambda s: not s.lstrip("-").isdigit())
 
 
 def test_scalar_rejects_unsafe_text():
@@ -29,15 +21,10 @@ def test_scalar_rejects_unsafe_text():
 
 
 def test_scalar_rejects_bool_and_float():
-    with pytest.raises(ValueError):
-        check_scalar(True)
-    with pytest.raises(ValueError):
-        check_scalar(1.5)  # type: ignore[arg-type]
-
-
-@given(st.one_of(st.integers(), safe_text))
-def test_scalar_render_parse_roundtrip(value):
-    assert parse_scalar(render_scalar(value)) == value
+    # and an int: every value is carried as its text
+    for bad in (True, 1.5, 1):
+        with pytest.raises(ValueError):
+            check_scalar(bad)  # type: ignore[arg-type]
 
 
 @given(st.text())
