@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from . import bdi, runtime
 from .bdi import Belief, BeliefMatch, CommandStep, MessageMatch, Plan, SendStep
-from .config import RunConfig
+from .config import ConfigError, RunConfig
 from .runtime import World, register_agent, store_reply
 from .store import REPORT_QUERIES, SCHEMAS, Store
 from .trace import TraceLog
@@ -71,6 +71,16 @@ def agent_for_command(command: str) -> str:
     if command in DIRECT_COMMANDS:
         return ORCHESTRATOR
     raise KeyError(command)
+
+
+#: The least ``liveness_k`` under which P12 can hold: the rounds of the
+#: longest reply path, one per hop each way.  A session command goes GW ->
+#: OA, a relayed one GW -> relay -> OA.
+MIN_LIVENESS_K = 2 * max(
+    1 if agent_for_command(command) == ORCHESTRATOR else 2
+    for commands in (DIRECT_COMMANDS, *AGENT_COMMANDS.values())
+    for command in commands
+)
 
 
 # -- gateway -----------------------------------------------------------------
@@ -280,6 +290,11 @@ def store_handler(store: Store) -> runtime.CommandHandler:
 def build_world(cfg: RunConfig | None = None) -> tuple[World, Store]:
     """A fresh world with the full roster registered and the store attached."""
     cfg = cfg or RunConfig()
+    if cfg.liveness_k < MIN_LIVENESS_K:
+        raise ConfigError(
+            f"liveness_k={cfg.liveness_k} can never hold: "
+            f"the longest reply path takes {MIN_LIVENESS_K} rounds"
+        )
     store = Store(cfg)
     world = World(command_handler=store_handler(store), log=TraceLog(header=cfg.header()))
     for agent_id in ROSTER:

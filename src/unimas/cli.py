@@ -104,9 +104,10 @@ def cmd_replay_crash(args: argparse.Namespace) -> int:
 
 
 def cmd_report(args: argparse.Namespace) -> int:
-    parsed = parse_trace(Path(args.trace).read_text().splitlines())
-    cfg = parse_header(parsed.header) if parsed.header else RunConfig()
-    verdicts = evaluate_trace(parsed, cfg)
+    with open(args.trace) as lines:  # read one line at a time
+        parsed = parse_trace(lines)
+        cfg = parse_header(parsed.header) if parsed.header else RunConfig()
+        verdicts = evaluate_trace(parsed, cfg)
     sys.stdout.write(render_verdicts(verdicts))
     return exit_code(verdicts)
 

@@ -101,7 +101,8 @@ class Monitor:
         self._slots: set[tuple[str, str, str, str]] = set()
         self._lectures: dict[str, int] = {}
         self._exam_days: set[tuple[str, str]] = set()
-        self._conversations: dict[str, _Conversation] = {}
+        self._conversations: dict[str, _Conversation] = {}  # open or late only
+        self.max_reply_latency = 0
 
     # -- verdict bookkeeping -------------------------------------------
 
@@ -109,48 +110,48 @@ class Monitor:
         if pid not in self._violations:  # monotone: first witness wins
             self._violations[pid] = (seq, explanation)
 
-    @property
-    def max_reply_latency(self) -> int:
-        if not self._conversations:
-            return 0
-        return max(c.max_latency for c in self._conversations.values())
-
     # -- event intake ----------------------------------------------------
 
     def observe(self, event: TraceEvent) -> None:
-        if event.seq != self._next_seq:
-            raise MonitorFault(f"expected seq {self._next_seq}, saw {event.seq}")
-        self._next_seq += 1
+        seq, rnd, kind, _sender, _receiver, performative, conversation, content = event
+        if seq != self._next_seq:
+            raise MonitorFault(f"expected seq {self._next_seq}, saw {seq}")
+        self._next_seq = seq + 1
 
-        if event.kind == "envelope":
-            self._observe_envelope(event)
-        elif event.kind == "domain_event":
-            self._observe_domain(event)
-        elif event.kind == "session_open":
-            self._observe_session_open(event)
-        elif event.kind == "session_close":
-            self._open_sessions = max(0, self._open_sessions - 1)
-        elif event.kind == "snapshot":
-            self.check_snapshot(decode_blob(event.content), seq=event.seq)
-        # refusals carry no obligations: refusing bad input is correct
-
-    def _observe_envelope(self, event: TraceEvent) -> None:
-        conv = self._conversations.get(event.conversation)
-        if conv is None:
-            conv = self._conversations[event.conversation] = _Conversation()
-        if event.performative == "request":
-            conv.requests += 1
-            conv.request_seq = event.seq
-            conv.request_round = event.round
-        else:
-            conv.replies += 1
-            conv.max_latency = max(conv.max_latency, event.round - conv.request_round)
-            if conv.replies > conv.requests:
-                self._flag(
-                    PropertyId.P12, event.seq, f"extra reply on conversation {event.conversation}"
-                )
-            if event.performative == "inform" and event.content.startswith("report("):
+        if kind == "envelope":
+            # P12 keeps only open and late conversations: an answered one can
+            # never be pending or late again, and a reply to none is extra
+            conversations = self._conversations
+            conv = conversations.get(conversation)
+            if performative == "request":
+                if conv is None:
+                    conv = conversations[conversation] = _Conversation()
+                conv.requests += 1
+                conv.request_seq = seq
+                conv.request_round = rnd
+                return
+            if conv is None or conv.replies >= conv.requests:
+                self._flag(PropertyId.P12, seq, f"extra reply on conversation {conversation}")
+            if conv is not None:
+                conv.replies += 1
+                latency = rnd - conv.request_round
+                if latency > conv.max_latency:
+                    conv.max_latency = latency
+                if latency > self.max_reply_latency:
+                    self.max_reply_latency = latency
+                if conv.replies == conv.requests and conv.max_latency <= self.cfg.liveness_k:
+                    del conversations[conversation]
+            if performative == "inform" and content.startswith("report("):
                 self._check_report(event)
+        elif kind == "domain_event":
+            self._observe_domain(event)
+        elif kind == "session_open":
+            self._observe_session_open(event)
+        elif kind == "session_close":
+            self._open_sessions = max(0, self._open_sessions - 1)
+        elif kind == "snapshot":
+            self.check_snapshot(decode_blob(content), seq=seq)
+        # refusals carry no obligations: refusing bad input is correct
 
     def _check_report(self, event: TraceEvent) -> None:
         try:
@@ -355,6 +356,7 @@ def exit_code(verdicts: list[Verdict]) -> int:
 def evaluate_trace(parsed: ParsedTrace, cfg: RunConfig) -> list[Verdict]:
     """From-scratch re-evaluation of a recorded trace (the offline path)."""
     monitor = Monitor(cfg)
-    for event in parsed.events:
-        monitor.observe(event)
+    observe = monitor.observe
+    for event in parsed.events:  # parsed one line at a time
+        observe(event)
     return monitor.finalize(trace_complete=parsed.complete)

@@ -15,8 +15,9 @@ with the live monitor by construction.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
-from typing import Iterable, NamedTuple
+from collections.abc import Iterable, Iterator, Sequence
+from itertools import chain
+from typing import NamedTuple
 
 KINDS = ("envelope", "domain_event", "refusal", "session_open", "session_close", "snapshot")
 
@@ -77,28 +78,59 @@ class TraceLog:
         return "\n".join(self.lines) + "\n"
 
     def sha256(self) -> str:
-        return hashlib.sha256(self.text().encode()).hexdigest()
+        """The digest of ``text()``, fed one line at a time."""
+        digest = hashlib.sha256()
+        for line in self.lines:
+            digest.update(f"{line}\n".encode())
+        return digest.hexdigest()
 
 
-@dataclass(frozen=True)
 class ParsedTrace:
-    header: str
-    events: tuple[TraceEvent, ...]
-    complete: bool
+    """A trace's config header, its events and its completion flag.
+
+    The header is read from the ``#`` lines before the first event, where
+    ``TraceLog`` writes it, and the ``# end`` trailer from the last one.
+    Events are parsed as they are iterated, so a bad line raises
+    ``ValueError`` when it is reached.  From a sequence of lines, the
+    events can be iterated again and ``complete`` is known at once; from a
+    one-shot iterator (an open file), once the events have been read.
+    """
+
+    def __init__(self, lines: Iterable[str]) -> None:
+        self.header = ""
+        self.complete = False
+        rest = iter(lines)
+        for raw in rest:  # the metadata before the first event
+            line = raw.rstrip("\n")
+            if line and line[0] != "#":
+                rest = chain((raw,), rest)
+                break
+            self._note(line)
+        if isinstance(lines, Sequence):
+            rest = lines
+            trailers = (line for line in reversed(lines) if line.startswith("# end "))
+            self._note(next(trailers, "").rstrip("\n"))
+        self._lines = rest
+
+    def _note(self, line: str) -> None:
+        if line.startswith("# config "):
+            self.header = line[len("# config "):]
+        elif line.startswith("# end "):
+            self.complete = line.endswith("complete=true")
+
+    @property
+    def events(self) -> "ParsedTrace":
+        """The events: iterating the trace parses them."""
+        return self
+
+    def __iter__(self) -> Iterator[TraceEvent]:
+        for raw in self._lines:
+            line = raw.rstrip("\n")
+            if line and line[0] != "#":
+                yield TraceEvent.parse(line)
+            else:
+                self._note(line)
 
 
 def parse_trace(lines: Iterable[str]) -> ParsedTrace:
-    header = ""
-    complete = False
-    events: list[TraceEvent] = []
-    for raw in lines:
-        line = raw.rstrip("\n")
-        if not line:
-            continue
-        if line[0] != "#":
-            events.append(TraceEvent.parse(line))
-        elif line.startswith("# config "):
-            header = line[len("# config "):]
-        elif line.startswith("# end "):
-            complete = line.endswith("complete=true")
-    return ParsedTrace(header=header, events=tuple(events), complete=complete)
+    return ParsedTrace(lines)

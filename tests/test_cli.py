@@ -176,3 +176,43 @@ def test_replay_crash_beyond_the_journal_exits_three(capsys):
         assert run_cli("replay-crash", str(SCENARIOS / "lifecycle.scn"), "--at", at) == 3
         assert "outside the run's journal, 0..50" in capsys.readouterr().err
     assert run_cli("replay-crash", str(SCENARIOS / "lifecycle.scn"), "--at", "50") == 0
+
+
+def test_report_on_a_malformed_middle_line_exits_three(tmp_path, capsys):
+    trace = tmp_path / "run.trace"
+    assert run_cli("run", str(SCENARIOS / "lifecycle.scn"), "--trace", str(trace)) == 0
+    lines = trace.read_text().splitlines()
+    middle = len(lines) // 2
+    lines[middle] = lines[middle].replace("|", ";", 1)
+    trace.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert run_cli("report", str(trace)) == 3
+    assert capsys.readouterr().err.startswith("error: bad trace line")
+
+
+LIVENESS_K_BELOW_THE_REPLY_PATH = {
+    "run": ("run", str(SCENARIOS / "registration.scn")),
+    "fuzz": ("fuzz", "--seed", "2", "--events", "3000"),
+    "load": ("load", "--clients", "3"),
+    "replay-crash": ("replay-crash", str(SCENARIOS / "lifecycle.scn"), "--at", "7"),
+}
+
+
+def test_every_run_command_refuses_a_liveness_k_below_the_reply_path(capsys):
+    # GW -> relay -> OA and back takes 4 rounds, so K=3 could never hold
+    for argv in LIVENESS_K_BELOW_THE_REPLY_PATH.values():
+        assert run_cli(*argv, "--set", "liveness_k=3") == 3, argv
+        assert "liveness_k=3 can never hold" in capsys.readouterr().err
+    assert run_cli("fuzz", "--seed", "2", "--events", "300", "--set", "liveness_k=4") == 0
+
+
+def test_report_evaluates_a_recorded_trace_at_its_recorded_liveness_k(tmp_path, capsys):
+    trace = tmp_path / "run.trace"
+    code = run_cli(
+        "run", str(SCENARIOS / "registration.scn"), "--set", "liveness_k=4", "--trace", str(trace)
+    )
+    assert code == 0
+    trace.write_text(trace.read_text().replace("liveness_k=4,", "liveness_k=3,", 1))
+    capsys.readouterr()
+    assert run_cli("report", str(trace)) == 2
+    assert "bound 3" in capsys.readouterr().out

@@ -289,3 +289,138 @@ def test_live_offline_and_naive_oracle_agree(inject):
 
     naive = naive_statuses(parsed, cfg)
     assert naive == {v.property.value: v.status for v in result.verdicts}
+
+
+# -- retiring answered conversations keeps every P12 verdict ----------------------
+
+
+def _p12(verdicts):
+    return next(v for v in verdicts if v.property is PropertyId.P12)
+
+
+def _answered(seq, count, first_id=100):
+    """``count`` conversations from ``seq`` on, each answered in 4 rounds."""
+    for i in range(count):
+        conversation = f"GW:{first_id + i}"
+        yield _envelope(seq, seq, "request", conversation)
+        yield _envelope(seq + 1, seq + 4, "inform", conversation)
+        seq += 2
+
+
+def test_an_extra_reply_on_an_answered_conversation_is_flagged_at_its_seq():
+    monitor = Monitor()
+    monitor.observe(_envelope(0, 0, "request", "GW:0"))
+    monitor.observe(_envelope(1, 4, "inform", "GW:0"))
+    monitor.observe(_envelope(2, 5, "inform", "GW:0"))
+    p12 = _p12(monitor.finalize(trace_complete=True))
+    assert (p12.status, p12.witness_seq, p12.explanation) == (
+        VIOLATED,
+        2,
+        "extra reply on conversation GW:0",
+    )
+
+
+def test_a_late_reply_is_still_named_after_many_answered_conversations():
+    # the answered ids sort before GW:99, so a kept record would be met first
+    monitor = Monitor(RunConfig(liveness_k=100))
+    monitor.observe(_envelope(0, 0, "request", "GW:99"))
+    monitor.observe(_envelope(1, 150, "inform", "GW:99"))
+    for event in _answered(2, 200):
+        monitor.observe(event)
+    p12 = _p12(monitor.finalize(trace_complete=True))
+    assert (p12.status, p12.witness_seq, p12.explanation) == (
+        VIOLATED,
+        0,
+        "reply to GW:99 after 150 rounds, bound 100",
+    )
+
+
+def test_a_conversation_pending_at_truncation_is_still_named():
+    monitor = Monitor()
+    monitor.observe(_envelope(0, 0, "request", "GW:7"))
+    for event in _answered(1, 200):
+        monitor.observe(event)
+    p12 = _p12(monitor.finalize(trace_complete=False))
+    assert (p12.status, p12.witness_seq, p12.explanation) == (
+        INCONCLUSIVE,
+        0,
+        "request GW:7 pending at truncation",
+    )
+
+
+def _latency_over_all_conversations(events):
+    """The worst reply latency over every conversation, none forgotten."""
+    requested, worst = {}, 0
+    for event in events:
+        if event.kind != "envelope":
+            continue
+        if event.performative == "request":
+            requested[event.conversation] = event.round
+        else:
+            worst = max(worst, event.round - requested[event.conversation])
+    return worst
+
+
+def test_max_reply_latency_is_the_worst_over_every_conversation():
+    # latencies 3, 9, 2, 12 (late at K=10) and one left pending; the 9
+    # belongs to a retired conversation
+    events = [
+        _envelope(0, 0, "request", "GW:0"),
+        _envelope(1, 1, "request", "GW:1"),
+        _envelope(2, 3, "inform", "GW:0"),
+        _envelope(3, 4, "request", "GW:2"),
+        _envelope(4, 6, "refuse", "GW:2"),
+        _envelope(5, 6, "request", "GW:3"),
+        _envelope(6, 7, "request", "GW:4"),
+        _envelope(7, 10, "failure", "GW:1"),
+        _envelope(8, 18, "inform", "GW:3"),
+    ]
+    monitor = Monitor(RunConfig(liveness_k=10))
+    for event in events:
+        monitor.observe(event)
+    assert monitor.max_reply_latency == _latency_over_all_conversations(events) == 12
+    assert sorted(monitor._conversations) == ["GW:3", "GW:4"]  # late and pending
+
+
+def test_the_monitor_keeps_only_open_conversations_and_none_after_a_quiescent_run():
+    # fuzz(1, 2000), driven here so that every event can be checked: the
+    # records are exactly the conversations asked and not yet answered
+    from unimas.fuzz import generate
+    from unimas.scenario import ScenarioRunner
+
+    cfg = RunConfig(pipeline_window=8, seed=1)
+    runner = ScenarioRunner(cfg)
+    opened: set[str] = set()
+    events = []
+
+    def check(event):
+        events.append(event)
+        if event.kind == "envelope":
+            if event.performative == "request":
+                opened.add(event.conversation)
+            else:
+                opened.discard(event.conversation)
+            assert set(runner.monitor._conversations) == opened, event
+
+    runner.world.observers.append(check)
+    result = runner.run(generate(1, 2000, cfg))
+    assert result.trace_hash == fuzz(1, 2000).trace_hash
+    assert result.quiescent
+    assert statuses(result.verdicts)[PropertyId.P12] == HOLDS
+    assert runner.monitor._conversations == {}
+    assert result.monitor.max_reply_latency == _latency_over_all_conversations(events) == 4
+
+
+# -- offline verification reads the trace file one line at a time ------------------
+
+
+def test_streamed_offline_verdicts_equal_live_ones_on_every_golden_scenario(tmp_path):
+    for name in GOLDEN:
+        commands = parse_scenario((SCENARIOS / name).read_text())
+        cfg = GOLDEN_CFG.get(name, RunConfig())
+        live = run_scenario(commands, cfg)
+        path = tmp_path / f"{name}.trace"
+        path.write_text(live.log.text())
+        with open(path) as lines:
+            offline = evaluate_trace(parse_trace(lines), cfg)
+        assert [v.render() for v in offline] == [v.render() for v in live.verdicts], name

@@ -40,7 +40,7 @@ def test_parse_trace_keeps_header_and_trailer_and_skips_other_metadata():
     parsed = parse_trace(lines + ["# end complete=true"])
     assert parsed.header == "cap=3"
     assert parsed.complete
-    assert parsed.events == (TraceEvent(0, 0, "session_close", "OA", "store", "-", "GW:0"),)
+    assert tuple(parsed.events) == (TraceEvent(0, 0, "session_close", "OA", "store", "-", "GW:0"),)
 
 
 def test_emit_refuses_an_unknown_kind_and_appends_nothing():
@@ -49,3 +49,30 @@ def test_emit_refuses_an_unknown_kind_and_appends_nothing():
         world.emit("bogus")
     assert world.log.lines == []
     assert world.emit("session_close").seq == 0  # no sequence number was spent
+
+
+def test_parse_trace_reads_a_one_shot_iterator_one_line_at_a_time():
+    lines = iter(
+        [
+            "# config cap=3\n",
+            "0|0|session_close|OA|store|-|GW:0|-\n",
+            "1|1|no-such-kind|-|-|-|-|-\n",
+            "# end complete=true\n",
+        ]
+    )
+    parsed = parse_trace(lines)
+    assert parsed.header == "cap=3"
+    events = iter(parsed.events)
+    assert next(events) == TraceEvent(0, 0, "session_close", "OA", "store", "-", "GW:0")
+    with pytest.raises(ValueError, match="unknown trace kind"):
+        next(events)  # a bad line raises when it is reached
+    assert next(lines) == "# end complete=true\n"  # and nothing past it was read
+
+
+def test_parse_trace_of_an_iterator_knows_completion_once_the_events_are_read():
+    lines = ["# config cap=3", "0|0|session_close|OA|store|-|GW:0|-", "# end complete=true"]
+    parsed = parse_trace(iter(lines))
+    assert not parsed.complete
+    assert len(list(parsed.events)) == 1
+    assert parsed.complete
+    assert list(parsed.events) == []  # one-shot, as the iterator it reads
