@@ -21,8 +21,8 @@ from __future__ import annotations
 from . import bdi, runtime
 from .bdi import Belief, BeliefMatch, CommandStep, MessageMatch, Plan, SendStep
 from .config import ConfigError, RunConfig
-from .runtime import World, register_agent, store_reply
-from .store import REPORT_QUERIES, SCHEMAS, Store
+from .runtime import World, register_agent
+from .store import REPORT_QUERIES, Store
 from .trace import TraceLog
 from .terms import (
     REPLIES,
@@ -212,30 +212,29 @@ def report_agent(cfg: RunConfig) -> bdi.AgentState:
 # -- orchestrator ------------------------------------------------------------
 
 
-def _known_command(beliefs: bdi.BeliefBase, goal: bdi.Goal) -> bool:
-    # oa_handle goals are raised by requests, so each keeps its envelope
-    schema = SCHEMAS.get(goal.message.content.name)
-    return schema is not None and len(goal.params) == len(schema)
-
-
 def _build_command(ctx: bdi.StepCtx) -> list[Command]:
     request = ctx.message
     return [Command(request.content.name, ctx.params, request.conversation)]
 
 
-def _reject_malformed(ctx: bdi.StepCtx) -> list[Envelope]:
-    conversation = ctx.message.conversation
-    return [_reply(ctx, conversation, Performative.FAILURE, failed("malformed content term"))]
+def store_reply(conversation: str, performative: str, name: str, *args: str) -> Belief:
+    """The orchestrator's percept of a store outcome: the reply it is to
+    send on ``conversation``, as a performative and a content term."""
+    return Belief("store_reply", (conversation, performative, name, *args))
 
 
 def _reply_stored(ctx: bdi.StepCtx) -> list[Envelope]:
-    # a runtime.store_reply percept: conversation, performative, content term
+    # a store_reply percept: conversation, performative, content term
     conversation, performative, name = ctx.params[:3]
     return [_reply(ctx, conversation, performative, Term(name, ctx.params[3:]))]
 
 
 def orchestrator_agent() -> bdi.AgentState:
     """The store's only client; every command passes through here.
+
+    It turns every request into a store command whatever its shape: the
+    store alone judges a command's name and arity, and a malformed one
+    comes back as a refusal like any other.
 
     Like the relays and the report agent, it advances every intention each
     cycle, not just the oldest, so a command's store step and the reply to
@@ -247,14 +246,7 @@ def orchestrator_agent() -> bdi.AgentState:
             name="oa_request",
             goal="oa_handle",
             when=MessageMatch(Performative.REQUEST, None),
-            context=_known_command,
             body=(CommandStep(_build_command),),
-        ),
-        Plan(
-            name="oa_malformed",
-            goal="oa_handle",
-            context=lambda beliefs, goal: not _known_command(beliefs, goal),
-            body=(SendStep(_reject_malformed),),
         ),
         Plan(
             name="oa_store_reply",

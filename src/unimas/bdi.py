@@ -47,20 +47,17 @@ class BeliefBase:
     untouched predicate buckets with its parent.
     """
 
-    __slots__ = ("_by_pred", "_size")
+    __slots__ = ("_by_pred",)
 
     def __init__(self, beliefs: Iterable[Belief] = ()) -> None:
         self._by_pred: dict[str, frozenset[tuple[str, ...]]] = {}
-        self._size = 0
         for b in beliefs:
-            bucket = self._by_pred.get(b.predicate, frozenset())
-            if b.args not in bucket:
-                self._check_arity(b)
-                self._by_pred[b.predicate] = bucket | {b.args}
-                self._size += 1
+            if b not in self:
+                self._insert(b)
 
-    def _check_arity(self, belief: Belief) -> None:
-        bucket = self._by_pred.get(belief.predicate)
+    def _insert(self, belief: Belief) -> None:
+        """Add an absent belief in place, to a base no one else holds yet."""
+        bucket = self._by_pred.get(belief.predicate, frozenset())
         if bucket:
             arity = len(next(iter(bucket)))
             if len(belief.args) != arity:
@@ -68,9 +65,10 @@ class BeliefBase:
                     f"arity mismatch for {belief.predicate}: "
                     f"{len(belief.args)} vs established {arity}"
                 )
+        self._by_pred[belief.predicate] = bucket | {belief.args}
 
     def __len__(self) -> int:
-        return self._size
+        return sum(map(len, self._by_pred.values()))
 
     def __contains__(self, belief: Belief) -> bool:
         return belief.args in self._by_pred.get(belief.predicate, ())
@@ -78,17 +76,13 @@ class BeliefBase:
     def _copy(self) -> "BeliefBase":
         twin = BeliefBase.__new__(BeliefBase)
         twin._by_pred = dict(self._by_pred)
-        twin._size = self._size
         return twin
 
     def add(self, belief: Belief) -> "BeliefBase":
         if belief in self:
             return self
-        self._check_arity(belief)
         twin = self._copy()
-        bucket = twin._by_pred.get(belief.predicate, frozenset())
-        twin._by_pred[belief.predicate] = bucket | {belief.args}
-        twin._size += 1
+        twin._insert(belief)
         return twin
 
     def remove(self, belief: Belief) -> "BeliefBase":
@@ -100,7 +94,6 @@ class BeliefBase:
             twin._by_pred[belief.predicate] = bucket
         else:
             del twin._by_pred[belief.predicate]
-        twin._size -= 1
         return twin
 
     def as_beliefs(self) -> list[Belief]:

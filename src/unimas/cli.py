@@ -31,14 +31,14 @@ PARSE_ERROR = 3
 
 def _load_config(args: argparse.Namespace) -> RunConfig:
     cfg = RunConfig()
-    if getattr(args, "config", None):
+    if args.config:
         cfg = parse_config_text(Path(args.config).read_text(), cfg)
-    for setting in getattr(args, "set", None) or []:
+    for setting in args.set or []:
         key, eq, value = setting.partition("=")
         if not eq:
             raise ConfigError(f"--set expects key=value, got {setting!r}")
         cfg = apply_setting(cfg, key, value)
-    if getattr(args, "seed", None) is not None:
+    if args.seed is not None:
         cfg = replace(cfg, seed=args.seed)
     if getattr(args, "inject", None):
         cfg = replace(cfg, inject=args.inject.lower())
@@ -49,7 +49,8 @@ def _load_config(args: argparse.Namespace) -> RunConfig:
 
 def _write_outputs(args: argparse.Namespace, result: RunResult) -> None:
     if getattr(args, "trace", None):
-        Path(args.trace).write_text(result.log.text())
+        with open(args.trace, "w") as out:  # one line at a time, not one more copy
+            out.writelines(f"{line}\n" for line in result.log.lines)
     if getattr(args, "dump", None):
         Path(args.dump).write_text(result.store.dump())
     if getattr(args, "journal", None):
@@ -119,11 +120,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser, seeded: bool = True) -> None:
+    def common(p: argparse.ArgumentParser, seed_required: bool = False) -> None:
         p.add_argument("--config", help="config file of key = value lines")
         p.add_argument("--set", action="append", metavar="KEY=VALUE", help="override one setting")
-        if seeded:
-            p.add_argument("--seed", type=int, default=None)
+        p.add_argument("--seed", type=int, required=seed_required, default=None)
 
     run_p = sub.add_parser("run", help="run a scenario file")
     run_p.add_argument("scenario")
@@ -135,10 +135,8 @@ def build_parser() -> argparse.ArgumentParser:
     run_p.set_defaults(fn=cmd_run)
 
     fuzz_p = sub.add_parser("fuzz", help="run a seeded random scenario")
-    fuzz_p.add_argument("--seed", type=int, required=True)
+    common(fuzz_p, seed_required=True)
     fuzz_p.add_argument("--events", type=int, required=True)
-    fuzz_p.add_argument("--config", help="config file of key = value lines")
-    fuzz_p.add_argument("--set", action="append", metavar="KEY=VALUE")
     fuzz_p.add_argument("--inject", metavar="pN")
     fuzz_p.add_argument("--trace", help="write the trace to this path")
     fuzz_p.add_argument("--print-only", action="store_true", help="print commands, do not run")

@@ -6,8 +6,10 @@ use dotted keys (``max_marks.Math = 50``).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from typing import get_type_hints
+
+from .terms import check_scalar
 
 
 class ConfigError(Exception):
@@ -50,6 +52,14 @@ class RunConfig:
             raise ConfigError("min_marks must not exceed max_marks")
         if self.inject is not None and self.inject not in INJECT_FLAGS:
             raise ConfigError(f"inject expects p1..p11, got {self.inject!r}")
+        if not self.cs_roster:
+            raise ConfigError("cs_roster must not be empty")
+        # the trace header carries these as scalars, as a scenario names them
+        for name in (*self.cs_roster, *(sub for sub, _, _ in self.marks_overrides)):
+            try:
+                check_scalar(name)
+            except ValueError as exc:
+                raise ConfigError(f"bad cs_roster entry or marks subject: {exc}") from None
 
     def marks_bounds(self, subject: str) -> tuple[int, int]:
         for sub, lo, hi in self.marks_overrides:
@@ -58,22 +68,17 @@ class RunConfig:
         return self.min_marks, self.max_marks
 
     def header(self) -> str:
-        """Canonical one-line form recorded in the trace header."""
-        parts = [
-            f"cap={self.cap}",
-            f"min_lectures_mid={self.min_lectures_mid}",
-            f"min_lectures_final={self.min_lectures_final}",
-            f"min_marks={self.min_marks}",
-            f"max_marks={self.max_marks}",
-            f"liveness_k={self.liveness_k}",
-            f"seed={self.seed}",
-            f"max_rounds={self.max_rounds}",
-            f"lab_count={self.lab_count}",
-            f"cs_roster={'+'.join(self.cs_roster)}",
-            f"pipeline_window={self.pipeline_window}",
-            f"inject={self.inject or '-'}",
-        ]
-        parts.extend(f"marks.{s}={lo}:{hi}" for s, lo, hi in self.marks_overrides)
+        """Canonical one-line form recorded in the trace header: each field in
+        declaration order, a marks override as ``marks.<subject>=lo:hi``."""
+        parts: list[str] = []
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.name == "marks_overrides":
+                parts.extend(f"marks.{s}={lo}:{hi}" for s, lo, hi in value)
+            elif isinstance(value, tuple):
+                parts.append(f"{f.name}={'+'.join(value)}")
+            else:
+                parts.append(f"{f.name}={'-' if value is None else value}")
         return ",".join(parts)
 
 
@@ -101,10 +106,7 @@ def apply_setting(cfg: RunConfig, key: str, value: str) -> RunConfig:
         if key in _INT_KEYS:
             return replace(cfg, **{key: int(value)})
         if key == "cs_roster":
-            roster = tuple(t for t in value.replace("+", " ").split() if t)
-            if not roster:
-                raise ConfigError("cs_roster must not be empty")
-            return replace(cfg, cs_roster=roster)
+            return replace(cfg, cs_roster=tuple(value.replace("+", " ").split()))
         if key == "inject":
             return replace(cfg, inject=None if value in ("-", "") else value)
         if key.startswith("min_marks.") or key.startswith("max_marks."):
@@ -139,16 +141,15 @@ def parse_config_text(text: str, base: RunConfig | None = None) -> RunConfig:
 def parse_header(header: str) -> RunConfig:
     """Rebuild a RunConfig from a trace header line."""
     cfg = RunConfig()
-    overrides: list[tuple[str, int, int]] = []
     for part in header.split(","):
         key, eq, value = part.partition("=")
         if not eq:
             raise ConfigError(f"bad header field: {part!r}")
-        if key.startswith("marks."):
+        if key.startswith("marks."):  # marks.<subject>=lo:hi
+            subject = key[len("marks."):]
             lo, _, hi = value.partition(":")
-            overrides.append((key[len("marks."):], int(lo), int(hi)))
+            cfg = apply_setting(cfg, f"min_marks.{subject}", lo)
+            cfg = apply_setting(cfg, f"max_marks.{subject}", hi)
         else:
             cfg = apply_setting(cfg, key, value)
-    if overrides:
-        cfg = replace(cfg, marks_overrides=tuple(overrides))
     return cfg

@@ -45,22 +45,18 @@ _DATES = tuple(f"2025-05-{day:02d}" for day in range(1, 6))
 class _Model:
     """Shadow of the store, tracking only what generation needs.
 
-    Program and class ids run from 1 without gaps and are never deleted, so
-    a pick among them is ``rng.choice(range(1, next_...))``.
+    Ids of each kind run from 1 without gaps and are never deleted, so each
+    kind keeps one count: an int, or the length of its list of facts by
+    id - 1.  A pick among them is ``rng.randint(1, count)``.
     """
 
-    st_ids: list[str] = field(default_factory=list)
-    students: list[int] = field(default_factory=list)  # registered student ids
+    students: int = 0  # registered; student <id> has st_id C<id>
+    fresh: list[int] = field(default_factory=list)  # registered, not yet admitted
     admitted: list[int] = field(default_factory=list)
     teachers: int = 0
-    programs: dict[int, int] = field(default_factory=dict)  # p_id -> semesters
-    classes: dict[int, tuple[int, int, str, int, int]] = field(default_factory=dict)
-    lectures: dict[int, int] = field(default_factory=dict)
-    next_st: int = 1
-    next_student: int = 1
-    next_teacher: int = 1
-    next_program: int = 1
-    next_class: int = 1
+    programs: list[int] = field(default_factory=list)  # semesters
+    classes: list[tuple[int, int, str, int, int]] = field(default_factory=list)
+    lectures: list[int] = field(default_factory=list)
 
 
 def _cmd(verb: str, **kv: object) -> ScenarioCommand:
@@ -77,72 +73,67 @@ def generate(seed: int, n_events: int, cfg: RunConfig | None = None) -> list[Sce
     out: list[ScenarioCommand] = []
 
     def register_student() -> ScenarioCommand:
-        if model.st_ids and rng.random() < DUPLICATE_ID_BIAS:
-            st_id = rng.choice(model.st_ids)  # duplicate pressure
+        if model.students and rng.random() < DUPLICATE_ID_BIAS:
+            st_id = f"C{rng.randint(1, model.students):05d}"  # duplicate pressure
         else:
-            st_id = f"C{model.next_st:05d}"
-            model.next_st += 1
-            model.st_ids.append(st_id)
-            model.students.append(model.next_student)
-            model.next_student += 1
+            model.students += 1
+            model.fresh.append(model.students)
+            st_id = f"C{model.students:05d}"
         return _cmd("REGISTER_STUDENT", st_id=st_id, name=f"S_{st_id}", dept=cfg.cs_roster[0])
 
-    fresh_pool: list[int] = []  # registered but not yet admitted
-
     def admit(force_duplicate: bool = False) -> ScenarioCommand:
-        p_id = rng.choice(range(1, model.next_program))
-        fresh_pool.extend(s for s in model.students[len(fresh_pool) + len(model.admitted):])
-        if model.admitted and (force_duplicate or rng.random() < DUPLICATE_ID_BIAS or not fresh_pool):
+        p_id = rng.randint(1, len(model.programs))
+        if model.admitted and (
+            force_duplicate or rng.random() < DUPLICATE_ID_BIAS or not model.fresh
+        ):
             student = rng.choice(model.admitted)
         else:
-            student = fresh_pool.pop(rng.randrange(len(fresh_pool)))
+            student = model.fresh.pop(rng.randrange(len(model.fresh)))
             model.admitted.append(student)
         return _cmd("ADMIT", student_id=student, p_id=p_id, year=rng.randint(2023, 2026))
 
     def add_program() -> ScenarioCommand:
-        model.programs[model.next_program] = rng.choice((2, 4, 8))
-        model.next_program += 1
+        semesters = rng.choice((2, 4, 8))
+        model.programs.append(semesters)
         return _cmd(
             "ADD_PROGRAM",
-            name=f"prog_{model.next_program - 1}",
+            name=f"prog_{len(model.programs)}",
             session=rng.choice(("morning", "evening")),
-            semesters=model.programs[model.next_program - 1],
+            semesters=semesters,
             fee=rng.randrange(1000, 9000, 500),
         )
 
     slots: set[tuple[int, int, int, int]] = set()
 
     def add_class() -> ScenarioCommand:
-        p_id = rng.choice(range(1, model.next_program))
-        semester = rng.randint(1, model.programs[p_id])
+        p_id = rng.randint(1, len(model.programs))
+        semester = rng.randint(1, model.programs[p_id - 1])
         if model.classes and rng.random() < SLOT_PRESSURE_BIAS:
             # aim at an occupied slot of the same cohort
-            cls = rng.choice(range(1, model.next_class))
-            p_id, semester, _, day, period = model.classes[cls]
+            p_id, semester, _, day, period = rng.choice(model.classes)
         else:
             day, period = rng.randint(0, 4), rng.randint(0, 7)
-        occupied = (p_id, semester, day, period) in slots
-        if not occupied:
-            model.classes[model.next_class] = (p_id, semester, rng.choice(_SUBJECTS), day, period)
-            model.lectures[model.next_class] = 0
-            model.next_class += 1
+        subject = rng.choice(_SUBJECTS)
+        if (p_id, semester, day, period) not in slots:
+            model.classes.append((p_id, semester, subject, day, period))
+            model.lectures.append(0)
             slots.add((p_id, semester, day, period))
-        subject = (
-            model.classes[model.next_class - 1][2]
-            if not occupied
-            else rng.choice(_SUBJECTS)
-        )
         return _cmd(
             "ADD_CLASS", p_id=p_id, semester=semester, subject=subject, day=day, period=period
         )
 
+    def pick_class() -> tuple[int, str]:
+        """A class id and its subject."""
+        class_id = rng.randint(1, len(model.classes))
+        return class_id, model.classes[class_id - 1][2]
+
     def assign_teacher() -> ScenarioCommand:
-        class_id = rng.choice(range(1, model.next_class))
+        class_id, _ = pick_class()
         return _cmd("ASSIGN_TEACHER", class_id=class_id, teacher_id=rng.randint(1, model.teachers))
 
     def deliver_lecture() -> ScenarioCommand:
-        class_id = rng.choice(range(1, model.next_class))
-        current = model.lectures[class_id]
+        class_id, subject = pick_class()
+        current = model.lectures[class_id - 1]
         boundary = rng.choice(
             (
                 cfg.min_lectures_mid - 1,
@@ -152,26 +143,24 @@ def generate(seed: int, n_events: int, cfg: RunConfig | None = None) -> list[Sce
             )
         )
         times = boundary - current if current < boundary else rng.randint(1, 3)
-        subject = model.classes[class_id][2]
-        model.lectures[class_id] = current + times
+        model.lectures[class_id - 1] = current + times
         return _cmd("DELIVER_LECTURE", class_id=class_id, subject=subject, times=times)
 
     def schedule_exam() -> ScenarioCommand:
-        class_id = rng.choice(range(1, model.next_class))
+        class_id, subject = pick_class()
         return _cmd(
             "SCHEDULE_EXAM",
             term=rng.choice(("mid", "final")),
             class_id=class_id,
-            subject=model.classes[class_id][2],
+            subject=subject,
             date=rng.choice(_DATES),
         )
 
     def record_result() -> ScenarioCommand:
-        class_id = rng.choice(range(1, model.next_class))
-        subject = model.classes[class_id][2]
+        class_id, subject = pick_class()
         lo, hi = cfg.marks_bounds(subject)
         marks = rng.choice((lo - 1, lo, lo + 1, (lo + hi) // 2, hi - 1, hi, hi + 1))
-        student = rng.choice(model.admitted or model.students)
+        student = rng.choice(model.admitted or range(1, model.students + 1))
         return _cmd(
             "RECORD_RESULT",
             student_id=student,
@@ -183,8 +172,7 @@ def generate(seed: int, n_events: int, cfg: RunConfig | None = None) -> list[Sce
 
     def register_teacher() -> ScenarioCommand:
         model.teachers += 1
-        model.next_teacher += 1
-        n = model.next_teacher - 1
+        n = model.teachers
         return _cmd(
             "REGISTER_TEACHER",
             name=f"T_{n}",

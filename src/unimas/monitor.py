@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .config import RunConfig
-from .store import OPTIONAL_ROW_FIELDS, SCHEMAS, TABLE_FIELDS, parse_dump
+from .store import OPTIONAL_ROW_FIELDS, SCHEMAS, TABLE_FIELDS
 from .terms import decode_blob
 from .trace import ParsedTrace, TraceEvent
 
@@ -78,6 +78,19 @@ def command_fields(content: str) -> tuple[str, dict[str, str]]:
         return name, dict(pair.split("=", 1) for pair in inner.split(",")) if inner else {}
     except ValueError:
         raise ValueError(f"bad command args: {content!r}") from None
+
+
+def parse_dump(text: str) -> dict[str, list[dict[str, str]]]:
+    """The rows of a store dump by table, each field as its dump text."""
+    tables: dict[str, list[dict[str, str]]] = {name: [] for name in TABLE_FIELDS}
+    for line in text.splitlines():
+        if not line:
+            continue
+        table, _, kv = line.split("|", 2)
+        if table not in tables:
+            raise ValueError(f"unknown table in dump: {table}")
+        tables[table].append(dict(pair.partition("=")[::2] for pair in kv.split(",")))
+    return tables
 
 
 @dataclass(slots=True)

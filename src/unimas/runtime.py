@@ -15,7 +15,7 @@ from __future__ import annotations
 from typing import Callable, Sequence
 
 from . import bdi
-from .terms import Command, Envelope, Performative, encode_blob, failed, refusal_line
+from .terms import Command, Envelope, Performative, encode_blob, failed
 from .trace import _NA, KINDS, TraceEvent, TraceLog
 
 #: Applies a command; returns ((trace kind, content line) drafts, percepts).
@@ -26,22 +26,12 @@ class RegistrationError(Exception):
     pass
 
 
-def store_reply(conversation: str, performative: str, name: str, *args: str) -> bdi.Belief:
-    """The orchestrator's percept of a store outcome: the reply it is to
-    send on ``conversation``, as a performative and a content term."""
-    return bdi.Belief("store_reply", (conversation, performative, name, *args))
-
-
-def _no_store(producer: str, command: Command) -> tuple[list[tuple[str, str]], list[bdi.Belief]]:
-    reason = "no store attached"
-    return (
-        [("refusal", refusal_line(command.name, reason))],
-        [store_reply(command.conversation, Performative.FAILURE, "failed", encode_blob(reason))],
-    )
-
-
 class World:
-    """All agents, their mailboxes, the round counter, and the trace sink."""
+    """All agents, their mailboxes, the round counter, and the trace sink.
+
+    A world made without a command handler routes envelopes but can apply
+    no store command.
+    """
 
     def __init__(
         self,
@@ -51,7 +41,7 @@ class World:
         self.agents: dict[str, bdi.AgentState] = {}  # in registration order
         self.mailboxes: dict[str, list[Envelope]] = {}
         self.round = 0
-        self.command_handler = command_handler or _no_store
+        self.command_handler = command_handler
         self.log = log or TraceLog()
         self.observers: list[Callable[[TraceEvent], None]] = []
 

@@ -174,22 +174,6 @@ def render_row(table: str, row: Row) -> str:
     return f"{table}|{pk}|{kv}"
 
 
-def parse_dump(text: str) -> dict[str, list[Row]]:
-    tables: dict[str, list[Row]] = {name: [] for name in TABLE_FIELDS}
-    for line in text.splitlines():
-        if not line:
-            continue
-        table, _, kv = line.split("|", 2)
-        if table not in tables:
-            raise ValueError(f"unknown table in dump: {table}")
-        row: Row = {}
-        for pair in kv.split(","):
-            k, _, v = pair.partition("=")
-            row[k] = v
-        tables[table].append(row)
-    return tables
-
-
 # -- report queries: aggregate rows read from what _mutate maintains -------
 
 Rows = list[tuple[str, str]]
@@ -237,8 +221,7 @@ class Store:
         self.cfg = cfg or RunConfig()
         self.tables: dict[str, dict[tuple, Row]] = {name: {} for name in TABLE_FIELDS}
         self.journal_lines: list[str] = []
-        self.next_seq = 1
-        self.counters = {"student_id": 1, "teacher_id": 1, "p_id": 1, "class_id": 1, "sid": 1}
+        self.next_sid = 1  # sessions close; any other next id is len(table) + 1
         # uniqueness indexes, maintained by _mutate so replay rebuilds them
         self._st_ids: set[str] = set()
         self._emails: set[str] = set()
@@ -309,8 +292,8 @@ class Store:
         if name == "query":
             return self._run_query(a["q"])
         args_text = ",".join([f"{k}={v}" for k, v in a.items()])
-        self.journal_lines.append(journal_line(self.next_seq, command, args_text))  # journal first
-        self.next_seq += 1
+        seq = len(self.journal_lines) + 1
+        self.journal_lines.append(journal_line(seq, command, args_text))  # journal first
         reply, extra = self._mutate(name, a)
         if extra:  # every command has a field, so args_text is never empty
             args_text = f"{args_text},{extra}"
@@ -436,25 +419,20 @@ class Store:
             self._graduated[p_id][student_id] = year
             self._graduates[year] += 1
 
-    def _next_id(self, counter: str) -> int:
-        """The next id of ``counter``."""
-        n = self.counters[counter]
-        self.counters[counter] = n + 1
-        return n
-
     def _mutate(self, name: str, a: dict[str, str]) -> tuple[Term, str]:
         """Apply an accepted command, its args as wire text; returns (reply,
         extra trace kv).  Each row is stored under its int-tuple key."""
         t = self.tables
         if name == "open_session":
-            sid = self._next_id("sid")
+            sid = self.next_sid
+            self.next_sid += 1
             t["sessions"][(sid,)] = {"sid": str(sid), **a}
             return Term("ok", (str(sid),)), f"sid={sid}"
         if name == "close_session":
             t["sessions"].pop((int(a["sid"]),), None)
             return Term("ok"), ""
         if name == "add_student":
-            student_id = self._next_id("student_id")
+            student_id = len(t["students"]) + 1
             self._st_ids.add(a["st_id"])
             t["students"][(student_id,)] = {
                 "student_id": str(student_id),
@@ -464,7 +442,7 @@ class Store:
             }
             return Term("ok", (str(student_id),)), f"student_id={student_id}"
         if name == "add_teacher":
-            teacher_id = self._next_id("teacher_id")
+            teacher_id = len(t["teachers"]) + 1
             self._emails.add(a["email"])
             t["teachers"][(teacher_id,)] = {"teacher_id": str(teacher_id), **a}
             return Term("ok", (str(teacher_id),)), f"teacher_id={teacher_id}"
@@ -482,7 +460,7 @@ class Store:
                 self._grade(student["student_id"], a["p_id"])
             return Term("ok"), ""
         if name == "add_program":
-            p_id = self._next_id("p_id")
+            p_id = len(t["programs"]) + 1
             program = {"p_id": str(p_id), **a}
             fee = program.pop("fee")
             t["programs"][(p_id,)] = program
@@ -498,7 +476,7 @@ class Store:
         if name == "add_class":
             p_id, semester = a["p_id"], a["semester"]
             final = t["programs"][(int(p_id),)]["semester_count"] == semester
-            class_id = self._next_id("class_id")
+            class_id = len(t["classes"]) + 1
             if final:
                 # a new final class: nobody has its result yet
                 self._final_program[str(class_id)] = p_id
@@ -586,16 +564,13 @@ def recover(journal: list[str], cfg: RunConfig | None = None) -> tuple[Store, in
     """
     store = Store(cfg)
     for line in journal:
-        expected = store.next_seq
+        expected = len(store.journal_lines) + 1
         try:
             name, args, _ = _parse_journal_line(expected, line)
             store._mutate(name, args)
-        except JournalCorruption:
-            return store, expected
-        except Exception:  # a framed-but-inapplicable record is corruption too
+        except Exception:  # JournalCorruption, or a framed record that cannot apply
             return store, expected
         store.journal_lines.append(line)
-        store.next_seq += 1
     return store, None
 
 

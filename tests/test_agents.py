@@ -26,10 +26,20 @@ from unimas.agents import (
 from unimas.bdi import Belief
 from unimas.config import RunConfig
 from unimas.fuzz import generate
+from unimas.monitor import parse_dump
 from unimas.runtime import route, run_round
 from unimas.scenario import ScenarioRunner, parse_scenario, run_scenario
-from unimas.store import Store, parse_dump
-from unimas.terms import Command, Envelope, Performative, Term, decode_blob, encode_blob
+from unimas.store import Store
+from unimas.terms import (
+    Command,
+    Envelope,
+    Performative,
+    Term,
+    decode_blob,
+    encode_blob,
+    failed,
+    refusal_line,
+)
 from unimas.trace import parse_trace
 
 SCENARIOS = Path(__file__).parent.parent / "scenarios"
@@ -534,9 +544,21 @@ def test_oa_handle_passes_store_refusal_through():
 
 
 def test_oa_handle_malformed_content_fails():
-    reply, commands, _ = _ask_orchestrator(Term("dance", ("1", "2")))
-    assert reply.performative is Performative.FAILURE
-    assert commands == []
+    # the orchestrator forwards every request; the store alone judges its
+    # shape, refusing an unknown name or a wrong arity as a fault
+    for content in (Term("dance", ("1", "2")), Term("add_student", ("1",))):
+        world, store = build_world()
+        route(world, [Envelope(GATEWAY, ORCHESTRATOR, Performative.REQUEST, "GW:0", content)])
+        while not world.is_quiescent() and world.round < 10:
+            run_round(world)
+        events = list(parse_trace(world.log.lines).events)
+        replies = [e for e in events if e.kind == "envelope" and e.receiver == GATEWAY]
+        assert [(e.performative, e.content) for e in replies] == [
+            ("failure", failed("malformed command").render())
+        ], content
+        refusals = [e.content for e in events if e.kind == "refusal"]
+        assert refusals == [refusal_line(content.name, "malformed command")], content
+        assert store.journal_lines == [], content
 
 
 def test_relay_forwards_the_received_terms_and_performative():

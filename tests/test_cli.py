@@ -170,6 +170,19 @@ def test_bad_inject_flag_exits_three(tmp_path):
     assert run_cli("run", scenario, "--inject", "P1") == 2
 
 
+def test_a_setting_the_trace_header_cannot_carry_exits_three(tmp_path, capsys):
+    # a comma would split the header field, so report could not read it back
+    scenario = str(SCENARIOS / "sessions.scn")
+    trace = tmp_path / "run.trace"
+    for setting in ("cs_roster=CS,EE", "max_marks.Ma,th=5"):
+        assert run_cli("run", scenario, "--set", setting, "--trace", str(trace)) == 3, setting
+        assert "bad cs_roster entry or marks subject" in capsys.readouterr().err
+    assert not trace.exists()
+    cfg = tmp_path / "roster.cfg"
+    cfg.write_text("cs_roster = CS,EE\n")
+    assert run_cli("fuzz", "--seed", "1", "--events", "10", "--config", str(cfg)) == 3
+
+
 def test_replay_crash_beyond_the_journal_exits_three(capsys):
     # lifecycle.scn journals 50 events; a crash index outside 0..50 never fires
     for at in ("100000", "-1", "51"):

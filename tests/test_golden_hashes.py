@@ -20,7 +20,7 @@ from test_acceptance import GOLDEN, GOLDEN_CFG, MUTATIONS, SCENARIOS
 from test_agents import TRAPS
 
 from unimas.config import RunConfig
-from unimas.fuzz import fuzz
+from unimas.fuzz import fuzz, generate
 from unimas.scenario import RunResult, parse_scenario, run_scenario
 
 HASHES = Path(__file__).parent / "data" / "golden_hashes.txt"
@@ -59,6 +59,19 @@ def golden_lines() -> list[str]:
 def test_golden_outputs_match_pinned_hashes():
     pinned = HASHES.read_text().splitlines()
     assert golden_lines() == pinned
+
+
+#: sha256 of the rendered ``generate(seed, 2500)`` stream, one line per command
+FUZZ_STREAMS = {
+    2: "fe3f25c5907a82d3766036a6f8911f3dae3d272de2ae16ad31a308193f8b5641",
+    3: "02b9b482209894d045623363d91c9637ff891067286e9a48c6be91908e6411b9",
+}
+
+
+def test_fuzz_streams_match_pinned_hashes():
+    for seed, pinned in FUZZ_STREAMS.items():
+        text = "".join(f"{command.render()}\n" for command in generate(seed, 2500))
+        assert hashlib.sha256(text.encode()).hexdigest() == pinned, seed
 
 
 if __name__ == "__main__":

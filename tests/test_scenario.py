@@ -107,6 +107,16 @@ def test_config_file_roundtrip_via_header():
     assert parse_header(cfg.header()) == cfg
 
 
+def test_config_refuses_a_roster_entry_or_subject_the_header_cannot_carry():
+    for bad in ("CS,EE", "C|S", "C S", "C(S)"):
+        with pytest.raises(ConfigError):
+            RunConfig(cs_roster=("CS", bad))
+        with pytest.raises(ConfigError):
+            RunConfig(marks_overrides=((bad, 0, 10),))
+    with pytest.raises(ConfigError):
+        RunConfig(cs_roster=())
+
+
 def test_config_rejects_unknown_key_and_bad_value():
     with pytest.raises(ConfigError):
         parse_config_text("caps = 10\n")
@@ -310,7 +320,9 @@ DOCUMENTED_SETTINGS = (
 
 def test_fuzz_holds_under_every_documented_configuration():
     for setting in DOCUMENTED_SETTINGS:
-        result = fuzz(2, 2000, parse_config_text(setting))
+        cfg = parse_config_text(setting)
+        assert parse_header(cfg.header()) == cfg, setting
+        result = fuzz(2, 2000, cfg)
         assert result.exit_code == 0, (setting, [v.render() for v in result.verdicts])
         assert [v.status for v in result.verdicts] == ["holds"] * 12, setting
 

@@ -24,10 +24,10 @@ from unimas.store import (
     Store,
     _crc,
     journal_conversations,
-    parse_dump,
     recover,
     replay,
 )
+from unimas.monitor import parse_dump
 from unimas.terms import Command, Refusal, Term, decode_blob
 
 
@@ -409,7 +409,9 @@ def test_replay_of_any_prefix_is_consistent(k):
     prefix = live.journal_lines[:k]
     rebuilt = replay(prefix, RunConfig())
     assert rebuilt.journal_lines == prefix
-    assert rebuilt.next_seq == k + 1
+    # the next record's seq is the journal's length plus one
+    ok(rebuilt, cmd("open_session", dpt_id="CS"))
+    assert rebuilt.journal_lines[-1].startswith(f"{k + 1}|open_session|")
 
 
 def test_dump_parses_back(store):
