@@ -26,8 +26,15 @@ from unimas.scenario import RunResult, parse_scenario, run_scenario
 HASHES = Path(__file__).parent / "data" / "golden_hashes.txt"
 
 
-def _scenario(name: str, cfg: RunConfig) -> RunResult:
-    return run_scenario(parse_scenario((SCENARIOS / name).read_text()), cfg)
+def _scenario(name: str, cfg: RunConfig, **crash) -> RunResult:
+    return run_scenario(parse_scenario((SCENARIOS / name).read_text()), cfg, **crash)
+
+
+def _with_crash_lines() -> str:
+    """lifecycle.scn with a CRASH line first, in the middle and last."""
+    lines = (SCENARIOS / "lifecycle.scn").read_text().splitlines(keepends=True)
+    middle = len(lines) // 2
+    return "CRASH\n" + "".join(lines[:middle]) + "CRASH\n" + "".join(lines[middle:]) + "CRASH\n"
 
 
 def _runs():
@@ -44,6 +51,17 @@ def _runs():
         yield f"mutation-{flag}+inject={flag}", lambda text=text, cfg=injected: run_scenario(
             parse_scenario(text), cfg
         )
+    # crashed runs: at a journal index, at CRASH lines, and both at once
+    for torn in (False, True):
+        yield f"lifecycle.scn+crash_at=25+torn={torn}", lambda torn=torn: _scenario(
+            "lifecycle.scn", RunConfig(), crash_at=25, torn=torn
+        )
+    yield "lifecycle.scn+CRASH-lines+window=8", lambda: run_scenario(
+        parse_scenario(_with_crash_lines()), RunConfig(pipeline_window=8)
+    )
+    yield "lifecycle.scn+CRASH-lines+crash_at=10", lambda: run_scenario(
+        parse_scenario(_with_crash_lines()), RunConfig(), crash_at=10
+    )
 
 
 def _line(name: str, result: RunResult) -> str:
