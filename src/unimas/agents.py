@@ -29,9 +29,7 @@ from .terms import (
     Command,
     Envelope,
     Performative,
-    Ratio,
     Refusal,
-    Report,
     Term,
     conversation_origin,
     decode_blob,
@@ -154,19 +152,23 @@ def relay_agent(agent_id: str, commands: tuple[str, ...]) -> bdi.AgentState:
 # -- report agent ------------------------------------------------------------
 
 
-def build_report(kind: str, rows_text: str, cfg: RunConfig) -> Report:
-    """Build one statistical report from its query's rows; never absent."""
+def build_report(kind: str, rows_text: str, cfg: RunConfig) -> list[str]:
+    """One statistical report's ``kind|label|value`` lines, built from its
+    query's rows; never absent, possibly none.  A ratio is written as
+    numerator/denominator, never divided, and ``undefined`` over zero."""
     if kind not in REPORT_KINDS:
         raise ValueError(f"unknown report kind: {kind}")
-    rows = [tuple(line.split("|", 1)) for line in rows_text.splitlines()]
+    rows = [line.split("|", 1) for line in rows_text.splitlines()]
     if kind == "teacher_student_ratio":
         counts = dict(rows)
-        ratio = Ratio(int(counts["teachers"]), int(counts["students"]))
-        rows = [("teachers_to_students", ratio.render())]
+        rows = [("teachers_to_students", _ratio(int(counts["teachers"]), int(counts["students"])))]
     elif kind == "lab_student_ratio":
-        ratio = Ratio(cfg.lab_count, int(dict(rows)["students"]))
-        rows = [("labs_to_students", ratio.render())]
-    return Report(kind=kind, rows=tuple(rows))
+        rows = [("labs_to_students", _ratio(cfg.lab_count, int(dict(rows)["students"])))]
+    return [f"{kind}|{label}|{value}" for label, value in rows]
+
+
+def _ratio(numerator: int, denominator: int) -> str:
+    return f"{numerator}/{denominator}" if denominator else "undefined"
 
 
 def _report_query(ctx: bdi.StepCtx) -> list[Envelope]:
@@ -187,9 +189,8 @@ def report_agent(cfg: RunConfig) -> bdi.AgentState:
         if broken:
             content = Term("report", (kind,))  # guard off: absent result
         else:
-            report = build_report(kind, decode_blob(blob), cfg)
-            rendered = encode_blob("\n".join(report.render_lines()))
-            content = Term("report", (kind, str(len(report.rows)), rendered))
+            lines = build_report(kind, decode_blob(blob), cfg)
+            content = Term("report", (kind, str(len(lines)), encode_blob("\n".join(lines))))
         return [_reply(ctx, home, Performative.INFORM, content)]
 
     plans = [

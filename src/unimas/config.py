@@ -54,12 +54,18 @@ class RunConfig:
             raise ConfigError(f"inject expects p1..p11, got {self.inject!r}")
         if not self.cs_roster:
             raise ConfigError("cs_roster must not be empty")
-        # the trace header carries these as scalars, as a scenario names them
-        for name in (*self.cs_roster, *(sub for sub, _, _ in self.marks_overrides)):
+        # the trace header carries these as scalars, as a scenario names them:
+        # the roster joined by "+", each subject once and before an "="
+        subjects = [sub for sub, _, _ in self.marks_overrides]
+        for name in (*self.cs_roster, *subjects):
             try:
                 check_scalar(name)
             except ValueError as exc:
                 raise ConfigError(f"bad cs_roster entry or marks subject: {exc}") from None
+        if any(not name or "+" in name for name in self.cs_roster):
+            raise ConfigError(f"cs_roster entries must be non-empty, without '+': {self.cs_roster}")
+        if len(set(subjects)) < len(subjects) or any("=" in sub for sub in subjects):
+            raise ConfigError(f"marks subjects must be unique and without '=': {subjects}")
 
     def marks_bounds(self, subject: str) -> tuple[int, int]:
         for sub, lo, hi in self.marks_overrides:

@@ -253,7 +253,7 @@ class Monitor:
 
     # -- state-level rules (independent re-check over a dump) ------------
 
-    def check_snapshot(self, dump_text: str, seq: int = 0) -> list[Verdict]:
+    def check_snapshot(self, dump_text: str, seq: int = 0) -> None:
         tables = parse_dump(dump_text)
         self._reseed(tables)
 
@@ -290,8 +290,6 @@ class Monitor:
                 self._flag(PropertyId.P8, seq, f"persisted datesheet clash {key}")
             days.add(key)
 
-        return self.verdicts(trace_complete=False)
-
     def _reseed(self, tables: dict) -> None:
         """Re-derive event-level mirrors from a snapshot.
 
@@ -312,16 +310,15 @@ class Monitor:
     # -- final verdicts ----------------------------------------------------
 
     def finalize(self, trace_complete: bool) -> list[Verdict]:
-        return self.verdicts(trace_complete=trace_complete, final=True)
-
-    def verdicts(self, trace_complete: bool, final: bool = False) -> list[Verdict]:
+        """One verdict per property on the trace so far; P12 reads a
+        request still pending as violated on a complete trace and as
+        inconclusive on a truncated one."""
         out: list[Verdict] = []
         for pid in PropertyId:
             if pid in self._violations:
                 seq, explanation = self._violations[pid]
                 out.append(Verdict(pid, VIOLATED, seq, explanation))
-                continue
-            if pid is PropertyId.P12 and final:
+            elif pid is PropertyId.P12:
                 out.append(self._liveness_verdict(trace_complete))
             else:
                 out.append(Verdict(pid, HOLDS))

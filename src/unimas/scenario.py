@@ -2,14 +2,19 @@
 
 A scenario is one command per line, ``VERB key=value ...``; ``#`` starts a
 comment.  EXPECT_REFUSAL binds to the command right before it and fails
-the run if that command was accepted.  CRASH (or an explicit crash_at
-event index) discards the world mid-run, rebuilds the store from its
-journal, and re-drives whatever was never acknowledged, which is exactly
-the no-loss story the store is supposed to support.
+the run if that command was accepted.  A crash discards the world mid-run,
+rebuilds the store from its journal, and re-drives whatever was never
+acknowledged, which is exactly the no-loss story the store is supposed to
+support.  There is one crash path, ``ScenarioRunner._crash``, and the run
+loop calls it from one place: where the journal reaches an explicit
+crash_at event index, or where a CRASH line is next with no command in
+flight.  A run keeps each product once: its report lines are read from
+the report replies its outcomes hold.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 
 from .agents import GATEWAY, REPORT_KINDS, agent_for_command, build_world, store_handler
@@ -197,7 +202,6 @@ class RunResult:
     outcomes: list[CommandOutcome | None]
     verdicts: list[Verdict]
     expectation_failures: list[str]
-    reports: list[str]
     log: TraceLog
     store: Store
     world: World
@@ -215,6 +219,18 @@ class RunResult:
     def trace_hash(self) -> str:
         return self.log.sha256()
 
+    @property
+    def reports(self) -> list[str]:
+        """The lines of every report reply, in command order.  Each report
+        takes the same GW -> RPA -> OA -> RPA -> GW path, so that is also
+        the order in which they came back."""
+        lines: list[str] = []
+        for outcome in self.outcomes:
+            reply = outcome and outcome.reply
+            if reply and reply.name == "report" and len(reply.args) == 3:
+                lines.extend(decode_blob(reply.args[2]).splitlines())
+        return lines
+
 
 class ScenarioRunner:
     """Feeds scenario commands through the gateway, round by round."""
@@ -224,9 +240,9 @@ class ScenarioRunner:
         self.world, self.store = build_world(self.cfg)
         self.monitor = Monitor(self.cfg)
         self.world.observers.append(self.monitor.observe)
+        self.commands: list[ScenarioCommand] = []  # all but CRASH and EXPECT_REFUSAL
         self.pending: dict[str, int] = {}  # conversation -> command index
         self.outcomes: list[CommandOutcome | None] = []
-        self.reports: list[str] = []
         self.sessions_open = 0
 
     # -- outcome intake ---------------------------------------------------
@@ -239,10 +255,11 @@ class ScenarioRunner:
             content = env.content
             if content.name in ("ok", "rows", "report"):
                 outcome = CommandOutcome("ok", reply=content)
-                if content.name == "ok":
-                    self._note_session(idx, content)
-                if content.name == "report":
-                    self._note_report(content)
+                verb = self.commands[idx].verb
+                if verb == "OPEN_SESSION":
+                    self.sessions_open += 1
+                elif verb == "CLOSE_SESSION":
+                    self.sessions_open = max(0, self.sessions_open - 1)
             elif content.name == "refused":
                 outcome = CommandOutcome("refused", reason=decode_blob(content.args[0]))
             else:
@@ -250,24 +267,15 @@ class ScenarioRunner:
                 outcome = CommandOutcome("failed", reason=reason)
             self.outcomes[idx] = outcome
 
-    def _note_session(self, idx: int, content: Term) -> None:
-        verb = self._verbs[idx]
-        if verb == "OPEN_SESSION":
-            self.sessions_open += 1
-        elif verb == "CLOSE_SESSION":
-            self.sessions_open = max(0, self.sessions_open - 1)
-
-    def _note_report(self, content: Term) -> None:
-        if len(content.args) == 3:
-            self.reports.extend(decode_blob(content.args[2]).splitlines())
-
     # -- command injection --------------------------------------------------
 
-    def _inject(self, idx: int, command: ScenarioCommand) -> str:
-        """Hand one command to the gateway; returns injected|refused|wait."""
+    def _inject(self, idx: int, command: ScenarioCommand) -> bool:
+        """Hand one command to the gateway, or refuse it there when no
+        session is open; False, handing nothing, while a session open is
+        in flight."""
         if command.verb not in _SESSION_EXEMPT and self.sessions_open == 0:
-            if any(self._verbs[i] == "OPEN_SESSION" for i in self.pending.values()):
-                return "wait"  # a session open is in flight; don't jump the gun
+            if any(self.commands[i].verb == "OPEN_SESSION" for i in self.pending.values()):
+                return False  # don't jump the gun
             self.world.emit(
                 "refusal",
                 sender=GATEWAY,
@@ -275,18 +283,24 @@ class ScenarioRunner:
                 content=refusal_line(command.verb, "no open session"),
             )
             self.outcomes[idx] = CommandOutcome("gateway_refused", reason="no open session")
-            return "refused"
+            return True
         receiver, content = _content_for(command)
         gw = self.world.agents[GATEWAY]
         conversation = conversation_id(GATEWAY, gw.next_seq)
         request = Envelope(GATEWAY, receiver, Performative.REQUEST, conversation, content)
         gw.adopt("issue", content.args, request)
         self.pending[conversation] = idx
-        return "injected"
+        return True
 
     # -- crash recovery -------------------------------------------------------
 
-    def _crash_and_recover(self, torn: bool) -> None:
+    def _crash(self, torn: bool) -> list[int]:
+        """Discard the world and rebuild the store from its journal.
+
+        A command in flight that the journal holds counts as done, its
+        reply lost (``applied_no_reply``); the others are returned, in
+        the order they were injected, to be driven again.
+        """
         journal = list(self.store.journal_lines)
         if torn and journal:
             journal[-1] = journal[-1][: max(1, len(journal[-1]) // 2)]
@@ -307,12 +321,15 @@ class ScenarioRunner:
         # trace; the monitor re-seeds from it so re-driven commands do not
         # read as duplicates
         self.world.emit_snapshot(rebuilt.dump())
-        # anything journaled counts as done even if its reply was lost
-        for conversation, idx in list(self.pending.items()):
+        self.sessions_open = self.store.open_session_count()
+        redo = []
+        for conversation, idx in self.pending.items():
             if conversation in applied:
                 self.outcomes[idx] = CommandOutcome("applied_no_reply")
-                self.pending.pop(conversation)
-        self.sessions_open = self.store.open_session_count()
+            else:
+                redo.append(idx)
+        self.pending.clear()
+        return redo
 
     # -- main loop --------------------------------------------------------------
 
@@ -322,10 +339,11 @@ class ScenarioRunner:
         crash_at: int | None = None,
         torn: bool = False,
     ) -> RunResult:
+        if crash_at is not None and crash_at < 0:
+            raise ValueError(f"crash index {crash_at} is negative")
         expectations: dict[int, str | None] = {}
-        plain: list[ScenarioCommand] = []
-        self._verbs: list[str] = []
-        crash_positions: set[int] = set()
+        plain = self.commands = []
+        crash_positions: set[int] = set()  # a CRASH line comes before plain[i]
         for command in commands:
             if command.verb == EXPECT_REFUSAL:
                 expectations[len(plain) - 1] = command.get("reason") or None
@@ -333,46 +351,35 @@ class ScenarioRunner:
                 crash_positions.add(len(plain))
             else:
                 plain.append(command)
-                self._verbs.append(command.verb)
 
         self.outcomes = [None] * len(plain)
-        queue = list(range(len(plain)))
-        cursor = 0
-        crash_at_events = -1 if crash_at is None else crash_at
-        if crash_at == 0:
-            self._crash_and_recover(torn)
-
+        # commands not yet handed to the gateway; always in index order,
+        # since a crash puts the ones it re-drives, all earlier, in front
+        queue = deque(range(len(plain)))
         window = self.cfg.pipeline_window
         while True:
-            # crash when the journal reaches the requested event index
-            if crash_at_events > 0 and len(self.store.journal_lines) >= crash_at_events:
-                self._crash_and_recover(torn)
-                crash_at_events = -1
-                queue, cursor = self._requeue(plain, queue, cursor)
-            next_is_crash = cursor < len(queue) and queue[cursor] in crash_positions
-            trailing_crash = cursor >= len(queue) and len(plain) in crash_positions
-            if (next_is_crash or trailing_crash) and not self.pending:
-                crash_positions.discard(queue[cursor] if next_is_crash else len(plain))
-                self._crash_and_recover(torn)
-                queue, cursor = self._requeue(plain, queue, cursor)
+            at = queue[0] if queue else len(plain)
+            reached = crash_at is not None and len(self.store.journal_lines) >= crash_at
+            if reached or (at in crash_positions and not self.pending):
+                if reached:
+                    crash_at = None
+                else:
+                    crash_positions.discard(at)
+                queue.extendleft(reversed(self._crash(torn)))
+                continue
             self._collect_replies()
-            while (
-                cursor < len(queue)
-                and len(self.pending) < window
-                and queue[cursor] not in crash_positions
-            ):
-                idx = queue[cursor]
-                if self._inject(idx, plain[idx]) == "wait":
+            while queue and len(self.pending) < window and queue[0] not in crash_positions:
+                if not self._inject(queue[0], plain[queue[0]]):
                     break
-                cursor += 1
+                queue.popleft()
             quiet = self.world.is_quiescent()
             if quiet and self.pending:
                 # nothing left that could ever answer these
-                for conversation, idx in self.pending.items():
+                for idx in self.pending.values():
                     self.outcomes[idx] = CommandOutcome("no_reply")
                 self.pending.clear()
                 continue
-            if quiet and cursor >= len(queue) and not crash_positions:
+            if quiet and not queue and not crash_positions:
                 break
             if self.world.round >= self.cfg.max_rounds:
                 break
@@ -401,7 +408,6 @@ class ScenarioRunner:
             outcomes=self.outcomes,
             verdicts=verdicts,
             expectation_failures=failures,
-            reports=self.reports,
             log=self.world.log,
             store=self.store,
             world=self.world,
@@ -409,16 +415,6 @@ class ScenarioRunner:
             quiescent=quiescent,
             monitor=self.monitor,
         )
-
-    def _requeue(
-        self, plain: list[ScenarioCommand], queue: list[int], cursor: int
-    ) -> tuple[list[int], int]:
-        """After a crash, line up every command that was never acknowledged."""
-        queued = queue[cursor:]
-        still_queued = set(queued)
-        redo = [i for i in range(len(plain)) if self.outcomes[i] is None and i not in still_queued]
-        self.pending.clear()
-        return redo + queued, 0
 
 
 def run_scenario(
@@ -434,8 +430,6 @@ def run_scenario(
 class CrashVerdict:
     equivalent: bool
     crash_at: int
-    baseline_dump: str
-    crashed_dump: str
 
 
 def replay_crash(
@@ -455,13 +449,7 @@ def replay_crash(
     if not 0 <= crash_at <= events:
         raise ValueError(f"crash index {crash_at} outside the run's journal, 0..{events}")
     crashed = run_scenario(commands, cfg, crash_at=crash_at, torn=torn)
-    dump_a, dump_b = baseline.store.dump(), crashed.store.dump()
-    return CrashVerdict(
-        equivalent=dump_a == dump_b,
-        crash_at=crash_at,
-        baseline_dump=dump_a,
-        crashed_dump=dump_b,
-    )
+    return CrashVerdict(baseline.store.dump() == crashed.store.dump(), crash_at)
 
 
 @dataclass(frozen=True)

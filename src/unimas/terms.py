@@ -147,27 +147,3 @@ class Refusal:
 
     reason: str
     fault: bool = False
-
-
-@dataclass(frozen=True)
-class Report:
-    """Statistical report: never absent, possibly zero rows."""
-
-    kind: str
-    rows: tuple[tuple[str, str], ...] = ()
-
-    def render_lines(self) -> list[str]:
-        return [f"{self.kind}|{label}|{value}" for label, value in self.rows]
-
-
-@dataclass(frozen=True)
-class Ratio:
-    """Explicit numerator/denominator; never divides."""
-
-    numerator: int
-    denominator: int
-
-    def render(self) -> str:
-        if self.denominator == 0:
-            return "undefined"
-        return f"{self.numerator}/{self.denominator}"

@@ -25,7 +25,7 @@ from unimas.agents import (
 )
 from unimas.bdi import Belief
 from unimas.config import RunConfig
-from unimas.fuzz import generate
+from unimas.fuzz import fuzz, generate
 from unimas.monitor import parse_dump
 from unimas.runtime import route, run_round
 from unimas.scenario import ScenarioRunner, parse_scenario, run_scenario
@@ -321,13 +321,34 @@ def test_zero_denominator_is_undefined_marker():
     assert result.reports == ["teacher_student_ratio|teachers_to_students|undefined"]
 
 
+def _trace_report_lines(result) -> list[str]:
+    """The lines of every well-formed report reply to GW, in trace order."""
+    lines: list[str] = []
+    for event in parse_trace(result.log.lines).events:
+        if event.kind != "envelope" or event.receiver != GATEWAY:
+            continue
+        if event.performative == "inform" and event.content.startswith("report("):
+            args = event.content[len("report(") : -1].split(",")
+            if len(args) == 3:
+                lines.extend(decode_blob(args[2]).splitlines())
+    return lines
+
+
+def test_reports_are_the_report_replies_in_trace_order():
+    # runs without a crash: a crash can drop a reply the trace already shows
+    result = fuzz(3, 3000)
+    assert result.cfg.pipeline_window == 8
+    assert result.reports and result.reports == _trace_report_lines(result)
+    broken = run_lines((SCENARIOS / "reports.scn").read_text(), RunConfig(inject="p11"))
+    assert broken.reports == _trace_report_lines(broken) == []
+
+
 def test_report_from_query_rows_directly():
     store = Store(RunConfig())
     answer = store.execute(Command("query", ("lab_student_ratio",), "t:0")).result
     rows_text = decode_blob(answer.args[0])
-    report = build_report("lab_student_ratio", rows_text, RunConfig(lab_count=4))
-    assert report.rows == (("labs_to_students", "undefined"),)
-    assert report.render_lines() == ["lab_student_ratio|labs_to_students|undefined"]
+    lines = build_report("lab_student_ratio", rows_text, RunConfig(lab_count=4))
+    assert lines == ["lab_student_ratio|labs_to_students|undefined"]
 
 
 def _report_round_trip(cfg: RunConfig, answer: Envelope) -> Envelope:
@@ -579,7 +600,7 @@ def test_relay_forwards_the_received_terms_and_performative():
 
 def test_gateway_issue_goal_keeps_its_request():
     runner = ScenarioRunner()
-    assert runner._inject(0, parse_scenario(SESSION)[0]) == "injected"
+    assert runner._inject(0, parse_scenario(SESSION)[0])
     gw = runner.world.agents[GATEWAY]
     [goal] = gw.goals
     content = Term("open_session", ("CS",))

@@ -154,13 +154,15 @@ def _dump_with_missing_fee() -> str:
 
 def test_snapshot_fee_gap_flags_p5():
     monitor = Monitor()
-    verdicts = monitor.check_snapshot(_dump_with_missing_fee())
+    monitor.check_snapshot(_dump_with_missing_fee())
+    verdicts = monitor.finalize(True)
     assert statuses(verdicts)[PropertyId.P5] == VIOLATED
 
 
 def test_snapshot_on_empty_store_holds_vacuously():
     monitor = Monitor()
-    verdicts = monitor.check_snapshot(Store(RunConfig()).dump())
+    monitor.check_snapshot(Store(RunConfig()).dump())
+    verdicts = monitor.finalize(True)
     assert all(v.status == HOLDS for v in verdicts if v.property is not PropertyId.P12)
 
 
@@ -168,14 +170,16 @@ def test_snapshot_clean_store_all_holds():
     store = Store(RunConfig())
     store.execute(Command("add_program", ("p", "morning", "2", "10"), "t:0"))
     monitor = Monitor()
-    verdicts = monitor.check_snapshot(store.dump())
+    monitor.check_snapshot(store.dump())
+    verdicts = monitor.finalize(True)
     assert all(v.status == HOLDS for v in verdicts if v.property is not PropertyId.P12)
 
 
 def test_snapshot_empty_required_field_flags_p9():
     monitor = Monitor()
     dump = "teachers|1|teacher_id=1,name=T,designation=,contact=1,email=t@u\n"
-    verdicts = monitor.check_snapshot(dump)
+    monitor.check_snapshot(dump)
+    verdicts = monitor.finalize(True)
     assert statuses(verdicts)[PropertyId.P9] == VIOLATED
 
 

@@ -117,6 +117,27 @@ def test_config_refuses_a_roster_entry_or_subject_the_header_cannot_carry():
         RunConfig(cs_roster=())
 
 
+def test_config_reads_back_from_its_header_or_is_refused():
+    accepted = (
+        RunConfig(),
+        RunConfig(cs_roster=("CS", "EE", "-")),
+        RunConfig(cs_roster=("A=B",)),
+        RunConfig(marks_overrides=(("Math", 10, 50), ("a.b", 0, 5), ("a:b", 1, 2), ("", 3, 4))),
+        RunConfig(marks_overrides=(("M", 7, 5),), inject="p10", seed=-5),
+    )
+    for cfg in accepted:
+        assert parse_header(cfg.header()) == cfg, cfg
+    refused = (
+        {"cs_roster": ("A+B",)},
+        {"cs_roster": ("", "CS")},
+        {"marks_overrides": (("a=b", 0, 5),)},
+        {"marks_overrides": (("M", 0, 5), ("M", 1, 6))},
+    )
+    for settings in refused:
+        with pytest.raises(ConfigError):
+            RunConfig(**settings)
+
+
 def test_config_rejects_unknown_key_and_bad_value():
     with pytest.raises(ConfigError):
         parse_config_text("caps = 10\n")
@@ -214,6 +235,11 @@ CRASH_TEXT = (
     "SCHEDULE_EXAM term=mid class_id=1 subject=Math date=2025-05-01\n"
     "RECORD_RESULT student_id=1 class_id=1 subject=Math marks=90\n"
 )
+
+
+def test_negative_crash_index_is_refused():
+    with pytest.raises(ValueError):
+        run_scenario(parse_scenario(CRASH_TEXT), crash_at=-1)
 
 
 def test_crash_at_zero_equals_fresh_run():

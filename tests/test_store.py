@@ -339,7 +339,7 @@ def test_recovered_reports_equal_reference_at_every_journal_prefix():
         assert bad is None
         dump = store.dump()
         for q in REPORT_QUERIES:
-            lines = build_report(q, answer(store, q), P4).render_lines()
+            lines = build_report(q, answer(store, q), P4)
             assert lines == reference_report(q, dump, P4.lab_count), (k, q)
 
 
