@@ -31,6 +31,9 @@ from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .terms import Command, Envelope, check_scalar, conversation_id
 
+#: Makes a NamedTuple from its fields without the Python-level ``__new__``.
+_new = tuple.__new__
+
 
 class Belief(NamedTuple):
     """A ground fact: predicate name plus scalar arguments.  Construction
@@ -165,7 +168,7 @@ class MessageMatch:
     content: str | None = None
 
     def matches(self, env: Envelope) -> bool:
-        if isinstance(self.performative, tuple):
+        if type(self.performative) is tuple:
             if env.performative not in self.performative:
                 return False
         elif self.performative is not None and env.performative != self.performative:
@@ -178,9 +181,6 @@ class BeliefMatch:
     """Trigger pattern over belief additions (percepts and own updates)."""
 
     predicate: str
-
-    def matches(self, belief: Belief) -> bool:
-        return belief.predicate == self.predicate
 
 
 class StepCtx(NamedTuple):
@@ -231,6 +231,8 @@ class GoalStep:
 
 Step = SendStep | BelieveStep | CommandStep | GoalStep
 
+Trigger = MessageMatch | BeliefMatch
+
 Context = Callable[[BeliefBase, Goal], bool]
 
 
@@ -247,12 +249,18 @@ class Plan:
     name: str
     goal: str
     body: tuple[Step, ...]
-    when: MessageMatch | BeliefMatch | None = None
+    when: Trigger | None = None
     context: Context | None = None
 
     def __post_init__(self) -> None:
+        # the cycle dispatches on the exact class of a step and a trigger
         if not self.body:
             raise ValueError(f"plan {self.name} has an empty body")
+        for step in self.body:
+            if type(step) not in Step.__args__:
+                raise ValueError(f"plan {self.name}: {step!r} is not a {Step}")
+        if self.when is not None and type(self.when) not in Trigger.__args__:
+            raise ValueError(f"plan {self.name}: {self.when!r} is not a {Trigger}")
 
 
 class Intention(NamedTuple):
@@ -291,7 +299,7 @@ class AgentState:
     def adopt(
         self, name: str, params: tuple[str, ...], message: Envelope | None = None
     ) -> None:
-        self.goals.append(Goal(name, params, self.next_seq, message))
+        self.goals.append(_new(Goal, (name, params, self.next_seq, message)))
         self.next_seq += 1
 
 
@@ -323,16 +331,19 @@ class StepResult(NamedTuple):
 
 
 def _perceive(state: AgentState, inbox: Sequence[Envelope]) -> None:
+    library = state.plan_library
     for env in inbox:
-        for plan in state.plan_library:
-            if isinstance(plan.when, MessageMatch) and plan.when.matches(env):
+        for plan in library:
+            when = plan.when
+            if type(when) is MessageMatch and when.matches(env):
                 state.adopt(plan.goal, env.content.args, env)
                 break  # first matching plan names the goal
 
     pending, state.percepts = state.percepts, []
     for percept in pending:
-        for plan in state.plan_library:
-            if isinstance(plan.when, BeliefMatch) and plan.when.matches(percept):
+        for plan in library:
+            when = plan.when
+            if type(when) is BeliefMatch and when.predicate == percept.predicate:
                 state.adopt(plan.goal, percept.args)
                 break
         else:
@@ -340,81 +351,70 @@ def _perceive(state: AgentState, inbox: Sequence[Envelope]) -> None:
 
 
 def _commit_options(state: AgentState) -> None:
-    committed = {i.origin_goal.adoption_seq for i in state.intentions}
+    held = state.intentions
+    committed = {i.origin_goal.adoption_seq for i in held} if held else ()
     beliefs = state.beliefs
     for goal in state.goals:
         if goal.adoption_seq in committed:
             continue
         for plan in state.plan_library:
             if plan.goal == goal.name and (plan.context is None or plan.context(beliefs, goal)):
-                state.intentions.append(Intention(plan, 0, goal))
+                held.append(_new(Intention, (plan, 0, goal)))
                 break  # first applicable plan per goal wins
-
-
-def _advance(
-    state: AgentState, intention: Intention, outbox: list[Envelope], commands: list[Command]
-) -> Intention | None:
-    """Run the intention's next step; the intention moved on by one, or None
-    when it finished or failed (its goal is then to be dropped)."""
-    step = intention.plan.body[intention.pc]
-    ctx = StepCtx(state.id, state.beliefs, intention.origin_goal)
-    try:
-        if isinstance(step, SendStep):
-            outbox.extend(step.make(ctx))
-        elif isinstance(step, BelieveStep):
-            deltas = step.make(ctx)
-            state.beliefs = update_beliefs(state.beliefs, deltas)
-            state.percepts.extend(d.belief for d in deltas if d.op == "add")
-        elif isinstance(step, CommandStep):
-            commands.extend(step.make(ctx))
-        elif isinstance(step, GoalStep):
-            for name, params in step.make(ctx):
-                state.adopt(name, params)
-    except Exception:
-        # Plan failure never escapes the cycle: the intention is dropped and
-        # a failure belief surfaces next cycle for recovery plans.
-        state.percepts.append(Belief("failed", (intention.origin_goal.name,)))
-        return None
-    pc = intention.pc + 1
-    if pc == len(intention.plan.body):
-        return None  # completion removes goal too
-    return Intention(intention.plan, pc, intention.origin_goal)
 
 
 def _execute(state: AgentState) -> tuple[tuple[Envelope, ...], tuple[Command, ...]]:
     """Advance the oldest intention by one step or, with
     ``advance_every_intention``, every intention held now, oldest first.
 
-    Steps only adopt goals, never intentions, so the intentions that go on
-    are collected in one pass and the finished goals dropped after it.
+    An intention that finishes or fails drops its goal at once; steps only
+    adopt goals, never intentions, so the held list is not touched while
+    the pass runs.  A failed step never escapes the cycle: it surfaces as
+    a ``failed`` belief next cycle, for recovery plans.
     """
-    outbox: list[Envelope] = []
-    commands: list[Command] = []
     held = state.intentions
     if not held:
         return (), ()
-    count = len(held) if state.advance_every_intention else 1
+    outbox: list[Envelope] = []
+    commands: list[Command] = []
+    every = state.advance_every_intention
     kept: list[Intention] = []
-    finished: set[int] = set()
-    for intention in held[:count]:
-        advanced = _advance(state, intention, outbox, commands)
-        if advanced is None:
-            finished.add(intention.origin_goal.adoption_seq)
+    for plan, pc, goal in held if every else held[:1]:
+        step = plan.body[pc]
+        ctx = _new(StepCtx, (state.id, state.beliefs, goal))
+        kind = type(step)
+        try:
+            if kind is SendStep:
+                outbox.extend(step.make(ctx))
+            elif kind is CommandStep:
+                commands.extend(step.make(ctx))
+            elif kind is BelieveStep:
+                deltas = step.make(ctx)
+                state.beliefs = update_beliefs(state.beliefs, deltas)
+                state.percepts.extend(d.belief for d in deltas if d.op == "add")
+            else:  # GoalStep, the one class left (Plan admits no other)
+                for name, params in step.make(ctx):
+                    state.adopt(name, params)
+        except Exception:
+            state.percepts.append(Belief("failed", (goal.name,)))
+            state.goals.remove(goal)
+            continue
+        pc += 1
+        if pc == len(plan.body):
+            state.goals.remove(goal)  # completion removes the goal too
         else:
-            kept.append(advanced)
-    state.intentions = kept + held[count:]
-    if finished:
-        state.goals = [g for g in state.goals if g.adoption_seq not in finished]
+            kept.append(_new(Intention, (plan, pc, goal)))
+    state.intentions = kept if every else kept + held[1:]
     return tuple(outbox), tuple(commands)
 
 
 def step(state: AgentState, inbox: Sequence[Envelope]) -> StepResult:
     """One full deliberation cycle on a copy of ``state``; pure in (state, inbox)."""
     if not inbox and not state.percepts and not state.goals and not state.intentions:
-        return StepResult(state, (), ())  # quiescent fast path
+        return _new(StepResult, (state, (), ()))  # quiescent fast path
 
     state = state.copy()
     _perceive(state, inbox)
     _commit_options(state)
     outbox, commands = _execute(state)
-    return StepResult(state, outbox, commands)
+    return _new(StepResult, (state, outbox, commands))

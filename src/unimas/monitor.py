@@ -74,10 +74,14 @@ def command_fields(content: str) -> tuple[str, dict[str, str]]:
     if not content.endswith(")") or "(" not in content:
         raise ValueError(f"bad command syntax: {content!r}")
     name, _, inner = content[:-1].partition("(")
-    try:
-        return name, dict(pair.split("=", 1) for pair in inner.split(",")) if inner else {}
-    except ValueError:
-        raise ValueError(f"bad command args: {content!r}") from None
+    fields: dict[str, str] = {}
+    if inner:
+        for pair in inner.split(","):
+            key, sep, value = pair.partition("=")
+            if not sep:
+                raise ValueError(f"bad command args: {content!r}")
+            fields[key] = value
+    return name, fields
 
 
 def parse_dump(text: str) -> dict[str, list[dict[str, str]]]:
@@ -89,7 +93,11 @@ def parse_dump(text: str) -> dict[str, list[dict[str, str]]]:
         table, _, kv = line.split("|", 2)
         if table not in tables:
             raise ValueError(f"unknown table in dump: {table}")
-        tables[table].append(dict(pair.partition("=")[::2] for pair in kv.split(",")))
+        row: dict[str, str] = {}
+        for pair in kv.split(","):
+            key, _, value = pair.partition("=")
+            row[key] = value
+        tables[table].append(row)
     return tables
 
 
@@ -138,10 +146,11 @@ class Monitor:
             conv = conversations.get(conversation)
             if performative == "request":
                 if conv is None:
-                    conv = conversations[conversation] = _Conversation()
-                conv.requests += 1
-                conv.request_seq = seq
-                conv.request_round = rnd
+                    conversations[conversation] = _Conversation(1, 0, seq, rnd)
+                else:
+                    conv.requests += 1
+                    conv.request_seq = seq
+                    conv.request_round = rnd
                 return
             if conv is None or conv.replies >= conv.requests:
                 self._flag(PropertyId.P12, seq, f"extra reply on conversation {conversation}")

@@ -16,7 +16,7 @@ from typing import Callable, Sequence
 
 from . import bdi
 from .terms import Command, Envelope, Performative, encode_blob, failed
-from .trace import _NA, KINDS, TraceEvent, TraceLog
+from .trace import _NA, KIND_SET, TraceEvent, TraceLog
 
 #: Applies a command; returns ((trace kind, content line) drafts, percepts).
 CommandHandler = Callable[[str, Command], tuple[list[tuple[str, str]], list[bdi.Belief]]]
@@ -54,12 +54,16 @@ class World:
         conversation: str = _NA,
         content: str = _NA,
     ) -> TraceEvent:
-        if kind not in KINDS:
+        if kind not in KIND_SET:
             raise ValueError(f"unknown trace kind: {kind}")
-        event = TraceEvent(
-            self.log.next_seq(), self.round, kind, sender, receiver, performative, conversation, content
+        log = self.log
+        seq = log.next_seq
+        log.next_seq = seq + 1
+        event = tuple.__new__(
+            TraceEvent,
+            (seq, self.round, kind, sender, receiver, performative, conversation, content),
         )
-        self.log.append(event)
+        log.append(event)
         for observe in self.observers:
             observe(event)
         return event
@@ -98,17 +102,17 @@ def route(world: World, envelopes: Sequence[Envelope]) -> World:
     """
     mailboxes, emit = world.mailboxes, world.emit
     for env in envelopes:
-        if env.receiver in mailboxes:
-            mailboxes[env.receiver].append(env)
-            traced: tuple[Envelope, ...] = (env,)
-        else:
-            bounced = Envelope(
-                env.receiver, env.sender, Performative.FAILURE, env.conversation, failed("unknown agent")
-            )
-            mailboxes[env.sender].append(bounced)
-            traced = (env, bounced)
-        for sender, receiver, performative, conversation, content in traced:
+        sender, receiver, performative, conversation, content = env
+        mailbox = mailboxes.get(receiver)
+        if mailbox is not None:
+            mailbox.append(env)
             emit("envelope", sender, receiver, performative, conversation, content.render())
+            continue
+        bounce = failed("unknown agent")
+        bounced = Envelope(receiver, sender, Performative.FAILURE, conversation, bounce)
+        mailboxes[sender].append(bounced)
+        emit("envelope", sender, receiver, performative, conversation, content.render())
+        emit("envelope", receiver, sender, Performative.FAILURE, conversation, bounce.render())
     return world
 
 
@@ -121,21 +125,15 @@ def run_round(world: World) -> World:
         if not inbox and not state.percepts and not state.goals and not state.intentions:
             continue  # idle agent, nothing to do this round
         mailboxes[aid] = []
-        result = bdi.step(state, inbox)
-        state = result.state  # fresh from step, so the outcome percepts go on it
-        for command in result.commands:
+        # the state is fresh from step, so the outcome percepts go on it
+        state, outbox, commands = bdi.step(state, inbox)
+        for command in commands:
             drafts, percepts = world.command_handler(aid, command)
             for kind, content in drafts:
-                world.emit(
-                    kind,
-                    sender=aid,
-                    receiver="store",
-                    conversation=command.conversation,
-                    content=content,
-                )
+                world.emit(kind, aid, "store", _NA, command.conversation, content)
             state.percepts.extend(percepts)
         world.agents[aid] = state
-        produced.extend(result.outbox)
+        produced.extend(outbox)
     route(world, produced)
     world.round += 1
     return world

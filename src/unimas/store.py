@@ -168,10 +168,13 @@ def journal_line(seq: int, command: Command, args_text: str) -> str:
     return f"{payload}|{_crc(payload)}"
 
 
-def render_row(table: str, row: Row) -> str:
-    pk = ":".join(row[f] for f in TABLE_PK[table])
-    kv = ",".join(f"{f}={row.get(f, '')}" for f in TABLE_FIELDS[table])
-    return f"{table}|{pk}|{kv}"
+#: ``table|pk|field=value,...``, the dump line of a row; every row holds
+#: every field of its table
+_ROW_FORMATS = {
+    table: f"{table}|{':'.join(f'{{{f}}}' for f in TABLE_PK[table])}|"
+    + ",".join(f"{f}={{{f}}}" for f in fields)
+    for table, fields in TABLE_FIELDS.items()
+}
 
 
 # -- report queries: aggregate rows read from what _mutate maintains -------
@@ -240,7 +243,7 @@ class Store:
 
     def dump(self) -> str:
         lines = [
-            render_row(table, rows[key])
+            _ROW_FORMATS[table].format_map(rows[key])
             for table, rows in sorted(self.tables.items())
             for key in sorted(rows)
         ]

@@ -20,6 +20,7 @@ from itertools import chain
 from typing import NamedTuple
 
 KINDS = ("envelope", "domain_event", "refusal", "session_open", "session_close", "snapshot")
+KIND_SET = frozenset(KINDS)
 
 _NA = "-"
 
@@ -43,30 +44,27 @@ class TraceEvent(NamedTuple):
 
     @staticmethod
     def parse(line: str) -> "TraceEvent":
-        parts = line.split("|")
-        if len(parts) != 8:
-            raise ValueError(f"bad trace line: {line!r}")
-        rnd, seq, kind, sender, receiver, performative, conversation, content = parts
-        if kind not in KINDS:
+        try:
+            rnd, seq, kind, sender, receiver, performative, conversation, content = line.split("|")
+        except ValueError:
+            raise ValueError(f"bad trace line: {line!r}") from None
+        if kind not in KIND_SET:
             raise ValueError(f"unknown trace kind: {kind}")
-        return TraceEvent(
-            int(seq), int(rnd), kind, sender, receiver, performative, conversation, content
+        return tuple.__new__(
+            TraceEvent,
+            (int(seq), int(rnd), kind, sender, receiver, performative, conversation, content),
         )
 
 
 class TraceLog:
-    """Accumulates rendered lines and assigns the global sequence."""
+    """Accumulates rendered lines; ``next_seq`` is the global sequence
+    number of the next event, which ``World.emit`` assigns."""
 
     def __init__(self, header: str = "") -> None:
         self.lines: list[str] = []
-        self._next_seq = 0
+        self.next_seq = 0
         if header:
             self.lines.append(f"# config {header}")
-
-    def next_seq(self) -> int:
-        seq = self._next_seq
-        self._next_seq += 1
-        return seq
 
     def append(self, event: TraceEvent) -> None:
         self.lines.append(event.render())
@@ -124,10 +122,12 @@ class ParsedTrace:
         return self
 
     def __iter__(self) -> Iterator[TraceEvent]:
-        for raw in self._lines:
-            line = raw.rstrip("\n")
+        parse = TraceEvent.parse
+        for line in self._lines:
+            if line[-1:] == "\n":
+                line = line.rstrip("\n")
             if line and line[0] != "#":
-                yield TraceEvent.parse(line)
+                yield parse(line)
             else:
                 self._note(line)
 

@@ -237,6 +237,18 @@ def test_step_failure_becomes_failed_belief():
     assert Belief("failed", ("g",)) in follow_up.state.beliefs
 
 
+def test_plan_refuses_a_step_or_trigger_of_any_other_class():
+    # the cycle dispatches on the exact class, so no other may reach it
+    class Subclassed(SendStep):
+        pass
+
+    for body in ((lambda ctx: [],), (SendStep(_noop_send), Subclassed(_noop_send))):
+        with pytest.raises(ValueError, match="is not a"):
+            Plan(name="p", goal="g", body=body)
+    with pytest.raises(ValueError, match="is not a"):
+        Plan(name="p", goal="g", body=(SendStep(_noop_send),), when="request")
+
+
 def test_step_is_deterministic():
     plan = Plan(
         name="on_msg",

@@ -61,7 +61,19 @@ def test_layer_tracer_callbacks_read_a_live_run(monkeypatch):
     finally:
         tracer.uninstall()
     assert result.exit_code == 0
-    assert tracer.calls("bdi.step") > 0
+    # a per-layer metric divides by these calls: a hot path that went round
+    # a patched entry point would read as zero
+    for span in (
+        "runtime.route",
+        "runtime.run_round",
+        "runtime.is_quiescent",
+        "store.execute",
+        "monitor.observe",
+        "trace.append",
+        "scenario.run",
+        "bdi.step",
+    ):
+        assert tracer.calls(span) > 0, span
     assert tracer.counted("oa_steps") > 0
     assert tracer.counted("envelopes") > 0
     assert tracer.calls("agents.store_handler") > 0

@@ -30,10 +30,14 @@ def domain(seq, content, conversation="GW:0"):
 
 
 def test_command_fields_refuse_bad_syntax():
-    for bad in ("add_student", "add_student(st_id=1", "add_student(st_id)", "admit(p_id=1,)"):
-        with pytest.raises(ValueError):
+    for bad in ("add_student", "add_student(st_id=1"):
+        with pytest.raises(ValueError, match="bad command syntax"):
+            command_fields(bad)
+    for bad in ("add_student(st_id)", "admit(p_id=1,)", "admit(student_id=1,p_id,year=2)"):
+        with pytest.raises(ValueError, match="bad command args"):  # a field without '='
             command_fields(bad)
     assert command_fields("close_session()") == ("close_session", {})
+    assert command_fields("q(k=a=b)") == ("q", {"k": "a=b"})  # only the first '=' splits
 
 
 def _traffic():

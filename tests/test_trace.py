@@ -1,10 +1,16 @@
 """Trace events: the line format round-trips, and only the two places that
 make events (``TraceEvent.parse`` and ``World.emit``) check the kind."""
 
+from dataclasses import replace
+
 import pytest
 from hypothesis import given, strategies as st
 
+from test_acceptance import GOLDEN, MUTATIONS, _run_golden
+from unimas.config import parse_header
+from unimas.monitor import VIOLATED, evaluate_trace
 from unimas.runtime import World
+from unimas.scenario import parse_scenario, run_scenario
 from unimas.trace import KINDS, TraceEvent, parse_trace
 
 # any text a field can carry on a line: no field separator, no line break
@@ -76,3 +82,35 @@ def test_parse_trace_of_an_iterator_knows_completion_once_the_events_are_read():
     assert len(list(parsed.events)) == 1
     assert parsed.complete
     assert list(parsed.events) == []  # one-shot, as the iterator it reads
+
+
+def _events_and_verdicts(first, second):
+    """The events parsed from ``first`` and the verdicts evaluated from
+    ``second``, two reads of the same trace."""
+    parsed = parse_trace(first)
+    events = list(parsed.events)
+    verdicts = evaluate_trace(parse_trace(second), parse_header(parsed.header))
+    return events, [v.render() for v in verdicts]
+
+
+def test_parse_trace_reads_lines_with_newlines_as_it_reads_split_lines(tmp_path):
+    # a trace read from a file keeps each line's newline; the golden runs
+    # and every injected fault must read the same events and verdicts both ways
+    runs = [_run_golden(name) for name in GOLDEN]
+    for flag, (text, cfg) in MUTATIONS.items():
+        runs.append(run_scenario(parse_scenario(text), replace(cfg, inject=flag)))
+    path = tmp_path / "trace.txt"
+    violated = 0
+    for result in runs:
+        text = result.log.text()
+        split = text.splitlines()
+        expected = _events_and_verdicts(split, split)
+        assert expected[0]
+        kept = text.splitlines(keepends=True)
+        assert all(line.endswith("\n") for line in kept)
+        assert _events_and_verdicts(kept, kept) == expected
+        path.write_text(text)
+        with path.open() as first, path.open() as second:
+            assert _events_and_verdicts(first, second) == expected
+        violated += sum(f"|{VIOLATED}|" in v for v in expected[1])
+    assert violated >= len(MUTATIONS)
