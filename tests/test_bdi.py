@@ -64,6 +64,34 @@ def test_arity_is_fixed_per_predicate():
         base.add(Belief("p", ("1", "2")))
 
 
+def test_constructor_refuses_two_arities_for_one_predicate():
+    with pytest.raises(ValueError):
+        BeliefBase([Belief("p", ("1",)), Belief("q", ()), Belief("p", ("1", "2"))])
+
+
+def test_arity_is_free_again_once_a_predicate_is_emptied():
+    base = BeliefBase([Belief("p", ("1",)), Belief("q", ("1",))])
+    emptied = update_beliefs(base, [remove("p", "1")])
+    assert emptied.remove(Belief("p", ("1",))) is emptied  # nothing to remove
+    assert update_beliefs(emptied, [add("p", "1", "2")]).as_beliefs() == [
+        Belief("p", ("1", "2")),
+        Belief("q", ("1",)),
+    ]
+
+
+def test_repeats_are_held_once_and_listed_by_predicate_then_args():
+    beliefs = [Belief("q", ("b",)), Belief("p", ("2",)), Belief("q", ("a",)), Belief("p", ("10",))]
+    base = BeliefBase(beliefs + beliefs[::-1])
+    assert len(base) == 4 and base.add(beliefs[0]) is base
+    # args order by repr: "('10',)" sorts before "('2',)"
+    assert base.as_beliefs() == [
+        Belief("p", ("10",)),
+        Belief("p", ("2",)),
+        Belief("q", ("a",)),
+        Belief("q", ("b",)),
+    ]
+
+
 deltas = st.lists(
     st.tuples(st.sampled_from(["add", "remove"]), st.integers(0, 5).map(str)).map(
         lambda t: add("p", t[1]) if t[0] == "add" else remove("p", t[1])
