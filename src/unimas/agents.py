@@ -265,7 +265,7 @@ def orchestrator_agent() -> bdi.AgentState:
 def store_handler(store: Store) -> runtime.CommandHandler:
     """Adapter: command in, trace drafts plus outcome percepts out."""
 
-    def handle(producer: str, command: Command) -> tuple[list[tuple[str, str]], list[Belief]]:
+    def handle(command: Command) -> tuple[list[tuple[str, str]], list[Belief]]:
         outcome = store.execute(command)
         result = outcome.result
         if isinstance(result, Refusal):

@@ -43,69 +43,32 @@ class Belief(NamedTuple):
     args: tuple[str, ...] = ()
 
 
-class BeliefBase:
-    """Set of ground beliefs indexed by predicate name.
+class BeliefBase(frozenset):
+    """Immutable set of ground beliefs, as in AgentSpeak(L); the beliefs
+    held for one predicate share one arity.
 
-    Treated as immutable: every update returns a new base, sharing the
-    untouched predicate buckets with its parent.
+    Every update returns a new base, or this one when nothing changes.
     """
 
-    __slots__ = ("_by_pred",)
+    __slots__ = ()
 
-    def __init__(self, beliefs: Iterable[Belief] = ()) -> None:
-        self._by_pred: dict[str, frozenset[tuple[str, ...]]] = {}
-        for b in beliefs:
-            if b not in self:
-                self._insert(b)
-
-    def _insert(self, belief: Belief) -> None:
-        """Add an absent belief in place, to a base no one else holds yet."""
-        bucket = self._by_pred.get(belief.predicate, frozenset())
-        if bucket:
-            arity = len(next(iter(bucket)))
-            if len(belief.args) != arity:
-                raise ValueError(
-                    f"arity mismatch for {belief.predicate}: "
-                    f"{len(belief.args)} vs established {arity}"
-                )
-        self._by_pred[belief.predicate] = bucket | {belief.args}
-
-    def __len__(self) -> int:
-        return sum(map(len, self._by_pred.values()))
-
-    def __contains__(self, belief: Belief) -> bool:
-        return belief.args in self._by_pred.get(belief.predicate, ())
-
-    def _copy(self) -> "BeliefBase":
-        twin = BeliefBase.__new__(BeliefBase)
-        twin._by_pred = dict(self._by_pred)
-        return twin
+    def __new__(cls, beliefs: Iterable[Belief] = ()) -> "BeliefBase":
+        base = super().__new__(cls, beliefs)
+        arity: dict[str, int] = {}
+        for predicate, args in base:
+            if arity.setdefault(predicate, len(args)) != len(args):
+                raise ValueError(f"arity mismatch: {predicate} is held with two arities")
+        return base
 
     def add(self, belief: Belief) -> "BeliefBase":
-        if belief in self:
-            return self
-        twin = self._copy()
-        twin._insert(belief)
-        return twin
+        return self if belief in self else BeliefBase((*self, belief))
 
     def remove(self, belief: Belief) -> "BeliefBase":
-        if belief not in self:
-            return self
-        twin = self._copy()
-        bucket = twin._by_pred[belief.predicate] - {belief.args}
-        if bucket:
-            twin._by_pred[belief.predicate] = bucket
-        else:
-            del twin._by_pred[belief.predicate]
-        return twin
+        return BeliefBase(self - {belief}) if belief in self else self
 
     def as_beliefs(self) -> list[Belief]:
-        out = [
-            Belief(pred, args)
-            for pred in sorted(self._by_pred)
-            for args in sorted(self._by_pred[pred], key=repr)
-        ]
-        return out
+        """The beliefs, by predicate, then by ``repr`` of their args."""
+        return sorted(self, key=lambda b: (b.predicate, repr(b.args)))
 
 
 @dataclass(frozen=True)

@@ -1,9 +1,10 @@
 """Command-line entry point.
 
 Exit codes: 0 all properties hold, 2 a property was violated (or a
-scenario expectation failed), 3 parse or configuration error, 4 no
-property was violated but one is inconclusive (the run was cut off by
-``max_rounds`` before it went quiet).
+scenario expectation failed), 3 parse or configuration error (a trace
+without its header, a path that cannot be opened), 4 no property was
+violated but one is inconclusive (the run was cut off by ``max_rounds``
+before it went quiet).
 """
 
 from __future__ import annotations
@@ -107,8 +108,9 @@ def cmd_replay_crash(args: argparse.Namespace) -> int:
 def cmd_report(args: argparse.Namespace) -> int:
     with open(args.trace) as lines:  # read one line at a time
         parsed = parse_trace(lines)
-        cfg = parse_header(parsed.header) if parsed.header else RunConfig()
-        verdicts = evaluate_trace(parsed, cfg)
+        if not parsed.header:  # not a trace, or one whose head was cut off
+            raise ConfigError(f"{args.trace}: no '# config' header, so no run to verify")
+        verdicts = evaluate_trace(parsed, parse_header(parsed.header))
     sys.stdout.write(render_verdicts(verdicts))
     return exit_code(verdicts)
 
@@ -167,7 +169,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (ConfigError, ScenarioError, FileNotFoundError, ValueError) as exc:
+    except (ConfigError, ScenarioError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return PARSE_ERROR
 

@@ -194,20 +194,20 @@ class Monitor:
     def _observe_domain(self, event: TraceEvent) -> None:
         name, fields = command_fields(event.content)
         self._check_completeness(name, fields, event.seq)
-        get = lambda k: fields.get(k, "")
+        get = fields.get
 
         if name == "add_student":
-            st_id = get("st_id")
+            st_id = get("st_id", "")
             if st_id in self._st_ids:
                 self._flag(PropertyId.P1, event.seq, f"st_id {st_id} registered twice")
             self._st_ids.add(st_id)
         elif name == "admit":
-            student = get("student_id")
+            student = get("student_id", "")
             if student in self._admitted:
                 self._flag(PropertyId.P4, event.seq, f"student {student} admitted twice")
             self._admitted.add(student)
         elif name == "add_class":
-            slot = (get("p_id"), get("semester"), get("day"), get("period"))
+            slot = (get("p_id", ""), get("semester", ""), get("day", ""), get("period", ""))
             if slot in self._slots:
                 self._flag(
                     PropertyId.P6,
@@ -215,12 +215,12 @@ class Monitor:
                     f"slot clash p={slot[0]} semester={slot[1]} timing={slot[2]}/{slot[3]}",
                 )
             self._slots.add(slot)
-            self._lectures[get("class_id")] = 0
+            self._lectures[get("class_id", "")] = 0
         elif name == "deliver_lecture":
-            class_id = get("class_id")
+            class_id = get("class_id", "")
             self._lectures[class_id] = self._lectures.get(class_id, 0) + int(get("times") or 0)
         elif name == "schedule_exam":
-            class_id, term, date = get("class_id"), get("term"), get("date")
+            class_id, term, date = get("class_id", ""), get("term", ""), get("date", "")
             minimum = (
                 self.cfg.min_lectures_mid if term == "mid" else self.cfg.min_lectures_final
             )
@@ -236,7 +236,7 @@ class Monitor:
                 self._flag(PropertyId.P8, event.seq, f"class {class_id} examined twice on {date}")
             self._exam_days.add(day_key)
         elif name == "record_result":
-            lo, hi = self.cfg.marks_bounds(get("subject"))
+            lo, hi = self.cfg.marks_bounds(get("subject", ""))
             marks = int(get("marks") or 0)
             if not lo <= marks <= hi:
                 self._flag(

@@ -19,7 +19,7 @@ from .terms import Command, Envelope, Performative, encode_blob, failed
 from .trace import _NA, KIND_SET, TraceEvent, TraceLog
 
 #: Applies a command; returns ((trace kind, content line) drafts, percepts).
-CommandHandler = Callable[[str, Command], tuple[list[tuple[str, str]], list[bdi.Belief]]]
+CommandHandler = Callable[[Command], tuple[list[tuple[str, str]], list[bdi.Belief]]]
 
 
 class RegistrationError(Exception):
@@ -128,7 +128,7 @@ def run_round(world: World) -> World:
         # the state is fresh from step, so the outcome percepts go on it
         state, outbox, commands = bdi.step(state, inbox)
         for command in commands:
-            drafts, percepts = world.command_handler(aid, command)
+            drafts, percepts = world.command_handler(command)
             for kind, content in drafts:
                 world.emit(kind, aid, "store", _NA, command.conversation, content)
             state.percepts.extend(percepts)

@@ -538,9 +538,9 @@ def _ask_orchestrator(content: Term):
     commands = []
     handle = world.command_handler
 
-    def recording(producer, command):
+    def recording(command):
         commands.append(command)
-        return handle(producer, command)
+        return handle(command)
 
     world.command_handler = recording
     route(world, [Envelope(GATEWAY, ORCHESTRATOR, Performative.REQUEST, "GW:0", content)])
@@ -611,18 +611,18 @@ def test_gateway_issue_goal_keeps_its_request():
 
 def test_store_ok_percept_is_the_reply_term_unencoded():
     handle = store_handler(Store())
-    _, [opened] = handle(ORCHESTRATOR, Command("open_session", ("CS",), "GW:0"))
+    _, [opened] = handle(Command("open_session", ("CS",), "GW:0"))
     assert opened == Belief("store_reply", ("GW:0", "inform", "ok", "1"))
-    _, [closed] = handle(ORCHESTRATOR, Command("close_session", ("1",), "GW:1"))
+    _, [closed] = handle(Command("close_session", ("1",), "GW:1"))
     assert closed == Belief("store_reply", ("GW:1", "inform", "ok"))
     # a refusal is replied with refused(<blob>), a fault with failed(<blob>)
-    _, [unknown] = handle(ORCHESTRATOR, Command("close_session", ("1",), "GW:2"))
+    _, [unknown] = handle(Command("close_session", ("1",), "GW:2"))
     assert unknown == Belief(
         "store_reply", ("GW:2", "failure", "failed", encode_blob("unknown session"))
     )
     student = Command("add_student", ("5", "A", "CS"), "GW:3")
-    handle(ORCHESTRATOR, student)
-    _, [twice] = handle(ORCHESTRATOR, student)
+    handle(student)
+    _, [twice] = handle(student)
     reason = encode_blob("Student Already Registerd")
     assert twice == Belief("store_reply", ("GW:3", "refuse", "refused", reason))
 

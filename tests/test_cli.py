@@ -229,3 +229,22 @@ def test_report_evaluates_a_recorded_trace_at_its_recorded_liveness_k(tmp_path, 
     capsys.readouterr()
     assert run_cli("report", str(trace)) == 2
     assert "bound 3" in capsys.readouterr().out
+
+
+def test_report_of_a_file_without_a_config_header_exits_three(tmp_path, capsys):
+    trace = tmp_path / "run.trace"
+    assert run_cli("run", str(SCENARIOS / "lifecycle.scn"), "--trace", str(trace)) == 0
+    headless = [line for line in trace.read_text().splitlines() if not line.startswith("# config")]
+    # an empty file, only comments, and a real trace whose header was cut off
+    for text in ("", "# a comment\n#\n", "\n".join(headless) + "\n"):
+        trace.write_text(text)
+        capsys.readouterr()
+        assert run_cli("report", str(trace)) == 3
+        captured = capsys.readouterr()
+        assert "no '# config' header" in captured.err and captured.out == ""
+
+
+def test_a_directory_for_a_file_exits_three(capsys):
+    for command in ("run", "report"):
+        assert run_cli(command, str(SCENARIOS)) == 3, command
+        assert "Is a directory" in capsys.readouterr().err, command
