@@ -43,7 +43,7 @@ class Belief(NamedTuple):
     args: tuple[str, ...] = ()
 
 
-class BeliefBase(frozenset):
+class BeliefBase(frozenset[Belief]):
     """Immutable set of ground beliefs, as in AgentSpeak(L); the beliefs
     held for one predicate share one arity.
 
@@ -61,7 +61,7 @@ class BeliefBase(frozenset):
         return base
 
     def add(self, belief: Belief) -> "BeliefBase":
-        return self if belief in self else BeliefBase((*self, belief))
+        return self if belief in self else BeliefBase(self | {belief})
 
     def remove(self, belief: Belief) -> "BeliefBase":
         return BeliefBase(self - {belief}) if belief in self else self

@@ -27,6 +27,9 @@ def test_run_with_injection_exits_two(capsys):
 
 def test_run_unknown_file_exits_three(capsys):
     assert run_cli("run", "does-not-exist.scn") == 3
+    for command in ("run", "report"):  # a directory is no file either
+        assert run_cli(command, str(SCENARIOS)) == 3, command
+        assert "Is a directory" in capsys.readouterr().err, command
 
 
 def test_parse_error_exits_three(tmp_path, capsys):
@@ -242,9 +245,3 @@ def test_report_of_a_file_without_a_config_header_exits_three(tmp_path, capsys):
         assert run_cli("report", str(trace)) == 3
         captured = capsys.readouterr()
         assert "no '# config' header" in captured.err and captured.out == ""
-
-
-def test_a_directory_for_a_file_exits_three(capsys):
-    for command in ("run", "report"):
-        assert run_cli(command, str(SCENARIOS)) == 3, command
-        assert "Is a directory" in capsys.readouterr().err, command
