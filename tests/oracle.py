@@ -201,9 +201,11 @@ def naive_statuses(parsed: ParsedTrace, cfg: RunConfig) -> dict[str, str]:
         if len(answered) > len(sent):
             flag("P12")
         elif len(answered) < len(sent):
-            statuses["P12"] = "violated" if parsed.complete else (
-                statuses["P12"] if statuses["P12"] == "violated" else "inconclusive"
-            )
+            if parsed.complete:
+                flag("P12")
         elif answered and max(answered) - min(sent) > cfg.liveness_k:
             flag("P12")
+    # a cut-off trace could still go on: P12 is open unless already violated
+    if not parsed.complete and statuses["P12"] != "violated":
+        statuses["P12"] = "inconclusive"
     return statuses

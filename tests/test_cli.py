@@ -85,6 +85,27 @@ def test_truncated_run_exits_four_live_and_offline(tmp_path, capsys):
     assert "P12|inconclusive|" in capsys.readouterr().out
 
 
+def test_a_run_cut_off_with_nothing_open_exits_four_live_and_offline(tmp_path, capsys):
+    # lifecycle.scn has answered 3 of its 50 commands by round 13
+    trace = tmp_path / "run.trace"
+    code = run_cli(
+        "run", str(SCENARIOS / "lifecycle.scn"), "--set", "max_rounds=13", "--trace", str(trace)
+    )
+    assert code == 4
+    assert "P12|inconclusive|" in capsys.readouterr().out
+    assert run_cli("report", str(trace)) == 4
+    assert "P12|inconclusive|" in capsys.readouterr().out
+
+
+def test_report_of_a_config_header_alone_exits_four(tmp_path, capsys):
+    trace = tmp_path / "run.trace"
+    assert run_cli("run", str(SCENARIOS / "lifecycle.scn"), "--trace", str(trace)) == 0
+    trace.write_text(trace.read_text().splitlines()[0] + "\n")
+    capsys.readouterr()
+    assert run_cli("report", str(trace)) == 4
+    assert "P12|inconclusive|" in capsys.readouterr().out
+
+
 def test_dump_and_journal_outputs(tmp_path, capsys):
     dump = tmp_path / "store.dump"
     journal = tmp_path / "events.journal"

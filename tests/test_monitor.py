@@ -287,6 +287,16 @@ def test_live_offline_and_naive_oracle_agree(inject):
             "p10": "RECORD_RESULT student_id=1 class_id=1 subject=Math marks=101",
         }[inject]
         commands = parse_scenario(GOLDEN_TEXT + extra + "\n")
+    _assert_live_offline_and_naive_oracle_agree(commands, cfg)
+
+
+def test_live_offline_and_naive_oracle_agree_on_a_cut_off_run():
+    # cut off with every request so far answered, so nothing is open
+    commands = parse_scenario((SCENARIOS / "lifecycle.scn").read_text())
+    _assert_live_offline_and_naive_oracle_agree(commands, RunConfig(max_rounds=13))
+
+
+def _assert_live_offline_and_naive_oracle_agree(commands, cfg):
     result = run_scenario(commands, cfg)
 
     parsed = parse_trace(result.log.text().splitlines())
@@ -343,6 +353,30 @@ def test_a_late_reply_is_still_named_after_many_answered_conversations():
     )
 
 
+def test_a_late_reply_violates_a_cut_off_trace_however_the_ids_sort():
+    # the pending request's id sorts before the late one's, then after it
+    for pending in ("A:0", "C:0"):
+        monitor = Monitor(RunConfig(liveness_k=4))
+        monitor.observe(_envelope(0, 0, "request", pending))
+        monitor.observe(_envelope(1, 0, "request", "B:0"))
+        monitor.observe(_envelope(2, 9, "inform", "B:0"))
+        p12 = _p12(monitor.finalize(trace_complete=False))
+        assert (p12.status, p12.witness_seq, p12.explanation) == (
+            VIOLATED,
+            1,
+            "reply to B:0 after 9 rounds, bound 4",
+        ), pending
+
+
+def test_a_cut_off_trace_with_nothing_open_is_inconclusive():
+    monitor = Monitor()
+    for event in _answered(0, 3):
+        monitor.observe(event)
+    assert _p12(monitor.finalize(trace_complete=True)).status == HOLDS
+    p12 = _p12(monitor.finalize(trace_complete=False))
+    assert (p12.status, p12.witness_seq) == (INCONCLUSIVE, None)
+
+
 def test_a_conversation_pending_at_truncation_is_still_named():
     monitor = Monitor()
     monitor.observe(_envelope(0, 0, "request", "GW:7"))
@@ -387,7 +421,7 @@ def test_max_reply_latency_is_the_worst_over_every_conversation():
     for event in events:
         monitor.observe(event)
     assert monitor.max_reply_latency == _latency_over_all_conversations(events) == 12
-    assert sorted(monitor._conversations) == ["GW:3", "GW:4"]  # late and pending
+    assert list(monitor._conversations) == ["GW:4"]  # only the pending one
 
 
 def test_the_monitor_keeps_only_open_conversations_and_none_after_a_quiescent_run():

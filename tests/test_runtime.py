@@ -92,6 +92,18 @@ def test_quiescent_round_only_advances_counter():
     assert world.log.lines == []  # an idle round traces nothing
 
 
+def test_an_agent_is_busy_exactly_when_run_round_would_step_it():
+    # a held goal that no plan serves still gets the agent stepped, so the
+    # world is not quiet while it waits
+    world = World()
+    register_agent(world, _agent("SA"))
+    world.agents["SA"].adopt("unserved", ())
+    assert not world.is_quiescent()
+    run_round(world)
+    assert world.agents["SA"].goals  # stepped, and still holding it
+    assert not world.is_quiescent()
+
+
 def test_run_until_quiescent_on_quiescent_world():
     world = World()
     register_agent(world, _agent("SA"))
