@@ -16,9 +16,13 @@ Consumes the totally ordered trace and decides twelve properties:
     P12 bounded-liveness          every request answered exactly once in K
 
 Properties judge accepted events and persisted state: a refusal is the
-system doing its job, never a violation.  Once violated, a property stays
-violated for the run.  The monitor is a pure observer; it shares no code
-with the store's own validation.
+system doing its job, never a violation.  Each property is violated at its
+first witness in trace order, a late or extra reply included, and stays
+violated for the run.  Only P12 is left to the end of the trace: a request
+still open there is violated on a complete trace, and a truncated trace,
+which could still go on, is inconclusive unless already violated.  The
+monitor is a pure observer; it shares no code with the store's own
+validation.
 """
 
 from __future__ import annotations
@@ -107,7 +111,6 @@ class _Conversation:
     replies: int = 0
     request_seq: int = 0
     request_round: int = 0
-    max_latency: int = 0
 
 
 class Monitor:
@@ -122,7 +125,7 @@ class Monitor:
         self._slots: set[tuple[str, str, str, str]] = set()
         self._lectures: dict[str, int] = {}
         self._exam_days: set[tuple[str, str]] = set()
-        self._conversations: dict[str, _Conversation] = {}  # open or late only
+        self._conversations: dict[str, _Conversation] = {}  # open only, oldest first
         self.max_reply_latency = 0
 
     # -- verdict bookkeeping -------------------------------------------
@@ -140,8 +143,9 @@ class Monitor:
         self._next_seq = seq + 1
 
         if kind == "envelope":
-            # P12 keeps only open and late conversations: an answered one can
-            # never be pending or late again, and a reply to none is extra
+            # P12 keeps only open conversations: a late reply is flagged when
+            # seen, an answered conversation is dropped, and a reply to none
+            # is extra
             conversations = self._conversations
             conv = conversations.get(conversation)
             if performative == "request":
@@ -152,16 +156,20 @@ class Monitor:
                     conv.request_seq = seq
                     conv.request_round = rnd
                 return
-            if conv is None or conv.replies >= conv.requests:
+            if conv is None:
                 self._flag(PropertyId.P12, seq, f"extra reply on conversation {conversation}")
-            if conv is not None:
+            else:
                 conv.replies += 1
                 latency = rnd - conv.request_round
-                if latency > conv.max_latency:
-                    conv.max_latency = latency
                 if latency > self.max_reply_latency:
                     self.max_reply_latency = latency
-                if conv.replies == conv.requests and conv.max_latency <= self.cfg.liveness_k:
+                if latency > self.cfg.liveness_k:
+                    self._flag(
+                        PropertyId.P12,
+                        conv.request_seq,
+                        f"reply to {conversation} after {latency} rounds, bound {self.cfg.liveness_k}",
+                    )
+                if conv.replies == conv.requests:
                     del conversations[conversation]
             if performative == "inform" and content.startswith("report("):
                 self._check_report(event)
@@ -257,7 +265,7 @@ class Monitor:
 
     def _check_completeness(self, name: str, fields: dict[str, str], seq: int) -> None:
         for f in SCHEMAS.get(name, ()):
-            if f.required and fields.get(f.name, "") == "":
+            if f.default is None and fields.get(f.name, "") == "":
                 self._flag(PropertyId.P9, seq, f"{name} accepted with empty {f.name}")
 
     # -- state-level rules (independent re-check over a dump) ------------
@@ -285,14 +293,15 @@ class Monitor:
                             PropertyId.P9, seq, f"{table} row persisted with empty {name}"
                         )
 
-        slots: set[tuple[str, str, str, str]] = set()
+        # the clash checks re-seed the P6 and P8 mirrors as they go
+        slots = self._slots = set()
         for c in tables["classes"]:
             slot = (c["p_id"], c["semester"], c["day"], c["period"])
             if slot in slots:
                 self._flag(PropertyId.P6, seq, f"persisted slot clash {slot}")
             slots.add(slot)
 
-        days: set[tuple[str, str]] = set()
+        days = self._exam_days = set()
         for entry in tables["datesheet"]:
             key = (entry["class_id"], entry["date"])
             if key in days:
@@ -310,18 +319,12 @@ class Monitor:
         self._st_ids = {r["st_id"] for r in tables["students"]}
         self._admitted = {r["student_id"] for r in tables["students"] if r["program_id"]}
         self._open_sessions = len(tables["sessions"])
-        self._slots = {
-            (r["p_id"], r["semester"], r["day"], r["period"]) for r in tables["classes"]
-        }
         self._lectures = {r["class_id"]: int(r["lectures_delivered"]) for r in tables["lecture_logs"]}
-        self._exam_days = {(r["class_id"], r["date"]) for r in tables["datesheet"]}
 
     # -- final verdicts ----------------------------------------------------
 
     def finalize(self, trace_complete: bool) -> list[Verdict]:
-        """One verdict per property on the trace so far; P12 reads a
-        request still pending as violated on a complete trace and as
-        inconclusive on a truncated one."""
+        """One verdict per property on the trace so far."""
         out: list[Verdict] = []
         for pid in PropertyId:
             if pid in self._violations:
@@ -334,29 +337,18 @@ class Monitor:
         return out
 
     def _liveness_verdict(self, trace_complete: bool) -> Verdict:
-        for conversation, c in sorted(self._conversations.items()):
-            if c.requests and c.replies < c.requests:
-                if trace_complete:
-                    return Verdict(
-                        PropertyId.P12,
-                        VIOLATED,
-                        c.request_seq,
-                        f"request {conversation} never answered",
-                    )
-                return Verdict(
-                    PropertyId.P12,
-                    INCONCLUSIVE,
-                    c.request_seq,
-                    f"request {conversation} pending at truncation",
-                )
-            if c.max_latency > self.cfg.liveness_k:
-                return Verdict(
-                    PropertyId.P12,
-                    VIOLATED,
-                    c.request_seq,
-                    f"reply to {conversation} after {c.max_latency} rounds, bound {self.cfg.liveness_k}",
-                )
-        return Verdict(PropertyId.P12, HOLDS)
+        """P12 with no extra or late reply: the oldest request still open is
+        violated on a complete trace; a truncated trace could still go on,
+        so it is inconclusive, open request or not."""
+        p12 = PropertyId.P12
+        if not self._conversations:
+            if trace_complete:
+                return Verdict(p12, HOLDS)
+            return Verdict(p12, INCONCLUSIVE, None, "trace incomplete: the run did not go quiet")
+        conversation, c = next(iter(self._conversations.items()))
+        if trace_complete:
+            return Verdict(p12, VIOLATED, c.request_seq, f"request {conversation} never answered")
+        return Verdict(p12, INCONCLUSIVE, c.request_seq, f"request {conversation} pending at truncation")
 
 
 def render_verdicts(verdicts: list[Verdict]) -> str:

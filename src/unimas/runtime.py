@@ -72,16 +72,10 @@ class World:
         self.emit("snapshot", content=encode_blob(dump_text))
 
     def is_quiescent(self) -> bool:
+        """True when ``run_round`` would step no agent."""
+        mailboxes = self.mailboxes
         for aid, state in self.agents.items():
-            if self.mailboxes[aid] or state.intentions or state.percepts:
-                return False
-        # only now is the expensive check worth it: an adopted goal that some
-        # plan still serves counts as pending work
-        for aid, state in self.agents.items():
-            if not state.goals:
-                continue
-            served = {plan.goal for plan in state.plan_library}
-            if any(g.name in served for g in state.goals):
+            if mailboxes[aid] or state.percepts or state.goals or state.intentions:
                 return False
         return True
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from .agents import GATEWAY, REPORT_KINDS, agent_for_command, build_world, store_handler
 from .config import RunConfig, with_fixed_window
 from .monitor import Monitor, Verdict, exit_code as verdict_exit_code
-from .runtime import World, run_round
+from .runtime import run_round
 from .store import SCHEMAS, Store, journal_conversations, recover
 from .terms import (
     Envelope,
@@ -99,12 +99,12 @@ VERBS = tuple(_VERB_COMMANDS) + (GENERATE_REPORT, CRASH, EXPECT_REFUSAL)
 
 #: Scenario keys whose command fields are optional (store defaults apply).
 _OPTIONAL_KEYS = {
-    verb: {_RENAMED.get(f.name, f.name) for f in SCHEMAS[command] if not f.required}
+    verb: {_RENAMED.get(f.name, f.name) for f in SCHEMAS[command] if f.default is not None}
     for verb, command in _VERB_TO_COMMAND.items()
 }
 
 #: Verbs allowed without an open session.
-_SESSION_EXEMPT = ("OPEN_SESSION", "CLOSE_SESSION", CRASH, EXPECT_REFUSAL)
+_SESSION_EXEMPT = ("OPEN_SESSION", "CLOSE_SESSION")
 
 
 def parse_scenario(text: str) -> list[ScenarioCommand]:
@@ -204,7 +204,6 @@ class RunResult:
     expectation_failures: list[str]
     log: TraceLog
     store: Store
-    world: World
     rounds_used: int
     quiescent: bool
     monitor: Monitor
@@ -410,7 +409,6 @@ class ScenarioRunner:
             expectation_failures=failures,
             log=self.world.log,
             store=self.store,
-            world=self.world,
             rounds_used=self.world.round,
             quiescent=quiescent,
             monitor=self.monitor,

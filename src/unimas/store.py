@@ -50,9 +50,10 @@ MARKS_BOUNDS = "marks out of bounds"
 
 @dataclass(frozen=True)
 class Field:
+    """A command field; it is required unless it has a default."""
+
     name: str
     int_typed: bool = False
-    required: bool = True
     default: str | None = None
 
 
@@ -65,7 +66,7 @@ SCHEMAS: dict[str, tuple[Field, ...]] = {
     "admit": (
         Field("student_id", int_typed=True),
         Field("p_id", int_typed=True),
-        Field("year", int_typed=True, required=False, default="1"),
+        Field("year", int_typed=True, default="1"),
     ),
     "add_program": (
         Field("name"),
@@ -84,7 +85,7 @@ SCHEMAS: dict[str, tuple[Field, ...]] = {
     "deliver_lecture": (
         Field("class_id", int_typed=True),
         Field("subject"),
-        Field("times", int_typed=True, required=False, default="1"),
+        Field("times", int_typed=True, default="1"),
     ),
     "schedule_exam": (
         Field("term"),
@@ -97,7 +98,7 @@ SCHEMAS: dict[str, tuple[Field, ...]] = {
         Field("class_id", int_typed=True),
         Field("subject"),
         Field("marks", int_typed=True),
-        Field("year", int_typed=True, required=False, default="1"),
+        Field("year", int_typed=True, default="1"),
     ),
     "query": (Field("q"),),
 }
@@ -269,7 +270,7 @@ class Store:
             if v == "":
                 if f.default is not None:
                     v = f.default
-                elif f.required and not self._injected("p9"):
+                elif not self._injected("p9"):
                     return {}, Refusal(INCOMPLETE)
             elif f.int_typed:
                 if not _INT.fullmatch(v):

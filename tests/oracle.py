@@ -144,7 +144,7 @@ def naive_statuses(parsed: ParsedTrace, cfg: RunConfig) -> dict[str, str]:
     # P9 per event: empty required field in any accepted command
     for _, name, kv in domain:
         for f in SCHEMAS[name]:
-            if f.required and kv.get(f.name, "") == "":
+            if f.default is None and kv.get(f.name, "") == "":
                 flag("P9")
 
     # P10: accepted marks outside bounds

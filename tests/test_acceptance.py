@@ -271,22 +271,23 @@ def test_c4_determinism_and_fuzz_sweep():
 
 def test_c5_crash_replay_sweep_byte_identical():
     commands = parse_scenario((SCENARIOS / "lifecycle.scn").read_text())
-    cfg = replace(RunConfig(), pipeline_window=1)
     started = time.perf_counter()
-    baseline = run_scenario(commands, cfg)
-    n_events = len(baseline.store.journal_lines)
-    assert n_events == 50
-    base_dump = baseline.store.dump()
+    for window in (1, 8):
+        cfg = replace(RunConfig(), pipeline_window=window)
+        baseline = run_scenario(commands, cfg)
+        n_events = len(baseline.store.journal_lines)
+        assert n_events == 50
+        base_dump = baseline.store.dump()
 
-    for torn in (False, True):
-        for crash_at in range(0, n_events + 1):
-            crashed = run_scenario(commands, cfg, crash_at=crash_at, torn=torn)
-            assert crashed.store.dump() == base_dump, (crash_at, torn)
+        for torn in (False, True):
+            for crash_at in range(0, n_events + 1):
+                crashed = run_scenario(commands, cfg, crash_at=crash_at, torn=torn)
+                assert crashed.store.dump() == base_dump, (window, crash_at, torn)
     elapsed = time.perf_counter() - started
     assert elapsed < 30.0, f"crash sweep took {elapsed:.1f}s"
     print(
         f"\nACCEPTANCE 5: PASS - crash at every index 0..{n_events} (plus torn-write "
-        f"variant) byte-identical, {elapsed:.1f}s"
+        f"variant) at windows 1 and 8 byte-identical, {elapsed:.1f}s"
     )
 
 
