@@ -293,7 +293,6 @@ class Monitor:
                             PropertyId.P9, seq, f"{table} row persisted with empty {name}"
                         )
 
-        # the clash checks re-seed the P6 and P8 mirrors as they go
         slots = self._slots = set()
         for c in tables["classes"]:
             slot = (c["p_id"], c["semester"], c["day"], c["period"])
@@ -309,7 +308,8 @@ class Monitor:
             days.add(key)
 
     def _reseed(self, tables: dict) -> None:
-        """Re-derive event-level mirrors from a snapshot.
+        """Re-derive the event-level mirrors from a snapshot, all but the
+        P6 and P8 ones, which ``check_snapshot``'s clash checks fill.
 
         A snapshot is ground truth for what is durable, so this keeps the
         monitor consistent across a crash/recovery boundary, where an event
