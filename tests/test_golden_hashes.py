@@ -21,7 +21,7 @@ from test_agents import TRAPS
 
 from unimas.config import RunConfig
 from unimas.fuzz import fuzz, generate
-from unimas.scenario import RunResult, parse_scenario, run_scenario
+from unimas.scenario import RunResult, load_test, parse_scenario, run_scenario
 
 HASHES = Path(__file__).parent / "data" / "golden_hashes.txt"
 
@@ -62,6 +62,8 @@ def _runs():
     yield "lifecycle.scn+CRASH-lines+crash_at=10", lambda: run_scenario(
         parse_scenario(_with_crash_lines()), RunConfig(), crash_at=10
     )
+    # a deep gateway queue: window 64, so the gateway holds about 60 goals
+    yield "load+cap=1000+clients=1001", lambda: load_test(RunConfig(cap=1000), clients=1001).result
 
 
 def _line(name: str, result: RunResult) -> str:
