@@ -10,7 +10,12 @@ execution).  ``step`` runs one full cycle on a copy of it:
                      message keeps that envelope, and its params are the
                      content's args,
     2. commit     -- every goal without a live intention commits the first
-                     plan, in declaration order, whose context holds,
+                     plan, in declaration order, whose context holds; a
+                     goal no plan takes is tried again next cycle.  Commit
+                     looks only at the goals not yet committed, so a
+                     cycle's cost does not grow with the goals the agent
+                     already pursues (the gateway holds up to
+                     ``pipeline_window`` of them),
     3. execute    -- advance the oldest intention by exactly one step; an
                      agent with ``advance_every_intention`` set advances
                      every intention it holds at this point by one step
@@ -240,6 +245,9 @@ class AgentState:
     beliefs: BeliefBase
     plan_library: tuple[Plan, ...]
     goals: list[Goal] = field(default_factory=list)
+    #: The goals without an intention yet, in adoption order: the only ones
+    #: the commit phase looks at.
+    uncommitted: list[Goal] = field(default_factory=list)
     intentions: list[Intention] = field(default_factory=list)
     next_seq: int = 0
     percepts: list[Belief] = field(default_factory=list)
@@ -253,6 +261,7 @@ class AgentState:
             self.beliefs,
             self.plan_library,
             list(self.goals),
+            list(self.uncommitted),
             list(self.intentions),
             self.next_seq,
             list(self.percepts),
@@ -262,7 +271,9 @@ class AgentState:
     def adopt(
         self, name: str, params: tuple[str, ...], message: Envelope | None = None
     ) -> None:
-        self.goals.append(_new(Goal, (name, params, self.next_seq, message)))
+        goal = _new(Goal, (name, params, self.next_seq, message))
+        self.goals.append(goal)
+        self.uncommitted.append(goal)
         self.next_seq += 1
 
 
@@ -314,16 +325,19 @@ def _perceive(state: AgentState, inbox: Sequence[Envelope]) -> None:
 
 
 def _commit_options(state: AgentState) -> None:
+    """Commit each uncommitted goal, in adoption order; a goal that no plan
+    takes this cycle stays uncommitted, to be tried again next cycle."""
     held = state.intentions
-    committed = {i.origin_goal.adoption_seq for i in held} if held else ()
     beliefs = state.beliefs
-    for goal in state.goals:
-        if goal.adoption_seq in committed:
-            continue
+    waiting: list[Goal] = []
+    for goal in state.uncommitted:
         for plan in state.plan_library:
             if plan.goal == goal.name and (plan.context is None or plan.context(beliefs, goal)):
                 held.append(_new(Intention, (plan, 0, goal)))
                 break  # first applicable plan per goal wins
+        else:
+            waiting.append(goal)
+    state.uncommitted = waiting
 
 
 def _execute(state: AgentState) -> tuple[tuple[Envelope, ...], tuple[Command, ...]]:

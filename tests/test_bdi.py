@@ -1,7 +1,7 @@
 """Kernel oracles: every behavior here is either a spec-stated example or a
 hand-derived trace frozen as a golden file."""
 
-from dataclasses import replace
+from dataclasses import MISSING, fields, replace
 from pathlib import Path
 
 import pytest
@@ -184,6 +184,27 @@ def test_context_filters_options():
     assert _sent(result) == ["p2_1"]
 
 
+def test_a_goal_no_plan_takes_is_retried_until_its_context_holds():
+    # "a"'s only plan waits for "ready", which "b"'s one step adds
+    wait = _plan("pa", "a", context=lambda beliefs, goal: Belief("ready", ()) in beliefs)
+    ready = Plan(name="pb", goal="b", body=(BelieveStep(lambda ctx: [add("ready")]),))
+    agent = make_agent("A", [wait, ready, _plan("pc", "c")])
+    for goal in ("a", "b", "a"):
+        agent = adopt_goal(agent, goal, ())
+    first = step(agent, []).state
+    # "b" committed and ran; both "a" goals are still adopted, with no intention
+    assert [(g.name, g.adoption_seq) for g in first.goals] == [("a", 0), ("a", 2)]
+    assert first.intentions == [] and Belief("ready", ()) in first.beliefs
+    second = step(adopt_goal(first, "c", ()), [])
+    # both commit on the first cycle their context holds, in adoption order
+    # and ahead of the later "c"; the oldest took this cycle's step
+    assert [(i.plan.name, i.origin_goal.adoption_seq) for i in second.state.intentions] == [
+        ("pa", 2),
+        ("pc", 3),
+    ]
+    assert [g.name for g in second.state.goals] == ["a", "c"]
+
+
 def test_commit_appends_intention_pc_zero():
     agent = make_agent("A", [_two_step("p1", "g1"), _two_step("p2", "g2")])
     agent = adopt_goal(adopt_goal(agent, "g1", ()), "g2", ())
@@ -291,8 +312,10 @@ def test_step_is_deterministic():
 
 
 def test_goal_intention_bijection_every_cycle():
-    agent = make_agent("A", [_plan("p1", "g1"), _plan("p2", "g2")])
-    agent = adopt_goal(adopt_goal(agent, "g1", ()), "g2", ())
+    agent = make_agent("A", [_plan("p1", "g1"), _two_step("p2", "g2")])
+    # "idle" has no plan, so it is never committed
+    for goal in ("g1", "idle", "g2", "g1"):
+        agent = adopt_goal(agent, goal, ())
     state = agent
     for _ in range(6):
         state = step(state, []).state
@@ -300,6 +323,24 @@ def test_goal_intention_bijection_every_cycle():
         assert len(origins) == len(set(origins))
         goal_seqs = {g.adoption_seq for g in state.goals}
         assert all(seq in goal_seqs for seq in origins)
+        # the commit phase's list is the goals without an intention, in adoption order
+        assert state.uncommitted == [g for g in state.goals if g.adoption_seq not in origins]
+    assert [g.name for g in state.uncommitted] == ["idle"]
+
+
+def test_copy_reproduces_every_field_and_shares_no_list():
+    state = make_agent("A", [_two_step("p1", "g")], [Belief("b", ())], advance_every_intention=True)
+    state = step(adopt_goal(state, "g", ()), []).state
+    state.adopt("idle", ())
+    state.percepts.append(Belief("p", ()))
+    twin = state.copy()
+    for f in fields(AgentState):
+        value = getattr(state, f.name)
+        default = f.default if f.default_factory is MISSING else f.default_factory()
+        assert value != default, f"the test state leaves {f.name} at its default"
+        assert getattr(twin, f.name) == value, f.name
+        if isinstance(value, list):
+            assert getattr(twin, f.name) is not value, f.name
 
 
 # -- the 2-plan, 2-goal golden trace ------------------------------------------
@@ -409,6 +450,7 @@ def test_every_intention_advances_once_per_cycle_oldest_first():
 def _observable(state):
     return (
         list(state.goals),
+        list(state.uncommitted),
         list(state.intentions),
         list(state.percepts),
         state.next_seq,
