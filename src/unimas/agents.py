@@ -280,14 +280,19 @@ def store_handler(store: Store) -> runtime.CommandHandler:
     return handle
 
 
-def build_world(cfg: RunConfig | None = None) -> tuple[World, Store]:
-    """A fresh world with the full roster registered and the store attached."""
-    cfg = cfg or RunConfig()
+def check_liveness_k(cfg: RunConfig) -> None:
+    """Refuse a ``liveness_k`` under which P12 can never hold."""
     if cfg.liveness_k < MIN_LIVENESS_K:
         raise ConfigError(
             f"liveness_k={cfg.liveness_k} can never hold: "
             f"the longest reply path takes {MIN_LIVENESS_K} rounds"
         )
+
+
+def build_world(cfg: RunConfig | None = None) -> tuple[World, Store]:
+    """A fresh world with the full roster registered and the store attached."""
+    cfg = cfg or RunConfig()
+    check_liveness_k(cfg)
     store = Store(cfg)
     world = World(command_handler=store_handler(store), log=TraceLog(header=cfg.header()))
     for agent_id in ROSTER:

@@ -15,7 +15,7 @@ from dataclasses import replace
 from pathlib import Path
 
 from .config import ConfigError, RunConfig, apply_setting, parse_config_text, parse_header
-from .fuzz import fuzz as run_fuzz, generate
+from .fuzz import fuzz as run_fuzz, fuzz_config, generate
 from .monitor import evaluate_trace, exit_code, render_verdicts
 from .scenario import (
     RunResult,
@@ -78,7 +78,7 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 
 def cmd_fuzz(args: argparse.Namespace) -> int:
-    cfg = _load_config(args)
+    cfg = fuzz_config(args.seed, _load_config(args))  # --print-only refuses what a run does
     if args.print_only:
         for command in generate(args.seed, args.events, cfg):
             print(command.render())

@@ -13,7 +13,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field, replace as dc_replace
 
-from .agents import REPORT_KINDS
+from .agents import REPORT_KINDS, check_liveness_k
 from .config import RunConfig, with_fixed_window
 from .scenario import ScenarioCommand, RunResult, run_scenario
 
@@ -221,7 +221,15 @@ def generate(seed: int, n_events: int, cfg: RunConfig | None = None) -> list[Sce
     return out[:n_events]
 
 
+def fuzz_config(seed: int, cfg: RunConfig | None = None) -> RunConfig:
+    """``cfg`` as a fuzz run uses it: at window 8 and this seed.  A
+    configuration the run could not serve is a ``ConfigError``."""
+    cfg = dc_replace(with_fixed_window(cfg or RunConfig(), 8, "fuzz"), seed=seed)
+    check_liveness_k(cfg)
+    return cfg
+
+
 def fuzz(seed: int, n_events: int, cfg: RunConfig | None = None) -> RunResult:
     """Generate and run one fuzz stream with the monitor on, at window 8."""
-    cfg = dc_replace(with_fixed_window(cfg or RunConfig(), 8, "fuzz"), seed=seed)
+    cfg = fuzz_config(seed, cfg)
     return run_scenario(generate(seed, n_events, cfg), cfg)

@@ -140,6 +140,19 @@ def test_fuzz_print_only_deterministic(capsys):
     assert first.startswith("OPEN_SESSION dept=CS")
 
 
+def test_fuzz_print_only_refuses_what_a_fuzz_run_refuses(capsys):
+    refusals = {
+        "pipeline_window=3": "fixed pipeline_window of 8",
+        "liveness_k=2": "liveness_k=2 can never hold",
+    }
+    for setting, message in refusals.items():
+        for print_only in ((), ("--print-only",)):
+            argv = ("fuzz", "--seed", "1", "--events", "10", "--set", setting, *print_only)
+            assert run_cli(*argv) == 3, argv
+            captured = capsys.readouterr()
+            assert message in captured.err and captured.out == "", argv
+
+
 def test_fuzz_run_small(capsys):
     assert run_cli("fuzz", "--seed", "5", "--events", "60") == 0
     assert "trace_sha256=" in capsys.readouterr().out
