@@ -325,8 +325,6 @@ def _perceive(state: AgentState, inbox: Sequence[Envelope]) -> None:
 
 
 def _commit_options(state: AgentState) -> None:
-    """Commit each uncommitted goal, in adoption order; a goal that no plan
-    takes this cycle stays uncommitted, to be tried again next cycle."""
     held = state.intentions
     beliefs = state.beliefs
     waiting: list[Goal] = []
