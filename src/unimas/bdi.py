@@ -291,13 +291,6 @@ def make_agent(
     )
 
 
-def adopt_goal(state: AgentState, name: str, params: tuple[str, ...]) -> AgentState:
-    """A copy of ``state`` with one more goal adopted."""
-    twin = state.copy()
-    twin.adopt(name, params)
-    return twin
-
-
 class StepResult(NamedTuple):
     state: AgentState
     outbox: tuple[Envelope, ...]

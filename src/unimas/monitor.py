@@ -27,8 +27,10 @@ validation.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 from enum import Enum
+from operator import itemgetter
 
 from .config import RunConfig
 from .store import OPTIONAL_ROW_FIELDS, SCHEMAS, TABLE_FIELDS
@@ -105,6 +107,19 @@ def parse_dump(text: str) -> dict[str, list[dict[str, str]]]:
     return tables
 
 
+#: P1, P4, P6 and P8 are one rule: no two accepted events of the command, and
+#: no two rows of its table, share a key; a row names its fields as the
+#: command does and counts only if its filter field is filled (P4: admitted).
+#: (property, command, key fields, table, row filter, message about the key)
+UNIQUE_KEYS = (
+    (PropertyId.P1, "add_student", ("st_id",), "students", "", "st_id {0} registered twice"),
+    (PropertyId.P4, "admit", ("student_id",), "students", "program_id", "student {0} admitted twice"),
+    (PropertyId.P6, "add_class", ("p_id", "semester", "day", "period"), "classes", "",
+     "slot clash p={0[0]} semester={0[1]} timing={0[2]}/{0[3]}"),
+    (PropertyId.P8, "schedule_exam", ("class_id", "date"), "datesheet", "", "class {0[0]} examined twice on {0[1]}"),
+)
+
+
 @dataclass(slots=True)
 class _Conversation:
     requests: int = 0
@@ -118,13 +133,10 @@ class Monitor:
         self.cfg = cfg or RunConfig()
         self._next_seq = 0
         self._violations: dict[PropertyId, tuple[int, str]] = {}
-        # incremental mirrors, built only from trace events
-        self._st_ids: set[str] = set()
-        self._admitted: set[str] = set()
+        # mirrors built only from trace events; command -> (pid, key getter, message, key -> first seq)
+        self._firsts = {c: (pid, itemgetter(*keys), msg, {}) for pid, c, keys, _, _, msg in UNIQUE_KEYS}
         self._open_sessions = 0
-        self._slots: set[tuple[str, str, str, str]] = set()
         self._lectures: dict[str, int] = {}
-        self._exam_days: set[tuple[str, str]] = set()
         self._conversations: dict[str, _Conversation] = {}  # open only, oldest first
         self.max_reply_latency = 0
 
@@ -204,45 +216,33 @@ class Monitor:
         self._check_completeness(name, fields, event.seq)
         get = fields.get
 
-        if name == "add_student":
-            st_id = get("st_id", "")
-            if st_id in self._st_ids:
-                self._flag(PropertyId.P1, event.seq, f"st_id {st_id} registered twice")
-            self._st_ids.add(st_id)
-        elif name == "admit":
-            student = get("student_id", "")
-            if student in self._admitted:
-                self._flag(PropertyId.P4, event.seq, f"student {student} admitted twice")
-            self._admitted.add(student)
-        elif name == "add_class":
-            slot = (get("p_id", ""), get("semester", ""), get("day", ""), get("period", ""))
-            if slot in self._slots:
-                self._flag(
-                    PropertyId.P6,
-                    event.seq,
-                    f"slot clash p={slot[0]} semester={slot[1]} timing={slot[2]}/{slot[3]}",
-                )
-            self._slots.add(slot)
+        unique = self._firsts.get(name)
+        if unique is not None:
+            pid, key_of, message, firsts = unique
+            try:
+                key = key_of(fields)
+            except KeyError:  # a missing field reads as "", as P9 reads it
+                key = key_of(defaultdict(str, fields))
+            first = firsts.setdefault(key, event.seq)
+            if first != event.seq:
+                self._flag(pid, event.seq, f"{message.format(key)} (first at seq {first})")
+        if name == "add_class":
             self._lectures[get("class_id", "")] = 0
         elif name == "deliver_lecture":
             class_id = get("class_id", "")
             self._lectures[class_id] = self._lectures.get(class_id, 0) + int(get("times") or 0)
         elif name == "schedule_exam":
-            class_id, term, date = get("class_id", ""), get("term", ""), get("date", "")
+            term = get("term", "")
             minimum = (
                 self.cfg.min_lectures_mid if term == "mid" else self.cfg.min_lectures_final
             )
-            delivered = self._lectures.get(class_id, 0)
+            delivered = self._lectures.get(get("class_id", ""), 0)
             if delivered < minimum:
                 self._flag(
                     PropertyId.P7,
                     event.seq,
                     f"{term} exam after {delivered} lectures, minimum {minimum}",
                 )
-            day_key = (class_id, date)
-            if day_key in self._exam_days:
-                self._flag(PropertyId.P8, event.seq, f"class {class_id} examined twice on {date}")
-            self._exam_days.add(day_key)
         elif name == "record_result":
             lo, hi = self.cfg.marks_bounds(get("subject", ""))
             marks = int(get("marks") or 0)
@@ -272,7 +272,20 @@ class Monitor:
 
     def check_snapshot(self, dump_text: str, seq: int = 0) -> None:
         tables = parse_dump(dump_text)
-        self._reseed(tables)
+        # a snapshot is ground truth for what is durable, so it re-seeds the mirrors:
+        # an event lost to a torn journal write before a crash is re-driven, not a duplicate
+        self._open_sessions = len(tables["sessions"])
+        self._lectures = {r["class_id"]: int(r["lectures_delivered"]) for r in tables["lecture_logs"]}
+        for _, command, _, table, row_filter, _ in UNIQUE_KEYS:
+            pid, key_of, message, firsts = self._firsts[command]
+            firsts.clear()
+            for row in tables[table]:
+                if row_filter and not row[row_filter]:
+                    continue
+                key = key_of(row)
+                if key in firsts:
+                    self._flag(pid, seq, f"persisted {message.format(key)}")
+                firsts[key] = seq
 
         fee_rows = {(r["p_id"], r["semester"]) for r in tables["fees"]}
         for program in tables["programs"]:
@@ -292,34 +305,6 @@ class Monitor:
                         self._flag(
                             PropertyId.P9, seq, f"{table} row persisted with empty {name}"
                         )
-
-        slots = self._slots = set()
-        for c in tables["classes"]:
-            slot = (c["p_id"], c["semester"], c["day"], c["period"])
-            if slot in slots:
-                self._flag(PropertyId.P6, seq, f"persisted slot clash {slot}")
-            slots.add(slot)
-
-        days = self._exam_days = set()
-        for entry in tables["datesheet"]:
-            key = (entry["class_id"], entry["date"])
-            if key in days:
-                self._flag(PropertyId.P8, seq, f"persisted datesheet clash {key}")
-            days.add(key)
-
-    def _reseed(self, tables: dict) -> None:
-        """Re-derive the event-level mirrors from a snapshot, all but the
-        P6 and P8 ones, which ``check_snapshot``'s clash checks fill.
-
-        A snapshot is ground truth for what is durable, so this keeps the
-        monitor consistent across a crash/recovery boundary, where an event
-        lost to a torn journal write is legitimately re-driven and must not
-        read as a duplicate.
-        """
-        self._st_ids = {r["st_id"] for r in tables["students"]}
-        self._admitted = {r["student_id"] for r in tables["students"] if r["program_id"]}
-        self._open_sessions = len(tables["sessions"])
-        self._lectures = {r["class_id"]: int(r["lectures_delivered"]) for r in tables["lecture_logs"]}
 
     # -- final verdicts ----------------------------------------------------
 
@@ -368,6 +353,6 @@ def evaluate_trace(parsed: ParsedTrace, cfg: RunConfig) -> list[Verdict]:
     """From-scratch re-evaluation of a recorded trace (the offline path)."""
     monitor = Monitor(cfg)
     observe = monitor.observe
-    for event in parsed.events:  # parsed one line at a time
+    for event in parsed:  # parsed one line at a time
         observe(event)
     return monitor.finalize(trace_complete=parsed.complete)

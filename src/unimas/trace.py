@@ -88,8 +88,8 @@ class ParsedTrace:
 
     The header is read from the ``#`` lines before the first event, where
     ``TraceLog`` writes it, and the ``# end`` trailer from the last one.
-    Events are parsed as they are iterated, so a bad line raises
-    ``ValueError`` when it is reached.  From a sequence of lines, the
+    Iterating the trace yields its events, each parsed as it is reached,
+    so a bad line raises ``ValueError`` there.  From a sequence of lines, the
     events can be iterated again and ``complete`` is known at once; from a
     one-shot iterator (an open file), once the events have been read.
     """
@@ -115,11 +115,6 @@ class ParsedTrace:
             self.header = line[len("# config "):]
         elif line.startswith("# end "):
             self.complete = line.endswith("complete=true")
-
-    @property
-    def events(self) -> "ParsedTrace":
-        """The events: iterating the trace parses them."""
-        return self
 
     def __iter__(self) -> Iterator[TraceEvent]:
         parse = TraceEvent.parse

@@ -1,8 +1,9 @@
 """Naive references, independent of the code they check.
 
 ``naive_statuses`` is a full-trace property checker: quadratic scans and
-recomputation everywhere, sharing no logic with unimas.monitor, so that
-agreement between the two is evidence, not tautology.  ``reference_report``
+recomputation everywhere, sharing no logic with unimas.monitor and reading
+nothing from unimas.store, so that agreement between the two is evidence,
+not tautology.  ``reference_report``
 computes a report's lines from a whole store dump, apart from the store's
 report queries and the report agent.  Desk scale only.
 """
@@ -12,9 +13,37 @@ from __future__ import annotations
 from collections import defaultdict
 
 from unimas.config import RunConfig
-from unimas.store import OPTIONAL_ROW_FIELDS, SCHEMAS, TABLE_FIELDS
 from unimas.terms import decode_blob
 from unimas.trace import ParsedTrace
+
+# What P9 calls required, written out here rather than read from the store's
+# schema, so that a field the store makes optional by mistake still shows.
+
+#: the fields an accepted command must not leave empty, by command
+REQUIRED_COMMAND_FIELDS = {
+    "add_student": ("st_id", "name", "dpt_id"),
+    "add_teacher": ("name", "designation", "contact", "email"),
+    "admit": ("student_id", "p_id"),
+    "add_program": ("name", "session", "semester_count", "fee"),
+    "add_class": ("p_id", "semester", "subject", "day", "period"),
+    "assign_teacher": ("class_id", "teacher_id"),
+    "deliver_lecture": ("class_id", "subject"),
+    "schedule_exam": ("term", "class_id", "subject", "date"),
+    "record_result": ("student_id", "class_id", "subject", "marks"),
+}
+
+#: the store's tables, each with the fields a persisted row must not leave empty
+REQUIRED_ROW_FIELDS = {
+    "students": ("student_id", "st_id", "name", "dpt_id"),
+    "teachers": ("teacher_id", "name", "designation", "contact", "email"),
+    "programs": ("p_id", "name", "session", "semester_count"),
+    "fees": ("p_id", "semester", "amount"),
+    "classes": ("class_id", "p_id", "semester", "subject", "day", "period"),
+    "lecture_logs": ("class_id", "subject", "lectures_delivered"),
+    "datesheet": ("class_id", "date", "term", "subject"),
+    "results": ("student_id", "class_id", "subject", "marks", "year"),
+    "sessions": ("sid", "dpt_id"),
+}
 
 
 def _kv(content: str) -> tuple[str, dict[str, str]]:
@@ -28,7 +57,7 @@ def _kv(content: str) -> tuple[str, dict[str, str]]:
 
 
 def _rows(dump: str) -> dict[str, list[dict[str, str]]]:
-    tables: dict[str, list[dict[str, str]]] = {t: [] for t in TABLE_FIELDS}
+    tables: dict[str, list[dict[str, str]]] = {t: [] for t in REQUIRED_ROW_FIELDS}
     for line in dump.splitlines():
         if not line:
             continue
@@ -82,9 +111,8 @@ def reference_report(kind: str, dump: str, lab_count: int) -> list[str]:
 
 
 def naive_statuses(parsed: ParsedTrace, cfg: RunConfig) -> dict[str, str]:
-    events = parsed.events
+    events = list(parsed)
     domain = [(e.seq, *_kv(e.content)) for e in events if e.kind == "domain_event"]
-    opens = [(e.seq, _kv(e.content)[1]) for e in events if e.kind == "session_open"]
     statuses = {f"P{i}": "holds" for i in range(1, 13)}
 
     def flag(pid: str) -> None:
@@ -143,9 +171,8 @@ def naive_statuses(parsed: ParsedTrace, cfg: RunConfig) -> dict[str, str]:
 
     # P9 per event: empty required field in any accepted command
     for _, name, kv in domain:
-        for f in SCHEMAS[name]:
-            if f.default is None and kv.get(f.name, "") == "":
-                flag("P9")
+        if any(kv.get(f, "") == "" for f in REQUIRED_COMMAND_FIELDS[name]):
+            flag("P9")
 
     # P10: accepted marks outside bounds
     for _, name, kv in domain:
@@ -170,7 +197,7 @@ def naive_statuses(parsed: ParsedTrace, cfg: RunConfig) -> dict[str, str]:
             ):
                 flag("P11")
 
-    # snapshot rules: P5 plus persisted P6/P8/P9
+    # snapshot rules: P5 plus persisted P1/P6/P8/P9
     snapshots = [e for e in events if e.kind == "snapshot"]
     for snap in snapshots:
         tables = _rows(decode_blob(snap.content))
@@ -181,12 +208,16 @@ def naive_statuses(parsed: ParsedTrace, cfg: RunConfig) -> dict[str, str]:
                     flag("P5")
         for table, rows in tables.items():
             for row in rows:
-                for fname in TABLE_FIELDS[table]:
-                    if fname not in OPTIONAL_ROW_FIELDS.get(table, ()) and row.get(fname, "") == "":
-                        flag("P9")
-        per_slot = [(r["p_id"], r["semester"], r["day"], r["period"]) for r in tables["classes"]]
-        if len(per_slot) != len(set(per_slot)):
-            flag("P6")
+                if any(row.get(f, "") == "" for f in REQUIRED_ROW_FIELDS[table]):
+                    flag("P9")
+        persisted = {
+            "P1": [r["st_id"] for r in tables["students"]],
+            "P6": [(r["p_id"], r["semester"], r["day"], r["period"]) for r in tables["classes"]],
+            "P8": [(r["class_id"], r["date"]) for r in tables["datesheet"]],
+        }
+        for pid, keys in persisted.items():
+            if len(keys) != len(set(keys)):
+                flag(pid)
 
     # P12: request/reply pairing and latency over the whole trace
     requests: dict[str, list[int]] = {}

@@ -324,7 +324,7 @@ def test_zero_denominator_is_undefined_marker():
 def _trace_report_lines(result) -> list[str]:
     """The lines of every well-formed report reply to GW, in trace order."""
     lines: list[str] = []
-    for event in parse_trace(result.log.lines).events:
+    for event in parse_trace(result.log.lines):
         if event.kind != "envelope" or event.receiver != GATEWAY:
             continue
         if event.performative == "inform" and event.content.startswith("report("):
@@ -572,7 +572,7 @@ def test_oa_handle_malformed_content_fails():
         route(world, [Envelope(GATEWAY, ORCHESTRATOR, Performative.REQUEST, "GW:0", content)])
         while not world.is_quiescent() and world.round < 10:
             run_round(world)
-        events = list(parse_trace(world.log.lines).events)
+        events = list(parse_trace(world.log.lines))
         replies = [e for e in events if e.kind == "envelope" and e.receiver == GATEWAY]
         assert [(e.performative, e.content) for e in replies] == [
             ("failure", failed("malformed command").render())
@@ -636,7 +636,7 @@ def test_exactly_one_reply_per_request_in_trace():
     )
     requests: dict[str, int] = {}
     replies: dict[str, int] = {}
-    events = parse_trace(result.log.text().splitlines()).events
+    events = parse_trace(result.log.text().splitlines())
     for event in events:
         if event.kind != "envelope":
             continue
@@ -661,7 +661,7 @@ def test_journal_state_equivalence_after_run():
 def test_only_orchestrator_produces_commands():
     result = run_lines(ADMISSION_PREFIX + "ADMIT student_id=1 p_id=1\n")
     store_kinds = ("domain_event", "refusal", "session_open", "session_close")
-    events = parse_trace(result.log.text().splitlines()).events
+    events = parse_trace(result.log.text().splitlines())
     producers = {e.sender for e in events if e.kind in store_kinds and e.receiver == "store"}
     assert producers == {"OA"}
 

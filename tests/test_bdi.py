@@ -18,7 +18,6 @@ from unimas.bdi import (
     Plan,
     SendStep,
     add,
-    adopt_goal,
     make_agent,
     remove,
     step,
@@ -28,6 +27,13 @@ from unimas.agents import orchestrator_agent
 from unimas.terms import Command, Envelope, Performative, Term
 
 DATA = Path(__file__).parent / "data"
+
+
+def adopt_goal(state: AgentState, name: str, params: tuple[str, ...]) -> AgentState:
+    """A copy of ``state`` with one more goal adopted."""
+    twin = state.copy()
+    twin.adopt(name, params)
+    return twin
 
 
 # -- update_beliefs ----------------------------------------------------------

@@ -25,6 +25,13 @@ def test_run_with_injection_exits_two(capsys):
     assert "P1|violated|" in out
 
 
+def test_injected_duplicate_names_both_events(capsys):
+    code = run_cli("run", str(SCENARIOS / "registration.scn"), "--inject", "p1")
+    out = capsys.readouterr().out
+    assert code == 2
+    assert "P1|violated|20|st_id 3520111111111 registered twice (first at seq 5)\n" in out
+
+
 def test_run_unknown_file_exits_three(capsys):
     assert run_cli("run", "does-not-exist.scn") == 3
     for command in ("run", "report"):  # a directory is no file either

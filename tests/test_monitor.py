@@ -1,6 +1,6 @@
 import pytest
 
-from oracle import naive_statuses
+from oracle import REQUIRED_COMMAND_FIELDS, REQUIRED_ROW_FIELDS, naive_statuses
 from test_acceptance import GOLDEN, GOLDEN_CFG, SCENARIOS
 from unimas.bdi import BelieveStep, MessageMatch, Plan, make_agent
 from unimas.config import RunConfig
@@ -16,7 +16,7 @@ from unimas.monitor import (
     evaluate_trace,
 )
 from unimas.scenario import parse_scenario, run_scenario
-from unimas.store import SCHEMAS, Store
+from unimas.store import OPTIONAL_ROW_FIELDS, SCHEMAS, TABLE_FIELDS, Store
 from unimas.terms import Command, Performative, encode_blob
 from unimas.trace import TraceEvent, parse_trace
 
@@ -54,7 +54,7 @@ def test_command_fields_equal_the_parsed_command_on_real_traffic():
     # the event's content
     seen = 0
     for result in _traffic():
-        for event in parse_trace(result.log.lines).events:
+        for event in parse_trace(result.log.lines):
             if event.kind in ("domain_event", "session_open"):
                 name, fields = command_fields(event.content)
                 ints = [fields[f.name] for f in SCHEMAS[name] if f.int_typed]
@@ -86,6 +86,18 @@ def test_duplicate_accepted_registration_flags_p1():
     assert statuses(verdicts)[PropertyId.P1] == VIOLATED
     p1 = [v for v in verdicts if v.property is PropertyId.P1][0]
     assert p1.witness_seq == 1
+    assert p1.explanation == "st_id 111 registered twice (first at seq 0)"
+
+
+def test_a_key_field_missing_from_an_event_reads_as_empty():
+    monitor = Monitor()
+    monitor.observe(domain(0, "add_class(p_id=1,semester=1,subject=S,day=0,class_id=1)"))
+    monitor.observe(domain(1, "add_class(p_id=1,semester=1,subject=S,day=0,period=,class_id=2)"))
+    flagged = [v.render() for v in monitor.finalize(True) if v.status != HOLDS]
+    assert flagged == [
+        "P6|violated|1|slot clash p=1 semester=1 timing=0/ (first at seq 0)",
+        "P9|violated|0|add_class accepted with empty period",
+    ]
 
 
 def test_session_open_at_cap_flags_p2():
@@ -185,6 +197,93 @@ def test_snapshot_empty_required_field_flags_p9():
     monitor.check_snapshot(dump)
     verdicts = monitor.finalize(True)
     assert statuses(verdicts)[PropertyId.P9] == VIOLATED
+
+
+def test_oracle_requires_what_the_store_schema_requires():
+    # the oracle writes "required" out itself, so a field the store's schema
+    # makes optional by mistake shows here
+    required = {n: tuple(f.name for f in s if f.default is None) for n, s in SCHEMAS.items()}
+    assert {n: required[n] for n in REQUIRED_COMMAND_FIELDS} == REQUIRED_COMMAND_FIELDS
+    assert set(required) - set(REQUIRED_COMMAND_FIELDS) == {"open_session", "close_session", "query"}
+    rows = {
+        table: tuple(f for f in fields if f not in OPTIONAL_ROW_FIELDS.get(table, ()))
+        for table, fields in TABLE_FIELDS.items()
+    }
+    assert rows == REQUIRED_ROW_FIELDS
+
+
+def _student_row(student_id, st_id, program_id=""):
+    return (
+        f"students|{student_id}|student_id={student_id},st_id={st_id},name=A,dpt_id=CS,"
+        f"program_id={program_id},admit_year={'1' if program_id else ''}"
+    )
+
+
+def _class_row(class_id, day):
+    return (
+        f"classes|{class_id}|class_id={class_id},p_id=1,semester=1,subject=S{class_id},"
+        f"day={day},period=0,teacher_id="
+    )
+
+
+def _exam_row(class_id, date, term):
+    return f"datesheet|{class_id}:{date}|class_id={class_id},date={date},term={term},subject=Math"
+
+
+def _after_snapshot(*rows):
+    """A monitor whose third event, seq 2, is a snapshot of ``rows``; the
+    registration at seq 1 is not in it, as if lost to a torn journal write."""
+    monitor = Monitor()
+    monitor.observe(ev(0, "session_open", content="open_session(dpt_id=CS,sid=1)"))
+    monitor.observe(domain(1, "add_student(st_id=333,name=B,dpt_id=CS,student_id=3)"))
+    monitor.observe(ev(2, "snapshot", content=encode_blob("\n".join(rows) + "\n")))
+    return monitor
+
+
+@pytest.mark.parametrize(
+    "first, apart, clash, verdict",
+    [
+        (
+            _student_row(1, 111),
+            _student_row(2, 112),
+            _student_row(2, 111),
+            "P1|violated|2|persisted st_id 111 registered twice",
+        ),
+        (
+            _class_row(1, 0),
+            _class_row(2, 1),
+            _class_row(2, 0),
+            "P6|violated|2|persisted slot clash p=1 semester=1 timing=0/0",
+        ),
+        (
+            _exam_row(1, "2025-05-01", "mid"),
+            _exam_row(1, "2025-05-02", "final"),
+            _exam_row(1, "2025-05-01", "final"),
+            "P8|violated|2|persisted class 1 examined twice on 2025-05-01",
+        ),
+    ],
+)
+def test_snapshot_key_clash_flags_at_the_snapshot_seq(first, apart, clash, verdict):
+    assert all(v.status == HOLDS for v in _after_snapshot(first, apart).finalize(True))
+    flagged = [v.render() for v in _after_snapshot(first, clash).finalize(True) if v.status != HOLDS]
+    assert flagged == [verdict]
+
+
+def test_key_reseeded_by_a_snapshot_names_the_snapshot_as_first():
+    monitor = _after_snapshot(_student_row(1, 111, program_id="1"), _student_row(2, 222), _class_row(1, 0))
+    monitor.observe(domain(3, "add_student(st_id=333,name=B,dpt_id=CS,student_id=3)"))  # re-driven
+    monitor.observe(domain(4, "admit(student_id=2,p_id=1,year=1)"))
+    monitor.observe(domain(5, "add_class(p_id=1,semester=1,subject=S2,day=1,period=0,class_id=2)"))
+    assert all(v.status == HOLDS for v in monitor.finalize(True))
+    monitor.observe(domain(6, "add_student(st_id=111,name=C,dpt_id=CS,student_id=4)"))
+    monitor.observe(domain(7, "admit(student_id=1,p_id=1,year=1)"))
+    monitor.observe(domain(8, "add_class(p_id=1,semester=1,subject=S3,day=0,period=0,class_id=3)"))
+    flagged = [v.render() for v in monitor.finalize(True) if v.status != HOLDS]
+    assert flagged == [
+        "P1|violated|6|st_id 111 registered twice (first at seq 2)",
+        "P4|violated|7|student 1 admitted twice (first at seq 2)",
+        "P6|violated|8|slot clash p=1 semester=1 timing=0/0 (first at seq 2)",
+    ]
 
 
 # -- finalize (bounded liveness) --------------------------------------------------

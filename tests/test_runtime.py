@@ -76,7 +76,7 @@ def test_route_unknown_receiver_bounces_failure():
     # the trace shows the lost envelope, then its bounce
     traced = [
         (e.seq, e.sender, e.receiver, e.performative, e.conversation)
-        for e in parse_trace(world.log.lines).events
+        for e in parse_trace(world.log.lines)
     ]
     assert traced == [(0, "GW", "XX", "request", "GW:0"), (1, "XX", "GW", "failure", "GW:0")]
 

@@ -403,7 +403,7 @@ def test_trace_text_roundtrips_to_same_events(seed):
     result = runner.run(generate(seed, 120, cfg))
     assert result.log.text() == fuzz(seed, 120).log.text()  # the fuzz run itself
     parsed = parse_trace(result.log.text().splitlines())
-    assert list(parsed.events) == seen
+    assert list(parsed) == seen
     assert parsed.complete == result.quiescent
     assert parsed.header == result.cfg.header()
 

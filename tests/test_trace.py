@@ -46,7 +46,7 @@ def test_parse_trace_keeps_header_and_trailer_and_skips_other_metadata():
     parsed = parse_trace(lines + ["# end complete=true"])
     assert parsed.header == "cap=3"
     assert parsed.complete
-    assert tuple(parsed.events) == (TraceEvent(0, 0, "session_close", "OA", "store", "-", "GW:0"),)
+    assert tuple(parsed) == (TraceEvent(0, 0, "session_close", "OA", "store", "-", "GW:0"),)
 
 
 def test_emit_refuses_an_unknown_kind_and_appends_nothing():
@@ -68,7 +68,7 @@ def test_parse_trace_reads_a_one_shot_iterator_one_line_at_a_time():
     )
     parsed = parse_trace(lines)
     assert parsed.header == "cap=3"
-    events = iter(parsed.events)
+    events = iter(parsed)
     assert next(events) == TraceEvent(0, 0, "session_close", "OA", "store", "-", "GW:0")
     with pytest.raises(ValueError, match="unknown trace kind"):
         next(events)  # a bad line raises when it is reached
@@ -79,16 +79,16 @@ def test_parse_trace_of_an_iterator_knows_completion_once_the_events_are_read():
     lines = ["# config cap=3", "0|0|session_close|OA|store|-|GW:0|-", "# end complete=true"]
     parsed = parse_trace(iter(lines))
     assert not parsed.complete
-    assert len(list(parsed.events)) == 1
+    assert len(list(parsed)) == 1
     assert parsed.complete
-    assert list(parsed.events) == []  # one-shot, as the iterator it reads
+    assert list(parsed) == []  # one-shot, as the iterator it reads
 
 
 def _events_and_verdicts(first, second):
     """The events parsed from ``first`` and the verdicts evaluated from
     ``second``, two reads of the same trace."""
     parsed = parse_trace(first)
-    events = list(parsed.events)
+    events = list(parsed)
     verdicts = evaluate_trace(parse_trace(second), parse_header(parsed.header))
     return events, [v.render() for v in verdicts]
 
