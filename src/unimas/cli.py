@@ -50,8 +50,8 @@ def _load_config(args: argparse.Namespace) -> RunConfig:
 
 def _write_outputs(args: argparse.Namespace, result: RunResult) -> None:
     if getattr(args, "trace", None):
-        with open(args.trace, "w") as out:  # one line at a time, not one more copy
-            out.writelines(f"{line}\n" for line in result.log.lines)
+        with open(args.trace, "w") as out:  # one block at a time, not one more copy
+            out.writelines(result.log.blocks())
     if getattr(args, "dump", None):
         Path(args.dump).write_text(result.store.dump())
     if getattr(args, "journal", None):

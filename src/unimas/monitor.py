@@ -90,23 +90,6 @@ def command_fields(content: str) -> tuple[str, dict[str, str]]:
     return name, fields
 
 
-def parse_dump(text: str) -> dict[str, list[dict[str, str]]]:
-    """The rows of a store dump by table, each field as its dump text."""
-    tables: dict[str, list[dict[str, str]]] = {name: [] for name in TABLE_FIELDS}
-    for line in text.splitlines():
-        if not line:
-            continue
-        table, _, kv = line.split("|", 2)
-        if table not in tables:
-            raise ValueError(f"unknown table in dump: {table}")
-        row: dict[str, str] = {}
-        for pair in kv.split(","):
-            key, _, value = pair.partition("=")
-            row[key] = value
-        tables[table].append(row)
-    return tables
-
-
 #: P1, P4, P6 and P8 are one rule: no two accepted events of the command, and
 #: no two rows of its table, share a key; a row names its fields as the
 #: command does and counts only if its filter field is filled (P4: admitted).
@@ -118,6 +101,11 @@ UNIQUE_KEYS = (
      "slot clash p={0[0]} semester={0[1]} timing={0[2]}/{0[3]}"),
     (PropertyId.P8, "schedule_exam", ("class_id", "date"), "datesheet", "", "class {0[0]} examined twice on {0[1]}"),
 )
+#: table -> the fields a persisted row must not leave empty (P9), in table order
+_REQUIRED_ROW_FIELDS = {
+    table: tuple(f for f in fields if f not in OPTIONAL_ROW_FIELDS.get(table, ()))
+    for table, fields in TABLE_FIELDS.items()
+}
 
 
 @dataclass(slots=True)
@@ -135,6 +123,8 @@ class Monitor:
         self._violations: dict[PropertyId, tuple[int, str]] = {}
         # mirrors built only from trace events; command -> (pid, key getter, message, key -> first seq)
         self._firsts = {c: (pid, itemgetter(*keys), msg, {}) for pid, c, keys, _, _, msg in UNIQUE_KEYS}
+        # table -> (row filter, the rule above) of each rule on its rows
+        self._rules = {t: [(f, self._firsts[c]) for _, c, _, u, f, _ in UNIQUE_KEYS if u == t] for t in TABLE_FIELDS}
         self._open_sessions = 0
         self._lectures: dict[str, int] = {}
         self._conversations: dict[str, _Conversation] = {}  # open only, oldest first
@@ -271,40 +261,53 @@ class Monitor:
     # -- state-level rules (independent re-check over a dump) ------------
 
     def check_snapshot(self, dump_text: str, seq: int = 0) -> None:
-        tables = parse_dump(dump_text)
         # a snapshot is ground truth for what is durable, so it re-seeds the mirrors:
         # an event lost to a torn journal write before a crash is re-driven, not a duplicate
-        self._open_sessions = len(tables["sessions"])
-        self._lectures = {r["class_id"]: int(r["lectures_delivered"]) for r in tables["lecture_logs"]}
-        for _, command, _, table, row_filter, _ in UNIQUE_KEYS:
-            pid, key_of, message, firsts = self._firsts[command]
+        self._open_sessions = 0
+        self._lectures = {}
+        for _, _, _, firsts in self._firsts.values():
             firsts.clear()
-            for row in tables[table]:
+        fee_rows: set[tuple[str, str]] = set()
+        programs: list[tuple[str, str]] = []  # (p_id, semester_count) in dump order
+        empty: dict[str, str] = {}  # table -> its first required field found empty
+        for line in dump_text.splitlines():
+            if not line:
+                continue
+            table, _, kv = line.split("|", 2)
+            required = _REQUIRED_ROW_FIELDS.get(table)
+            if required is None:
+                raise ValueError(f"unknown table in dump: {table}")
+            row: dict[str, str] = {}
+            for pair in kv.split(","):
+                key, _, value = pair.partition("=")
+                row[key] = value
+            for row_filter, (pid, key_of, message, firsts) in self._rules[table]:
                 if row_filter and not row[row_filter]:
                     continue
                 key = key_of(row)
                 if key in firsts:
                     self._flag(pid, seq, f"persisted {message.format(key)}")
                 firsts[key] = seq
+            if table == "sessions":
+                self._open_sessions += 1
+            elif table == "lecture_logs":
+                self._lectures[row["class_id"]] = int(row["lectures_delivered"])
+            elif table == "fees":
+                fee_rows.add((row["p_id"], row["semester"]))
+            elif table == "programs":
+                programs.append((row["p_id"], row["semester_count"]))
+            for name in required:
+                if not row.get(name):  # a missing field reads as empty
+                    empty.setdefault(table, name)
+                    break
 
-        fee_rows = {(r["p_id"], r["semester"]) for r in tables["fees"]}
-        for program in tables["programs"]:
-            for semester in range(1, int(program["semester_count"]) + 1):
-                if (program["p_id"], str(semester)) not in fee_rows:
-                    self._flag(
-                        PropertyId.P5,
-                        seq,
-                        f"program {program['p_id']} semester {semester} has no fee row",
-                    )
-
-        for table, rows in tables.items():
-            optional = OPTIONAL_ROW_FIELDS.get(table, ())
-            for row in rows:
-                for name in TABLE_FIELDS[table]:
-                    if name not in optional and row.get(name, "") == "":
-                        self._flag(
-                            PropertyId.P9, seq, f"{table} row persisted with empty {name}"
-                        )
+        for p_id, semester_count in programs:
+            for semester in range(1, int(semester_count) + 1):
+                if (p_id, str(semester)) not in fee_rows:
+                    self._flag(PropertyId.P5, seq, f"program {p_id} semester {semester} has no fee row")
+        for table in TABLE_FIELDS:  # P9's first finding in TABLE_FIELDS order, not the dump's
+            if table in empty:
+                self._flag(PropertyId.P9, seq, f"{table} row persisted with empty {empty[table]}")
 
     # -- final verdicts ----------------------------------------------------
 

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from sys import intern
 
 from .agents import GATEWAY, REPORT_KINDS, agent_for_command, build_world, store_handler
 from .config import RunConfig, with_fixed_window
@@ -41,7 +42,7 @@ class ScenarioError(Exception):
         self.line = line
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ScenarioCommand:
     verb: str
     args: tuple[tuple[str, str], ...]
@@ -108,13 +109,14 @@ _SESSION_EXEMPT = ("OPEN_SESSION", "CLOSE_SESSION")
 
 
 def parse_scenario(text: str) -> list[ScenarioCommand]:
+    """The commands of a scenario text, one string per verb and key (interned)."""
     commands: list[ScenarioCommand] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         tokens = line.split()
-        verb, pairs = tokens[0], tokens[1:]
+        verb, pairs = intern(tokens[0]), tokens[1:]
         if verb not in VERBS:
             raise ScenarioError(lineno, f"unknown verb {verb}")
         args: list[tuple[str, str]] = []
@@ -131,7 +133,7 @@ def parse_scenario(text: str) -> list[ScenarioCommand]:
                 except ValueError as exc:
                     raise ScenarioError(lineno, str(exc)) from exc
             seen.add(key)
-            args.append((key, value))
+            args.append((intern(key), value))
         command = ScenarioCommand(verb, tuple(args), lineno)
         _validate_keys(command)
         if verb == EXPECT_REFUSAL:
@@ -185,7 +187,7 @@ def _content_for(command: ScenarioCommand) -> tuple[str, Term]:
     return receiver, Term(store_command, args)
 
 
-@dataclass
+@dataclass(slots=True)
 class CommandOutcome:
     status: str  # ok | refused | failed | gateway_refused | applied_no_reply | no_reply
     reply: Term | None = None

@@ -56,30 +56,45 @@ class TraceEvent(NamedTuple):
         )
 
 
+#: Lines per block: ``TraceLog`` joins each full block into one string.
+BLOCK_LINES = 256
+
+
 class TraceLog:
-    """Accumulates rendered lines; ``next_seq`` is the global sequence
-    number of the next event, which ``World.emit`` assigns."""
+    """Accumulates rendered lines in blocks; ``next_seq`` is the global
+    sequence number of the next event, which ``World.emit`` assigns."""
 
     def __init__(self, header: str = "") -> None:
-        self.lines: list[str] = []
+        self._blocks: list[str] = []  # each ends in a newline
+        self._tail: list[str] = []
         self.next_seq = 0
         if header:
-            self.lines.append(f"# config {header}")
+            self._tail.append(f"# config {header}")
 
     def append(self, event: TraceEvent) -> None:
-        self.lines.append(event.render())
+        tail = self._tail
+        tail.append(event.render())
+        if len(tail) == BLOCK_LINES:
+            self._blocks.append("\n".join(tail) + "\n")
+            tail.clear()
 
     def close(self, complete: bool) -> None:
-        self.lines.append(f"# end complete={'true' if complete else 'false'}")
+        self._tail.append(f"# end complete={'true' if complete else 'false'}")
+
+    def blocks(self) -> Iterator[str]:
+        """The text in pieces of whole lines, in order."""
+        yield from self._blocks
+        if self._tail:
+            yield "\n".join(self._tail) + "\n"
 
     def text(self) -> str:
-        return "\n".join(self.lines) + "\n"
+        return "".join(self.blocks())
 
     def sha256(self) -> str:
-        """The digest of ``text()``, fed one line at a time."""
+        """The digest of ``text()``, fed one block at a time."""
         digest = hashlib.sha256()
-        for line in self.lines:
-            digest.update(f"{line}\n".encode())
+        for block in self.blocks():
+            digest.update(block.encode())
         return digest.hexdigest()
 
 

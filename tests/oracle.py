@@ -5,7 +5,8 @@ recomputation everywhere, sharing no logic with unimas.monitor and reading
 nothing from unimas.store, so that agreement between the two is evidence,
 not tautology.  ``reference_report``
 computes a report's lines from a whole store dump, apart from the store's
-report queries and the report agent.  Desk scale only.
+report queries and the report agent.  ``parse_dump`` reads a dump back
+into rows, for these references and the tests.  Desk scale only.
 """
 
 from __future__ import annotations
@@ -56,7 +57,8 @@ def _kv(content: str) -> tuple[str, dict[str, str]]:
     return name, out
 
 
-def _rows(dump: str) -> dict[str, list[dict[str, str]]]:
+def parse_dump(dump: str) -> dict[str, list[dict[str, str]]]:
+    """The rows of a store dump by table, in dump order, each field as its dump text."""
     tables: dict[str, list[dict[str, str]]] = {t: [] for t in REQUIRED_ROW_FIELDS}
     for line in dump.splitlines():
         if not line:
@@ -68,7 +70,7 @@ def _rows(dump: str) -> dict[str, list[dict[str, str]]]:
 
 def reference_report(kind: str, dump: str, lab_count: int) -> list[str]:
     """One report's ``kind|label|value`` lines, computed from a store dump."""
-    tables = _rows(dump)
+    tables = parse_dump(dump)
     students = tables["students"]
     rows: list[tuple[str, str]] = []
 
@@ -200,7 +202,7 @@ def naive_statuses(parsed: ParsedTrace, cfg: RunConfig) -> dict[str, str]:
     # snapshot rules: P5 plus persisted P1/P6/P8/P9
     snapshots = [e for e in events if e.kind == "snapshot"]
     for snap in snapshots:
-        tables = _rows(decode_blob(snap.content))
+        tables = parse_dump(decode_blob(snap.content))
         fee_keys = {(r["p_id"], r["semester"]) for r in tables["fees"]}
         for program in tables["programs"]:
             for s in range(1, int(program["semester_count"]) + 1):

@@ -8,7 +8,7 @@ path, not store shortcuts.
 from pathlib import Path
 
 import pytest
-from oracle import reference_report
+from oracle import parse_dump, reference_report
 
 from unimas import bdi
 from unimas.agents import (
@@ -26,7 +26,6 @@ from unimas.agents import (
 from unimas.bdi import Belief
 from unimas.config import RunConfig
 from unimas.fuzz import fuzz, generate
-from unimas.monitor import parse_dump
 from unimas.runtime import route, run_round
 from unimas.scenario import ScenarioRunner, parse_scenario, run_scenario
 from unimas.store import Store
@@ -324,7 +323,7 @@ def test_zero_denominator_is_undefined_marker():
 def _trace_report_lines(result) -> list[str]:
     """The lines of every well-formed report reply to GW, in trace order."""
     lines: list[str] = []
-    for event in parse_trace(result.log.lines):
+    for event in parse_trace(result.log.text().splitlines()):
         if event.kind != "envelope" or event.receiver != GATEWAY:
             continue
         if event.performative == "inform" and event.content.startswith("report("):
@@ -572,7 +571,7 @@ def test_oa_handle_malformed_content_fails():
         route(world, [Envelope(GATEWAY, ORCHESTRATOR, Performative.REQUEST, "GW:0", content)])
         while not world.is_quiescent() and world.round < 10:
             run_round(world)
-        events = list(parse_trace(world.log.lines))
+        events = list(parse_trace(world.log.text().splitlines()))
         replies = [e for e in events if e.kind == "envelope" and e.receiver == GATEWAY]
         assert [(e.performative, e.content) for e in replies] == [
             ("failure", failed("malformed command").render())

@@ -1,6 +1,8 @@
+import hashlib
 from pathlib import Path
 
 from unimas.cli import main
+from unimas.trace import BLOCK_LINES
 
 SCENARIOS = Path(__file__).parent.parent / "scenarios"
 
@@ -75,6 +77,21 @@ def test_trace_report_roundtrip(tmp_path, capsys):
     assert code == 0
     offline_verdicts = [ln for ln in offline_out.splitlines() if ln.startswith("P")]
     assert offline_verdicts == live_verdicts
+
+
+def test_a_fuzz_trace_of_several_blocks_hashes_as_printed_and_reports_the_live_verdicts(
+    tmp_path, capsys
+):
+    trace = tmp_path / "fuzz.trace"
+    code = run_cli("fuzz", "--seed", "1", "--events", "600", "--trace", str(trace))
+    live_out = capsys.readouterr().out
+    data = trace.read_bytes()
+    assert data.count(b"\n") > 2 * BLOCK_LINES
+    assert f"# trace_sha256={hashlib.sha256(data).hexdigest()}\n" in live_out
+
+    assert run_cli("report", str(trace)) == code == 0
+    offline_out = capsys.readouterr().out
+    assert offline_out.count("\n") == 12 and offline_out in live_out
 
 
 def test_truncated_run_exits_four_live_and_offline(tmp_path, capsys):

@@ -14,6 +14,7 @@ from unimas.monitor import (
     PropertyId,
     command_fields,
     evaluate_trace,
+    render_verdicts,
 )
 from unimas.scenario import parse_scenario, run_scenario
 from unimas.store import OPTIONAL_ROW_FIELDS, SCHEMAS, TABLE_FIELDS, Store
@@ -54,7 +55,7 @@ def test_command_fields_equal_the_parsed_command_on_real_traffic():
     # the event's content
     seen = 0
     for result in _traffic():
-        for event in parse_trace(result.log.lines):
+        for event in parse_trace(result.log.text().splitlines()):
             if event.kind in ("domain_event", "session_open"):
                 name, fields = command_fields(event.content)
                 ints = [fields[f.name] for f in SCHEMAS[name] if f.int_typed]
@@ -267,6 +268,38 @@ def test_snapshot_key_clash_flags_at_the_snapshot_seq(first, apart, clash, verdi
     assert all(v.status == HOLDS for v in _after_snapshot(first, apart).finalize(True))
     flagged = [v.render() for v in _after_snapshot(first, clash).finalize(True) if v.status != HOLDS]
     assert flagged == [verdict]
+
+
+def test_snapshot_verdicts_on_a_dump_with_four_faults_are_pinned():
+    # rows in the store's dump order (tables sorted by name); P9's first
+    # finding is the one TABLE_FIELDS order gives (students before classes),
+    # P5's the first program of the dump, P1's the first clash in its table
+    dump = "\n".join([
+        "classes|1|class_id=1,p_id=1,semester=1,subject=,day=0,period=0,teacher_id=",
+        "fees|1:1|p_id=1,semester=1,amount=100",
+        "fees|2:2|p_id=2,semester=2,amount=100",
+        "programs|1|p_id=1,name=BS,session=morning,semester_count=2",
+        "programs|2|p_id=2,name=MS,session=evening,semester_count=2",
+        _student_row(1, 111),
+        "students|2|student_id=2,st_id=111,name=,dpt_id=,program_id=,admit_year=",
+        _student_row(3, 111),
+    ]) + "\n"
+    monitor = Monitor()
+    monitor.check_snapshot(dump, seq=9)
+    assert render_verdicts(monitor.finalize(True)) == (
+        "P1|violated|9|persisted st_id 111 registered twice\n"
+        "P2|holds|-|-\n"
+        "P3|holds|-|-\n"
+        "P4|holds|-|-\n"
+        "P5|violated|9|program 1 semester 2 has no fee row\n"
+        "P6|holds|-|-\n"
+        "P7|holds|-|-\n"
+        "P8|holds|-|-\n"
+        "P9|violated|9|students row persisted with empty name\n"
+        "P10|holds|-|-\n"
+        "P11|holds|-|-\n"
+        "P12|holds|-|-\n"
+    )
 
 
 def test_key_reseeded_by_a_snapshot_names_the_snapshot_as_first():

@@ -51,7 +51,7 @@ def test_route_empty_is_noop():
     register_agent(world, _agent("SA"))
     route(world, [])
     assert world.mailboxes["SA"] == []
-    assert world.log.lines == []  # nothing routed, nothing traced
+    assert world.log.text() == ""  # nothing routed, nothing traced
 
 
 def test_route_is_fifo_per_receiver():
@@ -76,7 +76,7 @@ def test_route_unknown_receiver_bounces_failure():
     # the trace shows the lost envelope, then its bounce
     traced = [
         (e.seq, e.sender, e.receiver, e.performative, e.conversation)
-        for e in parse_trace(world.log.lines)
+        for e in parse_trace(world.log.text().splitlines())
     ]
     assert traced == [(0, "GW", "XX", "request", "GW:0"), (1, "XX", "GW", "failure", "GW:0")]
 
@@ -89,7 +89,7 @@ def test_quiescent_round_only_advances_counter():
     assert world.round == 1
     assert world.mailboxes["SA"] == []
     assert world.is_quiescent()
-    assert world.log.lines == []  # an idle round traces nothing
+    assert world.log.text() == ""  # an idle round traces nothing
 
 
 def test_an_agent_is_busy_exactly_when_run_round_would_step_it():

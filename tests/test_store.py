@@ -2,7 +2,7 @@ from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
-from oracle import reference_report
+from oracle import parse_dump, reference_report
 
 from unimas.agents import build_report
 from unimas.config import RunConfig
@@ -27,7 +27,6 @@ from unimas.store import (
     recover,
     replay,
 )
-from unimas.monitor import parse_dump
 from unimas.terms import Command, Refusal, Term, decode_blob
 
 

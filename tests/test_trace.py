@@ -1,6 +1,7 @@
 """Trace events: the line format round-trips, and only the two places that
 make events (``TraceEvent.parse`` and ``World.emit``) check the kind."""
 
+import hashlib
 from dataclasses import replace
 
 import pytest
@@ -11,7 +12,7 @@ from unimas.config import parse_header
 from unimas.monitor import VIOLATED, evaluate_trace
 from unimas.runtime import World
 from unimas.scenario import parse_scenario, run_scenario
-from unimas.trace import KINDS, TraceEvent, parse_trace
+from unimas.trace import BLOCK_LINES, KINDS, TraceEvent, TraceLog, parse_trace
 
 # any text a field can carry on a line: no field separator, no line break
 field_text = st.text(
@@ -41,6 +42,32 @@ def test_parse_refuses_seven_or_nine_fields(line):
         TraceEvent.parse(line)
 
 
+@pytest.mark.parametrize(
+    "events", [0, 1, BLOCK_LINES - 1, BLOCK_LINES, BLOCK_LINES + 1, 2 * BLOCK_LINES]
+)
+@pytest.mark.parametrize("header", ["", "cap=3"])
+def test_trace_log_text_and_digest_equal_its_lines_joined_at_every_block_boundary(events, header):
+    log = TraceLog(header)
+    lines = [f"# config {header}"] if header else []
+
+    def check():
+        joined = "".join(f"{line}\n" for line in lines)
+        blocks = list(log.blocks())
+        assert log.text() == "".join(blocks) == joined
+        assert log.sha256() == hashlib.sha256(joined.encode()).hexdigest()
+        assert [block.count("\n") for block in blocks[:-1]] == [BLOCK_LINES] * (len(blocks) - 1)
+        assert len(blocks) == -(-len(lines) // BLOCK_LINES)  # full blocks joined, the rest in one
+
+    for seq in range(events):
+        event = TraceEvent(seq, seq // 3, "envelope", "GW", "SA", "request", f"GW:{seq}", f"x({seq})")
+        log.append(event)
+        lines.append(event.render())
+    check()
+    log.close(complete=events % 2 == 0)
+    lines.append(f"# end complete={'true' if events % 2 == 0 else 'false'}")
+    check()
+
+
 def test_parse_trace_keeps_header_and_trailer_and_skips_other_metadata():
     lines = ["# config cap=3", "# a note", "0|0|session_close|OA|store|-|GW:0|-", ""]
     parsed = parse_trace(lines + ["# end complete=true"])
@@ -53,7 +80,7 @@ def test_emit_refuses_an_unknown_kind_and_appends_nothing():
     world = World()
     with pytest.raises(ValueError, match="unknown trace kind"):
         world.emit("bogus")
-    assert world.log.lines == []
+    assert world.log.text() == ""
     assert world.emit("session_close").seq == 0  # no sequence number was spent
 
 
