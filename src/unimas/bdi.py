@@ -1,21 +1,21 @@
 """Belief-desire-intention kernel with one deterministic deliberation step.
 
-An agent's state holds beliefs (ground facts), goals (adopted desires), a
-static plan library, and a stack of intentions (committed plans in
-execution).  ``step`` runs one full cycle on a copy of it:
+An agent's state holds beliefs (ground facts), goals (adopted desires not
+yet committed), a static plan library, and a stack of intentions (committed
+plans in execution); a committed goal lives only in its intention.
+``step`` runs one full cycle on a copy of it:
 
     1. perceive   -- fold inbox envelopes and queued belief percepts into
                      new goals via plan triggers; unhandled percepts are
                      persisted as plain beliefs.  A goal raised by a
                      message keeps that envelope, and its params are the
                      content's args,
-    2. commit     -- every goal without a live intention commits the first
-                     plan, in declaration order, whose context holds; a
-                     goal no plan takes is tried again next cycle.  Commit
-                     looks only at the goals not yet committed, so a
-                     cycle's cost does not grow with the goals the agent
-                     already pursues (the gateway holds up to
-                     ``pipeline_window`` of them),
+    2. commit     -- every goal commits the first plan, in declaration
+                     order, whose context holds, and moves into that
+                     intention; a goal no plan takes stays in ``goals`` and
+                     is tried again next cycle.  So a cycle's cost does
+                     not grow with the goals the agent already pursues
+                     (the gateway holds up to ``pipeline_window`` of them),
     3. execute    -- advance the oldest intention by exactly one step; an
                      agent with ``advance_every_intention`` set advances
                      every intention it holds at this point by one step
@@ -244,10 +244,9 @@ class AgentState:
     id: str
     beliefs: BeliefBase
     plan_library: tuple[Plan, ...]
+    #: The goals without an intention yet, in adoption order; a committed
+    #: goal is its intention's ``origin_goal`` and nowhere else.
     goals: list[Goal] = field(default_factory=list)
-    #: The goals without an intention yet, in adoption order: the only ones
-    #: the commit phase looks at.
-    uncommitted: list[Goal] = field(default_factory=list)
     intentions: list[Intention] = field(default_factory=list)
     next_seq: int = 0
     percepts: list[Belief] = field(default_factory=list)
@@ -261,7 +260,6 @@ class AgentState:
             self.beliefs,
             self.plan_library,
             list(self.goals),
-            list(self.uncommitted),
             list(self.intentions),
             self.next_seq,
             list(self.percepts),
@@ -273,7 +271,6 @@ class AgentState:
     ) -> None:
         goal = _new(Goal, (name, params, self.next_seq, message))
         self.goals.append(goal)
-        self.uncommitted.append(goal)
         self.next_seq += 1
 
 
@@ -321,21 +318,21 @@ def _commit_options(state: AgentState) -> None:
     held = state.intentions
     beliefs = state.beliefs
     waiting: list[Goal] = []
-    for goal in state.uncommitted:
+    for goal in state.goals:
         for plan in state.plan_library:
             if plan.goal == goal.name and (plan.context is None or plan.context(beliefs, goal)):
                 held.append(_new(Intention, (plan, 0, goal)))
                 break  # first applicable plan per goal wins
         else:
             waiting.append(goal)
-    state.uncommitted = waiting
+    state.goals = waiting
 
 
 def _execute(state: AgentState) -> tuple[tuple[Envelope, ...], tuple[Command, ...]]:
     """Advance the oldest intention by one step or, with
     ``advance_every_intention``, every intention held now, oldest first.
 
-    An intention that finishes or fails drops its goal at once; steps only
+    An intention that finishes or fails takes its goal with it; steps only
     adopt goals, never intentions, so the held list is not touched while
     the pass runs.  A failed step never escapes the cycle: it surfaces as
     a ``failed`` belief next cycle, for recovery plans.
@@ -365,12 +362,9 @@ def _execute(state: AgentState) -> tuple[tuple[Envelope, ...], tuple[Command, ..
                     state.adopt(name, params)
         except Exception:
             state.percepts.append(Belief("failed", (goal.name,)))
-            state.goals.remove(goal)
             continue
         pc += 1
-        if pc == len(plan.body):
-            state.goals.remove(goal)  # completion removes the goal too
-        else:
+        if pc < len(plan.body):
             kept.append(_new(Intention, (plan, pc, goal)))
     state.intentions = kept if every else kept + held[1:]
     return tuple(outbox), tuple(commands)

@@ -2,9 +2,9 @@
 
 Exit codes: 0 all properties hold, 2 a property was violated (or a
 scenario expectation failed), 3 parse or configuration error (a trace
-without its header, a path that cannot be opened), 4 no property was
-violated but one is inconclusive (the run was cut off by ``max_rounds``
-before it went quiet).
+without its header or with a line missing or repeated, a path that cannot
+be opened), 4 no property was violated but one is inconclusive (the run
+was cut off by ``max_rounds`` before it went quiet).
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from pathlib import Path
 
 from .config import ConfigError, RunConfig, apply_setting, parse_config_text, parse_header
 from .fuzz import fuzz as run_fuzz, fuzz_config, generate
-from .monitor import evaluate_trace, exit_code, render_verdicts
+from .monitor import MonitorFault, evaluate_trace, exit_code, render_verdicts
 from .scenario import (
     RunResult,
     ScenarioError,
@@ -91,7 +91,7 @@ def cmd_fuzz(args: argparse.Namespace) -> int:
 def cmd_load(args: argparse.Namespace) -> int:
     cfg = _load_config(args)
     summary = load_test(cfg, clients=args.clients)
-    print(f"clients={summary.clients} granted={summary.granted} busy={summary.busy}")
+    print(f"clients={args.clients} granted={summary.granted} busy={summary.busy}")
     sys.stdout.write(render_verdicts(summary.result.verdicts))
     return summary.result.exit_code
 
@@ -101,7 +101,7 @@ def cmd_replay_crash(args: argparse.Namespace) -> int:
     commands = parse_scenario(Path(args.scenario).read_text())
     verdict = replay_crash(commands, args.at, cfg, torn=args.torn)
     status = "equivalent" if verdict.equivalent else "MISMATCH"
-    print(f"replay_crash|at={verdict.crash_at}|{status}")
+    print(f"replay_crash|at={args.at}|{status}")
     return 0 if verdict.equivalent else 2
 
 
@@ -110,7 +110,10 @@ def cmd_report(args: argparse.Namespace) -> int:
         parsed = parse_trace(lines)
         if not parsed.header:  # not a trace, or one whose head was cut off
             raise ConfigError(f"{args.trace}: no '# config' header, so no run to verify")
-        verdicts = evaluate_trace(parsed, parse_header(parsed.header))
+        try:
+            verdicts = evaluate_trace(parsed, parse_header(parsed.header))
+        except MonitorFault as exc:  # a line missing or repeated: not a trace a run wrote
+            raise ConfigError(f"{args.trace}: {exc}") from exc
     sys.stdout.write(render_verdicts(verdicts))
     return exit_code(verdicts)
 

@@ -121,8 +121,6 @@ def apply_setting(cfg: RunConfig, key: str, value: str) -> RunConfig:
             lo, hi = (int(value), hi) if field_name == "min_marks" else (lo, int(value))
             kept = tuple(o for o in cfg.marks_overrides if o[0] != subject)
             return replace(cfg, marks_overrides=kept + ((subject, lo, hi),))
-    except ConfigError:
-        raise
     except ValueError as exc:
         raise ConfigError(f"bad value for {key}: {value!r} ({exc})") from exc
     raise ConfigError(f"unknown config key: {key}")

@@ -277,7 +277,7 @@ class Monitor:
             required = _REQUIRED_ROW_FIELDS.get(table)
             if required is None:
                 raise ValueError(f"unknown table in dump: {table}")
-            row: dict[str, str] = {}
+            row: dict[str, str] = defaultdict(str)  # a missing field reads as empty
             for pair in kv.split(","):
                 key, _, value = pair.partition("=")
                 row[key] = value
@@ -291,18 +291,18 @@ class Monitor:
             if table == "sessions":
                 self._open_sessions += 1
             elif table == "lecture_logs":
-                self._lectures[row["class_id"]] = int(row["lectures_delivered"])
+                self._lectures[row["class_id"]] = int(row["lectures_delivered"] or 0)
             elif table == "fees":
                 fee_rows.add((row["p_id"], row["semester"]))
             elif table == "programs":
                 programs.append((row["p_id"], row["semester_count"]))
             for name in required:
-                if not row.get(name):  # a missing field reads as empty
+                if not row[name]:
                     empty.setdefault(table, name)
                     break
 
         for p_id, semester_count in programs:
-            for semester in range(1, int(semester_count) + 1):
+            for semester in range(1, int(semester_count or 0) + 1):
                 if (p_id, str(semester)) not in fee_rows:
                     self._flag(PropertyId.P5, seq, f"program {p_id} semester {semester} has no fee row")
         for table in TABLE_FIELDS:  # P9's first finding in TABLE_FIELDS order, not the dump's

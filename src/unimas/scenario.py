@@ -1,8 +1,9 @@
 """Scenario files and the harness that drives them through the world.
 
 A scenario is one command per line, ``VERB key=value ...``; ``#`` starts a
-comment.  EXPECT_REFUSAL binds to the command right before it and fails
-the run if that command was accepted.  A crash discards the world mid-run,
+comment.  EXPECT_REFUSAL binds to the last command before it, CRASH lines
+skipped, and fails the run if that command was accepted; a second one for
+the same command is refused.  A crash discards the world mid-run,
 rebuilds the store from its journal, and re-drives whatever was never
 acknowledged, which is exactly the no-loss story the store is supposed to
 support.  There is one crash path, ``ScenarioRunner._crash``, and the run
@@ -111,6 +112,7 @@ _SESSION_EXEMPT = ("OPEN_SESSION", "CLOSE_SESSION")
 def parse_scenario(text: str) -> list[ScenarioCommand]:
     """The commands of a scenario text, one string per verb and key (interned)."""
     commands: list[ScenarioCommand] = []
+    last = ""  # the last verb other than CRASH: EXPECT_REFUSAL binds past CRASH, as in ``run``
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -137,10 +139,12 @@ def parse_scenario(text: str) -> list[ScenarioCommand]:
         command = ScenarioCommand(verb, tuple(args), lineno)
         _validate_keys(command)
         if verb == EXPECT_REFUSAL:
-            if not any(c.verb not in (EXPECT_REFUSAL, CRASH) for c in commands):
+            if not last:
                 raise ScenarioError(lineno, "EXPECT_REFUSAL has no preceding command")
-            if commands and commands[-1].verb == EXPECT_REFUSAL:
+            if last == EXPECT_REFUSAL:
                 raise ScenarioError(lineno, "EXPECT_REFUSAL already asserted for this command")
+        if verb != CRASH:
+            last = verb
         commands.append(command)
     return commands
 
@@ -429,7 +433,6 @@ def run_scenario(
 @dataclass(frozen=True)
 class CrashVerdict:
     equivalent: bool
-    crash_at: int
 
 
 def replay_crash(
@@ -449,12 +452,11 @@ def replay_crash(
     if not 0 <= crash_at <= events:
         raise ValueError(f"crash index {crash_at} outside the run's journal, 0..{events}")
     crashed = run_scenario(commands, cfg, crash_at=crash_at, torn=torn)
-    return CrashVerdict(baseline.store.dump() == crashed.store.dump(), crash_at)
+    return CrashVerdict(baseline.store.dump() == crashed.store.dump())
 
 
 @dataclass(frozen=True)
 class LoadSummary:
-    clients: int
     granted: int
     busy: int
     result: RunResult
@@ -474,4 +476,4 @@ def load_test(cfg: RunConfig | None = None, clients: int = 1) -> LoadSummary:
     busy = sum(
         1 for o in result.outcomes if o is not None and o.status == "refused" and o.reason == "busy"
     )
-    return LoadSummary(clients=clients, granted=granted, busy=busy, result=result)
+    return LoadSummary(granted=granted, busy=busy, result=result)

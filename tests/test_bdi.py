@@ -13,6 +13,7 @@ from unimas.bdi import (
     BeliefBase,
     BelieveStep,
     CommandStep,
+    Goal,
     GoalStep,
     MessageMatch,
     Plan,
@@ -34,6 +35,13 @@ def adopt_goal(state: AgentState, name: str, params: tuple[str, ...]) -> AgentSt
     twin = state.copy()
     twin.adopt(name, params)
     return twin
+
+
+def _adopted(state: AgentState) -> list[Goal]:
+    """Every goal the agent pursues, waiting or held by an intention, in
+    adoption order."""
+    held = [i.origin_goal for i in state.intentions]
+    return sorted(state.goals + held, key=lambda g: g.adoption_seq)
 
 
 # -- update_beliefs ----------------------------------------------------------
@@ -161,7 +169,7 @@ def _sent(result):
 def test_no_goals_no_options():
     result = step(make_agent("A", [_two_step("p1", "g")]), [])
     assert result.state.intentions == [] and result.outbox == ()
-    # a goal no plan serves stays adopted but uncommitted
+    # a goal no plan serves stays waiting, with no intention
     agent = adopt_goal(make_agent("A", [_two_step("p1", "g")]), "other", ())
     result = step(agent, [])
     assert result.state.intentions == [] and result.outbox == ()
@@ -199,7 +207,7 @@ def test_a_goal_no_plan_takes_is_retried_until_its_context_holds():
         agent = adopt_goal(agent, goal, ())
     first = step(agent, []).state
     # "b" committed and ran; both "a" goals are still adopted, with no intention
-    assert [(g.name, g.adoption_seq) for g in first.goals] == [("a", 0), ("a", 2)]
+    assert [(g.name, g.adoption_seq) for g in _adopted(first)] == [("a", 0), ("a", 2)]
     assert first.intentions == [] and Belief("ready", ()) in first.beliefs
     second = step(adopt_goal(first, "c", ()), [])
     # both commit on the first cycle their context holds, in adoption order
@@ -208,7 +216,7 @@ def test_a_goal_no_plan_takes_is_retried_until_its_context_holds():
         ("pa", 2),
         ("pc", 3),
     ]
-    assert [g.name for g in second.state.goals] == ["a", "c"]
+    assert [g.name for g in _adopted(second.state)] == ["a", "c"]
 
 
 def test_commit_appends_intention_pc_zero():
@@ -217,7 +225,7 @@ def test_commit_appends_intention_pc_zero():
     result = step(agent, [])
     # g2's intention is committed behind g1's, which took this cycle's step
     assert _running(result.state) == [("p1", 1), ("p2", 0)]
-    assert [g.name for g in result.state.goals] == ["g1", "g2"]  # kept until completion
+    assert [g.name for g in _adopted(result.state)] == ["g1", "g2"]  # kept until completion
 
 
 def test_commits_keep_adoption_order():
@@ -239,7 +247,7 @@ def test_commit_twice_same_goal_rejected():
     second = step(first.state, [])
     assert _sent(second) == ["p1_2"]
     assert _running(second.state) == [("p2", 0)]
-    assert [g.name for g in second.state.goals] == ["g2"]
+    assert [g.name for g in _adopted(second.state)] == ["g2"]
 
 
 # -- step ---------------------------------------------------------------------
@@ -327,11 +335,9 @@ def test_goal_intention_bijection_every_cycle():
         state = step(state, []).state
         origins = [i.origin_goal.adoption_seq for i in state.intentions]
         assert len(origins) == len(set(origins))
-        goal_seqs = {g.adoption_seq for g in state.goals}
-        assert all(seq in goal_seqs for seq in origins)
-        # the commit phase's list is the goals without an intention, in adoption order
-        assert state.uncommitted == [g for g in state.goals if g.adoption_seq not in origins]
-    assert [g.name for g in state.uncommitted] == ["idle"]
+        # no goal is both waiting and held
+        assert not {g.adoption_seq for g in state.goals} & set(origins)
+    assert [g.name for g in state.goals] == ["idle"]
 
 
 def test_copy_reproduces_every_field_and_shares_no_list():
@@ -373,7 +379,7 @@ def _toy_agent() -> AgentState:
 
 
 def _snapshot(cycle: int, state: AgentState) -> str:
-    goals = ",".join(f"{g.name}#{g.adoption_seq}" for g in state.goals)
+    goals = ",".join(f"{g.name}#{g.adoption_seq}" for g in _adopted(state))
     intentions = ",".join(f"{i.plan.name}@{i.pc}" for i in state.intentions)
     beliefs = ",".join(
         f"{b.predicate}({','.join(str(a) for a in b.args)})" for b in state.beliefs.as_beliefs()
@@ -442,7 +448,7 @@ def test_every_intention_advances_once_per_cycle_oldest_first():
     assert first.state.percepts == [Belief("failed", ("broken",))]
     # the goal adopted mid-cycle waits for the next cycle's deliberation, and
     # the two-step intention takes its second step only now: each once, not drain
-    assert [g.name for g in first.state.goals] == ["two", "late"]
+    assert [g.name for g in _adopted(first.state)] == ["two", "late"]
     second = step(first.state, [])
     assert [c.name for c in second.commands] == ["late"]
     assert [e.content.name for e in second.outbox] == ["two_2"]
@@ -455,8 +461,8 @@ def test_every_intention_advances_once_per_cycle_oldest_first():
 
 def _observable(state):
     return (
+        _adopted(state),
         list(state.goals),
-        list(state.uncommitted),
         list(state.intentions),
         list(state.percepts),
         state.next_seq,

@@ -264,6 +264,19 @@ def test_report_on_a_malformed_middle_line_exits_three(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: bad trace line")
 
 
+def test_report_of_a_trace_with_a_line_missing_or_repeated_exits_three(tmp_path, capsys):
+    trace = tmp_path / "run.trace"
+    assert run_cli("run", str(SCENARIOS / "registration.scn"), "--trace", str(trace)) == 0
+    lines = trace.read_text().splitlines(keepends=True)
+    deleted, repeated = lines[:4] + lines[5:], lines[:5] + lines[4:]  # line 5
+    for edited, seen in ((deleted, "expected seq 3, saw 4"), (repeated, "expected seq 4, saw 3")):
+        trace.write_text("".join(edited))
+        capsys.readouterr()
+        assert run_cli("report", str(trace)) == 3
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {trace}: {seen}\n" and captured.out == ""
+
+
 LIVENESS_K_BELOW_THE_REPLY_PATH = {
     "run": ("run", str(SCENARIOS / "registration.scn")),
     "fuzz": ("fuzz", "--seed", "2", "--events", "3000"),

@@ -200,6 +200,21 @@ def test_snapshot_empty_required_field_flags_p9():
     assert statuses(verdicts)[PropertyId.P9] == VIOLATED
 
 
+def test_snapshot_row_missing_a_field_reads_it_as_empty():
+    # each row lacks a field the snapshot check reads: a row filter and a
+    # key (students), a lecture count, a semester count and a fee semester
+    dump = (
+        "fees|1:1|p_id=1,amount=5\n"
+        "lecture_logs|1|class_id=1,subject=Math\n"
+        "programs|1|p_id=1,name=bscs,session=morning\n"
+        "students|1|student_id=1,name=S01,dpt_id=CS\n"
+    )
+    monitor = Monitor()
+    monitor.check_snapshot(dump, seq=3)
+    [p9] = [v for v in monitor.finalize(True) if v.status != HOLDS]
+    assert p9.render() == "P9|violated|3|students row persisted with empty st_id"
+
+
 def test_oracle_requires_what_the_store_schema_requires():
     # the oracle writes "required" out itself, so a field the store's schema
     # makes optional by mistake shows here

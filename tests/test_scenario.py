@@ -59,6 +59,23 @@ def test_double_expect_refusal_rejected():
     assert err.value.line == 3
 
 
+def test_a_second_expect_refusal_across_a_crash_is_rejected():
+    # both bind to the second REGISTER_STUDENT, where a run would keep only one
+    text = (
+        "OPEN_SESSION dept=CS\n"
+        "REGISTER_STUDENT st_id=1 name=A dept=CS\n"
+        "REGISTER_STUDENT st_id=1 name=A dept=CS\n"
+        "EXPECT_REFUSAL reason=busy\n"
+        "CRASH\n"
+        "EXPECT_REFUSAL reason=Student_Already_Registerd\n"
+    )
+    with pytest.raises(ScenarioError, match="already asserted for this command") as err:
+        parse_scenario(text)
+    assert err.value.line == 6
+    lines = text.splitlines(keepends=True)
+    assert len(parse_scenario("".join(lines[:3] + lines[4:]))) == 5  # one expectation binds across
+
+
 def test_bad_report_kind_rejected():
     with pytest.raises(ScenarioError):
         parse_scenario("GENERATE_REPORT kind=everything\n")
@@ -345,6 +362,41 @@ def test_a_fuzz_run_peaks_below_its_memory_bound():
     finally:
         tracemalloc.stop()
     assert peak / 1000 < FUZZ_PEAK_BYTES_PER_EVENT, peak
+
+
+#: How much the Python work per command may grow at 4x the commands, or at
+#: window 64 against window 8.  On Python 3.11.7 a run takes 1,089.5 trace
+#: events per command at 1k commands, 1,086.5 at 4k and 1,089.5 at window
+#: 64; a commit phase that walked every goal held took 1,307.8 at window 64.
+GROWTH_RATIO = 1.02
+
+
+def _trace_events_per_command(n_commands: int, window: int) -> float:
+    cfg = RunConfig(seed=1, pipeline_window=window)
+    commands = generate(1, n_commands, cfg)
+    count = 0
+
+    def tracer(frame, event, arg):
+        nonlocal count
+        count += 1
+        return tracer  # line and return events of the frame too
+
+    previous = sys.gettrace()
+    sys.settrace(tracer)
+    try:
+        run_scenario(commands, cfg)
+    finally:
+        sys.settrace(previous)
+    return count / n_commands
+
+
+def test_python_work_per_command_stays_flat_as_a_run_and_its_window_grow():
+    # trace events count interpreter work exactly, a loop that calls nothing
+    # included, so a per-goal walk creeping back into the step shows here
+    # where a timing's noise would hide it
+    base = _trace_events_per_command(1000, 8)
+    assert _trace_events_per_command(4000, 8) / base < GROWTH_RATIO
+    assert _trace_events_per_command(1000, 64) / base < GROWTH_RATIO
 
 
 def test_parsed_commands_share_one_string_per_verb_and_key():
