@@ -1,9 +1,12 @@
 """The ten functional agents as plan libraries over the BDI kernel.
 
-Every domain agent is a mediated relay: a request from the gateway is
-re-issued to the orchestrator under a fresh conversation id, and the
-store's answer is forwarded back to whoever opened the original
-conversation.  The report agent is a relay too: it asks the store for one
+One table, ``SERVED_BY``, names the agent that receives each request; the
+harness routes every request by it, so no agent checks it again.  Every
+agent but the gateway and the orchestrator is a relay made by
+``relay_agent``: one plan sends whatever request reaches it on to the
+orchestrator under a fresh conversation id, and one sends the store's
+answer back to whoever opened the original conversation.  The report
+agent is the same relay with its own two steps: it asks the store for one
 report kind's aggregate rows (``query(kind)`` is answered with
 ``rows(<blob>,<kind>)``) and answers with the report built from them.
 Only the orchestrator ever emits store commands.
@@ -11,12 +14,14 @@ Only the orchestrator ever emits store commands.
 Conversation ids (``terms.conversation_id``) are ``<agent>:<seq>``,
 suffixed with the conversation they serve (``FSA:0>GW:2``), so both the
 opener of any hop and the originating request are recoverable from the id
-alone: every reply is routed by its id, and no agent keeps a routing
-table.  Each plan step sends one envelope built by ``_request`` (a hop to
+alone: every reply is routed home by its id, with no table at all.  Each
+plan step sends one envelope built by ``_request`` (a hop to
 the orchestrator) or ``_reply`` (an answer to a conversation's opener).
 """
 
 from __future__ import annotations
+
+from typing import Callable
 
 from . import bdi, runtime
 from .bdi import Belief, BeliefMatch, CommandStep, MessageMatch, Plan, SendStep
@@ -45,40 +50,29 @@ ORCHESTRATOR = "OA"
 #: the graphical interface agent.
 ROSTER = ("GW", "SA", "TA", "ASA", "CSA", "DSA", "FSA", "RA", "RPA", "OA")
 
-#: Which relay agent serves which store command.
-AGENT_COMMANDS: dict[str, tuple[str, ...]] = {
-    "SA": ("add_student",),
-    "TA": ("add_teacher",),
-    "ASA": ("admit",),
-    "CSA": ("add_class", "assign_teacher", "deliver_lecture"),
-    "DSA": ("schedule_exam",),
-    "FSA": ("add_program",),
-    "RA": ("record_result",),
+#: The one routing table: the agent that receives each request.  A relay
+#: forwards whatever request reaches it, so nothing else decides this.
+SERVED_BY: dict[str, str] = {
+    "add_student": "SA",
+    "add_teacher": "TA",
+    "admit": "ASA",
+    "add_class": "CSA",
+    "assign_teacher": "CSA",
+    "deliver_lecture": "CSA",
+    "schedule_exam": "DSA",
+    "add_program": "FSA",
+    "record_result": "RA",
+    "report": "RPA",
+    "open_session": ORCHESTRATOR,
+    "close_session": ORCHESTRATOR,
 }
-
-#: Session commands go straight from the gateway to the orchestrator.
-DIRECT_COMMANDS = ("open_session", "close_session")
 
 REPORT_KINDS = tuple(REPORT_QUERIES)
 
-
-def agent_for_command(command: str) -> str:
-    for agent, commands in AGENT_COMMANDS.items():
-        if command in commands:
-            return agent
-    if command in DIRECT_COMMANDS:
-        return ORCHESTRATOR
-    raise KeyError(command)
-
-
 #: The least ``liveness_k`` under which P12 can hold: the rounds of the
-#: longest reply path, one per hop each way.  A session command goes GW ->
-#: OA, a relayed one GW -> relay -> OA.
-MIN_LIVENESS_K = 2 * max(
-    1 if agent_for_command(command) == ORCHESTRATOR else 2
-    for commands in (DIRECT_COMMANDS, *AGENT_COMMANDS.values())
-    for command in commands
-)
+#: longest reply path, one per hop each way.  A request served by the
+#: orchestrator goes GW -> OA, one served by a relay GW -> relay -> OA.
+MIN_LIVENESS_K = 2 * max(1 if agent == ORCHESTRATOR else 2 for agent in SERVED_BY.values())
 
 
 # -- gateway -----------------------------------------------------------------
@@ -128,24 +122,27 @@ def _relay_reply(ctx: bdi.StepCtx) -> list[Envelope]:
     return [_reply(ctx, home, reply.performative, reply.content)]
 
 
-def relay_agent(agent_id: str, commands: tuple[str, ...]) -> bdi.AgentState:
+def relay_agent(
+    agent_id: str,
+    forward: Callable[[bdi.StepCtx], list[Envelope]] = _relay_request,
+    answer: Callable[[bdi.StepCtx], list[Envelope]] = _relay_reply,
+) -> bdi.AgentState:
+    """A relay: ``forward`` sends any request it receives on to the
+    orchestrator, and ``answer`` sends any reply home."""
     plans = [
         Plan(
-            name=f"{agent_id.lower()}_{command}",
-            goal=f"handle_{command}",
-            when=MessageMatch(Performative.REQUEST, command),
-            body=(SendStep(_relay_request),),
-        )
-        for command in commands
-    ]
-    plans.append(
+            name=f"{agent_id.lower()}_request",
+            goal="relay_request",
+            when=MessageMatch(Performative.REQUEST),
+            body=(SendStep(forward),),
+        ),
         Plan(
-            name=f"{agent_id.lower()}_forward_reply",
-            goal="forward_reply",
-            when=MessageMatch(REPLIES, None),
-            body=(SendStep(_relay_reply),),
-        )
-    )
+            name=f"{agent_id.lower()}_reply",
+            goal="relay_reply",
+            when=MessageMatch(REPLIES),
+            body=(SendStep(answer),),
+        ),
+    ]
     return bdi.make_agent(agent_id, plans, advance_every_intention=True)
 
 
@@ -193,21 +190,7 @@ def report_agent(cfg: RunConfig) -> bdi.AgentState:
             content = Term("report", (kind, str(len(lines)), encode_blob("\n".join(lines))))
         return [_reply(ctx, home, Performative.INFORM, content)]
 
-    plans = [
-        Plan(
-            name="rpa_report",
-            goal="handle_report",
-            when=MessageMatch(Performative.REQUEST, "report"),
-            body=(SendStep(_report_query),),
-        ),
-        Plan(
-            name="rpa_reply",
-            goal="forward_reply",
-            when=MessageMatch(REPLIES, None),
-            body=(SendStep(reply_with_report),),
-        ),
-    ]
-    return bdi.make_agent("RPA", plans, advance_every_intention=True)
+    return relay_agent("RPA", _report_query, reply_with_report)
 
 
 # -- orchestrator ------------------------------------------------------------
@@ -303,6 +286,6 @@ def build_world(cfg: RunConfig | None = None) -> tuple[World, Store]:
         elif agent_id == ORCHESTRATOR:
             state = orchestrator_agent()
         else:
-            state = relay_agent(agent_id, AGENT_COMMANDS[agent_id])
+            state = relay_agent(agent_id)
         register_agent(world, state)
     return world, store

@@ -15,7 +15,7 @@ from dataclasses import replace
 from pathlib import Path
 
 from .config import ConfigError, RunConfig, apply_setting, parse_config_text, parse_header
-from .fuzz import fuzz as run_fuzz, fuzz_config, generate
+from .fuzz import fuzz_config, generate
 from .monitor import MonitorFault, evaluate_trace, exit_code, render_verdicts
 from .scenario import (
     RunResult,
@@ -55,7 +55,7 @@ def _write_outputs(args: argparse.Namespace, result: RunResult) -> None:
     if getattr(args, "dump", None):
         Path(args.dump).write_text(result.store.dump())
     if getattr(args, "journal", None):
-        Path(args.journal).write_text("\n".join(result.store.journal_lines) + "\n")
+        Path(args.journal).write_text("".join(line + "\n" for line in result.store.journal_lines))
 
 
 def _report_result(result: RunResult) -> int:
@@ -79,11 +79,12 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 def cmd_fuzz(args: argparse.Namespace) -> int:
     cfg = fuzz_config(args.seed, _load_config(args))  # --print-only refuses what a run does
+    commands = generate(args.seed, args.events, cfg)
     if args.print_only:
-        for command in generate(args.seed, args.events, cfg):
+        for command in commands:
             print(command.render())
         return 0
-    result = run_fuzz(args.seed, args.events, cfg)
+    result = run_scenario(commands, cfg)
     _write_outputs(args, result)
     return _report_result(result)
 
@@ -99,10 +100,9 @@ def cmd_load(args: argparse.Namespace) -> int:
 def cmd_replay_crash(args: argparse.Namespace) -> int:
     cfg = _load_config(args)
     commands = parse_scenario(Path(args.scenario).read_text())
-    verdict = replay_crash(commands, args.at, cfg, torn=args.torn)
-    status = "equivalent" if verdict.equivalent else "MISMATCH"
-    print(f"replay_crash|at={args.at}|{status}")
-    return 0 if verdict.equivalent else 2
+    equivalent = replay_crash(commands, args.at, cfg, torn=args.torn)
+    print(f"replay_crash|at={args.at}|{'equivalent' if equivalent else 'MISMATCH'}")
+    return 0 if equivalent else 2
 
 
 def cmd_report(args: argparse.Namespace) -> int:

@@ -19,7 +19,7 @@ from collections import deque
 from dataclasses import dataclass
 from sys import intern
 
-from .agents import GATEWAY, REPORT_KINDS, agent_for_command, build_world, store_handler
+from .agents import GATEWAY, REPORT_KINDS, SERVED_BY, build_world, store_handler
 from .config import RunConfig, with_fixed_window
 from .monitor import Monitor, Verdict, exit_code as verdict_exit_code
 from .runtime import run_round
@@ -83,7 +83,7 @@ _RENAMED = {"dpt_id": "dept", "semester_count": "semesters"}
 # command field in schema order)
 _VERB_COMMANDS: dict[str, tuple[str, str, tuple[tuple[str, str], ...]]] = {
     verb: (
-        agent_for_command(command),
+        SERVED_BY[command],
         command,
         tuple(
             (_RENAMED.get(f.name, f.name), "" if f.default is None else f.default)
@@ -183,7 +183,7 @@ def _content_for(command: ScenarioCommand) -> tuple[str, Term]:
     as written; the store alone reads the int fields.
     """
     if command.verb == GENERATE_REPORT:
-        return "RPA", Term("report", (check_scalar(command.get("kind")),))
+        return SERVED_BY["report"], Term("report", (check_scalar(command.get("kind")),))
     receiver, store_command, fields = _VERB_COMMANDS[command.verb]
     args = tuple(
         [check_scalar(value) if (value := command.get(key)) else default for key, default in fields]
@@ -430,18 +430,14 @@ def run_scenario(
     return ScenarioRunner(cfg).run(commands, crash_at=crash_at, torn=torn)
 
 
-@dataclass(frozen=True)
-class CrashVerdict:
-    equivalent: bool
-
-
 def replay_crash(
     commands: list[ScenarioCommand],
     crash_at: int,
     cfg: RunConfig | None = None,
     torn: bool = False,
-) -> CrashVerdict:
-    """Crash-and-recover equivalence check against the uninterrupted run, at window 1.
+) -> bool:
+    """Whether a crash and recovery leave the store dump of the
+    uninterrupted run, at window 1.
 
     ``crash_at`` is a journal index of the uninterrupted run; one the run
     never reaches is refused, since no crash would happen there.
@@ -452,7 +448,7 @@ def replay_crash(
     if not 0 <= crash_at <= events:
         raise ValueError(f"crash index {crash_at} outside the run's journal, 0..{events}")
     crashed = run_scenario(commands, cfg, crash_at=crash_at, torn=torn)
-    return CrashVerdict(baseline.store.dump() == crashed.store.dump())
+    return baseline.store.dump() == crashed.store.dump()
 
 
 @dataclass(frozen=True)

@@ -12,11 +12,12 @@ from oracle import parse_dump, reference_report
 
 from unimas import bdi
 from unimas.agents import (
-    AGENT_COMMANDS,
     GATEWAY,
+    MIN_LIVENESS_K,
     ORCHESTRATOR,
     REPORT_KINDS,
     ROSTER,
+    SERVED_BY,
     build_report,
     build_world,
     relay_agent,
@@ -582,7 +583,7 @@ def test_oa_handle_malformed_content_fails():
 
 
 def test_relay_forwards_the_received_terms_and_performative():
-    sa = relay_agent("SA", AGENT_COMMANDS["SA"])
+    sa = relay_agent("SA")
     request_content = Term("add_student", ("111", "Ali", "CS"))
     request = Envelope(GATEWAY, "SA", Performative.REQUEST, "GW:0", request_content)
     first = bdi.step(sa, [request])
@@ -671,3 +672,18 @@ def test_roster_is_ten_agents_registered_before_commands():
     # every agent but the gateway advances all its intentions in one cycle;
     # the gateway, one request per round, is the throttle
     assert [a for a in ROSTER if not world.agents[a].advance_every_intention] == [GATEWAY]
+
+
+def test_every_request_is_served_by_a_roster_agent():
+    assert set(SERVED_BY.values()) == set(ROSTER) - {GATEWAY}
+
+
+def test_liveness_floor_is_the_longest_reply_path_a_run_takes():
+    # a relayed request (here a report) takes GW -> relay -> OA and back
+    relayed = (SCENARIOS / "lifecycle.scn").read_text() + "GENERATE_REPORT kind=attendance\n"
+    result = run_lines(relayed)
+    assert result.cfg.pipeline_window == 1
+    assert result.monitor.max_reply_latency == MIN_LIVENESS_K == 4
+    # a session command takes GW -> OA and back
+    direct = run_lines(SESSION + "CLOSE_SESSION sid=1\n")
+    assert direct.monitor.max_reply_latency == 2

@@ -2,6 +2,7 @@ import hashlib
 from pathlib import Path
 
 from unimas.cli import main
+from unimas.store import replay
 from unimas.trace import BLOCK_LINES
 
 SCENARIOS = Path(__file__).parent.parent / "scenarios"
@@ -145,6 +146,14 @@ def test_dump_and_journal_outputs(tmp_path, capsys):
     assert "students|1|" in dump.read_text()
     lines = journal.read_text().splitlines()
     assert lines and lines[0].startswith("1|open_session|")
+    assert replay(lines).dump() == dump.read_text()
+    # a run that journals nothing writes an empty journal, which replays
+    # to the run's (empty) dump
+    empty = tmp_path / "none.scn"
+    empty.write_text("OPEN_SESSION dept=EE\n")
+    assert run_cli("run", str(empty), "--dump", str(dump), "--journal", str(journal)) == 0
+    assert journal.read_text() == dump.read_text() == ""
+    assert replay(journal.read_text().splitlines()).dump() == ""
 
 
 def test_reports_printed_on_stdout(capsys):

