@@ -59,10 +59,6 @@ class _Model:
     lectures: list[int] = field(default_factory=list)
 
 
-def _cmd(verb: str, **kv: object) -> ScenarioCommand:
-    return ScenarioCommand(verb, tuple((k, str(v)) for k, v in kv.items()))
-
-
 def generate(seed: int, n_events: int, cfg: RunConfig | None = None) -> list[ScenarioCommand]:
     """Deterministic stream of n_events scenario commands."""
     if n_events < 1:
@@ -71,6 +67,12 @@ def generate(seed: int, n_events: int, cfg: RunConfig | None = None) -> list[Sce
     rng = random.Random(seed)
     model = _Model()
     out: list[ScenarioCommand] = []
+    pairs: dict[tuple[str, object], tuple[str, str]] = {}  # equal args share one pair
+
+    def _cmd(verb: str, **kv: object) -> ScenarioCommand:
+        return ScenarioCommand(
+            verb, tuple(pairs.get(a) or pairs.setdefault(a, (a[0], str(a[1]))) for a in kv.items())
+        )
 
     def register_student() -> ScenarioCommand:
         if model.students and rng.random() < DUPLICATE_ID_BIAS:

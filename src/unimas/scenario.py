@@ -97,12 +97,12 @@ GENERATE_REPORT = "GENERATE_REPORT"
 CRASH = "CRASH"
 EXPECT_REFUSAL = "EXPECT_REFUSAL"
 
-VERBS = tuple(_VERB_COMMANDS) + (GENERATE_REPORT, CRASH, EXPECT_REFUSAL)
+VERBS = frozenset(_VERB_COMMANDS) | {GENERATE_REPORT, CRASH, EXPECT_REFUSAL}
 
-#: Scenario keys whose command fields are optional (store defaults apply).
-_OPTIONAL_KEYS = {
-    verb: {_RENAMED.get(f.name, f.name) for f in SCHEMAS[command] if f.default is not None}
-    for verb, command in _VERB_TO_COMMAND.items()
+#: verb -> (known keys, required keys); a key with a store default is optional.
+_VERB_KEYS = {
+    verb: (frozenset(k for k, _ in fields), frozenset(k for k, default in fields if not default))
+    for verb, (_, _, fields) in _VERB_COMMANDS.items()
 }
 
 #: Verbs allowed without an open session.
@@ -110,8 +110,14 @@ _SESSION_EXEMPT = ("OPEN_SESSION", "CLOSE_SESSION")
 
 
 def parse_scenario(text: str) -> list[ScenarioCommand]:
-    """The commands of a scenario text, one string per verb and key (interned)."""
+    """The commands of a scenario text, one string per verb and key (interned).
+
+    Each distinct ``key=value`` token is read and its value checked once;
+    equal tokens share one ``(key, value)`` pair.  A token seen before is
+    the same text, so only its line's duplicate-key check applies to it.
+    """
     commands: list[ScenarioCommand] = []
+    pairs_by_token: dict[str, tuple[str, str]] = {}
     last = ""  # the last verb other than CRASH: EXPECT_REFUSAL binds past CRASH, as in ``run``
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -124,20 +130,25 @@ def parse_scenario(text: str) -> list[ScenarioCommand]:
         args: list[tuple[str, str]] = []
         seen: set[str] = set()
         for token in pairs:
-            key, eq, value = token.partition("=")
-            if not eq or not key:
-                raise ScenarioError(lineno, f"expected key=value, got {token!r}")
+            pair = pairs_by_token.get(token)
+            fresh = pair is None
+            if fresh:
+                key, eq, value = token.partition("=")
+                if not eq or not key:
+                    raise ScenarioError(lineno, f"expected key=value, got {token!r}")
+                pair = pairs_by_token[token] = (intern(key), value)
+            key, value = pair
             if key in seen:
                 raise ScenarioError(lineno, f"duplicate key {key}")
-            if value:
+            if fresh and value:
                 try:
                     check_scalar(value)
                 except ValueError as exc:
                     raise ScenarioError(lineno, str(exc)) from exc
             seen.add(key)
-            args.append((intern(key), value))
+            args.append(pair)
         command = ScenarioCommand(verb, tuple(args), lineno)
-        _validate_keys(command)
+        _validate_keys(command, seen)
         if verb == EXPECT_REFUSAL:
             if not last:
                 raise ScenarioError(lineno, "EXPECT_REFUSAL has no preceding command")
@@ -149,9 +160,8 @@ def parse_scenario(text: str) -> list[ScenarioCommand]:
     return commands
 
 
-def _validate_keys(command: ScenarioCommand) -> None:
+def _validate_keys(command: ScenarioCommand, given: set[str]) -> None:
     lineno = command.line
-    given = {k for k, _ in command.args}
     if command.verb == CRASH:
         if given:
             raise ScenarioError(lineno, "CRASH takes no arguments")
@@ -165,11 +175,10 @@ def _validate_keys(command: ScenarioCommand) -> None:
         if given != {"kind"} or kind not in REPORT_KINDS:
             raise ScenarioError(lineno, f"GENERATE_REPORT needs kind= one of {REPORT_KINDS}")
         return
-    _, _, fields = _VERB_COMMANDS[command.verb]
-    known = {k for k, _ in fields}
+    known, required = _VERB_KEYS[command.verb]
     if not given <= known:
         raise ScenarioError(lineno, f"unknown key {sorted(given - known)[0]}")
-    missing = known - _OPTIONAL_KEYS[command.verb] - given
+    missing = required - given
     if missing:
         raise ScenarioError(lineno, f"missing key {sorted(missing)[0]}")
 
@@ -463,10 +472,8 @@ def load_test(cfg: RunConfig | None = None, clients: int = 1) -> LoadSummary:
     if clients < 1:
         raise ValueError("clients must be >= 1")
     cfg = with_fixed_window(cfg or RunConfig(), 64, "load")
-    dept = cfg.cs_roster[0]
-    commands = [
-        ScenarioCommand("OPEN_SESSION", (("dept", dept),), line=i + 1) for i in range(clients)
-    ]
+    args = (("dept", cfg.cs_roster[0]),)
+    commands = [ScenarioCommand("OPEN_SESSION", args, line=i + 1) for i in range(clients)]
     result = run_scenario(commands, cfg)
     granted = sum(1 for o in result.outcomes if o is not None and o.status == "ok")
     busy = sum(

@@ -275,7 +275,8 @@ class Store:
             elif f.int_typed:
                 if not _INT.fullmatch(v):
                     return {}, Refusal(f"invalid field {f.name}", fault=True)
-                v = str(int(v))
+                if (canonical := str(int(v))) != v:
+                    v = canonical
             args[f.name] = v
         return args, None
 

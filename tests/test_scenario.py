@@ -6,7 +6,7 @@ from dataclasses import fields, replace
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from unimas import terms
+from unimas import scenario, terms
 from unimas.config import ConfigError, RunConfig, parse_config_text, parse_header
 from unimas.fuzz import fuzz, generate
 from unimas.monitor import PropertyId
@@ -79,6 +79,31 @@ def test_a_second_expect_refusal_across_a_crash_is_rejected():
 def test_bad_report_kind_rejected():
     with pytest.raises(ScenarioError):
         parse_scenario("GENERATE_REPORT kind=everything\n")
+
+
+_STUDENT = "REGISTER_STUDENT st_id=1 name=A dept=CS\n"
+
+
+@pytest.mark.parametrize(
+    "text, error",
+    [
+        # the offending token repeats one from an earlier line
+        (_STUDENT + "REGISTER_STUDENT st_id=1 st_id=1\n", "line 2: duplicate key st_id"),
+        (_STUDENT + "OPEN_SESSION st_id=1 dept=CS\n", "line 2: unknown key st_id"),
+        (_STUDENT + "REGISTER_STUDENT st_id=1 name=A\n", "line 2: missing key dept"),
+        # the first failing token wins: the duplicate key before its unsafe value
+        (_STUDENT + "REGISTER_STUDENT st_id=1 st_id=A,B\n", "line 2: duplicate key st_id"),
+        (
+            _STUDENT + "REGISTER_STUDENT st_id=1 name=A,B dept=CS\n",
+            "line 2: unsafe characters in term scalar: 'A,B'",
+        ),
+    ],
+    ids=["duplicate", "unknown", "missing", "duplicate-then-unsafe", "unsafe"],
+)
+def test_errors_are_the_same_for_a_token_seen_before(text, error):
+    with pytest.raises(ScenarioError) as err:
+        parse_scenario(text)
+    assert (str(err.value), err.value.line) == (error, 2)
 
 
 _token = st.text(
@@ -343,10 +368,11 @@ def test_fuzz_small_sweep_no_violations():
         assert result.quiescent
 
 
-#: Peak bytes a fuzz run may allocate per event, under tracemalloc: 2,013 on
-#: Python 3.11.7.  A trace held one string per line, with commands and
+#: Peak bytes a fuzz run may allocate per event, under tracemalloc: 1,718 on
+#: Python 3.11.7.  With a fresh pair and value string per generated argument
+#: it peaked at 2,011; a trace held one string per line, with commands and
 #: outcomes in per-instance dicts, peaks near 2,840.
-FUZZ_PEAK_BYTES_PER_EVENT = 2400
+FUZZ_PEAK_BYTES_PER_EVENT = 2050
 
 
 def test_a_fuzz_run_peaks_below_its_memory_bound():
@@ -396,10 +422,32 @@ def test_python_work_per_command_stays_flat_as_a_run_and_its_window_grow():
     assert _trace_events_per_command(1000, 64) / base < GROWTH_RATIO
 
 
-def test_parsed_commands_share_one_string_per_verb_and_key():
+def test_parsed_commands_share_one_string_per_verb_and_key(monkeypatch):
     first, second = parse_scenario("OPEN_SESSION dept=CS\nOPEN_SESSION dept=EE\n")
     assert first.verb is second.verb
     assert first.args[0][0] is second.args[0][0]
+    # equal tokens are one pair, and each distinct value is checked once
+    checked: list[str] = []
+    monkeypatch.setattr(scenario, "check_scalar", checked.append)
+    text = (
+        "OPEN_SESSION dept=CS\n"
+        + "REGISTER_STUDENT st_id=7 name=Ali dept=CS\n" * 2
+        + "DELIVER_LECTURE class_id=1 subject=Math times=\n" * 2
+    )
+    session, student, again, lecture, repeat = parse_scenario(text)
+    assert all(a is b for a, b in zip(student.args, again.args))
+    assert all(a is b for a, b in zip(lecture.args, repeat.args))
+    assert student.args[2] is session.args[0]
+    assert checked == ["CS", "7", "Ali", "1", "Math"]
+    parse_scenario(text)  # the pairs live for one parse only
+    assert checked == ["CS", "7", "Ali", "1", "Math"] * 2
+
+
+def test_generated_commands_share_one_pair_per_key_and_value():
+    args = [pair for command in generate(1, 500) for pair in command.args]
+    first: dict[tuple[str, str], tuple[str, str]] = {}
+    assert all(first.setdefault(pair, pair) is pair for pair in args)
+    assert len(first) < len(args) / 2
 
 
 #: Each documented configuration key (README, "Configuration") away from

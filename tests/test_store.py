@@ -112,6 +112,15 @@ def test_text_in_an_int_field_is_a_fault_not_a_crash(store, bad):
     assert store.journal_lines == []
 
 
+def test_an_int_field_keeps_its_text_when_canonical(store):
+    # a canonical field is held as sent, not as a second string of its text
+    fee = "".join(["50", "00"])  # a string of its own, not a shared constant
+    ok(store, cmd("add_program", name="p", session="morning", semester_count="2", fee=fee))
+    assert store.tables["fees"][(1, 1)]["amount"] is fee
+    ok(store, cmd("add_program", name="q", session="morning", semester_count="2", fee="0700"))
+    assert store.tables["fees"][(2, 1)]["amount"] == "700"
+
+
 def test_unknown_command_or_wrong_arity_is_one_fault(store):
     for command in (
         Command("enroll", ("1",), "t:0"),
