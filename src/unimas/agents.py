@@ -79,6 +79,8 @@ MIN_LIVENESS_K = 2 * max(1 if agent == ORCHESTRATOR else 2 for agent in SERVED_B
 
 
 def _issue(ctx: bdi.StepCtx) -> list[Envelope]:
+    if ctx.message is None:  # passed on unread, so a None would reach ``route``
+        raise LookupError("an issue goal carries the request it sends")
     return [ctx.message]
 
 
@@ -198,19 +200,19 @@ def report_agent(cfg: RunConfig) -> bdi.AgentState:
 
 def _build_command(ctx: bdi.StepCtx) -> list[Command]:
     request = ctx.message
-    return [Command(request.content.name, ctx.params, request.conversation)]
+    return [tuple.__new__(Command, (request.content.name, ctx.params, request.conversation))]
 
 
 def store_reply(conversation: str, performative: str, name: str, *args: str) -> Belief:
     """The orchestrator's percept of a store outcome: the reply it is to
     send on ``conversation``, as a performative and a content term."""
-    return Belief("store_reply", (conversation, performative, name, *args))
+    return tuple.__new__(Belief, ("store_reply", (conversation, performative, name, *args)))
 
 
 def _reply_stored(ctx: bdi.StepCtx) -> list[Envelope]:
     # a store_reply percept: conversation, performative, content term
     conversation, performative, name = ctx.params[:3]
-    return [_reply(ctx, conversation, performative, Term(name, ctx.params[3:]))]
+    return [_reply(ctx, conversation, performative, tuple.__new__(Term, (name, ctx.params[3:])))]
 
 
 def orchestrator_agent() -> bdi.AgentState:

@@ -32,6 +32,7 @@ order) so that traces are reproducible bit for bit.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cache
 from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .terms import Command, Envelope, check_scalar, conversation_id
@@ -130,18 +131,15 @@ class Goal(NamedTuple):
 
 @dataclass(frozen=True)
 class MessageMatch:
-    """Trigger pattern over incoming envelopes; None fields match anything."""
+    """Trigger over an envelope's performative and content name; None matches anything."""
 
     performative: str | tuple[str, ...] | None = None
     content: str | None = None
 
-    def matches(self, env: Envelope) -> bool:
-        if type(self.performative) is tuple:
-            if env.performative not in self.performative:
-                return False
-        elif self.performative is not None and env.performative != self.performative:
-            return False
-        return self.content is None or env.content.name == self.content
+    def matches(self, performative: str, name: str) -> bool:
+        wanted = self.performative
+        allowed = wanted is None or performative in (wanted if type(wanted) is tuple else (wanted,))
+        return allowed and self.content in (None, name)
 
 
 @dataclass(frozen=True)
@@ -154,23 +152,15 @@ class BeliefMatch:
 class StepCtx(NamedTuple):
     """Execution context handed to a plan step.
 
-    ``params`` are the goal's params; for a goal raised by a message,
-    ``message`` is that envelope and ``params`` its content's args.
+    ``params`` and ``message`` are the goal's: for a goal raised by a
+    message, that envelope and its content's args.
     """
 
     agent_id: str
     beliefs: BeliefBase
     goal: Goal
-
-    @property
-    def params(self) -> tuple[str, ...]:
-        return self.goal.params
-
-    @property
-    def message(self) -> Envelope:
-        if self.goal.message is None:
-            raise LookupError(f"goal {self.goal.name} was not raised by a message")
-        return self.goal.message
+    params: tuple[str, ...]
+    message: Envelope | None  # None for a goal no message raised
 
     def conversation(self, served: str = "") -> str:
         """Deterministic conversation id for requests opened by this intention."""
@@ -231,6 +221,26 @@ class Plan:
             raise ValueError(f"plan {self.name}: {self.when!r} is not a {Trigger}")
 
 
+class PlanLibrary(tuple[Plan, ...]):
+    """The plans in declaration order, indexed by trigger and by goal name
+    as Jason indexes relevant plans.  Each index holds what a scan of the
+    plans in order finds, so every choice is the scan's; the message index
+    is filled per (performative, content name) pair on first use."""
+
+    def __init__(self, plans: Iterable[Plan] = ()) -> None:
+        scanned = tuple(self)  # a plain tuple: the message index holds no reference cycle
+        #: (performative, content name) -> the first plan a message triggers, or None
+        self.on_message = cache(
+            lambda *key: next((p for p in scanned if type(p.when) is MessageMatch and p.when.matches(*key)), None)
+        )
+        self.on_percept: dict[str, Plan] = {}  # predicate -> the first plan a belief percept triggers
+        self.serving: dict[str, list[Plan]] = {}  # goal name -> the plans serving it, in order
+        for plan in self:
+            self.serving.setdefault(plan.goal, []).append(plan)
+            if type(plan.when) is BeliefMatch:
+                self.on_percept.setdefault(plan.when.predicate, plan)
+
+
 class Intention(NamedTuple):
     """A committed plan: program counter over the plan body."""
 
@@ -243,7 +253,7 @@ class Intention(NamedTuple):
 class AgentState:
     id: str
     beliefs: BeliefBase
-    plan_library: tuple[Plan, ...]
+    plan_library: PlanLibrary
     #: The goals without an intention yet, in adoption order; a committed
     #: goal is its intention's ``origin_goal`` and nowhere else.
     goals: list[Goal] = field(default_factory=list)
@@ -283,7 +293,7 @@ def make_agent(
     return AgentState(
         id=agent_id,
         beliefs=BeliefBase(beliefs),
-        plan_library=tuple(plans),
+        plan_library=PlanLibrary(plans),
         advance_every_intention=advance_every_intention,
     )
 
@@ -295,21 +305,18 @@ class StepResult(NamedTuple):
 
 
 def _perceive(state: AgentState, inbox: Sequence[Envelope]) -> None:
-    library = state.plan_library
+    on_message, on_percept = state.plan_library.on_message, state.plan_library.on_percept
     for env in inbox:
-        for plan in library:
-            when = plan.when
-            if type(when) is MessageMatch and when.matches(env):
-                state.adopt(plan.goal, env.content.args, env)
-                break  # first matching plan names the goal
+        content = env.content
+        plan = on_message(env.performative, content.name)  # the first matching plan names the goal
+        if plan is not None:
+            state.adopt(plan.goal, content.args, env)
 
     pending, state.percepts = state.percepts, []
     for percept in pending:
-        for plan in library:
-            when = plan.when
-            if type(when) is BeliefMatch and when.predicate == percept.predicate:
-                state.adopt(plan.goal, percept.args)
-                break
+        plan = on_percept.get(percept.predicate)
+        if plan is not None:
+            state.adopt(plan.goal, percept.args)
         else:
             state.beliefs = state.beliefs.add(percept)  # unhandled percepts become knowledge
 
@@ -317,10 +324,11 @@ def _perceive(state: AgentState, inbox: Sequence[Envelope]) -> None:
 def _commit_options(state: AgentState) -> None:
     held = state.intentions
     beliefs = state.beliefs
+    serving = state.plan_library.serving
     waiting: list[Goal] = []
     for goal in state.goals:
-        for plan in state.plan_library:
-            if plan.goal == goal.name and (plan.context is None or plan.context(beliefs, goal)):
+        for plan in serving.get(goal.name, ()):
+            if plan.context is None or plan.context(beliefs, goal):
                 held.append(_new(Intention, (plan, 0, goal)))
                 break  # first applicable plan per goal wins
         else:
@@ -333,9 +341,10 @@ def _execute(state: AgentState) -> tuple[tuple[Envelope, ...], tuple[Command, ..
     ``advance_every_intention``, every intention held now, oldest first.
 
     An intention that finishes or fails takes its goal with it; steps only
-    adopt goals, never intentions, so the held list is not touched while
-    the pass runs.  A failed step never escapes the cycle: it surfaces as
-    a ``failed`` belief next cycle, for recovery plans.
+    adopt goals, never intentions, so the held list (the stepped copy's
+    own) is not touched while the pass runs, and is updated in place after
+    it.  A failed step never escapes the cycle: it surfaces as a
+    ``failed`` belief next cycle, for recovery plans.
     """
     held = state.intentions
     if not held:
@@ -346,7 +355,7 @@ def _execute(state: AgentState) -> tuple[tuple[Envelope, ...], tuple[Command, ..
     kept: list[Intention] = []
     for plan, pc, goal in held if every else held[:1]:
         step = plan.body[pc]
-        ctx = _new(StepCtx, (state.id, state.beliefs, goal))
+        ctx = _new(StepCtx, (state.id, state.beliefs, goal, goal.params, goal.message))
         kind = type(step)
         try:
             if kind is SendStep:
@@ -366,7 +375,7 @@ def _execute(state: AgentState) -> tuple[tuple[Envelope, ...], tuple[Command, ..
         pc += 1
         if pc < len(plan.body):
             kept.append(_new(Intention, (plan, pc, goal)))
-    state.intentions = kept if every else kept + held[1:]
+    held[: len(held) if every else 1] = kept  # in place of those that ran
     return tuple(outbox), tuple(commands)
 
 

@@ -108,14 +108,6 @@ _REQUIRED_ROW_FIELDS = {
 }
 
 
-@dataclass(slots=True)
-class _Conversation:
-    requests: int = 0
-    replies: int = 0
-    request_seq: int = 0
-    request_round: int = 0
-
-
 class Monitor:
     def __init__(self, cfg: RunConfig | None = None) -> None:
         self.cfg = cfg or RunConfig()
@@ -127,7 +119,8 @@ class Monitor:
         self._rules = {t: [(f, self._firsts[c]) for _, c, _, u, f, _ in UNIQUE_KEYS if u == t] for t in TABLE_FIELDS}
         self._open_sessions = 0
         self._lectures: dict[str, int] = {}
-        self._conversations: dict[str, _Conversation] = {}  # open only, oldest first
+        # P12's open conversations, oldest first: id -> [requests, replies, request seq, request round]
+        self._conversations: dict[str, list[int]] = {}
         self.max_reply_latency = 0
 
     # -- verdict bookkeeping -------------------------------------------
@@ -152,27 +145,28 @@ class Monitor:
             conv = conversations.get(conversation)
             if performative == "request":
                 if conv is None:
-                    conversations[conversation] = _Conversation(1, 0, seq, rnd)
+                    conversations[conversation] = [1, 0, seq, rnd]
                 else:
-                    conv.requests += 1
-                    conv.request_seq = seq
-                    conv.request_round = rnd
+                    conv[0] += 1
+                    conv[2:] = seq, rnd
                 return
             if conv is None:
                 self._flag(PropertyId.P12, seq, f"extra reply on conversation {conversation}")
             else:
-                conv.replies += 1
-                latency = rnd - conv.request_round
+                requests, replies, request_seq, request_round = conv
+                latency = rnd - request_round
                 if latency > self.max_reply_latency:
                     self.max_reply_latency = latency
                 if latency > self.cfg.liveness_k:
                     self._flag(
                         PropertyId.P12,
-                        conv.request_seq,
+                        request_seq,
                         f"reply to {conversation} after {latency} rounds, bound {self.cfg.liveness_k}",
                     )
-                if conv.replies == conv.requests:
+                if replies + 1 == requests:
                     del conversations[conversation]
+                else:
+                    conv[1] = replies + 1
             if performative == "inform" and content.startswith("report("):
                 self._check_report(event)
         elif kind == "domain_event":
@@ -333,10 +327,10 @@ class Monitor:
             if trace_complete:
                 return Verdict(p12, HOLDS)
             return Verdict(p12, INCONCLUSIVE, None, "trace incomplete: the run did not go quiet")
-        conversation, c = next(iter(self._conversations.items()))
+        conversation, (_, _, seq, _) = next(iter(self._conversations.items()))
         if trace_complete:
-            return Verdict(p12, VIOLATED, c.request_seq, f"request {conversation} never answered")
-        return Verdict(p12, INCONCLUSIVE, c.request_seq, f"request {conversation} pending at truncation")
+            return Verdict(p12, VIOLATED, seq, f"request {conversation} never answered")
+        return Verdict(p12, INCONCLUSIVE, seq, f"request {conversation} pending at truncation")
 
 
 def render_verdicts(verdicts: list[Verdict]) -> str:

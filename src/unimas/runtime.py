@@ -96,16 +96,15 @@ def route(world: World, envelopes: Sequence[Envelope]) -> World:
     """
     mailboxes, emit = world.mailboxes, world.emit
     for env in envelopes:
-        sender, receiver, performative, conversation, content = env
+        sender, receiver, performative, conversation, (name, args) = env
+        # the content as ``Term.render`` writes it, inline: once per envelope
+        emit("envelope", sender, receiver, performative, conversation, f"{name}({','.join(args)})")
         mailbox = mailboxes.get(receiver)
         if mailbox is not None:
             mailbox.append(env)
-            emit("envelope", sender, receiver, performative, conversation, content.render())
             continue
         bounce = failed("unknown agent")
-        bounced = Envelope(receiver, sender, Performative.FAILURE, conversation, bounce)
-        mailboxes[sender].append(bounced)
-        emit("envelope", sender, receiver, performative, conversation, content.render())
+        mailboxes[sender].append(Envelope(receiver, sender, Performative.FAILURE, conversation, bounce))
         emit("envelope", receiver, sender, Performative.FAILURE, conversation, bounce.render())
     return world
 

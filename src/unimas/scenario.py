@@ -194,10 +194,9 @@ def _content_for(command: ScenarioCommand) -> tuple[str, Term]:
     if command.verb == GENERATE_REPORT:
         return SERVED_BY["report"], Term("report", (check_scalar(command.get("kind")),))
     receiver, store_command, fields = _VERB_COMMANDS[command.verb]
-    args = tuple(
-        [check_scalar(value) if (value := command.get(key)) else default for key, default in fields]
-    )
-    return receiver, Term(store_command, args)
+    given = dict(command.args)
+    args = tuple([check_scalar(value) if (value := given.get(key)) else default for key, default in fields])
+    return receiver, tuple.__new__(Term, (store_command, args))
 
 
 @dataclass(slots=True)

@@ -137,6 +137,7 @@ Row = dict[str, str]
 
 #: the text an int field takes
 _INT = re.compile(r"-?[0-9]+")
+_new = tuple.__new__  # a NamedTuple from its fields, past its Python-level __new__
 
 #: trace kind of an accepted command's event, where it is not domain_event
 _EVENT_KINDS = {"open_session": "session_open", "close_session": "session_close"}
@@ -272,8 +273,8 @@ class Store:
                     v = f.default
                 elif not self._injected("p9"):
                     return {}, Refusal(INCOMPLETE)
-            elif f.int_typed:
-                if not _INT.fullmatch(v):
+            elif f.int_typed and not (v.isdigit() and v.isascii() and (v[0] != "0" or v == "0")):
+                if not _INT.fullmatch(v):  # any text but canonical ASCII digits comes here
                     return {}, Refusal(f"invalid field {f.name}", fault=True)
                 if (canonical := str(int(v))) != v:
                     v = canonical
@@ -292,7 +293,7 @@ class Store:
                 refusal = Refusal("invalid field", fault=True)
         if refusal is not None:
             draft = ("refusal", refusal_line(name, refusal.reason))
-            return Outcome(result=refusal, drafts=(draft,))
+            return _new(Outcome, (refusal, (draft,)))
 
         if name == "query":
             return self._run_query(a["q"])
@@ -303,7 +304,7 @@ class Store:
         if extra:  # every command has a field, so args_text is never empty
             args_text = f"{args_text},{extra}"
         kind = _EVENT_KINDS.get(name, "domain_event")
-        return Outcome(reply, ((kind, f"{name}({args_text})"),))
+        return _new(Outcome, (reply, ((kind, f"{name}({args_text})"),)))
 
     def _run_query(self, kind: str) -> Outcome:
         text = "".join(f"{label}|{value}\n" for label, value in REPORT_QUERIES[kind](self))
@@ -432,10 +433,10 @@ class Store:
             sid = self.next_sid
             self.next_sid += 1
             t["sessions"][(sid,)] = {"sid": str(sid), **a}
-            return Term("ok", (str(sid),)), f"sid={sid}"
+            return _new(Term, ("ok", (str(sid),))), f"sid={sid}"
         if name == "close_session":
             t["sessions"].pop((int(a["sid"]),), None)
-            return Term("ok"), ""
+            return _new(Term, ("ok", ())), ""
         if name == "add_student":
             student_id = len(t["students"]) + 1
             self._st_ids.add(a["st_id"])
@@ -445,12 +446,12 @@ class Store:
                 "program_id": "",
                 "admit_year": "",
             }
-            return Term("ok", (str(student_id),)), f"student_id={student_id}"
+            return _new(Term, ("ok", (str(student_id),))), f"student_id={student_id}"
         if name == "add_teacher":
             teacher_id = len(t["teachers"]) + 1
             self._emails.add(a["email"])
             t["teachers"][(teacher_id,)] = {"teacher_id": str(teacher_id), **a}
-            return Term("ok", (str(teacher_id),)), f"teacher_id={teacher_id}"
+            return _new(Term, ("ok", (str(teacher_id),))), f"teacher_id={teacher_id}"
         if name == "admit":
             key = (int(a["student_id"]),)
             student = dict(t["students"][key])
@@ -463,7 +464,7 @@ class Store:
             if left:  # a first admission has no results yet to count
                 self._grade(student["student_id"], left)
                 self._grade(student["student_id"], a["p_id"])
-            return Term("ok"), ""
+            return _new(Term, ("ok", ())), ""
         if name == "add_program":
             p_id = len(t["programs"]) + 1
             program = {"p_id": str(p_id), **a}
@@ -477,7 +478,7 @@ class Store:
                         "semester": str(semester),
                         "amount": fee,
                     }
-            return Term("ok", (str(p_id),)), f"p_id={p_id}"
+            return _new(Term, ("ok", (str(p_id),))), f"p_id={p_id}"
         if name == "add_class":
             p_id, semester = a["p_id"], a["semester"]
             final = t["programs"][(int(p_id),)]["semester_count"] == semester
@@ -495,7 +496,7 @@ class Store:
                 "subject": a["subject"],
                 "lectures_delivered": "0",
             }
-            return Term("ok", (str(class_id),)), f"class_id={class_id}"
+            return _new(Term, ("ok", (str(class_id),))), f"class_id={class_id}"
         if name == "assign_teacher":
             key = (int(a["class_id"]),)
             cls = dict(t["classes"][key])
@@ -504,17 +505,17 @@ class Store:
             cls["teacher_id"] = a["teacher_id"]
             self._teacher_slots[(cls["teacher_id"], cls["day"], cls["period"])] = cls["class_id"]
             t["classes"][key] = cls
-            return Term("ok"), ""
+            return _new(Term, ("ok", ())), ""
         if name == "deliver_lecture":
             key = (int(a["class_id"]),)
             log = dict(t["lecture_logs"][key])
             count = int(log["lectures_delivered"]) + int(a["times"])
             log["lectures_delivered"] = str(count)
             t["lecture_logs"][key] = log
-            return Term("ok", (log["lectures_delivered"],)), f"total={count}"
+            return _new(Term, ("ok", (log["lectures_delivered"],))), f"total={count}"
         if name == "schedule_exam":
             t["datesheet"][(int(a["class_id"]), a["date"])] = a
-            return Term("ok"), ""
+            return _new(Term, ("ok", ())), ""
         if name == "record_result":
             student_id, class_id = a["student_id"], a["class_id"]
             t["results"][(int(student_id), int(class_id))] = a
@@ -522,7 +523,7 @@ class Store:
             if p_id is not None:  # overwrites the year of an earlier result
                 self._final_years[(student_id, p_id)][class_id] = int(a["year"])
                 self._grade(student_id, p_id)
-            return Term("ok"), ""
+            return _new(Term, ("ok", ())), ""
         raise ValueError(f"no mutation for command {name}")
 
 

@@ -39,8 +39,7 @@ class TraceEvent(NamedTuple):
     content: str = _NA
 
     def render(self) -> str:
-        seq, rnd, kind, sender, receiver, performative, conversation, content = self
-        return f"{rnd}|{seq}|{kind}|{sender}|{receiver}|{performative}|{conversation}|{content}"
+        return _lines((self,))[:-1]
 
     @staticmethod
     def parse(line: str) -> "TraceEvent":
@@ -56,36 +55,47 @@ class TraceEvent(NamedTuple):
         )
 
 
-#: Lines per block: ``TraceLog`` joins each full block into one string.
+def _lines(events: Iterable[TraceEvent]) -> str:
+    """The one definition of the line format: each event's line, newline-ended."""
+    return "".join(
+        [f"{rnd}|{seq}|{kind}|{sender}|{receiver}|{performative}|{conversation}|{content}\n"
+         for seq, rnd, kind, sender, receiver, performative, conversation, content in events]
+    )
+
+
+#: Lines per block: ``TraceLog`` renders each full block into one string.
 BLOCK_LINES = 256
 
 
 class TraceLog:
-    """Accumulates rendered lines in blocks; ``next_seq`` is the global
+    """Keeps events in blocks of ``BLOCK_LINES`` lines, each full block
+    rendered at once into one string and the rest when read; the ``# config``
+    header is the first line of the first block.  ``next_seq`` is the global
     sequence number of the next event, which ``World.emit`` assigns."""
 
     def __init__(self, header: str = "") -> None:
         self._blocks: list[str] = []  # each ends in a newline
-        self._tail: list[str] = []
+        self._head = f"# config {header}\n" if header else ""  # until the first block is full
+        self._tail: list[TraceEvent] = []
+        self._end = ""
         self.next_seq = 0
-        if header:
-            self._tail.append(f"# config {header}")
 
     def append(self, event: TraceEvent) -> None:
         tail = self._tail
-        tail.append(event.render())
-        if len(tail) == BLOCK_LINES:
-            self._blocks.append("\n".join(tail) + "\n")
+        tail.append(event)
+        if len(tail) + bool(self._head) == BLOCK_LINES:  # the header is a line of the first block
+            self._blocks.append(self._head + _lines(tail))
+            self._head = ""
             tail.clear()
 
     def close(self, complete: bool) -> None:
-        self._tail.append(f"# end complete={'true' if complete else 'false'}")
+        self._end = f"# end complete={'true' if complete else 'false'}\n"
 
     def blocks(self) -> Iterator[str]:
         """The text in pieces of whole lines, in order."""
         yield from self._blocks
-        if self._tail:
-            yield "\n".join(self._tail) + "\n"
+        if rest := self._head + _lines(self._tail) + self._end:
+            yield rest
 
     def text(self) -> str:
         return "".join(self.blocks())

@@ -7,10 +7,12 @@ from pathlib import Path
 import pytest
 from hypothesis import given, strategies as st
 
+from unimas import bdi
 from unimas.bdi import (
     AgentState,
     Belief,
     BeliefBase,
+    BeliefMatch,
     BelieveStep,
     CommandStep,
     Goal,
@@ -24,8 +26,9 @@ from unimas.bdi import (
     step,
     update_beliefs,
 )
-from unimas.agents import orchestrator_agent
-from unimas.terms import Command, Envelope, Performative, Term
+from unimas.agents import build_world, gateway_agent, orchestrator_agent
+from unimas.runtime import run_round
+from unimas.terms import REPLIES, Command, Envelope, Performative, Term
 
 DATA = Path(__file__).parent / "data"
 
@@ -502,3 +505,186 @@ def test_step_never_mutates_its_input():
     every = adopt_goal(adopt_goal(every, "g1", ()), "g2", ())
     for _ in range(3):
         every = _assert_step_leaves_input_alone(every, []).state
+
+
+# -- plan choice: the plan library's memo agrees with a linear scan ----------------
+
+PERFORMATIVES = (Performative.REQUEST, *REPLIES)
+
+
+def _scan_trigger(library, env=None, percept=None):
+    """The first plan, in declaration order, that an envelope or a belief
+    percept triggers: the reference the memoised choice must equal."""
+    for plan in library:
+        when = plan.when
+        if env is not None and isinstance(when, MessageMatch):
+            wanted = when.performative
+            if isinstance(wanted, tuple):
+                fits = env.performative in wanted
+            else:
+                fits = wanted is None or env.performative == wanted
+            if fits and (when.content is None or when.content == env.content.name):
+                return plan
+        if percept is not None and isinstance(when, BeliefMatch) and when.predicate == percept.predicate:
+            return plan
+    return None
+
+
+def _scan_commit(library, beliefs, goal):
+    for plan in library:
+        if plan.goal == goal.name and (plan.context is None or plan.context(beliefs, goal)):
+            return plan
+    return None
+
+
+def _check_choice(state, env=None, percept=None, goal_name=None):
+    """Perceive one envelope or percept, or adopt one goal, and commit, on a
+    copy of ``state``; the goal adopted and the plan committed are the
+    linear scan's."""
+    state = state.copy()
+    library = state.plan_library
+    waiting = len(state.goals)
+    if percept is not None:
+        state.percepts.append(percept)
+    if goal_name is not None:
+        state.adopt(goal_name, ("1",))
+        waiting = len(state.goals) - 1
+    bdi._perceive(state, [] if env is None else [env])
+    trigger = _scan_trigger(library, env, percept)
+    expected_goals = [goal_name] if goal_name else [] if trigger is None else [trigger.goal]
+    adopted = state.goals[waiting:]
+    assert [g.name for g in adopted] == expected_goals, (env, percept)
+    if percept is not None:
+        assert (percept in state.beliefs) == (trigger is None)  # unhandled, it is knowledge
+    if not adopted:
+        return
+    goal = adopted[0]
+    expected = _scan_commit(library, state.beliefs, goal)
+    bdi._commit_options(state)
+    committed = [i.plan for i in state.intentions if i.origin_goal is goal]
+    assert committed == ([] if expected is None else [expected]), goal
+    assert (goal in state.goals) == (expected is None)
+
+
+def assert_memo_agrees_with_scan(agent):
+    """Every performative with every content name a plan filters on (and
+    one no plan names), every predicate a plan triggers on (and one none
+    does) and every goal a plan serves (and one none does): each choice
+    equals the scan's with the memo cold, warm, after ``copy()`` and after
+    a step."""
+    library = agent.plan_library
+    names = {p.when.content for p in library if isinstance(p.when, MessageMatch)} - {None}
+    envs = [
+        Envelope("X", agent.id, performative, "X:0", Term(name, ("1",)))
+        for performative in PERFORMATIVES
+        for name in sorted(names | {"unnamed"})
+    ]
+    predicates = {p.when.predicate for p in library if isinstance(p.when, BeliefMatch)}
+    percepts = [Belief(pred, ("1",)) for pred in sorted(predicates | {"failed", "unnamed"})]
+    for state in (agent, agent.copy()):
+        for _ in range(2):
+            for env in envs:
+                _check_choice(state, env=env)
+                _check_choice(step(state, [env]).state, env=env)
+            for percept in percepts:
+                _check_choice(state, percept=percept)
+            for name in sorted({p.goal for p in library} | {"unserved"}):
+                _check_choice(state, goal_name=name)
+
+
+def _ready(beliefs, goal):
+    return Belief("ready", ()) in beliefs
+
+
+def _message_plan(name, goal, performative=None, content=None):
+    return Plan(name=name, goal=goal, body=(SendStep(_noop_send),), when=MessageMatch(performative, content))
+
+
+#: Plan libraries of this file's tests, then one that mixes every trigger
+#: shape ahead of the plans it shadows.
+TEST_LIBRARIES = (
+    [_two_step("p1", "g"), _two_step("p2", "g")],
+    [_two_step("p1", "g", context=lambda beliefs, goal: False), _two_step("p2", "g")],
+    [_plan("pa", "a", context=_ready), Plan(name="pb", goal="b", body=(BelieveStep(lambda ctx: [add("ready")]),))],
+    list(_toy_agent().plan_library),
+    [_message_plan("on_register", "register", Performative.REQUEST, "register")],
+    [_message_plan("on_msg", "handle")],
+    [
+        _plan("ready_serve", "serve", context=_ready),
+        _message_plan("tick", "loop", None, "tick"),
+        _message_plan("answers", "answer", REPLIES),
+        _message_plan("registers", "serve", Performative.REQUEST, "register"),
+        _message_plan("requests", "serve", Performative.REQUEST),
+        _message_plan("informs", "answer", Performative.INFORM),  # shadowed by "answers"
+        Plan(name="on_failed", goal="recover", body=(SendStep(_noop_send),), when=BeliefMatch("failed")),
+        Plan(name="on_done", goal="loop", body=(SendStep(_noop_send),), when=BeliefMatch("done")),
+        Plan(name="on_failed_too", goal="serve", body=(SendStep(_noop_send),), when=BeliefMatch("failed")),
+        _plan("loop_ready", "loop", context=_ready),
+        _plan("loop_any", "loop"),
+    ],
+)
+
+
+@pytest.mark.parametrize("beliefs", [(), (Belief("ready", ()),)])
+@pytest.mark.parametrize("plans", TEST_LIBRARIES)
+def test_the_memoised_plan_choice_is_the_linear_scans_for_the_test_libraries(plans, beliefs):
+    assert_memo_agrees_with_scan(make_agent("A", plans, beliefs))
+    assert_memo_agrees_with_scan(make_agent("A", plans, beliefs, advance_every_intention=True))
+
+
+def test_the_memoised_plan_choice_is_the_linear_scans_for_every_roster_agent():
+    world, _ = build_world()
+    assert len(world.agents) == 10
+    for agent in world.agents.values():
+        assert_memo_agrees_with_scan(agent)
+
+
+_triggers = st.one_of(
+    st.none(),
+    st.builds(
+        MessageMatch,
+        st.one_of(
+            st.none(),
+            st.sampled_from(PERFORMATIVES),
+            st.lists(st.sampled_from(PERFORMATIVES), max_size=3, unique=True).map(tuple),
+        ),
+        st.sampled_from([None, "a", "b"]),
+    ),
+    st.builds(BeliefMatch, st.sampled_from(["failed", "p", "q"])),
+)
+
+
+@given(
+    st.lists(
+        st.tuples(st.sampled_from(["g0", "g1", "g2"]), _triggers, st.sampled_from([None, _ready])),
+        min_size=1,
+        max_size=8,
+    ),
+    st.booleans(),
+)
+def test_the_memoised_plan_choice_is_the_linear_scans_for_any_library(shapes, ready):
+    plans = [
+        Plan(name=f"p{i}", goal=goal, body=(SendStep(_noop_send),), when=when, context=context)
+        for i, (goal, when, context) in enumerate(shapes)
+    ]
+    assert_memo_agrees_with_scan(make_agent("A", plans, [Belief("ready", ())] if ready else []))
+
+
+# -- a goal no message raised has no message ----------------------------------------
+
+
+def test_a_step_reading_the_message_of_a_goal_no_message_raised_fails_its_plan():
+    reads = Plan(name="reads", goal="g", body=(SendStep(lambda ctx: [ctx.message.content]),))
+    result = step(adopt_goal(make_agent("A", [reads]), "g", ()), [])
+    assert result.outbox == () and result.state.intentions == []
+    assert result.state.percepts == [Belief("failed", ("g",))]
+    # the gateway passes its goal's message on unread, so it checks for one
+    gateway = adopt_goal(gateway_agent(), "issue", ("x",))
+    result = step(gateway, [])
+    assert result.outbox == () and result.state.percepts == [Belief("failed", ("issue",))]
+    # and in a world, no envelope reaches ``route``
+    world, _ = build_world()
+    world.agents["GW"].adopt("issue", ("x",))
+    run_round(world)
+    assert world.log.text().count("|envelope|") == 0
+    assert world.agents["GW"].percepts == [Belief("failed", ("issue",))]

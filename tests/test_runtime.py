@@ -12,6 +12,41 @@ from unimas.runtime import (
 from unimas.terms import Envelope, Performative, Term
 from unimas.trace import parse_trace
 
+from test_bdi import assert_memo_agrees_with_scan
+
+
+#: Answers any request with ``pong``.
+RESPONDER = Plan(
+    name="respond",
+    goal="respond",
+    when=MessageMatch(Performative.REQUEST, None),
+    body=(
+        SendStep(
+            lambda ctx: [
+                Envelope("SA", ctx.message.sender, Performative.INFORM, ctx.message.conversation, Term("pong"))
+            ]
+        ),
+    ),
+)
+#: Notes the conversation of any message.
+NOTER = Plan(
+    name="noter",
+    goal="note",
+    when=MessageMatch(None, None),
+    body=(BelieveStep(lambda ctx: [add("noted", ctx.message.conversation)]),),
+)
+#: Answers a ``tick`` with another, to itself.
+LOOP = Plan(
+    name="loop",
+    goal="loop",
+    when=MessageMatch(None, "tick"),
+    body=(
+        SendStep(
+            lambda ctx: [Envelope("A", "A", Performative.INFORM, ctx.message.conversation, Term("tick"))]
+        ),
+    ),
+)
+
 
 def _agent(agent_id, plans=()):
     return make_agent(agent_id, plans or [Plan(name="idle", goal="never", body=(SendStep(lambda c: []),))])
@@ -115,27 +150,9 @@ def test_run_until_quiescent_on_quiescent_world():
 def test_round_delivers_next_round():
     """Hand-traced two rounds: a request handled in round 1 is answered in
     round 2, and the reply is readable in round 3."""
-    responder = Plan(
-        name="respond",
-        goal="respond",
-        when=MessageMatch(Performative.REQUEST, None),
-        body=(
-            SendStep(
-                lambda ctx: [
-                    Envelope(
-                        "SA",
-                        ctx.message.sender,
-                        Performative.INFORM,
-                        ctx.message.conversation,
-                        Term("pong"),
-                    )
-                ]
-            ),
-        ),
-    )
     world = World()
     register_agent(world, _agent("GW"))
-    register_agent(world, make_agent("SA", [responder]))
+    register_agent(world, make_agent("SA", [RESPONDER]))
     route(world, [Envelope("GW", "SA", Performative.REQUEST, "GW:0", Term("ping"))])
     run_round(world)  # SA consumed the request and sent the reply at round end
     assert [e.content.name for e in world.mailboxes["GW"]] == ["pong"]
@@ -146,20 +163,7 @@ def test_same_scenario_same_trace_hash():
     def run_once():
         world = World()
         register_agent(world, _agent("GW"))
-        register_agent(
-            world,
-            make_agent(
-                "SA",
-                [
-                    Plan(
-                        name="noter",
-                        goal="note",
-                        when=MessageMatch(None, None),
-                        body=(BelieveStep(lambda ctx: [add("noted", ctx.message.conversation)]),),
-                    )
-                ],
-            ),
-        )
+        register_agent(world, make_agent("SA", [NOTER]))
         route(world, [Envelope("GW", "SA", Performative.REQUEST, "GW:0", Term("x", ("1",)))])
         for _ in range(4):
             run_round(world)
@@ -201,20 +205,8 @@ def test_single_register_request_quiescent_in_five_rounds():
 
 
 def test_self_messaging_agent_never_quiesces():
-    loop_plan = Plan(
-        name="loop",
-        goal="loop",
-        when=MessageMatch(None, "tick"),
-        body=(
-            SendStep(
-                lambda ctx: [
-                    Envelope("A", "A", Performative.INFORM, ctx.message.conversation, Term("tick"))
-                ]
-            ),
-        ),
-    )
     world = World()
-    register_agent(world, make_agent("A", [loop_plan]))
+    register_agent(world, make_agent("A", [LOOP]))
     route(world, [Envelope("A", "A", Performative.INFORM, "A:0", Term("tick"))])
     assert _rounds_to_quiescence(world, max_rounds=25) == 25
     assert not world.is_quiescent()
@@ -237,3 +229,10 @@ def test_monitor_observer_does_not_change_trace():
         return world.log.sha256()
 
     assert run_once(True) == run_once(False)
+
+
+@pytest.mark.parametrize(
+    "plans", [[RESPONDER], [NOTER], [LOOP], [LOOP, RESPONDER, NOTER], [NOTER, LOOP, RESPONDER]]
+)
+def test_the_memoised_plan_choice_is_the_linear_scans_for_this_files_libraries(plans):
+    assert_memo_agrees_with_scan(_agent("A", plans))

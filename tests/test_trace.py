@@ -68,6 +68,34 @@ def test_trace_log_text_and_digest_equal_its_lines_joined_at_every_block_boundar
     check()
 
 
+@pytest.mark.parametrize("events", [0, BLOCK_LINES - 1, BLOCK_LINES, BLOCK_LINES + 1])
+@pytest.mark.parametrize("header", ["", "cap=3"])
+def test_a_trace_log_read_mid_run_equals_its_lines_joined_and_reads_again_after_more(events, header):
+    # the log keeps the events past its last full block and renders them
+    # only when read, so a read mid-run changes nothing it reads later
+    log = TraceLog(header)
+    lines = [f"# config {header}"] if header else []
+
+    def read_equals_lines():
+        joined = "".join(f"{line}\n" for line in lines)
+        assert log.text() == joined
+        assert log.sha256() == hashlib.sha256(joined.encode()).hexdigest()
+        assert "".join(log.blocks()) == joined
+
+    seq = 0
+    for batch in (events, events, 1):
+        for _ in range(batch):
+            event = TraceEvent(seq, seq // 2, "refusal", "GW", "gateway", "-", "-", f"r({seq})")
+            log.append(event)
+            lines.append(event.render())
+            seq += 1
+        read_equals_lines()
+        read_equals_lines()  # a second read of the same events
+    log.close(complete=True)
+    lines.append("# end complete=true")
+    read_equals_lines()
+
+
 def test_parse_trace_keeps_header_and_trailer_and_skips_other_metadata():
     lines = ["# config cap=3", "# a note", "0|0|session_close|OA|store|-|GW:0|-", ""]
     parsed = parse_trace(lines + ["# end complete=true"])
