@@ -231,7 +231,7 @@ def orchestrator_agent() -> bdi.AgentState:
         Plan(
             name="oa_request",
             goal="oa_handle",
-            when=MessageMatch(Performative.REQUEST, None),
+            when=MessageMatch(Performative.REQUEST),
             body=(CommandStep(_build_command),),
         ),
         Plan(

@@ -11,11 +11,11 @@ plans in execution); a committed goal lives only in its intention.
                      message keeps that envelope, and its params are the
                      content's args,
     2. commit     -- every goal commits the first plan, in declaration
-                     order, whose context holds, and moves into that
-                     intention; a goal no plan takes stays in ``goals`` and
-                     is tried again next cycle.  So a cycle's cost does
-                     not grow with the goals the agent already pursues
-                     (the gateway holds up to ``pipeline_window`` of them),
+                     order, that serves it, and moves into that intention;
+                     a goal no plan serves stays in ``goals``.  So a
+                     cycle's cost does not grow with the goals the agent
+                     already pursues (the gateway holds up to
+                     ``pipeline_window`` of them),
     3. execute    -- advance the oldest intention by exactly one step; an
                      agent with ``advance_every_intention`` set advances
                      every intention it holds at this point by one step
@@ -23,8 +23,8 @@ plans in execution); a committed goal lives only in its intention.
                      and the report agent set it; the gateway does not, so
                      it stays the one throttle on how fast commands enter.
 
-``step`` returns a fresh state and never mutates its input (a quiescent
-state comes back as is): no clocks, no randomness, no shared mutation.
+``step`` returns a fresh state and never mutates its input: no clocks, no
+randomness, no shared mutation.
 All tie-breaking is fixed (goals by adoption order, plans by declaration
 order) so that traces are reproducible bit for bit.
 """
@@ -43,73 +43,35 @@ _new = tuple.__new__
 
 class Belief(NamedTuple):
     """A ground fact: predicate name plus scalar arguments.  Construction
-    checks nothing; plan-authored facts are checked by ``add``/``remove``."""
+    checks nothing; plan-authored facts are checked by ``add``."""
 
     predicate: str
     args: tuple[str, ...] = ()
 
 
 class BeliefBase(frozenset[Belief]):
-    """Immutable set of ground beliefs, as in AgentSpeak(L); the beliefs
-    held for one predicate share one arity.
+    """Immutable set of ground beliefs, as in AgentSpeak(L).
 
-    Every update returns a new base, or this one when nothing changes.
+    Adding returns a new base, or this one when the belief is held.
     """
 
     __slots__ = ()
 
-    def __new__(cls, beliefs: Iterable[Belief] = ()) -> "BeliefBase":
-        base = super().__new__(cls, beliefs)
-        arity: dict[str, int] = {}
-        for predicate, args in base:
-            if arity.setdefault(predicate, len(args)) != len(args):
-                raise ValueError(f"arity mismatch: {predicate} is held with two arities")
-        return base
-
     def add(self, belief: Belief) -> "BeliefBase":
         return self if belief in self else BeliefBase(self | {belief})
-
-    def remove(self, belief: Belief) -> "BeliefBase":
-        return BeliefBase(self - {belief}) if belief in self else self
 
     def as_beliefs(self) -> list[Belief]:
         """The beliefs, by predicate, then by ``repr`` of their args."""
         return sorted(self, key=lambda b: (b.predicate, repr(b.args)))
 
 
-@dataclass(frozen=True)
-class BeliefDelta:
-    """One belief-base edit, applied in list order by update_beliefs."""
-
-    op: str  # "add" | "remove"
-    belief: Belief
-
-    def __post_init__(self) -> None:
-        if self.op not in ("add", "remove"):
-            raise ValueError(f"bad delta op: {self.op}")
-
-
-def _checked_belief(predicate: str, args: tuple[str, ...]) -> Belief:
+def add(predicate: str, *args: str) -> Belief:
+    """A belief a plan writes, its predicate and args checked."""
     if not predicate:
         raise ValueError("belief predicate must be non-empty")
     for a in args:
         check_scalar(a)
     return Belief(predicate, args)
-
-
-def add(predicate: str, *args: str) -> BeliefDelta:
-    return BeliefDelta("add", _checked_belief(predicate, args))
-
-
-def remove(predicate: str, *args: str) -> BeliefDelta:
-    return BeliefDelta("remove", _checked_belief(predicate, args))
-
-
-def update_beliefs(base: BeliefBase, deltas: Sequence[BeliefDelta]) -> BeliefBase:
-    """Apply deltas in order; re-adding or removing-absent are no-ops."""
-    for d in deltas:
-        base = base.add(d.belief) if d.op == "add" else base.remove(d.belief)
-    return base
 
 
 class Goal(NamedTuple):
@@ -131,15 +93,13 @@ class Goal(NamedTuple):
 
 @dataclass(frozen=True)
 class MessageMatch:
-    """Trigger over an envelope's performative and content name; None matches anything."""
+    """Trigger over an envelope's performative; None matches any."""
 
     performative: str | tuple[str, ...] | None = None
-    content: str | None = None
 
-    def matches(self, performative: str, name: str) -> bool:
+    def matches(self, performative: str) -> bool:
         wanted = self.performative
-        allowed = wanted is None or performative in (wanted if type(wanted) is tuple else (wanted,))
-        return allowed and self.content in (None, name)
+        return wanted is None or performative in (wanted if type(wanted) is tuple else (wanted,))
 
 
 @dataclass(frozen=True)
@@ -174,7 +134,7 @@ class SendStep:
 
 @dataclass(frozen=True)
 class BelieveStep:
-    make: Callable[[StepCtx], list[BeliefDelta]]
+    make: Callable[[StepCtx], list[Belief]]
 
 
 @dataclass(frozen=True)
@@ -191,8 +151,6 @@ Step = SendStep | BelieveStep | CommandStep | GoalStep
 
 Trigger = MessageMatch | BeliefMatch
 
-Context = Callable[[BeliefBase, Goal], bool]
-
 
 @dataclass(frozen=True)
 class Plan:
@@ -201,14 +159,13 @@ class Plan:
     ``when`` optionally marks the plan as a perception handler: an inbox
     envelope matching a MessageMatch (or a belief percept matching a
     BeliefMatch) adopts a fresh goal named ``goal``.  Several plans may
-    serve the same goal; declaration order breaks ties.
+    serve the same goal; the first declared is the one committed.
     """
 
     name: str
     goal: str
     body: tuple[Step, ...]
     when: Trigger | None = None
-    context: Context | None = None
 
     def __post_init__(self) -> None:
         # the cycle dispatches on the exact class of a step and a trigger
@@ -225,18 +182,20 @@ class PlanLibrary(tuple[Plan, ...]):
     """The plans in declaration order, indexed by trigger and by goal name
     as Jason indexes relevant plans.  Each index holds what a scan of the
     plans in order finds, so every choice is the scan's; the message index
-    is filled per (performative, content name) pair on first use."""
+    is filled per performative on first use."""
 
     def __init__(self, plans: Iterable[Plan] = ()) -> None:
         scanned = tuple(self)  # a plain tuple: the message index holds no reference cycle
-        #: (performative, content name) -> the first plan a message triggers, or None
+        #: performative -> the first plan a message triggers, or None
         self.on_message = cache(
-            lambda *key: next((p for p in scanned if type(p.when) is MessageMatch and p.when.matches(*key)), None)
+            lambda performative: next(
+                (p for p in scanned if type(p.when) is MessageMatch and p.when.matches(performative)), None
+            )
         )
         self.on_percept: dict[str, Plan] = {}  # predicate -> the first plan a belief percept triggers
-        self.serving: dict[str, list[Plan]] = {}  # goal name -> the plans serving it, in order
+        self.serving: dict[str, Plan] = {}  # goal name -> the first plan serving it
         for plan in self:
-            self.serving.setdefault(plan.goal, []).append(plan)
+            self.serving.setdefault(plan.goal, plan)
             if type(plan.when) is BeliefMatch:
                 self.on_percept.setdefault(plan.when.predicate, plan)
 
@@ -307,10 +266,9 @@ class StepResult(NamedTuple):
 def _perceive(state: AgentState, inbox: Sequence[Envelope]) -> None:
     on_message, on_percept = state.plan_library.on_message, state.plan_library.on_percept
     for env in inbox:
-        content = env.content
-        plan = on_message(env.performative, content.name)  # the first matching plan names the goal
+        plan = on_message(env.performative)  # the first matching plan names the goal
         if plan is not None:
-            state.adopt(plan.goal, content.args, env)
+            state.adopt(plan.goal, env.content.args, env)
 
     pending, state.percepts = state.percepts, []
     for percept in pending:
@@ -323,16 +281,14 @@ def _perceive(state: AgentState, inbox: Sequence[Envelope]) -> None:
 
 def _commit_options(state: AgentState) -> None:
     held = state.intentions
-    beliefs = state.beliefs
     serving = state.plan_library.serving
     waiting: list[Goal] = []
     for goal in state.goals:
-        for plan in serving.get(goal.name, ()):
-            if plan.context is None or plan.context(beliefs, goal):
-                held.append(_new(Intention, (plan, 0, goal)))
-                break  # first applicable plan per goal wins
-        else:
+        plan = serving.get(goal.name)
+        if plan is None:
             waiting.append(goal)
+        else:
+            held.append(_new(Intention, (plan, 0, goal)))
     state.goals = waiting
 
 
@@ -363,9 +319,10 @@ def _execute(state: AgentState) -> tuple[tuple[Envelope, ...], tuple[Command, ..
             elif kind is CommandStep:
                 commands.extend(step.make(ctx))
             elif kind is BelieveStep:
-                deltas = step.make(ctx)
-                state.beliefs = update_beliefs(state.beliefs, deltas)
-                state.percepts.extend(d.belief for d in deltas if d.op == "add")
+                added = step.make(ctx)
+                for belief in added:
+                    state.beliefs = state.beliefs.add(belief)
+                state.percepts.extend(added)
             else:  # GoalStep, the one class left (Plan admits no other)
                 for name, params in step.make(ctx):
                     state.adopt(name, params)
@@ -381,9 +338,6 @@ def _execute(state: AgentState) -> tuple[tuple[Envelope, ...], tuple[Command, ..
 
 def step(state: AgentState, inbox: Sequence[Envelope]) -> StepResult:
     """One full deliberation cycle on a copy of ``state``; pure in (state, inbox)."""
-    if not inbox and not state.percepts and not state.goals and not state.intentions:
-        return _new(StepResult, (state, (), ()))  # quiescent fast path
-
     state = state.copy()
     _perceive(state, inbox)
     _commit_options(state)

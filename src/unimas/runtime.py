@@ -15,15 +15,11 @@ from __future__ import annotations
 from typing import Callable, Sequence
 
 from . import bdi
-from .terms import Command, Envelope, Performative, encode_blob, failed
+from .terms import Command, Envelope, encode_blob
 from .trace import _NA, KIND_SET, TraceEvent, TraceLog
 
 #: Applies a command; returns ((trace kind, content line) drafts, percepts).
 CommandHandler = Callable[[Command], tuple[list[tuple[str, str]], list[bdi.Belief]]]
-
-
-class RegistrationError(Exception):
-    pass
 
 
 class World:
@@ -81,8 +77,6 @@ class World:
 
 
 def register_agent(world: World, state: bdi.AgentState) -> World:
-    if state.id in world.agents:
-        raise RegistrationError(f"agent {state.id} already registered")
     world.agents[state.id] = state
     world.mailboxes[state.id] = []
     return world
@@ -91,21 +85,16 @@ def register_agent(world: World, state: bdi.AgentState) -> World:
 def route(world: World, envelopes: Sequence[Envelope]) -> World:
     """Append envelopes to receiver mailboxes in list order, tracing each.
 
-    An unknown receiver turns the envelope into a failure reply back to the
-    sender, so no message is ever silently lost.
+    Every receiver is a registered agent: a served agent, the orchestrator
+    or a conversation's opener.  Any other is a routing bug, and raises
+    ``KeyError`` before its envelope is traced.
     """
     mailboxes, emit = world.mailboxes, world.emit
     for env in envelopes:
         sender, receiver, performative, conversation, (name, args) = env
+        mailboxes[receiver].append(env)
         # the content as ``Term.render`` writes it, inline: once per envelope
         emit("envelope", sender, receiver, performative, conversation, f"{name}({','.join(args)})")
-        mailbox = mailboxes.get(receiver)
-        if mailbox is not None:
-            mailbox.append(env)
-            continue
-        bounce = failed("unknown agent")
-        mailboxes[sender].append(Envelope(receiver, sender, Performative.FAILURE, conversation, bounce))
-        emit("envelope", receiver, sender, Performative.FAILURE, conversation, bounce.render())
     return world
 
 

@@ -15,7 +15,7 @@ with the live monitor by construction.
 from __future__ import annotations
 
 import hashlib
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Iterable, Iterator
 from itertools import chain
 from typing import NamedTuple
 
@@ -113,10 +113,10 @@ class ParsedTrace:
 
     The header is read from the ``#`` lines before the first event, where
     ``TraceLog`` writes it, and the ``# end`` trailer from the last one.
-    Iterating the trace yields its events, each parsed as it is reached,
-    so a bad line raises ``ValueError`` there.  From a sequence of lines, the
-    events can be iterated again and ``complete`` is known at once; from a
-    one-shot iterator (an open file), once the events have been read.
+    Iterating the trace yields its events once, each parsed as it is
+    reached, so a bad line raises ``ValueError`` there; ``complete`` is
+    known once the events have been read, whether the lines come as a list
+    or from a one-shot iterator (an open file).
     """
 
     def __init__(self, lines: Iterable[str]) -> None:
@@ -129,10 +129,6 @@ class ParsedTrace:
                 rest = chain((raw,), rest)
                 break
             self._note(line)
-        if isinstance(lines, Sequence):
-            rest = lines
-            trailers = (line for line in reversed(lines) if line.startswith("# end "))
-            self._note(next(trailers, "").rstrip("\n"))
         self._lines = rest
 
     def _note(self, line: str) -> None:

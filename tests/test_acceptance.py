@@ -168,7 +168,7 @@ def test_c2_mutation_suite_detects_each_fault_exactly():
     swallow = Plan(
         name="swallow",
         goal="swallow",
-        when=MessageMatch(Performative.REQUEST, None),
+        when=MessageMatch(Performative.REQUEST),
         body=(BelieveStep(lambda ctx: []),),
     )
     runner.world.agents["SA"] = make_agent("SA", [swallow])

@@ -645,9 +645,6 @@ def test_exactly_one_reply_per_request_in_trace():
     assert requests and all(replies.get(c, 0) == n for c, n in requests.items())
     # conversation pairing: no reply without a matching prior request
     assert set(replies) <= set(requests)
-    # message-loss accounting over the whole run: nothing bounced
-    bounce = Term("failed", (encode_blob("unknown agent"),)).render()
-    assert not [e for e in events if e.kind == "envelope" and e.content == bounce]
 
 
 def test_journal_state_equivalence_after_run():

@@ -22,9 +22,7 @@ from unimas.bdi import (
     SendStep,
     add,
     make_agent,
-    remove,
     step,
-    update_beliefs,
 )
 from unimas.agents import build_world, gateway_agent, orchestrator_agent
 from unimas.runtime import run_round
@@ -47,53 +45,31 @@ def _adopted(state: AgentState) -> list[Goal]:
     return sorted(state.goals + held, key=lambda g: g.adoption_seq)
 
 
-# -- update_beliefs ----------------------------------------------------------
+# -- the belief base -----------------------------------------------------------
 
 
 def test_add_to_empty_base():
-    base = update_beliefs(BeliefBase(), [add("student", "1", "Ali")])
+    base = BeliefBase().add(add("student", "1", "Ali"))
     assert Belief("student", ("1", "Ali")) in base
     assert len(base) == 1
 
 
 def test_readd_is_noop():
     base = BeliefBase([Belief("student", ("1", "Ali"))])
-    after = update_beliefs(base, [add("student", "1", "Ali")])
-    assert len(after) == 1
-
-
-def test_remove_absent_is_noop():
-    base = BeliefBase([Belief("p", ("1",)), Belief("p", ("2",))])
-    after = update_beliefs(base, [remove("p", "3")])
-    assert len(after) == 2
-    assert Belief("p", ("1",)) in after and Belief("p", ("2",)) in after
+    assert base.add(add("student", "1", "Ali")) is base
 
 
 def test_updates_do_not_mutate_parent():
     base = BeliefBase()
-    child = update_beliefs(base, [add("q", "7")])
+    child = base.add(add("q", "7"))
     assert len(base) == 0 and len(child) == 1
 
 
-def test_arity_is_fixed_per_predicate():
-    base = BeliefBase([Belief("p", ("1",))])
-    with pytest.raises(ValueError):
-        base.add(Belief("p", ("1", "2")))
-
-
-def test_constructor_refuses_two_arities_for_one_predicate():
-    with pytest.raises(ValueError):
-        BeliefBase([Belief("p", ("1",)), Belief("q", ()), Belief("p", ("1", "2"))])
-
-
-def test_arity_is_free_again_once_a_predicate_is_emptied():
-    base = BeliefBase([Belief("p", ("1",)), Belief("q", ("1",))])
-    emptied = update_beliefs(base, [remove("p", "1")])
-    assert emptied.remove(Belief("p", ("1",))) is emptied  # nothing to remove
-    assert update_beliefs(emptied, [add("p", "1", "2")]).as_beliefs() == [
-        Belief("p", ("1", "2")),
-        Belief("q", ("1",)),
-    ]
+def test_add_checks_the_predicate_and_every_arg():
+    assert add("p", "1", "a") == Belief("p", ("1", "a"))
+    for predicate, args in (("", ("1",)), ("p", ("1", "a b")), ("p", (7,))):
+        with pytest.raises(ValueError):
+            add(predicate, *args)
 
 
 def test_repeats_are_held_once_and_listed_by_predicate_then_args():
@@ -109,36 +85,25 @@ def test_repeats_are_held_once_and_listed_by_predicate_then_args():
     ]
 
 
-deltas = st.lists(
-    st.tuples(st.sampled_from(["add", "remove"]), st.integers(0, 5).map(str)).map(
-        lambda t: add("p", t[1]) if t[0] == "add" else remove("p", t[1])
-    ),
-    max_size=12,
-)
+added = st.lists(st.integers(0, 5).map(lambda n: add("p", str(n))), max_size=12)
 
 
-@given(deltas)
-def test_update_beliefs_matches_set_fold(ds):
-    """Independent oracle: fold the same deltas over a plain set."""
-    expected: set[tuple] = set()
-    for d in ds:
-        if d.op == "add":
-            expected.add(d.belief.args)
-        else:
-            expected.discard(d.belief.args)
-    base = update_beliefs(BeliefBase(), ds)
-    assert {b.args for b in base.as_beliefs() if b.predicate == "p"} == expected
+@given(added)
+def test_adding_matches_set_fold(beliefs):
+    """Independent oracle: fold the same additions over a plain set."""
+    base = BeliefBase()
+    for belief in beliefs:
+        base = base.add(belief)
+    assert {b.args for b in base.as_beliefs()} == {b.args for b in beliefs}
 
 
-@given(deltas)
-def test_update_beliefs_idempotent_on_readds(ds):
-    base = update_beliefs(BeliefBase(), ds)
-    again = update_beliefs(base, [d for d in ds if d.op == "add"][-1:] * 3)
-    assert len(again) >= len(base) - 1  # re-adding never shrinks or duplicates
-    for b in base.as_beliefs():
-        applied_last = [d for d in ds if d.op == "add"][-1:]
-        if not applied_last or applied_last[0].belief != b:
-            assert b in again
+@given(added)
+def test_adding_is_idempotent_on_readds(beliefs):
+    base = BeliefBase()
+    for belief in beliefs:
+        base = base.add(belief)
+    for belief in beliefs:
+        assert base.add(belief) is base  # re-adding never grows or copies the base
 
 
 # -- deliberation, driven through step ---------------------------------------
@@ -148,17 +113,17 @@ def _noop_send(ctx):
     return []
 
 
-def _plan(name, goal, context=None):
-    return Plan(name=name, goal=goal, body=(SendStep(_noop_send),), context=context)
+def _plan(name, goal):
+    return Plan(name=name, goal=goal, body=(SendStep(_noop_send),))
 
 
-def _two_step(name, goal, context=None):
+def _two_step(name, goal):
     """A plan whose two steps each send one message naming the plan and step."""
 
     def send(k):
         return SendStep(lambda ctx: [Envelope("A", "B", Performative.INFORM, "A:0", Term(f"{name}_{k}"))])
 
-    return Plan(name=name, goal=goal, body=(send(1), send(2)), context=context)
+    return Plan(name=name, goal=goal, body=(send(1), send(2)))
 
 
 def _running(state):
@@ -191,35 +156,6 @@ def test_two_matching_plans_in_declaration_order():
     result = step(adopt_goal(agent, "g", ()), [])
     assert _running(result.state) == [("p1", 1)]
     assert _sent(result) == ["p1_1"]
-
-
-def test_context_filters_options():
-    never = _two_step("p1", "g", context=lambda beliefs, params: False)
-    agent = adopt_goal(make_agent("A", [never, _two_step("p2", "g")]), "g", ())
-    result = step(agent, [])
-    assert _running(result.state) == [("p2", 1)]
-    assert _sent(result) == ["p2_1"]
-
-
-def test_a_goal_no_plan_takes_is_retried_until_its_context_holds():
-    # "a"'s only plan waits for "ready", which "b"'s one step adds
-    wait = _plan("pa", "a", context=lambda beliefs, goal: Belief("ready", ()) in beliefs)
-    ready = Plan(name="pb", goal="b", body=(BelieveStep(lambda ctx: [add("ready")]),))
-    agent = make_agent("A", [wait, ready, _plan("pc", "c")])
-    for goal in ("a", "b", "a"):
-        agent = adopt_goal(agent, goal, ())
-    first = step(agent, []).state
-    # "b" committed and ran; both "a" goals are still adopted, with no intention
-    assert [(g.name, g.adoption_seq) for g in _adopted(first)] == [("a", 0), ("a", 2)]
-    assert first.intentions == [] and Belief("ready", ()) in first.beliefs
-    second = step(adopt_goal(first, "c", ()), [])
-    # both commit on the first cycle their context holds, in adoption order
-    # and ahead of the later "c"; the oldest took this cycle's step
-    assert [(i.plan.name, i.origin_goal.adoption_seq) for i in second.state.intentions] == [
-        ("pa", 2),
-        ("pc", 3),
-    ]
-    assert [g.name for g in _adopted(second.state)] == ["a", "c"]
 
 
 def test_commit_appends_intention_pc_zero():
@@ -256,20 +192,13 @@ def test_commit_twice_same_goal_rejected():
 # -- step ---------------------------------------------------------------------
 
 
-def test_quiescent_step_is_identity():
-    agent = make_agent("A", [_plan("p1", "g")])
-    result = step(agent, [])
-    assert result.state is agent
-    assert result.outbox == () and result.commands == ()
-
-
 def test_request_creates_intention_same_cycle():
     # hand-trace of one cycle: perceive adopts the goal, deliberation commits
     # it, and the first body step runs immediately
     plan = Plan(
         name="on_register",
         goal="register",
-        when=MessageMatch(Performative.REQUEST, "register"),
+        when=MessageMatch(Performative.REQUEST),
         body=(BelieveStep(lambda ctx: [add("seen", ctx.message.sender)]), SendStep(_noop_send)),
     )
     agent = make_agent("SA", [plan])
@@ -319,7 +248,7 @@ def test_step_is_deterministic():
     plan = Plan(
         name="on_msg",
         goal="handle",
-        when=MessageMatch(None, None),
+        when=MessageMatch(),
         body=(BelieveStep(lambda ctx: [add("got", ctx.message.conversation)]),),
     )
     env = Envelope("B", "A", Performative.INFORM, "B:4", Term("note", ("1",)))
@@ -523,16 +452,16 @@ def _scan_trigger(library, env=None, percept=None):
                 fits = env.performative in wanted
             else:
                 fits = wanted is None or env.performative == wanted
-            if fits and (when.content is None or when.content == env.content.name):
+            if fits:
                 return plan
         if percept is not None and isinstance(when, BeliefMatch) and when.predicate == percept.predicate:
             return plan
     return None
 
 
-def _scan_commit(library, beliefs, goal):
+def _scan_commit(library, goal):
     for plan in library:
-        if plan.goal == goal.name and (plan.context is None or plan.context(beliefs, goal)):
+        if plan.goal == goal.name:
             return plan
     return None
 
@@ -559,7 +488,7 @@ def _check_choice(state, env=None, percept=None, goal_name=None):
     if not adopted:
         return
     goal = adopted[0]
-    expected = _scan_commit(library, state.beliefs, goal)
+    expected = _scan_commit(library, goal)
     bdi._commit_options(state)
     committed = [i.plan for i in state.intentions if i.origin_goal is goal]
     assert committed == ([] if expected is None else [expected]), goal
@@ -567,18 +496,12 @@ def _check_choice(state, env=None, percept=None, goal_name=None):
 
 
 def assert_memo_agrees_with_scan(agent):
-    """Every performative with every content name a plan filters on (and
-    one no plan names), every predicate a plan triggers on (and one none
+    """Every performative, every predicate a plan triggers on (and one none
     does) and every goal a plan serves (and one none does): each choice
     equals the scan's with the memo cold, warm, after ``copy()`` and after
     a step."""
     library = agent.plan_library
-    names = {p.when.content for p in library if isinstance(p.when, MessageMatch)} - {None}
-    envs = [
-        Envelope("X", agent.id, performative, "X:0", Term(name, ("1",)))
-        for performative in PERFORMATIVES
-        for name in sorted(names | {"unnamed"})
-    ]
+    envs = [Envelope("X", agent.id, performative, "X:0", Term("any", ("1",))) for performative in PERFORMATIVES]
     predicates = {p.when.predicate for p in library if isinstance(p.when, BeliefMatch)}
     percepts = [Belief(pred, ("1",)) for pred in sorted(predicates | {"failed", "unnamed"})]
     for state in (agent, agent.copy()):
@@ -592,44 +515,36 @@ def assert_memo_agrees_with_scan(agent):
                 _check_choice(state, goal_name=name)
 
 
-def _ready(beliefs, goal):
-    return Belief("ready", ()) in beliefs
-
-
-def _message_plan(name, goal, performative=None, content=None):
-    return Plan(name=name, goal=goal, body=(SendStep(_noop_send),), when=MessageMatch(performative, content))
+def _message_plan(name, goal, performative=None):
+    return Plan(name=name, goal=goal, body=(SendStep(_noop_send),), when=MessageMatch(performative))
 
 
 #: Plan libraries of this file's tests, then one that mixes every trigger
 #: shape ahead of the plans it shadows.
 TEST_LIBRARIES = (
     [_two_step("p1", "g"), _two_step("p2", "g")],
-    [_two_step("p1", "g", context=lambda beliefs, goal: False), _two_step("p2", "g")],
-    [_plan("pa", "a", context=_ready), Plan(name="pb", goal="b", body=(BelieveStep(lambda ctx: [add("ready")]),))],
     list(_toy_agent().plan_library),
-    [_message_plan("on_register", "register", Performative.REQUEST, "register")],
+    [_message_plan("on_register", "register", Performative.REQUEST)],
     [_message_plan("on_msg", "handle")],
     [
-        _plan("ready_serve", "serve", context=_ready),
-        _message_plan("tick", "loop", None, "tick"),
+        _plan("serve_first", "serve"),
         _message_plan("answers", "answer", REPLIES),
-        _message_plan("registers", "serve", Performative.REQUEST, "register"),
         _message_plan("requests", "serve", Performative.REQUEST),
+        _message_plan("registers", "register", Performative.REQUEST),  # shadowed by "requests"
         _message_plan("informs", "answer", Performative.INFORM),  # shadowed by "answers"
+        _message_plan("any", "loop"),  # every performative is taken above
         Plan(name="on_failed", goal="recover", body=(SendStep(_noop_send),), when=BeliefMatch("failed")),
         Plan(name="on_done", goal="loop", body=(SendStep(_noop_send),), when=BeliefMatch("done")),
         Plan(name="on_failed_too", goal="serve", body=(SendStep(_noop_send),), when=BeliefMatch("failed")),
-        _plan("loop_ready", "loop", context=_ready),
         _plan("loop_any", "loop"),
     ],
 )
 
 
-@pytest.mark.parametrize("beliefs", [(), (Belief("ready", ()),)])
 @pytest.mark.parametrize("plans", TEST_LIBRARIES)
-def test_the_memoised_plan_choice_is_the_linear_scans_for_the_test_libraries(plans, beliefs):
-    assert_memo_agrees_with_scan(make_agent("A", plans, beliefs))
-    assert_memo_agrees_with_scan(make_agent("A", plans, beliefs, advance_every_intention=True))
+def test_the_memoised_plan_choice_is_the_linear_scans_for_the_test_libraries(plans):
+    assert_memo_agrees_with_scan(make_agent("A", plans))
+    assert_memo_agrees_with_scan(make_agent("A", plans, advance_every_intention=True))
 
 
 def test_the_memoised_plan_choice_is_the_linear_scans_for_every_roster_agent():
@@ -648,26 +563,18 @@ _triggers = st.one_of(
             st.sampled_from(PERFORMATIVES),
             st.lists(st.sampled_from(PERFORMATIVES), max_size=3, unique=True).map(tuple),
         ),
-        st.sampled_from([None, "a", "b"]),
     ),
     st.builds(BeliefMatch, st.sampled_from(["failed", "p", "q"])),
 )
 
 
-@given(
-    st.lists(
-        st.tuples(st.sampled_from(["g0", "g1", "g2"]), _triggers, st.sampled_from([None, _ready])),
-        min_size=1,
-        max_size=8,
-    ),
-    st.booleans(),
-)
-def test_the_memoised_plan_choice_is_the_linear_scans_for_any_library(shapes, ready):
+@given(st.lists(st.tuples(st.sampled_from(["g0", "g1", "g2"]), _triggers), min_size=1, max_size=8))
+def test_the_memoised_plan_choice_is_the_linear_scans_for_any_library(shapes):
     plans = [
-        Plan(name=f"p{i}", goal=goal, body=(SendStep(_noop_send),), when=when, context=context)
-        for i, (goal, when, context) in enumerate(shapes)
+        Plan(name=f"p{i}", goal=goal, body=(SendStep(_noop_send),), when=when)
+        for i, (goal, when) in enumerate(shapes)
     ]
-    assert_memo_agrees_with_scan(make_agent("A", plans, [Belief("ready", ())] if ready else []))
+    assert_memo_agrees_with_scan(make_agent("A", plans))
 
 
 # -- a goal no message raised has no message ----------------------------------------

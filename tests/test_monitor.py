@@ -390,7 +390,7 @@ def test_non_replying_agent_stub_violates_p12():
     swallow = Plan(
         name="swallow",
         goal="swallow",
-        when=MessageMatch(Performative.REQUEST, None),
+        when=MessageMatch(Performative.REQUEST),
         body=(BelieveStep(lambda ctx: []),),
     )
     runner.world.agents["SA"] = make_agent("SA", [swallow])
@@ -446,13 +446,13 @@ def test_live_offline_and_naive_oracle_agree_on_a_cut_off_run():
 def _assert_live_offline_and_naive_oracle_agree(commands, cfg):
     result = run_scenario(commands, cfg)
 
-    parsed = parse_trace(result.log.text().splitlines())
-    offline = evaluate_trace(parsed, cfg)
+    lines = result.log.text().splitlines()
+    offline = evaluate_trace(parse_trace(lines), cfg)
     assert [(v.property, v.status, v.witness_seq) for v in offline] == [
         (v.property, v.status, v.witness_seq) for v in result.verdicts
     ]
 
-    naive = naive_statuses(parsed, cfg)
+    naive = naive_statuses(parse_trace(lines), cfg)
     assert naive == {v.property.value: v.status for v in result.verdicts}
 
 

@@ -100,8 +100,8 @@ def test_parse_trace_keeps_header_and_trailer_and_skips_other_metadata():
     lines = ["# config cap=3", "# a note", "0|0|session_close|OA|store|-|GW:0|-", ""]
     parsed = parse_trace(lines + ["# end complete=true"])
     assert parsed.header == "cap=3"
-    assert parsed.complete
     assert tuple(parsed) == (TraceEvent(0, 0, "session_close", "OA", "store", "-", "GW:0"),)
+    assert parsed.complete  # known once the events have been read
 
 
 def test_emit_refuses_an_unknown_kind_and_appends_nothing():
