@@ -67,9 +67,23 @@ def test_updates_do_not_mutate_parent():
 
 def test_add_checks_the_predicate_and_every_arg():
     assert add("p", "1", "a") == Belief("p", ("1", "a"))
-    for predicate, args in (("", ("1",)), ("p", ("1", "a b")), ("p", (7,))):
-        with pytest.raises(ValueError):
-            add(predicate, *args)
+    assert add("ready") == Belief("ready", ())
+
+
+@pytest.mark.parametrize(
+    "predicate, args",
+    [
+        ("", ()),
+        ("", ("1",)),
+        ("p", (7,)),
+        ("p", (None,)),
+        # each character that would break a trace, journal or dump line, in the last arg
+        *[("p", ("1", f"a{c}b")) for c in '|,()" \n\r\t'],
+    ],
+)
+def test_add_refuses_an_empty_predicate_or_an_unsafe_arg(predicate, args):
+    with pytest.raises(ValueError):
+        add(predicate, *args)
 
 
 def test_repeats_are_held_once_and_listed_by_predicate_then_args():
@@ -144,6 +158,17 @@ def test_no_goals_no_options():
     assert [g.name for g in result.state.goals] == ["other"]
 
 
+def test_a_goal_no_plan_serves_waits_without_holding_back_later_goals():
+    agent = make_agent("A", [_two_step("p1", "g")])
+    agent = adopt_goal(adopt_goal(agent, "other", ()), "g", ())
+    first = step(agent, [])
+    assert _running(first.state) == [("p1", 1)] and _sent(first) == ["p1_1"]
+    second = step(first.state, [])
+    assert _sent(second) == ["p1_2"] and second.state.intentions == []
+    # still adopted, in its place, each cycle
+    assert [(g.name, g.adoption_seq) for g in second.state.goals] == [("other", 0)]
+
+
 def test_single_goal_single_plan():
     agent = adopt_goal(make_agent("A", [_two_step("p1", "g")]), "g", ())
     result = step(agent, [])
@@ -190,6 +215,43 @@ def test_commit_twice_same_goal_rejected():
 
 
 # -- step ---------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("every", [False, True])
+def test_a_quiescent_step_sends_nothing_and_changes_nothing(every):
+    agent = make_agent("A", [_plan("p1", "g")], [Belief("q", ("1",))], advance_every_intention=every)
+    result = step(agent, [])
+    assert result.outbox == () and result.commands == ()
+    assert _observable(result.state) == _observable(agent)
+    assert result.state.advance_every_intention is every
+
+
+@pytest.mark.parametrize("performative", [Performative.REQUEST, *REPLIES])
+def test_the_content_name_plays_no_part_in_choosing_a_plan(performative):
+    plans = [
+        Plan(name=name, goal=goal, body=_two_step(name, goal).body, when=MessageMatch(wanted))
+        for name, goal, wanted in (("requests", "serve", Performative.REQUEST), ("answers", "answer", REPLIES))
+    ]
+    want = ("requests", "serve") if performative == Performative.REQUEST else ("answers", "answer")
+    for name in ("register", "tick", "failed"):
+        env = Envelope("X", "A", performative, "X:0", Term(name, ("1",)))
+        (held,) = step(make_agent("A", plans), [env]).state.intentions
+        assert (held.plan.name, held.origin_goal.name) == want
+        assert held.origin_goal.message is env and held.origin_goal.params == ("1",)
+
+
+def test_a_believe_step_adds_its_beliefs_and_queues_them_as_percepts():
+    believe = Plan(name="pb", goal="b", body=(BelieveStep(lambda ctx: [add("ready"), add("seen", "1")]),))
+    react = Plan(name="pr", goal="react", body=_two_step("pr", "react").body, when=BeliefMatch("ready"))
+    first = step(adopt_goal(make_agent("A", [believe, react]), "b", ()), [])
+    assert first.state.beliefs.as_beliefs() == [Belief("ready", ()), Belief("seen", ("1",))]
+    assert first.state.percepts == [Belief("ready", ()), Belief("seen", ("1",))]
+    # next cycle "ready" raises its plan's goal; "seen", which no plan
+    # triggers on, is already known and stays so
+    second = step(first.state, [])
+    assert second.state.percepts == []
+    assert _running(second.state) == [("pr", 1)] and _sent(second) == ["pr_1"]
+    assert len(second.state.beliefs) == 2
 
 
 def test_request_creates_intention_same_cycle():

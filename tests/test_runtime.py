@@ -96,6 +96,21 @@ def test_route_raises_on_a_receiver_that_is_not_registered():
     assert world.log.text() == ""  # the envelope was not traced
 
 
+def test_route_stops_at_the_first_unregistered_receiver():
+    # envelopes before it are delivered and traced; none after it is
+    world = World()
+    register_agent(world, _agent("SA"))
+    register_agent(world, _agent("GW"))
+    sent = [
+        Envelope("GW", receiver, Performative.REQUEST, f"GW:{i}", Term("a"))
+        for i, receiver in enumerate(("SA", "XX", "SA"))
+    ]
+    with pytest.raises(KeyError, match="XX"):
+        route(world, sent)
+    assert world.mailboxes == {"SA": [sent[0]], "GW": []}
+    assert world.log.text().count("\n") == 1 and "GW:0" in world.log.text()
+
+
 def test_quiescent_round_only_advances_counter():
     world = World()
     register_agent(world, _agent("SA"))
