@@ -250,7 +250,7 @@ def orchestrator_agent() -> bdi.AgentState:
 def store_handler(store: Store) -> runtime.CommandHandler:
     """Adapter: command in, trace drafts plus outcome percepts out."""
 
-    def handle(command: Command) -> tuple[list[tuple[str, str]], list[Belief]]:
+    def handle(command: Command) -> tuple[tuple[tuple[str, str], ...], list[Belief]]:
         outcome = store.execute(command)
         result = outcome.result
         if isinstance(result, Refusal):
@@ -260,7 +260,7 @@ def store_handler(store: Store) -> runtime.CommandHandler:
             args = (encode_blob(result.reason),)
         else:
             performative, name, args = Performative.INFORM, result.name, result.args
-        return list(outcome.drafts), [store_reply(command.conversation, performative, name, *args)]
+        return outcome.drafts, [store_reply(command.conversation, performative, name, *args)]
 
     return handle
 

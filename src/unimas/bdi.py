@@ -3,20 +3,20 @@
 An agent's state holds beliefs (ground facts), goals (adopted desires not
 yet committed), a static plan library, and a stack of intentions (committed
 plans in execution); a committed goal lives only in its intention.
-``step`` runs one full cycle on a copy of it:
+``step`` runs one full cycle and builds the successor state once:
 
-    1. perceive   -- fold inbox envelopes and queued belief percepts into
-                     new goals via plan triggers; unhandled percepts are
-                     persisted as plain beliefs.  A goal raised by a
+    1. deliberate -- commit the goals waiting from earlier cycles, then
+                     adopt and commit the goal each inbox envelope, then
+                     each queued belief percept, triggers; unhandled
+                     percepts are persisted as plain beliefs.  A goal
+                     commits the first plan, in declaration order, that
+                     serves it, and moves into that intention; a goal no
+                     plan serves waits in ``goals``.  A goal raised by a
                      message keeps that envelope, and its params are the
-                     content's args,
-    2. commit     -- every goal commits the first plan, in declaration
-                     order, that serves it, and moves into that intention;
-                     a goal no plan serves stays in ``goals``.  So a
-                     cycle's cost does not grow with the goals the agent
-                     already pursues (the gateway holds up to
-                     ``pipeline_window`` of them),
-    3. execute    -- advance the oldest intention by exactly one step; an
+                     content's args.  So a cycle's cost does not grow with
+                     the goals the agent already pursues (the gateway
+                     holds up to ``pipeline_window`` of them),
+    2. execute    -- advance the oldest intention by exactly one step; an
                      agent with ``advance_every_intention`` set advances
                      every intention it holds at this point by one step
                      instead, oldest first.  The orchestrator, the relays
@@ -32,10 +32,9 @@ order) so that traces are reproducible bit for bit.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cache
 from typing import Callable, Iterable, NamedTuple, Sequence
 
-from .terms import Command, Envelope, check_scalar, conversation_id
+from .terms import REPLIES, Command, Envelope, Performative, check_scalar, conversation_id
 
 #: Makes a NamedTuple from its fields without the Python-level ``__new__``.
 _new = tuple.__new__
@@ -93,13 +92,15 @@ class Goal(NamedTuple):
 
 @dataclass(frozen=True)
 class MessageMatch:
-    """Trigger over an envelope's performative; None matches any."""
+    """Trigger over an envelope's performative: one, or a tuple of them."""
 
-    performative: str | tuple[str, ...] | None = None
+    performative: str | tuple[str, ...]
 
-    def matches(self, performative: str) -> bool:
+    def __post_init__(self) -> None:
         wanted = self.performative
-        return wanted is None or performative in (wanted if type(wanted) is tuple else (wanted,))
+        named = wanted if type(wanted) is tuple else (wanted,)
+        if not named or any(p not in (Performative.REQUEST, *REPLIES) for p in named):
+            raise ValueError(f"MessageMatch needs a performative or a tuple of them, not {wanted!r}")
 
 
 @dataclass(frozen=True)
@@ -180,24 +181,23 @@ class Plan:
 
 class PlanLibrary(tuple[Plan, ...]):
     """The plans in declaration order, indexed by trigger and by goal name
-    as Jason indexes relevant plans.  Each index holds what a scan of the
-    plans in order finds, so every choice is the scan's; the message index
-    is filled per performative on first use."""
+    as Jason indexes relevant plans.  Each index, built with the library in
+    one declaration-order pass, holds what a scan of the plans in order
+    finds, so every choice is the scan's."""
 
     def __init__(self, plans: Iterable[Plan] = ()) -> None:
-        scanned = tuple(self)  # a plain tuple: the message index holds no reference cycle
-        #: performative -> the first plan a message triggers, or None
-        self.on_message = cache(
-            lambda performative: next(
-                (p for p in scanned if type(p.when) is MessageMatch and p.when.matches(performative)), None
-            )
-        )
+        self.on_message: dict[str, Plan] = {}  # performative -> the first plan a message triggers
         self.on_percept: dict[str, Plan] = {}  # predicate -> the first plan a belief percept triggers
         self.serving: dict[str, Plan] = {}  # goal name -> the first plan serving it
         for plan in self:
             self.serving.setdefault(plan.goal, plan)
-            if type(plan.when) is BeliefMatch:
-                self.on_percept.setdefault(plan.when.predicate, plan)
+            when = plan.when
+            if type(when) is BeliefMatch:
+                self.on_percept.setdefault(when.predicate, plan)
+            elif when is not None:  # a MessageMatch
+                wanted = when.performative
+                for performative in wanted if type(wanted) is tuple else (wanted,):
+                    self.on_message.setdefault(performative, plan)
 
 
 class Intention(NamedTuple):
@@ -222,18 +222,6 @@ class AgentState:
     #: False: one intention step per cycle (AgentSpeak(L)); True: every
     #: intention held at the start of the execute phase steps once.
     advance_every_intention: bool = False
-
-    def copy(self) -> "AgentState":
-        return AgentState(
-            self.id,
-            self.beliefs,
-            self.plan_library,
-            list(self.goals),
-            list(self.intentions),
-            self.next_seq,
-            list(self.percepts),
-            self.advance_every_intention,
-        )
 
     def adopt(
         self, name: str, params: tuple[str, ...], message: Envelope | None = None
@@ -263,33 +251,37 @@ class StepResult(NamedTuple):
     commands: tuple[Command, ...]
 
 
-def _perceive(state: AgentState, inbox: Sequence[Envelope]) -> None:
-    on_message, on_percept = state.plan_library.on_message, state.plan_library.on_percept
-    for env in inbox:
-        plan = on_message(env.performative)  # the first matching plan names the goal
-        if plan is not None:
-            state.adopt(plan.goal, env.content.args, env)
-
-    pending, state.percepts = state.percepts, []
-    for percept in pending:
-        plan = on_percept.get(percept.predicate)
-        if plan is not None:
-            state.adopt(plan.goal, percept.args)
-        else:
-            state.beliefs = state.beliefs.add(percept)  # unhandled percepts become knowledge
-
-
-def _commit_options(state: AgentState) -> None:
-    held = state.intentions
-    serving = state.plan_library.serving
-    waiting: list[Goal] = []
+def _deliberate(state: AgentState, inbox: Sequence[Envelope]) -> AgentState:
+    """Perceive and commit in one pass: the successor state, built once, not
+    yet executed.  The goals waiting from earlier cycles commit first, then
+    the goal each envelope and then each percept triggers, in adoption
+    order.  A triggered goal commits at once: its trigger plan serves it."""
+    library = state.plan_library
+    serving, on_message, on_percept = library.serving, library.on_message, library.on_percept
+    intentions, waiting, seq, beliefs = list(state.intentions), [], state.next_seq, state.beliefs
     for goal in state.goals:
         plan = serving.get(goal.name)
         if plan is None:
             waiting.append(goal)
         else:
-            held.append(_new(Intention, (plan, 0, goal)))
-    state.goals = waiting
+            intentions.append(_new(Intention, (plan, 0, goal)))
+    for env in inbox:
+        trigger = on_message.get(env.performative)  # the first matching plan names the goal
+        if trigger is not None:
+            goal = _new(Goal, (trigger.goal, env.content.args, seq, env))
+            intentions.append(_new(Intention, (serving[trigger.goal], 0, goal)))
+            seq += 1
+    for percept in state.percepts:
+        trigger = on_percept.get(percept.predicate)
+        if trigger is not None:
+            goal = _new(Goal, (trigger.goal, percept.args, seq, None))
+            intentions.append(_new(Intention, (serving[trigger.goal], 0, goal)))
+            seq += 1
+        else:
+            beliefs = beliefs.add(percept)  # unhandled percepts become knowledge
+    return AgentState(
+        state.id, beliefs, library, waiting, intentions, seq, [], state.advance_every_intention
+    )
 
 
 def _execute(state: AgentState) -> tuple[tuple[Envelope, ...], tuple[Command, ...]]:
@@ -297,10 +289,10 @@ def _execute(state: AgentState) -> tuple[tuple[Envelope, ...], tuple[Command, ..
     ``advance_every_intention``, every intention held now, oldest first.
 
     An intention that finishes or fails takes its goal with it; steps only
-    adopt goals, never intentions, so the held list (the stepped copy's
-    own) is not touched while the pass runs, and is updated in place after
-    it.  A failed step never escapes the cycle: it surfaces as a
-    ``failed`` belief next cycle, for recovery plans.
+    adopt goals, never intentions, so the held list (the successor's own)
+    is not touched while the pass runs, and is updated in place after it.
+    A failed step never escapes the cycle: it surfaces as a ``failed``
+    belief next cycle, for recovery plans.
     """
     held = state.intentions
     if not held:
@@ -337,9 +329,7 @@ def _execute(state: AgentState) -> tuple[tuple[Envelope, ...], tuple[Command, ..
 
 
 def step(state: AgentState, inbox: Sequence[Envelope]) -> StepResult:
-    """One full deliberation cycle on a copy of ``state``; pure in (state, inbox)."""
-    state = state.copy()
-    _perceive(state, inbox)
-    _commit_options(state)
-    outbox, commands = _execute(state)
-    return _new(StepResult, (state, outbox, commands))
+    """One full deliberation cycle; pure in (state, inbox), since the
+    successor is built fresh before it executes."""
+    state = _deliberate(state, inbox)
+    return _new(StepResult, (state, *_execute(state)))

@@ -19,7 +19,7 @@ from .terms import Command, Envelope, encode_blob
 from .trace import _NA, KIND_SET, TraceEvent, TraceLog
 
 #: Applies a command; returns ((trace kind, content line) drafts, percepts).
-CommandHandler = Callable[[Command], tuple[list[tuple[str, str]], list[bdi.Belief]]]
+CommandHandler = Callable[[Command], tuple[Sequence[tuple[str, str]], list[bdi.Belief]]]
 
 
 class World:

@@ -3,6 +3,7 @@ hand-derived trace frozen as a golden file."""
 
 from dataclasses import MISSING, fields, replace
 from pathlib import Path
+from typing import Sequence
 
 import pytest
 from hypothesis import given, strategies as st
@@ -17,23 +18,42 @@ from unimas.bdi import (
     CommandStep,
     Goal,
     GoalStep,
+    Intention,
     MessageMatch,
     Plan,
     SendStep,
+    StepResult,
     add,
     make_agent,
     step,
 )
 from unimas.agents import build_world, gateway_agent, orchestrator_agent
+from unimas.fuzz import fuzz
 from unimas.runtime import run_round
+from unimas.scenario import parse_scenario, run_scenario
 from unimas.terms import REPLIES, Command, Envelope, Performative, Term
 
 DATA = Path(__file__).parent / "data"
+SCENARIOS = Path(__file__).parent.parent / "scenarios"
+
+
+def _copy(state: AgentState) -> AgentState:
+    """Every field of ``state``, its lists copied."""
+    return AgentState(
+        state.id,
+        state.beliefs,
+        state.plan_library,
+        list(state.goals),
+        list(state.intentions),
+        state.next_seq,
+        list(state.percepts),
+        state.advance_every_intention,
+    )
 
 
 def adopt_goal(state: AgentState, name: str, params: tuple[str, ...]) -> AgentState:
     """A copy of ``state`` with one more goal adopted."""
-    twin = state.copy()
+    twin = _copy(state)
     twin.adopt(name, params)
     return twin
 
@@ -310,7 +330,7 @@ def test_step_is_deterministic():
     plan = Plan(
         name="on_msg",
         goal="handle",
-        when=MessageMatch(),
+        when=MessageMatch((Performative.REQUEST, *REPLIES)),
         body=(BelieveStep(lambda ctx: [add("got", ctx.message.conversation)]),),
     )
     env = Envelope("B", "A", Performative.INFORM, "B:4", Term("note", ("1",)))
@@ -332,21 +352,6 @@ def test_goal_intention_bijection_every_cycle():
         # no goal is both waiting and held
         assert not {g.adoption_seq for g in state.goals} & set(origins)
     assert [g.name for g in state.goals] == ["idle"]
-
-
-def test_copy_reproduces_every_field_and_shares_no_list():
-    state = make_agent("A", [_two_step("p1", "g")], [Belief("b", ())], advance_every_intention=True)
-    state = step(adopt_goal(state, "g", ()), []).state
-    state.adopt("idle", ())
-    state.percepts.append(Belief("p", ()))
-    twin = state.copy()
-    for f in fields(AgentState):
-        value = getattr(state, f.name)
-        default = f.default if f.default_factory is MISSING else f.default_factory()
-        assert value != default, f"the test state leaves {f.name} at its default"
-        assert getattr(twin, f.name) == value, f.name
-        if isinstance(value, list):
-            assert getattr(twin, f.name) is not value, f.name
 
 
 # -- the 2-plan, 2-goal golden trace ------------------------------------------
@@ -464,30 +469,23 @@ def _observable(state):
     )
 
 
-def _assert_step_leaves_input_alone(state, inbox):
-    before = _observable(state)
-    result = step(state, inbox)
-    assert _observable(state) == before
-    return result
-
-
 def test_step_never_mutates_its_input():
     state = _toy_agent()
     for _ in range(10):
-        state = _assert_step_leaves_input_alone(state, []).state
+        state = assert_step_agrees_with_reference(state, []).state
 
     # the orchestrator with a request in its inbox and a store outcome queued
     oa = orchestrator_agent()
     oa.percepts.append(Belief("store_reply", ("GW:1", "inform", "ok", "1")))
     request = Envelope("GW", "OA", Performative.REQUEST, "GW:0", Term("open_session", ("CS",)))
-    result = _assert_step_leaves_input_alone(oa, [request])
+    result = assert_step_agrees_with_reference(oa, [request])
     assert len(result.commands) == 1 and len(result.outbox) == 1
 
     def boom(ctx):
         raise RuntimeError("broken step")
 
     broken = adopt_goal(make_agent("A", [Plan(name="p", goal="g", body=(SendStep(boom),))]), "g", ())
-    result = _assert_step_leaves_input_alone(broken, [])
+    result = assert_step_agrees_with_reference(broken, [])
     assert result.state.percepts == [Belief("failed", ("g",))]
 
     every = make_agent(
@@ -495,17 +493,17 @@ def test_step_never_mutates_its_input():
     )
     every = adopt_goal(adopt_goal(every, "g1", ()), "g2", ())
     for _ in range(3):
-        every = _assert_step_leaves_input_alone(every, []).state
+        every = assert_step_agrees_with_reference(every, []).state
 
 
-# -- plan choice: the plan library's memo agrees with a linear scan ----------------
+# -- plan choice: the plan library's indexes agree with a linear scan ------------
 
 PERFORMATIVES = (Performative.REQUEST, *REPLIES)
 
 
 def _scan_trigger(library, env=None, percept=None):
     """The first plan, in declaration order, that an envelope or a belief
-    percept triggers: the reference the memoised choice must equal."""
+    percept triggers: the reference the indexed choice must equal."""
     for plan in library:
         when = plan.when
         if env is not None and isinstance(when, MessageMatch):
@@ -513,7 +511,7 @@ def _scan_trigger(library, env=None, percept=None):
             if isinstance(wanted, tuple):
                 fits = env.performative in wanted
             else:
-                fits = wanted is None or env.performative == wanted
+                fits = env.performative == wanted
             if fits:
                 return plan
         if percept is not None and isinstance(when, BeliefMatch) and when.predicate == percept.predicate:
@@ -529,60 +527,140 @@ def _scan_commit(library, goal):
 
 
 def _check_choice(state, env=None, percept=None, goal_name=None):
-    """Perceive one envelope or percept, or adopt one goal, and commit, on a
+    """Deliberate over one envelope or percept, or one goal adopted, on a
     copy of ``state``; the goal adopted and the plan committed are the
     linear scan's."""
-    state = state.copy()
+    state = _copy(state)
     library = state.plan_library
-    waiting = len(state.goals)
-    if percept is not None:
-        state.percepts.append(percept)
+    # only this percept is queued, so every goal from ``first_new`` on is
+    # this check's; the state's own percepts are checked by the reference cycle
+    state.percepts = [] if percept is None else [percept]
+    first_new = state.next_seq
     if goal_name is not None:
         state.adopt(goal_name, ("1",))
-        waiting = len(state.goals) - 1
-    bdi._perceive(state, [] if env is None else [env])
+    after = bdi._deliberate(state, [] if env is None else [env])
     trigger = _scan_trigger(library, env, percept)
-    expected_goals = [goal_name] if goal_name else [] if trigger is None else [trigger.goal]
-    adopted = state.goals[waiting:]
-    assert [g.name for g in adopted] == expected_goals, (env, percept)
+    if env is not None:
+        assert library.on_message.get(env.performative) == trigger, env
     if percept is not None:
-        assert (percept in state.beliefs) == (trigger is None)  # unhandled, it is knowledge
+        assert library.on_percept.get(percept.predicate) == trigger, percept
+        assert (percept in after.beliefs) == (trigger is None)  # unhandled, it is knowledge
+    expected_goals = [goal_name] if goal_name else [] if trigger is None else [trigger.goal]
+    adopted = [g for g in _adopted(after) if g.adoption_seq >= first_new]
+    assert [g.name for g in adopted] == expected_goals, (env, percept)
     if not adopted:
         return
     goal = adopted[0]
     expected = _scan_commit(library, goal)
-    bdi._commit_options(state)
-    committed = [i.plan for i in state.intentions if i.origin_goal is goal]
+    committed = [i.plan for i in after.intentions if i.origin_goal is goal]
     assert committed == ([] if expected is None else [expected]), goal
-    assert (goal in state.goals) == (expected is None)
+    assert (goal in after.goals) == (expected is None)
 
 
-def assert_memo_agrees_with_scan(agent):
+def assert_plan_choice_is_the_scans(agent):
     """Every performative, every predicate a plan triggers on (and one none
     does) and every goal a plan serves (and one none does): each choice
-    equals the scan's with the memo cold, warm, after ``copy()`` and after
-    a step."""
+    equals the scan's, and each step the reference cycle's, from the
+    agent's state and from the state a step over that envelope leaves."""
     library = agent.plan_library
     envs = [Envelope("X", agent.id, performative, "X:0", Term("any", ("1",))) for performative in PERFORMATIVES]
     predicates = {p.when.predicate for p in library if isinstance(p.when, BeliefMatch)}
     percepts = [Belief(pred, ("1",)) for pred in sorted(predicates | {"failed", "unnamed"})]
-    for state in (agent, agent.copy()):
-        for _ in range(2):
-            for env in envs:
-                _check_choice(state, env=env)
-                _check_choice(step(state, [env]).state, env=env)
-            for percept in percepts:
-                _check_choice(state, percept=percept)
-            for name in sorted({p.goal for p in library} | {"unserved"}):
-                _check_choice(state, goal_name=name)
+    goals = sorted({p.goal for p in library} | {"unserved"})
+    states = [agent] + [assert_step_agrees_with_reference(agent, [env]).state for env in envs]
+    for state in states:
+        for env in envs:
+            _check_choice(state, env=env)
+            assert_step_agrees_with_reference(state, [env])
+        for percept in percepts:
+            _check_choice(state, percept=percept)
+            with_percept = _copy(state)
+            with_percept.percepts.append(percept)
+            assert_step_agrees_with_reference(with_percept, [])
+        for name in goals:
+            _check_choice(state, goal_name=name)
+            assert_step_agrees_with_reference(adopt_goal(state, name, ("1",)), envs)
 
 
-def _message_plan(name, goal, performative=None):
+# -- step against the three-phase reference cycle -----------------------------------
+
+
+def _reference_perceive(state: AgentState, inbox: Sequence[Envelope]) -> None:
+    for env in inbox:
+        plan = _scan_trigger(state.plan_library, env=env)
+        if plan is not None:
+            state.adopt(plan.goal, env.content.args, env)
+    pending, state.percepts = state.percepts, []
+    for percept in pending:
+        plan = _scan_trigger(state.plan_library, percept=percept)
+        if plan is not None:
+            state.adopt(plan.goal, percept.args)
+        else:
+            state.beliefs = state.beliefs.add(percept)
+
+
+def _reference_commit(state: AgentState) -> None:
+    waiting = []
+    for goal in state.goals:
+        plan = _scan_commit(state.plan_library, goal)
+        if plan is None:
+            waiting.append(goal)
+        else:
+            state.intentions.append(Intention(plan, 0, goal))
+    state.goals = waiting
+
+
+def reference_step(state: AgentState, inbox: Sequence[Envelope]) -> StepResult:
+    """The cycle as three phases over a copy: perceive every envelope and
+    percept into goals, commit every goal in adoption order, execute."""
+    state = _copy(state)
+    _reference_perceive(state, inbox)
+    _reference_commit(state)
+    outbox, commands = bdi._execute(state)
+    return StepResult(state, outbox, commands)
+
+
+def assert_step_agrees_with_reference(state: AgentState, inbox: Sequence[Envelope]) -> StepResult:
+    """``step`` equals the reference on every successor field, the outbox
+    and the commands, and leaves its input's lists as they were."""
+    before = _observable(state)
+    lists = (state.goals, state.intentions, state.percepts)
+    result = step(state, inbox)
+    assert _observable(state) == before
+    want = reference_step(state, inbox)
+    for f in fields(AgentState):
+        assert getattr(result.state, f.name) == getattr(want.state, f.name), f.name
+    assert (result.outbox, result.commands) == (want.outbox, want.commands)
+    after = result.state
+    assert not {id(x) for x in lists} & {id(after.goals), id(after.intentions), id(after.percepts)}
+    return result
+
+
+def test_the_successor_has_every_field_and_shares_no_list_with_its_input():
+    state = make_agent("A", [_two_step("p1", "g")], [Belief("b", ())], advance_every_intention=True)
+    state = step(adopt_goal(state, "g", ()), []).state
+    state.adopt("idle", ())
+    state.percepts.append(Belief("p", ()))
+    for f in fields(AgentState):
+        default = f.default if f.default_factory is MISSING else f.default_factory()
+        assert getattr(state, f.name) != default, f"the test state leaves {f.name} at its default"
+    after = assert_step_agrees_with_reference(state, []).state
+    assert after.percepts == [] and after.goals == state.goals and after.next_seq == state.next_seq
+    assert after.beliefs == state.beliefs | {Belief("p", ())}
+    assert after.advance_every_intention and after.id == "A"
+
+
+def _message_plan(name, goal, performative=PERFORMATIVES):
     return Plan(name=name, goal=goal, body=(SendStep(_noop_send),), when=MessageMatch(performative))
 
 
+def _boom(ctx):
+    raise RuntimeError("broken step")
+
+
 #: Plan libraries of this file's tests, then one that mixes every trigger
-#: shape ahead of the plans it shadows.
+#: shape ahead of the plans it shadows, then one whose steps adopt goals
+#: (served and not), add beliefs that trigger plans, and fail.
 TEST_LIBRARIES = (
     [_two_step("p1", "g"), _two_step("p2", "g")],
     list(_toy_agent().plan_library),
@@ -600,20 +678,47 @@ TEST_LIBRARIES = (
         Plan(name="on_failed_too", goal="serve", body=(SendStep(_noop_send),), when=BeliefMatch("failed")),
         _plan("loop_any", "loop"),
     ],
+    [
+        Plan(
+            name="spawn",
+            goal="serve",
+            body=(GoalStep(lambda ctx: [("work", ()), ("unserved", ())]), _send("s")),
+            when=MessageMatch(Performative.REQUEST),
+        ),
+        Plan(name="work", goal="work", body=(BelieveStep(lambda ctx: [add("done")]), _command("w"))),
+        Plan(name="broken", goal="answer", body=(SendStep(_boom),), when=MessageMatch(REPLIES)),
+        Plan(name="on_done", goal="tidy", body=(_send("tidied"),), when=BeliefMatch("done")),
+        Plan(name="on_failed", goal="work", body=(_command("retry"),), when=BeliefMatch("failed")),
+    ],
 )
 
 
 @pytest.mark.parametrize("plans", TEST_LIBRARIES)
-def test_the_memoised_plan_choice_is_the_linear_scans_for_the_test_libraries(plans):
-    assert_memo_agrees_with_scan(make_agent("A", plans))
-    assert_memo_agrees_with_scan(make_agent("A", plans, advance_every_intention=True))
+def test_the_indexed_plan_choice_and_step_are_the_references_for_the_test_libraries(plans):
+    assert_plan_choice_is_the_scans(make_agent("A", plans))
+    assert_plan_choice_is_the_scans(make_agent("A", plans, advance_every_intention=True))
 
 
-def test_the_memoised_plan_choice_is_the_linear_scans_for_every_roster_agent():
+def test_the_indexed_plan_choice_and_step_are_the_references_for_every_roster_agent():
     world, _ = build_world()
     assert len(world.agents) == 10
     for agent in world.agents.values():
-        assert_memo_agrees_with_scan(agent)
+        assert_plan_choice_is_the_scans(agent)
+
+
+def test_every_step_of_a_run_agrees_with_the_reference(monkeypatch):
+    # every roster agent in the states a run takes it through, the
+    # gateway's goals adopted by the harness included
+    steps = []
+
+    def checked(state, inbox):
+        steps.append(state.id)
+        return assert_step_agrees_with_reference(state, inbox)
+
+    monkeypatch.setattr(bdi, "step", checked)
+    fuzz(1, 300)
+    run_scenario(parse_scenario((SCENARIOS / "reports.scn").read_text()))
+    assert set(steps) == set(build_world()[0].agents)
 
 
 _triggers = st.one_of(
@@ -621,9 +726,8 @@ _triggers = st.one_of(
     st.builds(
         MessageMatch,
         st.one_of(
-            st.none(),
             st.sampled_from(PERFORMATIVES),
-            st.lists(st.sampled_from(PERFORMATIVES), max_size=3, unique=True).map(tuple),
+            st.lists(st.sampled_from(PERFORMATIVES), min_size=1, max_size=3, unique=True).map(tuple),
         ),
     ),
     st.builds(BeliefMatch, st.sampled_from(["failed", "p", "q"])),
@@ -631,12 +735,71 @@ _triggers = st.one_of(
 
 
 @given(st.lists(st.tuples(st.sampled_from(["g0", "g1", "g2"]), _triggers), min_size=1, max_size=8))
-def test_the_memoised_plan_choice_is_the_linear_scans_for_any_library(shapes):
+def test_the_indexed_plan_choice_is_the_linear_scans_for_any_library(shapes):
     plans = [
         Plan(name=f"p{i}", goal=goal, body=(SendStep(_noop_send),), when=when)
         for i, (goal, when) in enumerate(shapes)
     ]
-    assert_memo_agrees_with_scan(make_agent("A", plans))
+    assert_plan_choice_is_the_scans(make_agent("A", plans))
+
+
+#: Plan steps by name: each kind of step, one that fails, and goal steps
+#: that adopt a goal some plan may serve and one that none does.
+_STEPS = {
+    "send": _send("sent"),
+    "command": _command("cmd"),
+    "believe_p": BelieveStep(lambda ctx: [add("p", *ctx.params[:1])]),
+    "believe_q": BelieveStep(lambda ctx: [add("q")]),
+    "adopt_g0": GoalStep(lambda ctx: [("g0", ctx.params)]),
+    "adopt_unserved": GoalStep(lambda ctx: [("unserved", ())]),
+    "fail": SendStep(_boom),
+}
+
+_goal_names = st.sampled_from(["g0", "g1", "g2", "unserved"])
+_plans = st.lists(
+    st.tuples(
+        st.sampled_from(["g0", "g1", "g2"]),
+        _triggers,
+        st.lists(st.sampled_from(sorted(_STEPS)), min_size=1, max_size=3),
+    ),
+    min_size=1,
+    max_size=6,
+)
+_inboxes = st.lists(st.lists(st.sampled_from(PERFORMATIVES), max_size=4), min_size=1, max_size=5)
+
+
+@given(
+    _plans,
+    st.lists(_goal_names, max_size=4),
+    st.lists(st.sampled_from(["failed", "p", "q", "unnamed"]), max_size=3),
+    _inboxes,
+    st.booleans(),
+)
+def test_step_agrees_with_the_reference_cycle_for_any_library_inbox_and_percepts(
+    shapes, goals, predicates, inboxes, every
+):
+    plans = [
+        Plan(name=f"p{i}", goal=goal, body=tuple(_STEPS[k] for k in body), when=when)
+        for i, (goal, when, body) in enumerate(shapes)
+    ]
+    state = make_agent("A", plans, advance_every_intention=every)
+    for name in goals:
+        state.adopt(name, ("1",))  # from outside, as the harness adopts the gateway's
+    state.percepts.extend(Belief(pred, ("1",)) for pred in predicates)
+    for cycle, performatives in enumerate(inboxes):
+        inbox = [
+            Envelope("X", "A", performative, f"X:{cycle}.{k}", Term("any", (str(k),)))
+            for k, performative in enumerate(performatives)
+        ]
+        state = assert_step_agrees_with_reference(state, inbox).state
+
+
+@pytest.mark.parametrize(
+    "wanted", [None, (), "ask", "", [Performative.REQUEST], (Performative.REQUEST, None), ("inform", "ask")]
+)
+def test_a_message_trigger_must_name_a_performative_or_a_tuple_of_them(wanted):
+    with pytest.raises(ValueError, match="performative"):
+        MessageMatch(wanted)
 
 
 # -- a goal no message raised has no message ----------------------------------------

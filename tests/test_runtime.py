@@ -3,9 +3,9 @@ import pytest
 from unimas.agents import ROSTER, build_world
 from unimas.bdi import BelieveStep, MessageMatch, Plan, SendStep, add, make_agent
 from unimas.runtime import World, register_agent, route, run_round
-from unimas.terms import Envelope, Performative, Term
+from unimas.terms import REPLIES, Envelope, Performative, Term
 
-from test_bdi import assert_memo_agrees_with_scan
+from test_bdi import assert_plan_choice_is_the_scans
 
 
 #: Answers any request with ``pong``.
@@ -25,7 +25,7 @@ RESPONDER = Plan(
 NOTER = Plan(
     name="noter",
     goal="note",
-    when=MessageMatch(),
+    when=MessageMatch((Performative.REQUEST, *REPLIES)),
     body=(BelieveStep(lambda ctx: [add("noted", ctx.message.conversation)]),),
 )
 #: Answers an inform (a ``tick``) with another, to itself.
@@ -229,5 +229,5 @@ def test_monitor_observer_does_not_change_trace():
 @pytest.mark.parametrize(
     "plans", [[RESPONDER], [NOTER], [LOOP], [LOOP, RESPONDER, NOTER], [NOTER, LOOP, RESPONDER]]
 )
-def test_the_memoised_plan_choice_is_the_linear_scans_for_this_files_libraries(plans):
-    assert_memo_agrees_with_scan(_agent("A", plans))
+def test_the_indexed_plan_choice_and_step_are_the_references_for_this_files_libraries(plans):
+    assert_plan_choice_is_the_scans(_agent("A", plans))
