@@ -22,12 +22,17 @@ violated for the run.  Only P12 is left to the end of the trace: a request
 still open there is violated on a complete trace, and a truncated trace,
 which could still go on, is inconclusive unless already violated.  The
 monitor is a pure observer; it shares no code with the store's own
-validation.
+validation.  ``Monitor.read`` is its one loop: offline over a trace file, live
+over each ``TraceLog`` block as it is rendered and the rest at ``close``, after
+which the verdicts are read.  Live, it lags fewer than ``BLOCK_LINES`` events
+behind ``World.emit``, so a ``MonitorFault`` surfaces at a block boundary;
+``World.observers`` remains the hook that gets each event as it is emitted.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
+from collections.abc import Iterable
 from dataclasses import dataclass
 from enum import Enum
 from operator import itemgetter
@@ -101,6 +106,8 @@ UNIQUE_KEYS = (
      "slot clash p={0[0]} semester={0[1]} timing={0[2]}/{0[3]}"),
     (PropertyId.P8, "schedule_exam", ("class_id", "date"), "datesheet", "", "class {0[0]} examined twice on {0[1]}"),
 )
+#: command -> the fields an accepted event must not leave empty (P9), in schema order
+_REQUIRED_COMMAND_FIELDS = {c: tuple(f.name for f in fs if f.default is None) for c, fs in SCHEMAS.items()}
 #: table -> the fields a persisted row must not leave empty (P9), in table order
 _REQUIRED_ROW_FIELDS = {
     table: tuple(f for f in fields if f not in OPTIONAL_ROW_FIELDS.get(table, ()))
@@ -130,6 +137,12 @@ class Monitor:
             self._violations[pid] = (seq, explanation)
 
     # -- event intake ----------------------------------------------------
+
+    def read(self, events: Iterable[TraceEvent]) -> None:
+        """Observe each event in order; ``self.observe`` is looked up per call, so a class wrapper sees it."""
+        observe = self.observe
+        for event in events:
+            observe(event)
 
     def observe(self, event: TraceEvent) -> None:
         seq, rnd, kind, _sender, _receiver, performative, conversation, content = event
@@ -197,7 +210,9 @@ class Monitor:
 
     def _observe_domain(self, event: TraceEvent) -> None:
         name, fields = command_fields(event.content)
-        self._check_completeness(name, fields, event.seq)
+        for field in _REQUIRED_COMMAND_FIELDS.get(name, ()):
+            if fields.get(field, "") == "":
+                self._flag(PropertyId.P9, event.seq, f"{name} accepted with empty {field}")
         get = fields.get
 
         unique = self._firsts.get(name)
@@ -246,11 +261,6 @@ class Monitor:
                 f"session opened with {self._open_sessions} already open, cap {self.cfg.cap}",
             )
         self._open_sessions += 1
-
-    def _check_completeness(self, name: str, fields: dict[str, str], seq: int) -> None:
-        for f in SCHEMAS.get(name, ()):
-            if f.default is None and fields.get(f.name, "") == "":
-                self._flag(PropertyId.P9, seq, f"{name} accepted with empty {f.name}")
 
     # -- state-level rules (independent re-check over a dump) ------------
 
@@ -349,7 +359,5 @@ def exit_code(verdicts: list[Verdict]) -> int:
 def evaluate_trace(parsed: ParsedTrace, cfg: RunConfig) -> list[Verdict]:
     """From-scratch re-evaluation of a recorded trace (the offline path)."""
     monitor = Monitor(cfg)
-    observe = monitor.observe
-    for event in parsed:  # parsed one line at a time
-        observe(event)
+    monitor.read(parsed)  # parsed one line at a time
     return monitor.finalize(trace_complete=parsed.complete)

@@ -252,7 +252,7 @@ class ScenarioRunner:
         self.cfg = cfg or RunConfig()
         self.world, self.store = build_world(self.cfg)
         self.monitor = Monitor(self.cfg)
-        self.world.observers.append(self.monitor.observe)
+        self.world.log.readers.append(self.monitor.read)  # a block at a time; verdicts after close
         self.commands: list[ScenarioCommand] = []  # all but CRASH and EXPECT_REFUSAL
         self.pending: dict[str, int] = {}  # conversation -> command index
         self.outcomes: list[CommandOutcome | None] = []

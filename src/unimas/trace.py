@@ -15,7 +15,7 @@ with the live monitor by construction.
 from __future__ import annotations
 
 import hashlib
-from collections.abc import Iterable, Iterator
+from collections.abc import Callable, Iterable, Iterator
 from itertools import chain
 from typing import NamedTuple
 
@@ -71,7 +71,8 @@ class TraceLog:
     """Keeps events in blocks of ``BLOCK_LINES`` lines, each full block
     rendered at once into one string and the rest when read; the ``# config``
     header is the first line of the first block.  ``next_seq`` is the global
-    sequence number of the next event, which ``World.emit`` assigns."""
+    sequence number of the next event, which ``World.emit`` assigns.  Each of
+    ``readers`` gets a block's events when it is rendered, the rest at the first ``close``."""
 
     def __init__(self, header: str = "") -> None:
         self._blocks: list[str] = []  # each ends in a newline
@@ -79,6 +80,7 @@ class TraceLog:
         self._tail: list[TraceEvent] = []
         self._end = ""
         self.next_seq = 0
+        self.readers: list[Callable[[list[TraceEvent]], None]] = []
 
     def append(self, event: TraceEvent) -> None:
         tail = self._tail
@@ -86,9 +88,14 @@ class TraceLog:
         if len(tail) + bool(self._head) == BLOCK_LINES:  # the header is a line of the first block
             self._blocks.append(self._head + _lines(tail))
             self._head = ""
-            tail.clear()
+            self._tail = []  # a new list, so a reader that raises leaves the log whole
+            for read in self.readers:
+                read(tail)
 
     def close(self, complete: bool) -> None:
+        if not self._end:  # the first close hands over the rest
+            for read in self.readers:
+                read(self._tail)
         self._end = f"# end complete={'true' if complete else 'false'}\n"
 
     def blocks(self) -> Iterator[str]:

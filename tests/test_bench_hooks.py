@@ -74,6 +74,10 @@ def test_layer_tracer_callbacks_read_a_live_run(monkeypatch):
         "bdi.step",
     ):
         assert tracer.calls(span) > 0, span
+    # monitor.observe_us and monitor.events_per_cmd divide by this count, so
+    # the live monitor, reading a block at a time, observes each event once
+    events = list(trace.parse_trace(result.log.text().splitlines()))
+    assert tracer.calls("monitor.observe") == len(events) == result.log.next_seq
     assert tracer.counted("oa_steps") > 0
     assert tracer.counted("envelopes") > 0
     assert tracer.calls("agents.store_handler") > 0

@@ -16,10 +16,10 @@ from unimas.monitor import (
     evaluate_trace,
     render_verdicts,
 )
-from unimas.scenario import parse_scenario, run_scenario
+from unimas.scenario import ScenarioRunner, parse_scenario, run_scenario
 from unimas.store import OPTIONAL_ROW_FIELDS, SCHEMAS, TABLE_FIELDS, Store
 from unimas.terms import Command, Performative, encode_blob
-from unimas.trace import TraceEvent, parse_trace
+from unimas.trace import BLOCK_LINES, TraceEvent, parse_trace
 
 
 def ev(seq, kind, **fields):
@@ -213,6 +213,24 @@ def test_snapshot_row_missing_a_field_reads_it_as_empty():
     monitor.check_snapshot(dump, seq=3)
     [p9] = [v for v in monitor.finalize(True) if v.status != HOLDS]
     assert p9.render() == "P9|violated|3|students row persisted with empty st_id"
+
+
+def test_p9_names_the_first_empty_required_field_in_schema_order():
+    # an optional field left empty is no finding; of several empty required
+    # fields, the first in the command's schema is named
+    for name, required in REQUIRED_COMMAND_FIELDS.items():
+        for first in range(len(required) + 1):
+            empty = set(required[first:])
+            args = ",".join(
+                f"{f.name}={'' if f.name in empty or f.default is not None else '1'}" for f in SCHEMAS[name]
+            )
+            monitor = Monitor()
+            monitor.observe(domain(0, f"{name}({args})"))
+            [p9] = [v for v in monitor.finalize(True) if v.property is PropertyId.P9]
+            if empty:
+                assert p9.render() == f"P9|violated|0|{name} accepted with empty {required[first]}"
+            else:
+                assert p9.status == HOLDS, name
 
 
 def test_oracle_requires_what_the_store_schema_requires():
@@ -572,32 +590,36 @@ def test_max_reply_latency_is_the_worst_over_every_conversation():
 
 
 def test_the_monitor_keeps_only_open_conversations_and_none_after_a_quiescent_run():
-    # fuzz(1, 2000), driven here so that every event can be checked: the
-    # records are exactly the conversations asked and not yet answered
+    # fuzz(1, 2000), driven here so that every event can be checked: a
+    # monitor fed the run's events one at a time holds, after each, exactly
+    # the conversations asked and not yet answered, and the live monitor,
+    # which reads the trace a block at a time, ends where that one does
     from unimas.fuzz import generate
     from unimas.scenario import ScenarioRunner
 
     cfg = RunConfig(pipeline_window=8, seed=1)
     runner = ScenarioRunner(cfg)
-    opened: set[str] = set()
     events = []
+    runner.world.observers.append(events.append)
+    result = runner.run(generate(1, 2000, cfg))
+    assert result.trace_hash == fuzz(1, 2000).trace_hash
+    assert result.quiescent
 
-    def check(event):
-        events.append(event)
+    stepped = Monitor(cfg)
+    opened: set[str] = set()
+    for event in events:
+        stepped.observe(event)
         if event.kind == "envelope":
             if event.performative == "request":
                 opened.add(event.conversation)
             else:
                 opened.discard(event.conversation)
-            assert set(runner.monitor._conversations) == opened, event
-
-    runner.world.observers.append(check)
-    result = runner.run(generate(1, 2000, cfg))
-    assert result.trace_hash == fuzz(1, 2000).trace_hash
-    assert result.quiescent
+        assert set(stepped._conversations) == opened, event
     assert statuses(result.verdicts)[PropertyId.P12] == HOLDS
-    assert runner.monitor._conversations == {}
-    assert result.monitor.max_reply_latency == _latency_over_all_conversations(events) == 4
+    assert runner.monitor._conversations == stepped._conversations == {}
+    assert result.monitor.max_reply_latency == stepped.max_reply_latency
+    assert stepped.max_reply_latency == _latency_over_all_conversations(events) == 4
+    assert stepped.finalize(trace_complete=True) == result.verdicts
 
 
 # -- offline verification reads the trace file one line at a time ------------------
@@ -613,3 +635,72 @@ def test_streamed_offline_verdicts_equal_live_ones_on_every_golden_scenario(tmp_
         with open(path) as lines:
             offline = evaluate_trace(parse_trace(lines), cfg)
         assert [v.render() for v in offline] == [v.render() for v in live.verdicts], name
+
+
+# -- the live monitor reads the trace a block at a time ----------------------------
+
+LIFECYCLE = (SCENARIOS / "lifecycle.scn").read_text()
+
+
+def _padded(pad, text=LIFECYCLE):
+    """``text`` after ``pad`` commands that the gateway refuses, one trace
+    event each, since no session is open yet."""
+    return parse_scenario("REGISTER_STUDENT st_id=1 name=A dept=CS\n" * pad + text)
+
+
+def _assert_readers_get_each_event_once_in_order(commands, cfg=RunConfig(), **crash):
+    runner = ScenarioRunner(cfg)
+    log = runner.world.log
+    read, emitted = [], []
+    log.readers.append(read.extend)  # a second reader beside the monitor
+
+    def behind(event):
+        # every event of each full block has been read, and none past it;
+        # the config line is the first line of the first block
+        emitted.append(event)
+        lines = len(emitted) + 1
+        assert len(read) == max(0, lines // BLOCK_LINES * BLOCK_LINES - 1), event
+
+    runner.world.observers.append(behind)
+    result = runner.run(commands, **crash)
+    text = log.text()
+    assert [e.seq for e in read] == list(range(log.next_seq))
+    assert read == emitted == list(parse_trace(text.splitlines()))
+    assert result.verdicts == evaluate_trace(parse_trace(text.splitlines()), cfg)
+    log.close(complete=result.quiescent)  # a second close hands over nothing
+    assert len(read) == len(emitted) and log.text() == text
+    assert runner.monitor.finalize(result.quiescent) == result.verdicts
+    return result
+
+
+@pytest.mark.parametrize("block", [1, 2])
+@pytest.mark.parametrize("past", [-1, 0, 1])
+def test_a_run_ending_at_a_block_boundary_is_read_once_in_order(block, past):
+    events = block * BLOCK_LINES - 1 + past  # a block is full at BLOCK_LINES - 1 events
+    pad = events - run_scenario(_padded(0)).log.next_seq
+    result = _assert_readers_get_each_event_once_in_order(_padded(pad))
+    assert result.log.next_seq == events and result.exit_code == 0
+
+
+_CRASH_LINES = LIFECYCLE.replace("\nADMIT student_id=5 ", "\nCRASH\nADMIT student_id=5 ").replace(
+    "\nADD_CLASS p_id=1 semester=2 subject=Databases", "\nCRASH\nADD_CLASS p_id=1 semester=2 subject=Databases"
+)
+
+
+@pytest.mark.parametrize(
+    "commands, cfg, crash, snapshots",
+    [
+        (_padded(200), RunConfig(), {"crash_at": 25}, 2),
+        (_padded(200), RunConfig(), {"crash_at": 25, "torn": True}, 2),
+        (_padded(200, _CRASH_LINES), RunConfig(), {}, 3),
+        (_padded(200), RunConfig(max_rounds=100), {}, 1),
+    ],
+    ids=["crash_at", "crash_at_torn", "crash_lines", "max_rounds"],
+)
+def test_a_crashed_or_cut_off_run_is_read_once_in_order(commands, cfg, crash, snapshots):
+    # 200 refusals first put each crash, and the cut, past the first block
+    result = _assert_readers_get_each_event_once_in_order(commands, cfg, **crash)
+    events = list(parse_trace(result.log.text().splitlines()))
+    assert [e.seq for e in events if e.kind == "snapshot"][0] > BLOCK_LINES
+    assert sum(e.kind == "snapshot" for e in events) == snapshots
+    assert result.quiescent == (cfg.max_rounds == RunConfig.max_rounds)

@@ -398,9 +398,11 @@ GROWTH_RATIO = 1.02
 #: 3.11.7.  It was 1,078.9 with a plan scan per message, percept and goal,
 #: NamedTuple ``__new__`` calls per command and a trace line rendered per
 #: append, 940.1 with plan contexts, content-name triggers, belief deltas
-#: and an unknown-receiver check in the router, and 911.2 with a step that
-#: copied the agent's state and then perceived and committed in two passes.
-EVENTS_PER_COMMAND = 818.1
+#: and an unknown-receiver check in the router, 911.2 with a step that
+#: copied the agent's state and then perceived and committed in two passes,
+#: and 818.1 with the live monitor called once per emitted event and P9
+#: walking each command's whole schema.
+EVENTS_PER_COMMAND = 815.4
 
 
 @cache

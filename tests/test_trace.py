@@ -47,8 +47,12 @@ def test_parse_refuses_seven_or_nine_fields(line):
 )
 @pytest.mark.parametrize("header", ["", "cap=3"])
 def test_trace_log_text_and_digest_equal_its_lines_joined_at_every_block_boundary(events, header):
+    # and its readers get each full block's events as it is rendered, the
+    # rest at the first close, and nothing at a second
     log = TraceLog(header)
     lines = [f"# config {header}"] if header else []
+    appended, read = [], []
+    log.readers.append(read.extend)
 
     def check():
         joined = "".join(f"{line}\n" for line in lines)
@@ -62,8 +66,12 @@ def test_trace_log_text_and_digest_equal_its_lines_joined_at_every_block_boundar
         event = TraceEvent(seq, seq // 3, "envelope", "GW", "SA", "request", f"GW:{seq}", f"x({seq})")
         log.append(event)
         lines.append(event.render())
+        appended.append(event)
+        assert read == appended[: max(0, len(lines) // BLOCK_LINES * BLOCK_LINES - bool(header))]
     check()
-    log.close(complete=events % 2 == 0)
+    for _ in range(2):
+        log.close(complete=events % 2 == 0)
+        assert read == appended
     lines.append(f"# end complete={'true' if events % 2 == 0 else 'false'}")
     check()
 
