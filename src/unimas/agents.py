@@ -24,7 +24,7 @@ from __future__ import annotations
 from typing import Callable
 
 from . import bdi, runtime
-from .bdi import Belief, BeliefMatch, CommandStep, MessageMatch, Plan, SendStep
+from .bdi import Belief, BeliefMatch, CommandStep, Goal, MessageMatch, Plan, SendStep
 from .config import ConfigError, RunConfig
 from .runtime import World, register_agent
 from .store import REPORT_QUERIES, Store
@@ -36,6 +36,7 @@ from .terms import (
     Performative,
     Refusal,
     Term,
+    conversation_id,
     conversation_origin,
     decode_blob,
     encode_blob,
@@ -78,10 +79,10 @@ MIN_LIVENESS_K = 2 * max(1 if agent == ORCHESTRATOR else 2 for agent in SERVED_B
 # -- gateway -----------------------------------------------------------------
 
 
-def _issue(ctx: bdi.StepCtx) -> list[Envelope]:
-    if ctx.message is None:  # passed on unread, so a None would reach ``route``
+def _issue(agent_id: str, goal: Goal) -> list[Envelope]:
+    if goal.message is None:  # passed on unread, so a None would reach ``route``
         raise LookupError("an issue goal carries the request it sends")
-    return [ctx.message]
+    return [goal.message]
 
 
 def gateway_agent() -> bdi.AgentState:
@@ -97,37 +98,37 @@ def gateway_agent() -> bdi.AgentState:
 # -- envelopes ---------------------------------------------------------------
 
 
-def _request(ctx: bdi.StepCtx, content: Term) -> Envelope:
+def _request(agent_id: str, goal: Goal, content: Term) -> Envelope:
     """A hop to the orchestrator under a fresh conversation id that carries
     the conversation it serves, so the reply can be routed home and store
     events stay attributable to the request that caused them."""
-    conversation = ctx.conversation(ctx.message.conversation)
-    return Envelope(ctx.agent_id, ORCHESTRATOR, Performative.REQUEST, conversation, content)
+    conversation = conversation_id(agent_id, goal.adoption_seq, goal.message.conversation)
+    return Envelope(agent_id, ORCHESTRATOR, Performative.REQUEST, conversation, content)
 
 
-def _reply(ctx: bdi.StepCtx, conversation: str, performative: str, content: Term) -> Envelope:
+def _reply(agent_id: str, conversation: str, performative: str, content: Term) -> Envelope:
     """An answer on ``conversation``, to the agent that opened it."""
     receiver = conversation_origin(conversation)
-    return Envelope(ctx.agent_id, receiver, performative, conversation, content)
+    return Envelope(agent_id, receiver, performative, conversation, content)
 
 
 # -- relay agents ------------------------------------------------------------
 
 
-def _relay_request(ctx: bdi.StepCtx) -> list[Envelope]:
-    return [_request(ctx, ctx.message.content)]
+def _relay_request(agent_id: str, goal: Goal) -> list[Envelope]:
+    return [_request(agent_id, goal, goal.message.content)]
 
 
-def _relay_reply(ctx: bdi.StepCtx) -> list[Envelope]:
-    reply = ctx.message
+def _relay_reply(agent_id: str, goal: Goal) -> list[Envelope]:
+    reply = goal.message
     home = served_conversation(reply.conversation)
-    return [_reply(ctx, home, reply.performative, reply.content)]
+    return [_reply(agent_id, home, reply.performative, reply.content)]
 
 
 def relay_agent(
     agent_id: str,
-    forward: Callable[[bdi.StepCtx], list[Envelope]] = _relay_request,
-    answer: Callable[[bdi.StepCtx], list[Envelope]] = _relay_reply,
+    forward: Callable[[str, Goal], list[Envelope]] = _relay_request,
+    answer: Callable[[str, Goal], list[Envelope]] = _relay_reply,
 ) -> bdi.AgentState:
     """A relay: ``forward`` sends any request it receives on to the
     orchestrator, and ``answer`` sends any reply home."""
@@ -170,8 +171,8 @@ def _ratio(numerator: int, denominator: int) -> str:
     return f"{numerator}/{denominator}" if denominator else "undefined"
 
 
-def _report_query(ctx: bdi.StepCtx) -> list[Envelope]:
-    return [_request(ctx, Term("query", (ctx.params[0],)))]
+def _report_query(agent_id: str, goal: Goal) -> list[Envelope]:
+    return [_request(agent_id, goal, Term("query", (goal.params[0],)))]
 
 
 def report_agent(cfg: RunConfig) -> bdi.AgentState:
@@ -180,17 +181,17 @@ def report_agent(cfg: RunConfig) -> bdi.AgentState:
     keeps nothing between the two hops."""
     broken = cfg.inject == "p11"
 
-    def reply_with_report(ctx: bdi.StepCtx) -> list[Envelope]:
-        home = served_conversation(ctx.message.conversation)
-        if ctx.message.performative != Performative.INFORM:
-            return [_reply(ctx, home, Performative.FAILURE, failed("store query failed"))]
-        blob, kind = ctx.params[:2]
+    def reply_with_report(agent_id: str, goal: Goal) -> list[Envelope]:
+        home = served_conversation(goal.message.conversation)
+        if goal.message.performative != Performative.INFORM:
+            return [_reply(agent_id, home, Performative.FAILURE, failed("store query failed"))]
+        blob, kind = goal.params[:2]
         if broken:
             content = Term("report", (kind,))  # guard off: absent result
         else:
             lines = build_report(kind, decode_blob(blob), cfg)
             content = Term("report", (kind, str(len(lines)), encode_blob("\n".join(lines))))
-        return [_reply(ctx, home, Performative.INFORM, content)]
+        return [_reply(agent_id, home, Performative.INFORM, content)]
 
     return relay_agent("RPA", _report_query, reply_with_report)
 
@@ -198,9 +199,9 @@ def report_agent(cfg: RunConfig) -> bdi.AgentState:
 # -- orchestrator ------------------------------------------------------------
 
 
-def _build_command(ctx: bdi.StepCtx) -> list[Command]:
-    request = ctx.message
-    return [tuple.__new__(Command, (request.content.name, ctx.params, request.conversation))]
+def _build_command(agent_id: str, goal: Goal) -> list[Command]:
+    request = goal.message
+    return [tuple.__new__(Command, (request.content.name, goal.params, request.conversation))]
 
 
 def store_reply(conversation: str, performative: str, name: str, *args: str) -> Belief:
@@ -209,10 +210,10 @@ def store_reply(conversation: str, performative: str, name: str, *args: str) -> 
     return tuple.__new__(Belief, ("store_reply", (conversation, performative, name, *args)))
 
 
-def _reply_stored(ctx: bdi.StepCtx) -> list[Envelope]:
+def _reply_stored(agent_id: str, goal: Goal) -> list[Envelope]:
     # a store_reply percept: conversation, performative, content term
-    conversation, performative, name = ctx.params[:3]
-    return [_reply(ctx, conversation, performative, tuple.__new__(Term, (name, ctx.params[3:])))]
+    conversation, performative, name = goal.params[:3]
+    return [_reply(agent_id, conversation, performative, tuple.__new__(Term, (name, goal.params[3:])))]
 
 
 def orchestrator_agent() -> bdi.AgentState:
@@ -248,11 +249,10 @@ def orchestrator_agent() -> bdi.AgentState:
 
 
 def store_handler(store: Store) -> runtime.CommandHandler:
-    """Adapter: command in, trace drafts plus outcome percepts out."""
+    """Adapter: command in; its trace draft, if any, and its outcome percept out."""
 
-    def handle(command: Command) -> tuple[tuple[tuple[str, str], ...], list[Belief]]:
-        outcome = store.execute(command)
-        result = outcome.result
+    def handle(command: Command) -> tuple[tuple[str, str] | None, Belief]:
+        result, draft = store.execute(command)
         if isinstance(result, Refusal):
             performative, name = (
                 (Performative.FAILURE, "failed") if result.fault else (Performative.REFUSE, "refused")
@@ -260,7 +260,7 @@ def store_handler(store: Store) -> runtime.CommandHandler:
             args = (encode_blob(result.reason),)
         else:
             performative, name, args = Performative.INFORM, result.name, result.args
-        return outcome.drafts, [store_reply(command.conversation, performative, name, *args)]
+        return draft, store_reply(command.conversation, performative, name, *args)
 
     return handle
 

@@ -34,7 +34,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, NamedTuple, Sequence
 
-from .terms import REPLIES, Command, Envelope, Performative, check_scalar, conversation_id
+from .terms import REPLIES, Command, Envelope, Performative, check_scalar
 
 #: Makes a NamedTuple from its fields without the Python-level ``__new__``.
 _new = tuple.__new__
@@ -110,42 +110,27 @@ class BeliefMatch:
     predicate: str
 
 
-class StepCtx(NamedTuple):
-    """Execution context handed to a plan step.
-
-    ``params`` and ``message`` are the goal's: for a goal raised by a
-    message, that envelope and its content's args.
-    """
-
-    agent_id: str
-    beliefs: BeliefBase
-    goal: Goal
-    params: tuple[str, ...]
-    message: Envelope | None  # None for a goal no message raised
-
-    def conversation(self, served: str = "") -> str:
-        """Deterministic conversation id for requests opened by this intention."""
-        return conversation_id(self.agent_id, self.goal.adoption_seq, served)
-
-
+# A plan step's ``make`` runs as ``make(agent_id, goal)``, in the context of
+# the intention it serves; a request it opens goes under
+# ``terms.conversation_id(agent_id, goal.adoption_seq, served)``.
 @dataclass(frozen=True)
 class SendStep:
-    make: Callable[[StepCtx], list[Envelope]]
+    make: Callable[[str, Goal], list[Envelope]]
 
 
 @dataclass(frozen=True)
 class BelieveStep:
-    make: Callable[[StepCtx], list[Belief]]
+    make: Callable[[str, Goal], list[Belief]]
 
 
 @dataclass(frozen=True)
 class CommandStep:
-    make: Callable[[StepCtx], list[Command]]
+    make: Callable[[str, Goal], list[Command]]
 
 
 @dataclass(frozen=True)
 class GoalStep:
-    make: Callable[[StepCtx], list[tuple[str, tuple[str, ...]]]]
+    make: Callable[[str, Goal], list[tuple[str, tuple[str, ...]]]]
 
 
 Step = SendStep | BelieveStep | CommandStep | GoalStep
@@ -299,24 +284,23 @@ def _execute(state: AgentState) -> tuple[tuple[Envelope, ...], tuple[Command, ..
         return (), ()
     outbox: list[Envelope] = []
     commands: list[Command] = []
-    every = state.advance_every_intention
+    every, agent_id = state.advance_every_intention, state.id
     kept: list[Intention] = []
     for plan, pc, goal in held if every else held[:1]:
         step = plan.body[pc]
-        ctx = _new(StepCtx, (state.id, state.beliefs, goal, goal.params, goal.message))
         kind = type(step)
         try:
             if kind is SendStep:
-                outbox.extend(step.make(ctx))
+                outbox.extend(step.make(agent_id, goal))
             elif kind is CommandStep:
-                commands.extend(step.make(ctx))
+                commands.extend(step.make(agent_id, goal))
             elif kind is BelieveStep:
-                added = step.make(ctx)
+                added = step.make(agent_id, goal)
                 for belief in added:
                     state.beliefs = state.beliefs.add(belief)
                 state.percepts.extend(added)
             else:  # GoalStep, the one class left (Plan admits no other)
-                for name, params in step.make(ctx):
+                for name, params in step.make(agent_id, goal):
                     state.adopt(name, params)
         except Exception:
             state.percepts.append(Belief("failed", (goal.name,)))

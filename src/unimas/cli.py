@@ -11,10 +11,9 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import replace
 from pathlib import Path
 
-from .config import ConfigError, RunConfig, apply_setting, parse_config_text, parse_header
+from .config import ConfigError, RunConfig, apply_config_text, apply_setting, parse_header
 from .fuzz import fuzz_config, generate
 from .monitor import MonitorFault, evaluate_trace, exit_code, render_verdicts
 from .scenario import (
@@ -31,21 +30,21 @@ PARSE_ERROR = 3
 
 
 def _load_config(args: argparse.Namespace) -> RunConfig:
-    cfg = RunConfig()
+    values = dict(vars(RunConfig()))  # the file, each --set, the flags, checked once built
     if args.config:
-        cfg = parse_config_text(Path(args.config).read_text(), cfg)
+        apply_config_text(values, Path(args.config).read_text())
     for setting in args.set or []:
         key, eq, value = setting.partition("=")
         if not eq:
             raise ConfigError(f"--set expects key=value, got {setting!r}")
-        cfg = apply_setting(cfg, key, value)
+        apply_setting(values, key, value)
     if args.seed is not None:
-        cfg = replace(cfg, seed=args.seed)
+        values["seed"] = args.seed
     if getattr(args, "inject", None):
-        cfg = replace(cfg, inject=args.inject.lower())
+        values["inject"] = args.inject.lower()
     if getattr(args, "cap", None) is not None:
-        cfg = replace(cfg, cap=args.cap)
-    return cfg
+        values["cap"] = args.cap
+    return RunConfig(**values)
 
 
 def _write_outputs(args: argparse.Namespace, result: RunResult) -> None:

@@ -7,7 +7,7 @@ use dotted keys (``max_marks.Math = 50``).
 from __future__ import annotations
 
 from dataclasses import dataclass, fields, replace
-from typing import get_type_hints
+from typing import Any, get_type_hints
 
 from .terms import check_scalar
 
@@ -50,6 +50,9 @@ class RunConfig:
                 raise ConfigError(f"{name} must be positive")
         if self.min_marks > self.max_marks:
             raise ConfigError("min_marks must not exceed max_marks")
+        for sub, lo, hi in self.marks_overrides:
+            if lo > hi:
+                raise ConfigError(f"min_marks.{sub} must not exceed max_marks.{sub}")
         if self.inject is not None and self.inject not in INJECT_FLAGS:
             raise ConfigError(f"inject expects p1..p11, got {self.inject!r}")
         if not self.cs_roster:
@@ -105,29 +108,33 @@ def with_fixed_window(cfg: RunConfig, window: int, command: str) -> RunConfig:
 _INT_KEYS = {name for name, hint in get_type_hints(RunConfig).items() if hint is int}
 
 
-def apply_setting(cfg: RunConfig, key: str, value: str) -> RunConfig:
+def apply_setting(values: dict[str, Any], key: str, value: str) -> None:
+    """Set ``key`` in ``values``, a RunConfig's fields by name; the fields are
+    checked together once, when a RunConfig is built from the finished values."""
     key = key.strip()
     value = value.strip()
     try:
         if key in _INT_KEYS:
-            return replace(cfg, **{key: int(value)})
-        if key == "cs_roster":
-            return replace(cfg, cs_roster=tuple(value.replace("+", " ").split()))
-        if key == "inject":
-            return replace(cfg, inject=None if value in ("-", "") else value)
-        if key.startswith("min_marks.") or key.startswith("max_marks."):
+            values[key] = int(value)
+        elif key == "cs_roster":
+            values[key] = tuple(value.replace("+", " ").split())
+        elif key == "inject":
+            values[key] = None if value in ("-", "") else value
+        elif key.startswith("min_marks.") or key.startswith("max_marks."):
             field_name, subject = key.split(".", 1)
-            lo, hi = cfg.marks_bounds(subject)
+            overrides, default = values["marks_overrides"], (values["min_marks"], values["max_marks"])
+            lo, hi = {sub: (lo, hi) for sub, lo, hi in overrides}.get(subject, default)
             lo, hi = (int(value), hi) if field_name == "min_marks" else (lo, int(value))
-            kept = tuple(o for o in cfg.marks_overrides if o[0] != subject)
-            return replace(cfg, marks_overrides=kept + ((subject, lo, hi),))
+            kept = tuple(o for o in overrides if o[0] != subject)
+            values["marks_overrides"] = kept + ((subject, lo, hi),)
+        else:
+            raise ConfigError(f"unknown config key: {key}")
     except ValueError as exc:
         raise ConfigError(f"bad value for {key}: {value!r} ({exc})") from exc
-    raise ConfigError(f"unknown config key: {key}")
 
 
-def parse_config_text(text: str, base: RunConfig | None = None) -> RunConfig:
-    cfg = base or RunConfig()
+def apply_config_text(values: dict[str, Any], text: str) -> dict[str, Any]:
+    """``values`` with a config file's ``key = value`` lines set in order."""
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -136,15 +143,19 @@ def parse_config_text(text: str, base: RunConfig | None = None) -> RunConfig:
         if not eq:
             raise ConfigError(f"line {lineno}: expected key = value, got {raw!r}")
         try:
-            cfg = apply_setting(cfg, key, value)
+            apply_setting(values, key, value)
         except ConfigError as exc:
             raise ConfigError(f"line {lineno}: {exc}") from exc
-    return cfg
+    return values
+
+
+def parse_config_text(text: str) -> RunConfig:
+    return RunConfig(**apply_config_text(dict(vars(RunConfig())), text))
 
 
 def parse_header(header: str) -> RunConfig:
     """Rebuild a RunConfig from a trace header line."""
-    cfg = RunConfig()
+    values = dict(vars(RunConfig()))
     for part in header.split(","):
         key, eq, value = part.partition("=")
         if not eq:
@@ -152,8 +163,8 @@ def parse_header(header: str) -> RunConfig:
         if key.startswith("marks."):  # marks.<subject>=lo:hi
             subject = key[len("marks."):]
             lo, _, hi = value.partition(":")
-            cfg = apply_setting(cfg, f"min_marks.{subject}", lo)
-            cfg = apply_setting(cfg, f"max_marks.{subject}", hi)
+            apply_setting(values, f"min_marks.{subject}", lo)
+            apply_setting(values, f"max_marks.{subject}", hi)
         else:
-            cfg = apply_setting(cfg, key, value)
-    return cfg
+            apply_setting(values, key, value)
+    return RunConfig(**values)

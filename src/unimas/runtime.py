@@ -6,8 +6,8 @@ during the round are routed at round end and become visible one round
 later, which removes all intra-round ordering ambiguity.
 
 Store commands emitted by an agent's cycle are applied through the
-world's command handler immediately after that agent's step; outcomes
-flow back to the emitting agent as belief percepts for its next cycle.
+world's command handler immediately after that agent's step; each outcome
+flows back to the emitting agent as one belief percept for its next cycle.
 """
 
 from __future__ import annotations
@@ -18,8 +18,8 @@ from . import bdi
 from .terms import Command, Envelope, encode_blob
 from .trace import _NA, KIND_SET, TraceEvent, TraceLog
 
-#: Applies a command; returns ((trace kind, content line) drafts, percepts).
-CommandHandler = Callable[[Command], tuple[Sequence[tuple[str, str]], list[bdi.Belief]]]
+#: Applies a command; returns its (trace kind, content) draft or None, and its percept.
+CommandHandler = Callable[[Command], tuple[tuple[str, str] | None, bdi.Belief]]
 
 
 class World:
@@ -110,10 +110,10 @@ def run_round(world: World) -> World:
         # the state is fresh from step, so the outcome percepts go on it
         state, outbox, commands = bdi.step(state, inbox)
         for command in commands:
-            drafts, percepts = world.command_handler(command)
-            for kind, content in drafts:
-                world.emit(kind, aid, "store", _NA, command.conversation, content)
-            state.percepts.extend(percepts)
+            draft, percept = world.command_handler(command)
+            if draft is not None:
+                world.emit(draft[0], aid, "store", _NA, command.conversation, draft[1])
+            state.percepts.append(percept)
         world.agents[aid] = state
         produced.extend(outbox)
     route(world, produced)

@@ -15,11 +15,12 @@ dumps stay canonical, under the int-tuple key each write computes;
 ``replay`` folds a journal back into an identical store by passing each
 record's text straight to ``_mutate``, without validation, since
 journaled events are facts.  A report query ``query(kind)`` is answered
-with ``rows(<blob>,<kind>)``, only the aggregate rows of that report, read
-from aggregates that ``_mutate`` maintains on every write (so ``replay``
-rebuilds them), not computed from the live tables when asked.  Each
-journal record carries the conversation of the request that caused it
-(``_conv``), which reads back as its command's conversation.
+with ``rows(<blob>,<kind>)``, only the aggregate rows of that report: the
+per-year reports read counters that ``_mutate`` maintains on every write
+(so ``replay`` rebuilds them), and the others read the live tables, a
+table size or the lecture-log rows.  Each journal record carries the
+conversation of the request that caused it (``_conv``), which reads back
+as its command's conversation.
 """
 
 from __future__ import annotations
@@ -145,7 +146,7 @@ _EVENT_KINDS = {"open_session": "session_open", "close_session": "session_close"
 
 class Outcome(NamedTuple):
     result: Term | Refusal
-    drafts: tuple[tuple[str, str], ...] = ()  # (trace kind, content)
+    draft: tuple[str, str] | None = None  # (trace kind, content); None for an accepted query
 
     @property
     def accepted(self) -> bool:
@@ -179,7 +180,7 @@ _ROW_FORMATS = {
 }
 
 
-# -- report queries: aggregate rows read from what _mutate maintains -------
+# -- report queries: aggregate rows, from counters or the live tables -----
 
 Rows = list[tuple[str, str]]
 
@@ -197,7 +198,7 @@ def _graduates_per_year(store: Store) -> Rows:
 
 
 def _attendance(store: Store) -> Rows:
-    # class ids rise and an update keeps its row's place, so dict order is key order
+    # class ids rise, so dict order is key order
     logs = store.tables["lecture_logs"].values()
     return [(f"{log['class_id']}:{log['subject']}", log["lectures_delivered"]) for log in logs]
 
@@ -292,8 +293,7 @@ class Store:
                 # reachable only with p9 injected and an int field left empty
                 refusal = Refusal("invalid field", fault=True)
         if refusal is not None:
-            draft = ("refusal", refusal_line(name, refusal.reason))
-            return _new(Outcome, (refusal, (draft,)))
+            return _new(Outcome, (refusal, ("refusal", refusal_line(name, refusal.reason))))
 
         if name == "query":
             return self._run_query(a["q"])
@@ -304,7 +304,7 @@ class Store:
         if extra:  # every command has a field, so args_text is never empty
             args_text = f"{args_text},{extra}"
         kind = _EVENT_KINDS.get(name, "domain_event")
-        return _new(Outcome, (reply, ((kind, f"{name}({args_text})"),)))
+        return _new(Outcome, (reply, (kind, f"{name}({args_text})")))
 
     def _run_query(self, kind: str) -> Outcome:
         text = "".join(f"{label}|{value}\n" for label, value in REPORT_QUERIES[kind](self))
@@ -453,14 +453,12 @@ class Store:
             t["teachers"][(teacher_id,)] = {"teacher_id": str(teacher_id), **a}
             return _new(Term, ("ok", (str(teacher_id),))), f"teacher_id={teacher_id}"
         if name == "admit":
-            key = (int(a["student_id"]),)
-            student = dict(t["students"][key])
+            student = t["students"][(int(a["student_id"]),)]
             left = student["program_id"]  # set only on a re-admission, under p4
             if left:
                 self._admissions[int(student["admit_year"])] -= 1
             student["program_id"], student["admit_year"] = a["p_id"], a["year"]
             self._admissions[int(a["year"])] += 1
-            t["students"][key] = student
             if left:  # a first admission has no results yet to count
                 self._grade(student["student_id"], left)
                 self._grade(student["student_id"], a["p_id"])
@@ -498,20 +496,16 @@ class Store:
             }
             return _new(Term, ("ok", (str(class_id),))), f"class_id={class_id}"
         if name == "assign_teacher":
-            key = (int(a["class_id"]),)
-            cls = dict(t["classes"][key])
+            cls = t["classes"][(int(a["class_id"]),)]
             if cls["teacher_id"]:
                 self._teacher_slots.pop((cls["teacher_id"], cls["day"], cls["period"]), None)
             cls["teacher_id"] = a["teacher_id"]
             self._teacher_slots[(cls["teacher_id"], cls["day"], cls["period"])] = cls["class_id"]
-            t["classes"][key] = cls
             return _new(Term, ("ok", ())), ""
         if name == "deliver_lecture":
-            key = (int(a["class_id"]),)
-            log = dict(t["lecture_logs"][key])
+            log = t["lecture_logs"][(int(a["class_id"]),)]
             count = int(log["lectures_delivered"]) + int(a["times"])
             log["lectures_delivered"] = str(count)
-            t["lecture_logs"][key] = log
             return _new(Term, ("ok", (log["lectures_delivered"],))), f"total={count}"
         if name == "schedule_exam":
             t["datesheet"][(int(a["class_id"]), a["date"])] = a

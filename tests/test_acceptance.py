@@ -169,7 +169,7 @@ def test_c2_mutation_suite_detects_each_fault_exactly():
         name="swallow",
         goal="swallow",
         when=MessageMatch(Performative.REQUEST),
-        body=(BelieveStep(lambda ctx: []),),
+        body=(BelieveStep(lambda agent_id, goal: []),),
     )
     runner.world.agents["SA"] = make_agent("SA", [swallow])
     result = runner.run(

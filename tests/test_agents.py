@@ -5,6 +5,7 @@ orchestrator -> store and back, so the assertions cover the full mediated
 path, not store shortcuts.
 """
 
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -26,10 +27,10 @@ from unimas.agents import (
 )
 from unimas.bdi import Belief
 from unimas.config import RunConfig
-from unimas.fuzz import fuzz, generate
+from unimas.fuzz import fuzz, fuzz_config, generate
 from unimas.runtime import route, run_round
 from unimas.scenario import ScenarioRunner, parse_scenario, run_scenario
-from unimas.store import Store
+from unimas.store import SCHEMAS, Store
 from unimas.terms import (
     Command,
     Envelope,
@@ -40,7 +41,7 @@ from unimas.terms import (
     failed,
     refusal_line,
 )
-from unimas.trace import parse_trace
+from unimas.trace import KIND_SET, parse_trace
 
 SCENARIOS = Path(__file__).parent.parent / "scenarios"
 
@@ -611,20 +612,84 @@ def test_gateway_issue_goal_keeps_its_request():
 
 def test_store_ok_percept_is_the_reply_term_unencoded():
     handle = store_handler(Store())
-    _, [opened] = handle(Command("open_session", ("CS",), "GW:0"))
+    _, opened = handle(Command("open_session", ("CS",), "GW:0"))
     assert opened == Belief("store_reply", ("GW:0", "inform", "ok", "1"))
-    _, [closed] = handle(Command("close_session", ("1",), "GW:1"))
+    _, closed = handle(Command("close_session", ("1",), "GW:1"))
     assert closed == Belief("store_reply", ("GW:1", "inform", "ok"))
     # a refusal is replied with refused(<blob>), a fault with failed(<blob>)
-    _, [unknown] = handle(Command("close_session", ("1",), "GW:2"))
+    _, unknown = handle(Command("close_session", ("1",), "GW:2"))
     assert unknown == Belief(
         "store_reply", ("GW:2", "failure", "failed", encode_blob("unknown session"))
     )
     student = Command("add_student", ("5", "A", "CS"), "GW:3")
     handle(student)
-    _, [twice] = handle(student)
+    _, twice = handle(student)
     reason = encode_blob("Student Already Registerd")
     assert twice == Belief("store_reply", ("GW:3", "refuse", "refused", reason))
+
+
+#: One accepted instance of every store command, in an order that accepts each.
+ACCEPTED_COMMANDS = (
+    ("open_session", ("CS",)),
+    ("add_student", ("111", "Ali", "CS")),
+    ("add_teacher", ("Tariq", "lecturer", "0300", "t@uni.edu")),
+    ("add_program", ("BSCS", "morning", "1", "100")),
+    ("admit", ("1", "1", "2024")),
+    ("add_class", ("1", "1", "Math", "0", "0")),
+    ("assign_teacher", ("1", "1")),
+    ("deliver_lecture", ("1", "Math", "32")),
+    ("schedule_exam", ("final", "1", "Math", "2025-05-01")),
+    ("record_result", ("1", "1", "Math", "70", "2025")),
+    ("query", ("attendance",)),
+    ("close_session", ("1",)),
+)
+
+
+def test_every_command_hands_over_one_draft_and_one_percept():
+    assert sorted(name for name, _ in ACCEPTED_COMMANDS) == sorted(SCHEMAS)
+    store = Store()
+    handle = store_handler(Store())  # a twin fed the same commands
+    seq = 0
+    for name, args in ACCEPTED_COMMANDS:
+        for command_args, performative in (
+            (("", *args[1:]), "refuse"),  # first field empty: refused as incomplete, a business rule
+            ((*args, "extra"), "failure"),  # one arg too many: refused as malformed, a fault
+            (args, "inform"),
+        ):
+            command = Command(name, command_args, f"GW:{seq}")
+            seq += 1
+            outcome = store.execute(command)
+            draft, percept = handle(command)
+            assert outcome.accepted == (performative == "inform"), command
+            assert draft == outcome.draft, command
+            if name == "query" and outcome.accepted:
+                assert draft is None
+            else:
+                kind, content = draft
+                assert kind in KIND_SET and content, command
+            assert percept.predicate == "store_reply", command
+            assert percept.args[:2] == (command.conversation, performative), command
+
+
+def test_the_orchestrator_replies_once_to_every_command_it_issues():
+    cfg = fuzz_config(1)
+    runner = ScenarioRunner(cfg)
+    handle = runner.world.command_handler
+    issued = []
+
+    def recording(command):
+        issued.append(command.conversation)
+        return handle(command)
+
+    runner.world.command_handler = recording
+    result = runner.run(generate(1, 400, cfg))
+    replies = Counter(
+        event.conversation
+        for event in parse_trace(result.log.text().splitlines())
+        if event.kind == "envelope" and event.sender == ORCHESTRATOR
+    )
+    assert len(issued) >= 400 and any(c.startswith("RPA:") for c in issued)
+    assert replies == Counter(issued) and set(replies.values()) == {1}
 
 
 def test_exactly_one_reply_per_request_in_trace():

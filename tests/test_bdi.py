@@ -31,7 +31,7 @@ from unimas.agents import build_world, gateway_agent, orchestrator_agent
 from unimas.fuzz import fuzz
 from unimas.runtime import run_round
 from unimas.scenario import parse_scenario, run_scenario
-from unimas.terms import REPLIES, Command, Envelope, Performative, Term
+from unimas.terms import REPLIES, Command, Envelope, Performative, Term, conversation_id
 
 DATA = Path(__file__).parent / "data"
 SCENARIOS = Path(__file__).parent.parent / "scenarios"
@@ -143,7 +143,7 @@ def test_adding_is_idempotent_on_readds(beliefs):
 # -- deliberation, driven through step ---------------------------------------
 
 
-def _noop_send(ctx):
+def _noop_send(agent_id, goal):
     return []
 
 
@@ -155,7 +155,9 @@ def _two_step(name, goal):
     """A plan whose two steps each send one message naming the plan and step."""
 
     def send(k):
-        return SendStep(lambda ctx: [Envelope("A", "B", Performative.INFORM, "A:0", Term(f"{name}_{k}"))])
+        return SendStep(
+            lambda agent_id, goal: [Envelope("A", "B", Performative.INFORM, "A:0", Term(f"{name}_{k}"))]
+        )
 
     return Plan(name=name, goal=goal, body=(send(1), send(2)))
 
@@ -261,7 +263,9 @@ def test_the_content_name_plays_no_part_in_choosing_a_plan(performative):
 
 
 def test_a_believe_step_adds_its_beliefs_and_queues_them_as_percepts():
-    believe = Plan(name="pb", goal="b", body=(BelieveStep(lambda ctx: [add("ready"), add("seen", "1")]),))
+    believe = Plan(
+        name="pb", goal="b", body=(BelieveStep(lambda agent_id, goal: [add("ready"), add("seen", "1")]),)
+    )
     react = Plan(name="pr", goal="react", body=_two_step("pr", "react").body, when=BeliefMatch("ready"))
     first = step(adopt_goal(make_agent("A", [believe, react]), "b", ()), [])
     assert first.state.beliefs.as_beliefs() == [Belief("ready", ()), Belief("seen", ("1",))]
@@ -281,7 +285,7 @@ def test_request_creates_intention_same_cycle():
         name="on_register",
         goal="register",
         when=MessageMatch(Performative.REQUEST),
-        body=(BelieveStep(lambda ctx: [add("seen", ctx.message.sender)]), SendStep(_noop_send)),
+        body=(BelieveStep(lambda agent_id, goal: [add("seen", goal.message.sender)]), SendStep(_noop_send)),
     )
     agent = make_agent("SA", [plan])
     env = Envelope("GW", "SA", Performative.REQUEST, "GW:0", Term("register", ("7",)))
@@ -293,7 +297,7 @@ def test_request_creates_intention_same_cycle():
 
 def test_last_step_completion_removes_goal_and_intention():
     plan = Plan(name="one_shot", goal="g", body=(SendStep(
-        lambda ctx: [Envelope("A", "B", Performative.INFORM, "A:0", Term("hi"))]
+        lambda agent_id, goal: [Envelope("A", "B", Performative.INFORM, "A:0", Term("hi"))]
     ),))
     agent = adopt_goal(make_agent("A", [plan]), "g", ())
     result = step(agent, [])
@@ -304,7 +308,7 @@ def test_last_step_completion_removes_goal_and_intention():
 
 
 def test_step_failure_becomes_failed_belief():
-    def boom(ctx):
+    def boom(agent_id, goal):
         raise RuntimeError("broken step")
 
     agent = adopt_goal(make_agent("A", [Plan(name="p", goal="g", body=(SendStep(boom),))]), "g", ())
@@ -319,7 +323,7 @@ def test_plan_refuses_a_step_or_trigger_of_any_other_class():
     class Subclassed(SendStep):
         pass
 
-    for body in ((lambda ctx: [],), (SendStep(_noop_send), Subclassed(_noop_send))):
+    for body in ((lambda agent_id, goal: [],), (SendStep(_noop_send), Subclassed(_noop_send))):
         with pytest.raises(ValueError, match="is not a"):
             Plan(name="p", goal="g", body=body)
     with pytest.raises(ValueError, match="is not a"):
@@ -331,7 +335,7 @@ def test_step_is_deterministic():
         name="on_msg",
         goal="handle",
         when=MessageMatch((Performative.REQUEST, *REPLIES)),
-        body=(BelieveStep(lambda ctx: [add("got", ctx.message.conversation)]),),
+        body=(BelieveStep(lambda agent_id, goal: [add("got", goal.message.conversation)]),),
     )
     env = Envelope("B", "A", Performative.INFORM, "B:4", Term("note", ("1",)))
     results = [step(make_agent("A", [plan]), [env]) for _ in range(2)]
@@ -362,14 +366,14 @@ def _toy_agent() -> AgentState:
         name="ping_plan",
         goal="ping",
         body=(
-            BelieveStep(lambda ctx: [add("mark", ctx.params[0])]),
-            GoalStep(lambda ctx: [("pong", (ctx.params[0],))]),
+            BelieveStep(lambda agent_id, goal: [add("mark", goal.params[0])]),
+            GoalStep(lambda agent_id, goal: [("pong", (goal.params[0],))]),
         ),
     )
     pong = Plan(
         name="pong_plan",
         goal="pong",
-        body=(BelieveStep(lambda ctx: [add("done", ctx.params[0])]),),
+        body=(BelieveStep(lambda agent_id, goal: [add("done", goal.params[0])]),),
     )
     agent = make_agent("TOY", [ping, pong])
     agent = adopt_goal(agent, "ping", ("1",))
@@ -412,23 +416,25 @@ def test_oldest_runnable_intention_advances_each_cycle():
 
 
 def _send(text):
-    return SendStep(
-        lambda ctx: [Envelope("A", "B", Performative.INFORM, ctx.conversation(), Term(text))]
-    )
+    def send(agent_id, goal):
+        conversation = conversation_id(agent_id, goal.adoption_seq)
+        return [Envelope("A", "B", Performative.INFORM, conversation, Term(text))]
+
+    return SendStep(send)
 
 
 def _command(name):
-    return CommandStep(lambda ctx: [Command(name, (), ctx.conversation())])
+    return CommandStep(lambda agent_id, goal: [Command(name, (), conversation_id(agent_id, goal.adoption_seq))])
 
 
 def test_every_intention_advances_once_per_cycle_oldest_first():
-    def boom(ctx):
+    def boom(agent_id, goal):
         raise RuntimeError("broken step")
 
     plans = [
         Plan(name="two", goal="two", body=(_command("two_1"), _send("two_2"))),
         Plan(name="broken", goal="broken", body=(SendStep(boom),)),
-        Plan(name="spawn", goal="spawn", body=(GoalStep(lambda ctx: [("late", ())]),)),
+        Plan(name="spawn", goal="spawn", body=(GoalStep(lambda agent_id, goal: [("late", ())]),)),
         Plan(name="send", goal="send", body=(_send("send"),)),
         Plan(name="cmd", goal="cmd", body=(_command("cmd"),)),
         Plan(name="late", goal="late", body=(_command("late"),)),
@@ -481,7 +487,7 @@ def test_step_never_mutates_its_input():
     result = assert_step_agrees_with_reference(oa, [request])
     assert len(result.commands) == 1 and len(result.outbox) == 1
 
-    def boom(ctx):
+    def boom(agent_id, goal):
         raise RuntimeError("broken step")
 
     broken = adopt_goal(make_agent("A", [Plan(name="p", goal="g", body=(SendStep(boom),))]), "g", ())
@@ -654,7 +660,7 @@ def _message_plan(name, goal, performative=PERFORMATIVES):
     return Plan(name=name, goal=goal, body=(SendStep(_noop_send),), when=MessageMatch(performative))
 
 
-def _boom(ctx):
+def _boom(agent_id, goal):
     raise RuntimeError("broken step")
 
 
@@ -682,10 +688,10 @@ TEST_LIBRARIES = (
         Plan(
             name="spawn",
             goal="serve",
-            body=(GoalStep(lambda ctx: [("work", ()), ("unserved", ())]), _send("s")),
+            body=(GoalStep(lambda agent_id, goal: [("work", ()), ("unserved", ())]), _send("s")),
             when=MessageMatch(Performative.REQUEST),
         ),
-        Plan(name="work", goal="work", body=(BelieveStep(lambda ctx: [add("done")]), _command("w"))),
+        Plan(name="work", goal="work", body=(BelieveStep(lambda agent_id, goal: [add("done")]), _command("w"))),
         Plan(name="broken", goal="answer", body=(SendStep(_boom),), when=MessageMatch(REPLIES)),
         Plan(name="on_done", goal="tidy", body=(_send("tidied"),), when=BeliefMatch("done")),
         Plan(name="on_failed", goal="work", body=(_command("retry"),), when=BeliefMatch("failed")),
@@ -748,10 +754,10 @@ def test_the_indexed_plan_choice_is_the_linear_scans_for_any_library(shapes):
 _STEPS = {
     "send": _send("sent"),
     "command": _command("cmd"),
-    "believe_p": BelieveStep(lambda ctx: [add("p", *ctx.params[:1])]),
-    "believe_q": BelieveStep(lambda ctx: [add("q")]),
-    "adopt_g0": GoalStep(lambda ctx: [("g0", ctx.params)]),
-    "adopt_unserved": GoalStep(lambda ctx: [("unserved", ())]),
+    "believe_p": BelieveStep(lambda agent_id, goal: [add("p", *goal.params[:1])]),
+    "believe_q": BelieveStep(lambda agent_id, goal: [add("q")]),
+    "adopt_g0": GoalStep(lambda agent_id, goal: [("g0", goal.params)]),
+    "adopt_unserved": GoalStep(lambda agent_id, goal: [("unserved", ())]),
     "fail": SendStep(_boom),
 }
 
@@ -806,7 +812,7 @@ def test_a_message_trigger_must_name_a_performative_or_a_tuple_of_them(wanted):
 
 
 def test_a_step_reading_the_message_of_a_goal_no_message_raised_fails_its_plan():
-    reads = Plan(name="reads", goal="g", body=(SendStep(lambda ctx: [ctx.message.content]),))
+    reads = Plan(name="reads", goal="g", body=(SendStep(lambda agent_id, goal: [goal.message.content]),))
     result = step(adopt_goal(make_agent("A", [reads]), "g", ()), [])
     assert result.outbox == () and result.state.intentions == []
     assert result.state.percepts == [Belief("failed", ("g",))]

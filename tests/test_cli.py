@@ -80,6 +80,27 @@ def test_trace_report_roundtrip(tmp_path, capsys):
     assert offline_verdicts == live_verdicts
 
 
+def test_marks_bounds_set_in_either_order_run_and_report_alike(tmp_path, capsys):
+    scenario = str(SCENARIOS / "results.scn")
+    runs = []
+    for order in (("max_marks=200", "min_marks=150"), ("min_marks=150", "max_marks=200")):
+        trace = tmp_path / f"{order[0]}.trace"
+        sets = [arg for setting in order for arg in ("--set", setting)]
+        assert run_cli("run", scenario, *sets, "--trace", str(trace)) == 0, order
+        live_out = capsys.readouterr().out
+        # the header names min_marks first; report reads it back as one config
+        assert run_cli("report", str(trace)) == 0, order
+        offline_out = capsys.readouterr().out
+        assert offline_out.count("\n") == 12 and offline_out in live_out
+        runs.append((live_out, trace.read_bytes()))
+    assert runs[0] == runs[1]
+    for pair in (("max_marks=50", "min_marks=60"), ("max_marks.Math=50", "min_marks.Math=60")):
+        for order in (pair, pair[::-1]):
+            sets = [arg for setting in order for arg in ("--set", setting)]
+            assert run_cli("run", scenario, *sets) == 3, order
+            assert "must not exceed" in capsys.readouterr().err
+
+
 def test_a_fuzz_trace_of_several_blocks_hashes_as_printed_and_reports_the_live_verdicts(
     tmp_path, capsys
 ):

@@ -409,7 +409,7 @@ def test_non_replying_agent_stub_violates_p12():
         name="swallow",
         goal="swallow",
         when=MessageMatch(Performative.REQUEST),
-        body=(BelieveStep(lambda ctx: []),),
+        body=(BelieveStep(lambda agent_id, goal: []),),
     )
     runner.world.agents["SA"] = make_agent("SA", [swallow])
     result = runner.run(

@@ -15,8 +15,8 @@ RESPONDER = Plan(
     when=MessageMatch(Performative.REQUEST),
     body=(
         SendStep(
-            lambda ctx: [
-                Envelope("SA", ctx.message.sender, Performative.INFORM, ctx.message.conversation, Term("pong"))
+            lambda agent_id, goal: [
+                Envelope("SA", goal.message.sender, Performative.INFORM, goal.message.conversation, Term("pong"))
             ]
         ),
     ),
@@ -26,7 +26,7 @@ NOTER = Plan(
     name="noter",
     goal="note",
     when=MessageMatch((Performative.REQUEST, *REPLIES)),
-    body=(BelieveStep(lambda ctx: [add("noted", ctx.message.conversation)]),),
+    body=(BelieveStep(lambda agent_id, goal: [add("noted", goal.message.conversation)]),),
 )
 #: Answers an inform (a ``tick``) with another, to itself.
 LOOP = Plan(
@@ -35,7 +35,9 @@ LOOP = Plan(
     when=MessageMatch(Performative.INFORM),
     body=(
         SendStep(
-            lambda ctx: [Envelope("A", "A", Performative.INFORM, ctx.message.conversation, Term("tick"))]
+            lambda agent_id, goal: [
+                Envelope("A", "A", Performative.INFORM, goal.message.conversation, Term("tick"))
+            ]
         ),
     ),
 )

@@ -168,7 +168,7 @@ def test_config_reads_back_from_its_header_or_is_refused():
         RunConfig(cs_roster=("CS", "EE", "-")),
         RunConfig(cs_roster=("A=B",)),
         RunConfig(marks_overrides=(("Math", 10, 50), ("a.b", 0, 5), ("a:b", 1, 2), ("", 3, 4))),
-        RunConfig(marks_overrides=(("M", 7, 5),), inject="p10", seed=-5),
+        RunConfig(inject="p10", seed=-5),
     )
     for cfg in accepted:
         assert parse_header(cfg.header()) == cfg, cfg
@@ -177,10 +177,23 @@ def test_config_reads_back_from_its_header_or_is_refused():
         {"cs_roster": ("", "CS")},
         {"marks_overrides": (("a=b", 0, 5),)},
         {"marks_overrides": (("M", 0, 5), ("M", 1, 6))},
+        {"marks_overrides": (("M", 7, 5),)},  # a per-subject pair inverted, as a global one is
     )
     for settings in refused:
         with pytest.raises(ConfigError):
             RunConfig(**settings)
+
+
+def test_marks_bounds_are_checked_once_on_the_finished_config():
+    # raising both bounds past the other's old value, in either order
+    for pair in (("max_marks = 200", "min_marks = 150"), ("max_marks.Math = 200", "min_marks.Math = 150")):
+        first, second = (parse_config_text("\n".join(order)) for order in (pair, pair[::-1]))
+        assert first == second and first.marks_bounds("Math") == (150, 200), pair
+        assert parse_header(first.header()) == first, pair
+    for pair in (("max_marks = 50", "min_marks = 60"), ("max_marks.Math = 50", "min_marks.Math = 60")):
+        for order in (pair, pair[::-1]):
+            with pytest.raises(ConfigError, match="must not exceed"):
+                parse_config_text("\n".join(order))
 
 
 def test_config_rejects_unknown_key_and_bad_value():
@@ -400,9 +413,10 @@ GROWTH_RATIO = 1.02
 #: append, 940.1 with plan contexts, content-name triggers, belief deltas
 #: and an unknown-receiver check in the router, 911.2 with a step that
 #: copied the agent's state and then perceived and committed in two passes,
-#: and 818.1 with the live monitor called once per emitted event and P9
-#: walking each command's whole schema.
-EVENTS_PER_COMMAND = 815.4
+#: 818.1 with the live monitor called once per emitted event and P9 walking
+#: each command's whole schema, and 815.4 with a context tuple built for each
+#: plan step and the store's draft and percept handed over in sequences.
+EVENTS_PER_COMMAND = 804.6
 
 
 @cache
