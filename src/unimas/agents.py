@@ -21,6 +21,7 @@ the orchestrator) or ``_reply`` (an answer to a conversation's opener).
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Callable
 
 from . import bdi, runtime
@@ -274,20 +275,18 @@ def check_liveness_k(cfg: RunConfig) -> None:
         )
 
 
+def fresh_agents(cfg: RunConfig) -> list[bdi.AgentState]:
+    """The roster, new, in registration order; an agent not in the table is a relay."""
+    builders = {GATEWAY: gateway_agent, "RPA": partial(report_agent, cfg), ORCHESTRATOR: orchestrator_agent}
+    return [builders[aid]() if aid in builders else relay_agent(aid) for aid in ROSTER]
+
+
 def build_world(cfg: RunConfig | None = None) -> tuple[World, Store]:
     """A fresh world with the full roster registered and the store attached."""
     cfg = cfg or RunConfig()
     check_liveness_k(cfg)
     store = Store(cfg)
     world = World(command_handler=store_handler(store), log=TraceLog(header=cfg.header()))
-    for agent_id in ROSTER:
-        if agent_id == GATEWAY:
-            state = gateway_agent()
-        elif agent_id == "RPA":
-            state = report_agent(cfg)
-        elif agent_id == ORCHESTRATOR:
-            state = orchestrator_agent()
-        else:
-            state = relay_agent(agent_id)
+    for state in fresh_agents(cfg):
         register_agent(world, state)
     return world, store

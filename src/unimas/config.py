@@ -34,7 +34,7 @@ class RunConfig:
     cs_roster: tuple[str, ...] = ("CS",)
     pipeline_window: int = 1
     inject: str | None = None
-    marks_overrides: tuple[tuple[str, int, int], ...] = ()  # (subject, min, max)
+    marks_overrides: tuple[tuple[str, int, int], ...] = ()  # (subject, min, max); see __post_init__
 
     def __post_init__(self) -> None:
         for name in (
@@ -50,6 +50,10 @@ class RunConfig:
                 raise ConfigError(f"{name} must be positive")
         if self.min_marks > self.max_marks:
             raise ConfigError("min_marks must not exceed max_marks")
+        # a per-subject bound left unset (None) takes the global one as finally set
+        low, high = self.min_marks, self.max_marks
+        marks = ((s, low if lo is None else lo, high if hi is None else hi) for s, lo, hi in self.marks_overrides)
+        object.__setattr__(self, "marks_overrides", tuple(marks))
         for sub, lo, hi in self.marks_overrides:
             if lo > hi:
                 raise ConfigError(f"min_marks.{sub} must not exceed max_marks.{sub}")
@@ -122,8 +126,8 @@ def apply_setting(values: dict[str, Any], key: str, value: str) -> None:
             values[key] = None if value in ("-", "") else value
         elif key.startswith("min_marks.") or key.startswith("max_marks."):
             field_name, subject = key.split(".", 1)
-            overrides, default = values["marks_overrides"], (values["min_marks"], values["max_marks"])
-            lo, hi = {sub: (lo, hi) for sub, lo, hi in overrides}.get(subject, default)
+            overrides = values["marks_overrides"]  # a half not set yet is None
+            lo, hi = {sub: (lo, hi) for sub, lo, hi in overrides}.get(subject, (None, None))
             lo, hi = (int(value), hi) if field_name == "min_marks" else (lo, int(value))
             kept = tuple(o for o in overrides if o[0] != subject)
             values["marks_overrides"] = kept + ((subject, lo, hi),)

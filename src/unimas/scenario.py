@@ -3,14 +3,14 @@
 A scenario is one command per line, ``VERB key=value ...``; ``#`` starts a
 comment.  EXPECT_REFUSAL binds to the last command before it, CRASH lines
 skipped, and fails the run if that command was accepted; a second one for
-the same command is refused.  A crash discards the world mid-run,
-rebuilds the store from its journal, and re-drives whatever was never
-acknowledged, which is exactly the no-loss story the store is supposed to
-support.  There is one crash path, ``ScenarioRunner._crash``, and the run
-loop calls it from one place: where the journal reaches an explicit
-crash_at event index, or where a CRASH line is next with no command in
-flight.  A run keeps each product once: its report lines are read from
-the report replies its outcomes hold.
+the same command is refused.  A crash restarts the agents mid-run in the
+same world, rebuilds the store from its journal, and re-drives whatever
+was never acknowledged, which is exactly the no-loss story the store is
+supposed to support.  There is one crash path, ``ScenarioRunner._crash``,
+and the run loop calls it from one place: where the journal reaches an
+explicit crash_at event index, or where a CRASH line is next with no
+command in flight.  A run keeps each product once: its report lines are
+read from the report replies its outcomes hold.
 """
 
 from __future__ import annotations
@@ -19,10 +19,10 @@ from collections import deque
 from dataclasses import dataclass
 from sys import intern
 
-from .agents import GATEWAY, REPORT_KINDS, SERVED_BY, build_world, store_handler
+from .agents import GATEWAY, REPORT_KINDS, SERVED_BY, build_world, fresh_agents, store_handler
 from .config import RunConfig, with_fixed_window
 from .monitor import Monitor, Verdict, exit_code as verdict_exit_code
-from .runtime import run_round
+from .runtime import register_agent, run_round
 from .store import SCHEMAS, Store, journal_conversations, recover
 from .terms import (
     Envelope,
@@ -265,15 +265,15 @@ class ScenarioRunner:
             idx = self.pending.pop(env.conversation, None)
             if idx is None:
                 continue
-            content = env.content
-            if content.name in ("ok", "rows", "report"):
+            content, performative = env.content, env.performative
+            if performative == Performative.INFORM:
                 outcome = CommandOutcome("ok", reply=content)
                 verb = self.commands[idx].verb
                 if verb == "OPEN_SESSION":
                     self.sessions_open += 1
                 elif verb == "CLOSE_SESSION":
                     self.sessions_open = max(0, self.sessions_open - 1)
-            elif content.name == "refused":
+            elif performative == Performative.REFUSE:
                 outcome = CommandOutcome("refused", reason=decode_blob(content.args[0]))
             else:
                 reason = decode_blob(content.args[0]) if content.args else "failure"
@@ -308,7 +308,7 @@ class ScenarioRunner:
     # -- crash recovery -------------------------------------------------------
 
     def _crash(self, torn: bool) -> list[int]:
-        """Discard the world and rebuild the store from its journal.
+        """Restart every agent in the same world, on the store rebuilt from its journal.
 
         A command in flight that the journal holds counts as done, its
         reply lost (``applied_no_reply``); the others are returned, in
@@ -320,15 +320,11 @@ class ScenarioRunner:
         rebuilt, _bad = recover(journal, self.cfg)
         # journaled commands by the gateway request they serve
         applied = {served_conversation(c, c) for c in journal_conversations(rebuilt.journal_lines)}
-        fresh_world, _ = build_world(self.cfg)
-        fresh_world.log = self.world.log  # the trace survives the crash
-        fresh_world.observers = self.world.observers
-        fresh_world.round = self.world.round
-        fresh_world.command_handler = store_handler(rebuilt)
-        for aid, old_state in self.world.agents.items():
+        for state in fresh_agents(self.cfg):
             # conversation ids must stay unique across the restart
-            fresh_world.agents[aid].next_seq = old_state.next_seq
-        self.world = fresh_world
+            state.next_seq = self.world.agents[state.id].next_seq
+            register_agent(self.world, state)  # with an empty mailbox
+        self.world.command_handler = store_handler(rebuilt)
         self.store = rebuilt
         # a snapshot of the rebuilt store marks the crash boundary on the
         # trace; the monitor re-seeds from it so re-driven commands do not

@@ -82,19 +82,27 @@ def test_trace_report_roundtrip(tmp_path, capsys):
 
 def test_marks_bounds_set_in_either_order_run_and_report_alike(tmp_path, capsys):
     scenario = str(SCENARIOS / "results.scn")
-    runs = []
-    for order in (("max_marks=200", "min_marks=150"), ("min_marks=150", "max_marks=200")):
-        trace = tmp_path / f"{order[0]}.trace"
-        sets = [arg for setting in order for arg in ("--set", setting)]
-        assert run_cli("run", scenario, *sets, "--trace", str(trace)) == 0, order
-        live_out = capsys.readouterr().out
-        # the header names min_marks first; report reads it back as one config
-        assert run_cli("report", str(trace)) == 0, order
-        offline_out = capsys.readouterr().out
-        assert offline_out.count("\n") == 12 and offline_out in live_out
-        runs.append((live_out, trace.read_bytes()))
-    assert runs[0] == runs[1]
-    for pair in (("max_marks=50", "min_marks=60"), ("max_marks.Math=50", "min_marks.Math=60")):
+    # a global pair, and a per-subject half whose other half is the global one
+    for pair in (("max_marks=200", "min_marks=150"), ("max_marks=200", "min_marks.Math=150")):
+        runs = []
+        for order in (pair, pair[::-1]):
+            trace = tmp_path / f"{order[0]}+{order[1]}.trace"
+            sets = [arg for setting in order for arg in ("--set", setting)]
+            assert run_cli("run", scenario, *sets, "--trace", str(trace)) == 0, order
+            live_out = capsys.readouterr().out
+            # the header names min_marks first; report reads it back as one config
+            assert run_cli("report", str(trace)) == 0, order
+            offline_out = capsys.readouterr().out
+            assert offline_out.count("\n") == 12 and offline_out in live_out
+            runs.append((live_out, trace.read_bytes()))
+        assert runs[0] == runs[1], pair  # the same trace_sha256 line among the rest
+        assert live_out.splitlines()[-1].startswith("# trace_sha256="), pair
+    refused = (
+        ("max_marks=50", "min_marks=60"),
+        ("max_marks.Math=50", "min_marks.Math=60"),
+        ("max_marks.Math=50", "min_marks=60"),  # Math would be 60..50
+    )
+    for pair in refused:
         for order in (pair, pair[::-1]):
             sets = [arg for setting in order for arg in ("--set", setting)]
             assert run_cli("run", scenario, *sets) == 3, order

@@ -186,11 +186,24 @@ def test_config_reads_back_from_its_header_or_is_refused():
 
 def test_marks_bounds_are_checked_once_on_the_finished_config():
     # raising both bounds past the other's old value, in either order
-    for pair in (("max_marks = 200", "min_marks = 150"), ("max_marks.Math = 200", "min_marks.Math = 150")):
+    # a per-subject half left unset takes the final global bound
+    accepted = {
+        ("max_marks = 200", "min_marks = 150"): (150, 200),
+        ("max_marks.Math = 200", "min_marks.Math = 150"): (150, 200),
+        ("max_marks = 200", "min_marks.Math = 150"): (150, 200),
+        ("min_marks = 40", "max_marks.Math = 45"): (40, 45),
+    }
+    for pair, bounds in accepted.items():
         first, second = (parse_config_text("\n".join(order)) for order in (pair, pair[::-1]))
-        assert first == second and first.marks_bounds("Math") == (150, 200), pair
+        assert first == second and first.marks_bounds("Math") == bounds, pair
         assert parse_header(first.header()) == first, pair
-    for pair in (("max_marks = 50", "min_marks = 60"), ("max_marks.Math = 50", "min_marks.Math = 60")):
+    refused = (
+        ("max_marks = 50", "min_marks = 60"),
+        ("max_marks.Math = 50", "min_marks.Math = 60"),
+        ("max_marks.Math = 50", "min_marks = 60"),
+        ("min_marks.Math = 60", "max_marks = 50"),
+    )
+    for pair in refused:
         for order in (pair, pair[::-1]):
             with pytest.raises(ConfigError, match="must not exceed"):
                 parse_config_text("\n".join(order))
@@ -332,6 +345,30 @@ def test_crash_marker_in_scenario():
     baseline = run_scenario(parse_scenario(CRASH_TEXT))
     crashed = run_scenario(parse_scenario(text))
     assert crashed.store.dump() == baseline.store.dump()
+
+
+def test_a_crash_restarts_the_agents_in_the_one_world_under_fresh_conversation_ids():
+    """Crashed at a journal index with a request in flight, its store event
+    kept or torn, and at CRASH lines at window 8."""
+    from test_golden_hashes import _with_crash_lines
+    from unimas.trace import parse_trace
+
+    runs = [(RunConfig(), CRASH_TEXT, {"crash_at": 4, "torn": torn}) for torn in (False, True)]
+    runs.append((RunConfig(pipeline_window=8), _with_crash_lines(), {}))
+    in_flight = []
+    for cfg, text, crash in runs:
+        runner = ScenarioRunner(cfg)
+        world = runner.world
+        result = runner.run(parse_scenario(text), **crash)
+        assert runner.world is world and result.log is world.log, crash
+        events = list(parse_trace(result.log.text().splitlines()))
+        assert sum(e.kind == "snapshot" for e in events) > 1, crash  # it crashed
+        requests = [e.conversation for e in events if e.performative == terms.Performative.REQUEST]
+        assert len(requests) == len(set(requests)), f"a conversation id opened twice: {crash}"
+        statuses = [o.status for o in result.outcomes]
+        in_flight.append((sum(c.startswith("GW:") for c in requests), statuses.count("applied_no_reply")))
+    # ADMIT was in flight: kept, it ends without a reply; torn, it is driven again
+    assert in_flight[:2] == [(8, 1), (9, 0)]
 
 
 # -- load test ----------------------------------------------------------------------
