@@ -1,9 +1,13 @@
 """The ten functional agents as plan libraries over the BDI kernel.
 
+An agent is a program, its plan library, run by a mind of beliefs, goals
+and intentions.  The programs are values built once: every one but the
+report agent's is a module constant, and a crash restarts only the minds.
+
 One table, ``SERVED_BY``, names the agent that receives each request; the
 harness routes every request by it, so no agent checks it again.  Every
-agent but the gateway and the orchestrator is a relay made by
-``relay_agent``: one plan sends whatever request reaches it on to the
+agent but the gateway and the orchestrator is a relay, on a program built
+by ``relay_program``: one plan sends whatever request reaches it on to the
 orchestrator under a fresh conversation id, and one sends the store's
 answer back to whoever opened the original conversation.  The report
 agent is the same relay with its own two steps: it asks the store for one
@@ -21,11 +25,10 @@ the orchestrator) or ``_reply`` (an answer to a conversation's opener).
 
 from __future__ import annotations
 
-from functools import partial
 from typing import Callable
 
 from . import bdi, runtime
-from .bdi import Belief, BeliefMatch, CommandStep, Goal, MessageMatch, Plan, SendStep
+from .bdi import Belief, BeliefMatch, CommandStep, Goal, MessageMatch, Plan, PlanLibrary, SendStep
 from .config import ConfigError, RunConfig
 from .runtime import World, register_agent
 from .store import REPORT_QUERIES, Store
@@ -86,14 +89,10 @@ def _issue(agent_id: str, goal: Goal) -> list[Envelope]:
     return [goal.message]
 
 
-def gateway_agent() -> bdi.AgentState:
-    """Scenario bridge: an injected ``issue`` goal keeps the request it
-    sends as its message, under the conversation ``GW:<adoption seq>``.
-
-    Replies are read off the mailbox by the harness; the gateway keeps no
-    plans for them.
-    """
-    return bdi.make_agent(GATEWAY, [Plan(name="gw_issue", goal="issue", body=(SendStep(_issue),))])
+#: Scenario bridge: an injected ``issue`` goal keeps the request it sends as
+#: its message, under the conversation ``GW:<adoption seq>``.  Replies are
+#: read off the mailbox by the harness; the gateway keeps no plans for them.
+GATEWAY_PROGRAM = PlanLibrary([Plan("gw_issue", "issue", (SendStep(_issue),))])
 
 
 # -- envelopes ---------------------------------------------------------------
@@ -126,28 +125,22 @@ def _relay_reply(agent_id: str, goal: Goal) -> list[Envelope]:
     return [_reply(agent_id, home, reply.performative, reply.content)]
 
 
-def relay_agent(
-    agent_id: str,
+def relay_program(
     forward: Callable[[str, Goal], list[Envelope]] = _relay_request,
     answer: Callable[[str, Goal], list[Envelope]] = _relay_reply,
-) -> bdi.AgentState:
-    """A relay: ``forward`` sends any request it receives on to the
+) -> PlanLibrary:
+    """A relay's plans: ``forward`` sends any request it receives on to the
     orchestrator, and ``answer`` sends any reply home."""
-    plans = [
-        Plan(
-            name=f"{agent_id.lower()}_request",
-            goal="relay_request",
-            when=MessageMatch(Performative.REQUEST),
-            body=(SendStep(forward),),
-        ),
-        Plan(
-            name=f"{agent_id.lower()}_reply",
-            goal="relay_reply",
-            when=MessageMatch(REPLIES),
-            body=(SendStep(answer),),
-        ),
-    ]
-    return bdi.make_agent(agent_id, plans, advance_every_intention=True)
+    return PlanLibrary(
+        [
+            Plan("relay_request", "relay_request", (SendStep(forward),), MessageMatch(Performative.REQUEST)),
+            Plan("relay_reply", "relay_reply", (SendStep(answer),), MessageMatch(REPLIES)),
+        ]
+    )
+
+
+#: The one program every relay but the report agent runs.
+RELAY_PROGRAM = relay_program()
 
 
 # -- report agent ------------------------------------------------------------
@@ -176,10 +169,10 @@ def _report_query(agent_id: str, goal: Goal) -> list[Envelope]:
     return [_request(agent_id, goal, Term("query", (goal.params[0],)))]
 
 
-def report_agent(cfg: RunConfig) -> bdi.AgentState:
-    """A relay that turns ``report(kind)`` into ``query(kind)`` and the
-    store's ``rows(<blob>,<kind>)`` into the report; like every relay it
-    keeps nothing between the two hops."""
+def report_program(cfg: RunConfig) -> PlanLibrary:
+    """The plans of a relay that turns ``report(kind)`` into ``query(kind)``
+    and the store's ``rows(<blob>,<kind>)`` into the report; like every
+    relay it keeps nothing between the two hops."""
     broken = cfg.inject == "p11"
 
     def reply_with_report(agent_id: str, goal: Goal) -> list[Envelope]:
@@ -194,7 +187,7 @@ def report_agent(cfg: RunConfig) -> bdi.AgentState:
             content = Term("report", (kind, str(len(lines)), encode_blob("\n".join(lines))))
         return [_reply(agent_id, home, Performative.INFORM, content)]
 
-    return relay_agent("RPA", _report_query, reply_with_report)
+    return relay_program(_report_query, reply_with_report)
 
 
 # -- orchestrator ------------------------------------------------------------
@@ -217,33 +210,16 @@ def _reply_stored(agent_id: str, goal: Goal) -> list[Envelope]:
     return [_reply(agent_id, conversation, performative, tuple.__new__(Term, (name, goal.params[3:])))]
 
 
-def orchestrator_agent() -> bdi.AgentState:
-    """The store's only client; every command passes through here.
-
-    It turns every request into a store command whatever its shape: the
-    store alone judges a command's name and arity, and a malformed one
-    comes back as a refusal like any other.
-
-    Like the relays and the report agent, it advances every intention each
-    cycle, not just the oldest, so a command's store step and the reply to
-    an earlier one share a round and it keeps pace with the gateway's one
-    request per round.
-    """
-    plans = [
-        Plan(
-            name="oa_request",
-            goal="oa_handle",
-            when=MessageMatch(Performative.REQUEST),
-            body=(CommandStep(_build_command),),
-        ),
-        Plan(
-            name="oa_store_reply",
-            goal="oa_reply",
-            when=BeliefMatch("store_reply"),
-            body=(SendStep(_reply_stored),),
-        ),
+#: The store's only client; every command passes through here.  It turns
+#: every request into a store command whatever its shape: the store alone
+#: judges a command's name and arity, and a malformed one comes back as a
+#: refusal like any other.
+ORCHESTRATOR_PROGRAM = PlanLibrary(
+    [
+        Plan("oa_request", "oa_handle", (CommandStep(_build_command),), MessageMatch(Performative.REQUEST)),
+        Plan("oa_store_reply", "oa_reply", (SendStep(_reply_stored),), BeliefMatch("store_reply")),
     ]
-    return bdi.make_agent(ORCHESTRATOR, plans, advance_every_intention=True)
+)
 
 
 # -- world assembly ----------------------------------------------------------
@@ -275,18 +251,22 @@ def check_liveness_k(cfg: RunConfig) -> None:
         )
 
 
-def fresh_agents(cfg: RunConfig) -> list[bdi.AgentState]:
-    """The roster, new, in registration order; an agent not in the table is a relay."""
-    builders = {GATEWAY: gateway_agent, "RPA": partial(report_agent, cfg), ORCHESTRATOR: orchestrator_agent}
-    return [builders[aid]() if aid in builders else relay_agent(aid) for aid in ROSTER]
-
-
 def build_world(cfg: RunConfig | None = None) -> tuple[World, Store]:
-    """A fresh world with the full roster registered and the store attached."""
+    """A fresh world with the full roster registered and the store attached.
+
+    Each agent starts with an empty mind on its program: the constant one
+    of its kind, but for the report agent's, built from ``cfg``.  Every
+    agent but the gateway advances every intention it holds each cycle, so
+    a command's store step and the reply to an earlier one share a round;
+    the gateway, one request per round, is the one throttle.
+    """
     cfg = cfg or RunConfig()
     check_liveness_k(cfg)
     store = Store(cfg)
     world = World(command_handler=store_handler(store), log=TraceLog(header=cfg.header()))
-    for state in fresh_agents(cfg):
+    programs = dict.fromkeys(ROSTER, RELAY_PROGRAM)  # agent id -> program, in registration order
+    programs |= {GATEWAY: GATEWAY_PROGRAM, "RPA": report_program(cfg), ORCHESTRATOR: ORCHESTRATOR_PROGRAM}
+    for aid, program in programs.items():
+        state = bdi.AgentState(aid, bdi.BeliefBase(), program, advance_every_intention=aid != GATEWAY)
         register_agent(world, state)
     return world, store

@@ -19,7 +19,8 @@ from collections import deque
 from dataclasses import dataclass
 from sys import intern
 
-from .agents import GATEWAY, REPORT_KINDS, SERVED_BY, build_world, fresh_agents, store_handler
+from .agents import GATEWAY, REPORT_KINDS, SERVED_BY, build_world, store_handler
+from .bdi import AgentState, BeliefBase
 from .config import RunConfig, with_fixed_window
 from .monitor import Monitor, Verdict, exit_code as verdict_exit_code
 from .runtime import register_agent, run_round
@@ -257,6 +258,7 @@ class ScenarioRunner:
         self.pending: dict[str, int] = {}  # conversation -> command index
         self.outcomes: list[CommandOutcome | None] = []
         self.sessions_open = 0
+        self.session_sent: dict[str, str] = {}  # session verb -> the latest one's conversation
 
     # -- outcome intake ---------------------------------------------------
 
@@ -284,10 +286,19 @@ class ScenarioRunner:
 
     def _inject(self, idx: int, command: ScenarioCommand) -> bool:
         """Hand one command to the gateway, or refuse it there when no
-        session is open; False, handing nothing, while a session open is
-        in flight."""
-        if command.verb not in _SESSION_EXEMPT and self.sessions_open == 0:
-            if any(self.commands[i].verb == "OPEN_SESSION" for i in self.pending.values()):
+        session is open; False, handing nothing, while a session command
+        that could decide between the two is in flight: a close, or an open
+        while none is open.  Session commands all take GW -> OA -> GW, so
+        they are answered in the order they are sent: one of a verb is in
+        flight when the latest one sent is."""
+        gw = self.world.agents[GATEWAY]
+        conversation = conversation_id(GATEWAY, gw.next_seq)
+        if command.verb in _SESSION_EXEMPT:
+            self.session_sent[command.verb] = conversation
+        elif not self.sessions_open or self.session_sent.get("CLOSE_SESSION") in self.pending:
+            # with a session open, only a close in flight leads here; with
+            # none open, a session command of either verb in flight decides
+            if self.sessions_open or any(self.session_sent.get(v) in self.pending for v in _SESSION_EXEMPT):
                 return False  # don't jump the gun
             self.world.emit(
                 "refusal",
@@ -298,8 +309,6 @@ class ScenarioRunner:
             self.outcomes[idx] = CommandOutcome("gateway_refused", reason="no open session")
             return True
         receiver, content = _content_for(command)
-        gw = self.world.agents[GATEWAY]
-        conversation = conversation_id(GATEWAY, gw.next_seq)
         request = Envelope(GATEWAY, receiver, Performative.REQUEST, conversation, content)
         gw.adopt("issue", content.args, request)
         self.pending[conversation] = idx
@@ -308,7 +317,8 @@ class ScenarioRunner:
     # -- crash recovery -------------------------------------------------------
 
     def _crash(self, torn: bool) -> list[int]:
-        """Restart every agent in the same world, on the store rebuilt from its journal.
+        """Restart every agent's mind in the same world, on the program it
+        runs, and the store rebuilt from its journal.
 
         A command in flight that the journal holds counts as done, its
         reply lost (``applied_no_reply``); the others are returned, in
@@ -320,10 +330,12 @@ class ScenarioRunner:
         rebuilt, _bad = recover(journal, self.cfg)
         # journaled commands by the gateway request they serve
         applied = {served_conversation(c, c) for c in journal_conversations(rebuilt.journal_lines)}
-        for state in fresh_agents(self.cfg):
-            # conversation ids must stay unique across the restart
-            state.next_seq = self.world.agents[state.id].next_seq
-            register_agent(self.world, state)  # with an empty mailbox
+        for old in list(self.world.agents.values()):
+            # what carries over is named; the rest of the mind, and the
+            # mailbox, start empty.  The seq keeps conversation ids unique.
+            program, every = old.plan_library, old.advance_every_intention
+            state = AgentState(old.id, BeliefBase(), program, next_seq=old.next_seq, advance_every_intention=every)
+            register_agent(self.world, state)
         self.world.command_handler = store_handler(rebuilt)
         self.store = rebuilt
         # a snapshot of the rebuilt store marks the crash boundary on the

@@ -21,8 +21,6 @@ from unimas.agents import (
     SERVED_BY,
     build_report,
     build_world,
-    relay_agent,
-    report_agent,
     store_handler,
 )
 from unimas.bdi import Belief
@@ -355,7 +353,7 @@ def test_report_from_query_rows_directly():
 def _report_round_trip(cfg: RunConfig, answer: Envelope) -> Envelope:
     """Step a fresh report agent over one report request and the given answer
     to its query; returns the agent's reply, checking that it kept nothing."""
-    rpa = report_agent(cfg)
+    rpa = build_world(cfg)[0].agents["RPA"]
     request_content = Term("report", ("lab_student_ratio",))
     request = Envelope(GATEWAY, "RPA", Performative.REQUEST, "GW:0", request_content)
     asked = bdi.step(rpa, [request])
@@ -584,7 +582,7 @@ def test_oa_handle_malformed_content_fails():
 
 
 def test_relay_forwards_the_received_terms_and_performative():
-    sa = relay_agent("SA")
+    sa = build_world()[0].agents["SA"]
     request_content = Term("add_student", ("111", "Ali", "CS"))
     request = Envelope(GATEWAY, "SA", Performative.REQUEST, "GW:0", request_content)
     first = bdi.step(sa, [request])
@@ -734,6 +732,14 @@ def test_roster_is_ten_agents_registered_before_commands():
     # every agent but the gateway advances all its intentions in one cycle;
     # the gateway, one request per round, is the throttle
     assert [a for a in ROSTER if not world.agents[a].advance_every_intention] == [GATEWAY]
+    # a program is built once: two worlds share every one but the report
+    # agent's, which is built from the config, and the seven relays share one
+    other, _ = build_world()
+    programs = {aid: state.plan_library for aid, state in world.agents.items()}
+    shared = [aid for aid, state in other.agents.items() if state.plan_library is programs[aid]]
+    assert shared == [aid for aid in ROSTER if aid != "RPA"]
+    relays = {id(programs[aid]) for aid in ROSTER if aid not in (GATEWAY, "RPA", ORCHESTRATOR)}
+    assert len(relays) == 1 and programs["RPA"] is not programs["SA"]
 
 
 def test_every_request_is_served_by_a_roster_agent():

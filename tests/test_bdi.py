@@ -27,7 +27,7 @@ from unimas.bdi import (
     make_agent,
     step,
 )
-from unimas.agents import build_world, gateway_agent, orchestrator_agent
+from unimas.agents import build_world
 from unimas.fuzz import fuzz
 from unimas.runtime import run_round
 from unimas.scenario import parse_scenario, run_scenario
@@ -481,7 +481,7 @@ def test_step_never_mutates_its_input():
         state = assert_step_agrees_with_reference(state, []).state
 
     # the orchestrator with a request in its inbox and a store outcome queued
-    oa = orchestrator_agent()
+    oa = build_world()[0].agents["OA"]
     oa.percepts.append(Belief("store_reply", ("GW:1", "inform", "ok", "1")))
     request = Envelope("GW", "OA", Performative.REQUEST, "GW:0", Term("open_session", ("CS",)))
     result = assert_step_agrees_with_reference(oa, [request])
@@ -817,7 +817,7 @@ def test_a_step_reading_the_message_of_a_goal_no_message_raised_fails_its_plan()
     assert result.outbox == () and result.state.intentions == []
     assert result.state.percepts == [Belief("failed", ("g",))]
     # the gateway passes its goal's message on unread, so it checks for one
-    gateway = adopt_goal(gateway_agent(), "issue", ("x",))
+    gateway = adopt_goal(build_world()[0].agents["GW"], "issue", ("x",))
     result = step(gateway, [])
     assert result.outbox == () and result.state.percepts == [Belief("failed", ("issue",))]
     # and in a world, no envelope reaches ``route``

@@ -9,9 +9,9 @@ shares with the run only what states the specification: how a scenario
 line becomes a request (``scenario._content_for``), the store, and how a
 report is built from its rows (``agents.build_report``).
 
-Crashed runs are left out, and so is the small-scope enumeration at
-windows above 1: a command queued behind a session's close passes the
-gateway's gate there, so the run and the model part on ``CLOSE_SESSION``.
+At windows above 1 a command that needs a session waits at the gateway
+while a session command that could decide its refusal is in flight, so
+the small-scope enumeration holds there too.  Crashed runs are left out.
 """
 
 from __future__ import annotations
@@ -106,8 +106,9 @@ SMALL_SCOPE = parse_scenario(
 )
 
 
-def test_every_three_commands_after_an_open_equal_the_sequential_model_at_window_1():
-    cfg = RunConfig(cap=1)
+@pytest.mark.parametrize("window", [1, 5])
+def test_every_three_commands_after_an_open_equal_the_sequential_model(window):
+    cfg = RunConfig(cap=1, pipeline_window=window)
     opened = SMALL_SCOPE[0]
     for sequence in product(SMALL_SCOPE, repeat=3):
         assert mismatch([opened, *sequence], cfg) is None

@@ -347,18 +347,41 @@ def test_crash_marker_in_scenario():
     assert crashed.store.dump() == baseline.store.dump()
 
 
-def test_a_crash_restarts_the_agents_in_the_one_world_under_fresh_conversation_ids():
+def test_a_crash_restarts_the_agents_in_the_one_world_under_fresh_conversation_ids(monkeypatch):
     """Crashed at a journal index with a request in flight, its store event
-    kept or torn, and at CRASH lines at window 8."""
+    kept or torn, and at CRASH lines at window 8.  Each agent restarts on
+    the program it runs, with its throttle flag and conversation seq, and
+    nothing else of its mind or its mailbox; the crash builds no plan."""
     from test_golden_hashes import _with_crash_lines
+    from unimas.bdi import PlanLibrary
     from unimas.trace import parse_trace
+
+    builds = []
+    build = PlanLibrary.__init__
+    monkeypatch.setattr(PlanLibrary, "__init__", lambda self, plans=(): builds.append(1) or build(self, plans))
 
     runs = [(RunConfig(), CRASH_TEXT, {"crash_at": 4, "torn": torn}) for torn in (False, True)]
     runs.append((RunConfig(pipeline_window=8), _with_crash_lines(), {}))
-    in_flight = []
+    in_flight, busy = [], []
     for cfg, text, crash in runs:
         runner = ScenarioRunner(cfg)
         world = runner.world
+
+        def restart(torn, crash_once=runner._crash, agents=world.agents, mailboxes=world.mailboxes):
+            kept = {aid: (a.plan_library, a.advance_every_intention, a.next_seq) for aid, a in agents.items()}
+            busy.append(any(a.intentions or a.percepts or mailboxes[a.id] for a in agents.values()))
+            built = len(builds)
+            redo = crash_once(torn)
+            assert len(builds) - built == 0, "plan libraries built in a crash"
+            for aid, state in agents.items():
+                program, every, seq = kept[aid]
+                assert state.plan_library is program and state.advance_every_intention is every, aid
+                assert state.next_seq == seq, aid
+                mind = (state.beliefs, state.goals, state.intentions, state.percepts, mailboxes[aid])
+                assert not any(mind), aid
+            return redo
+
+        runner._crash = restart
         result = runner.run(parse_scenario(text), **crash)
         assert runner.world is world and result.log is world.log, crash
         events = list(parse_trace(result.log.text().splitlines()))
@@ -369,6 +392,7 @@ def test_a_crash_restarts_the_agents_in_the_one_world_under_fresh_conversation_i
         in_flight.append((sum(c.startswith("GW:") for c in requests), statuses.count("applied_no_reply")))
     # ADMIT was in flight: kept, it ends without a reply; torn, it is driven again
     assert in_flight[:2] == [(8, 1), (9, 0)]
+    assert busy[:2] == [True, True] and len(busy) == 5  # one crash each, then three CRASH lines
 
 
 # -- load test ----------------------------------------------------------------------
@@ -453,6 +477,8 @@ GROWTH_RATIO = 1.02
 #: 818.1 with the live monitor called once per emitted event and P9 walking
 #: each command's whole schema, and 815.4 with a context tuple built for each
 #: plan step and the store's draft and percept handed over in sequences.
+#: Building each program once took it to 803.6, and the gateway's session
+#: gate, which records each session command it sends, back to 804.6.
 EVENTS_PER_COMMAND = 804.6
 
 
