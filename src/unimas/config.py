@@ -1,7 +1,9 @@
-"""Run configuration: paper constants plus harness knobs.
+"""Run configuration: the paper's constants plus the harness knobs its runs set.
 
-Config files are line-oriented ``key = value``; per-subject marks bounds
-use dotted keys (``max_marks.Math = 50``).
+The paper's constants are the session cap, the lecture minimums, the one
+pair of marks bounds, the reply deadline K, the lab count and the roster;
+the rest drive the harness.  Config files are line-oriented ``key =
+value``; a ``#`` starts a comment.
 """
 
 from __future__ import annotations
@@ -34,7 +36,6 @@ class RunConfig:
     cs_roster: tuple[str, ...] = ("CS",)
     pipeline_window: int = 1
     inject: str | None = None
-    marks_overrides: tuple[tuple[str, int, int], ...] = ()  # (subject, min, max); see __post_init__
 
     def __post_init__(self) -> None:
         for name in (
@@ -50,45 +51,30 @@ class RunConfig:
                 raise ConfigError(f"{name} must be positive")
         if self.min_marks > self.max_marks:
             raise ConfigError("min_marks must not exceed max_marks")
-        # a per-subject bound left unset (None) takes the global one as finally set
-        low, high = self.min_marks, self.max_marks
-        marks = ((s, low if lo is None else lo, high if hi is None else hi) for s, lo, hi in self.marks_overrides)
-        object.__setattr__(self, "marks_overrides", tuple(marks))
-        for sub, lo, hi in self.marks_overrides:
-            if lo > hi:
-                raise ConfigError(f"min_marks.{sub} must not exceed max_marks.{sub}")
         if self.inject is not None and self.inject not in INJECT_FLAGS:
             raise ConfigError(f"inject expects p1..p11, got {self.inject!r}")
         if not self.cs_roster:
             raise ConfigError("cs_roster must not be empty")
-        # the trace header carries these as scalars, as a scenario names them:
-        # the roster joined by "+", each subject once and before an "="
-        subjects = [sub for sub, _, _ in self.marks_overrides]
-        for name in (*self.cs_roster, *subjects):
+        # the trace header carries the roster joined by "+"; a scenario, which
+        # names an entry as a scalar, and a config file end a line at "#"
+        for name in self.cs_roster:
             try:
                 check_scalar(name)
             except ValueError as exc:
-                raise ConfigError(f"bad cs_roster entry or marks subject: {exc}") from None
-        if any(not name or "+" in name for name in self.cs_roster):
-            raise ConfigError(f"cs_roster entries must be non-empty, without '+': {self.cs_roster}")
-        if len(set(subjects)) < len(subjects) or any("=" in sub for sub in subjects):
-            raise ConfigError(f"marks subjects must be unique and without '=': {subjects}")
+                raise ConfigError(f"bad cs_roster entry: {exc}") from None
+        if any(not name or "+" in name or "#" in name for name in self.cs_roster):
+            raise ConfigError(f"cs_roster entries must be non-empty, without '+' or '#': {self.cs_roster}")
 
     def marks_bounds(self, subject: str) -> tuple[int, int]:
-        for sub, lo, hi in self.marks_overrides:
-            if sub == subject:
-                return lo, hi
-        return self.min_marks, self.max_marks
+        return self.min_marks, self.max_marks  # one pair for every subject
 
     def header(self) -> str:
         """Canonical one-line form recorded in the trace header: each field in
-        declaration order, a marks override as ``marks.<subject>=lo:hi``."""
+        declaration order."""
         parts: list[str] = []
         for f in fields(self):
             value = getattr(self, f.name)
-            if f.name == "marks_overrides":
-                parts.extend(f"marks.{s}={lo}:{hi}" for s, lo, hi in value)
-            elif isinstance(value, tuple):
+            if isinstance(value, tuple):
                 parts.append(f"{f.name}={'+'.join(value)}")
             else:
                 parts.append(f"{f.name}={'-' if value is None else value}")
@@ -124,13 +110,6 @@ def apply_setting(values: dict[str, Any], key: str, value: str) -> None:
             values[key] = tuple(value.replace("+", " ").split())
         elif key == "inject":
             values[key] = None if value in ("-", "") else value
-        elif key.startswith("min_marks.") or key.startswith("max_marks."):
-            field_name, subject = key.split(".", 1)
-            overrides = values["marks_overrides"]  # a half not set yet is None
-            lo, hi = {sub: (lo, hi) for sub, lo, hi in overrides}.get(subject, (None, None))
-            lo, hi = (int(value), hi) if field_name == "min_marks" else (lo, int(value))
-            kept = tuple(o for o in overrides if o[0] != subject)
-            values["marks_overrides"] = kept + ((subject, lo, hi),)
         else:
             raise ConfigError(f"unknown config key: {key}")
     except ValueError as exc:
@@ -164,11 +143,5 @@ def parse_header(header: str) -> RunConfig:
         key, eq, value = part.partition("=")
         if not eq:
             raise ConfigError(f"bad header field: {part!r}")
-        if key.startswith("marks."):  # marks.<subject>=lo:hi
-            subject = key[len("marks."):]
-            lo, _, hi = value.partition(":")
-            apply_setting(values, f"min_marks.{subject}", lo)
-            apply_setting(values, f"max_marks.{subject}", hi)
-        else:
-            apply_setting(values, key, value)
+        apply_setting(values, key, value)
     return RunConfig(**values)

@@ -160,7 +160,7 @@ def generate(seed: int, n_events: int, cfg: RunConfig | None = None) -> list[Sce
 
     def record_result() -> ScenarioCommand:
         class_id, subject = pick_class()
-        lo, hi = cfg.marks_bounds(subject)
+        lo, hi = cfg.min_marks, cfg.max_marks
         marks = rng.choice((lo - 1, lo, lo + 1, (lo + hi) // 2, hi - 1, hi, hi + 1))
         student = rng.choice(model.admitted or range(1, model.students + 1))
         return _cmd(

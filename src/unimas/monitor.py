@@ -243,7 +243,7 @@ class Monitor:
                     f"{term} exam after {delivered} lectures, minimum {minimum}",
                 )
         elif name == "record_result":
-            lo, hi = self.cfg.marks_bounds(get("subject", ""))
+            lo, hi = self.cfg.min_marks, self.cfg.max_marks
             marks = int(get("marks") or 0)
             if not lo <= marks <= hi:
                 self._flag(

@@ -293,13 +293,14 @@ class ScenarioRunner:
         flight when the latest one sent is."""
         gw = self.world.agents[GATEWAY]
         conversation = conversation_id(GATEWAY, gw.next_seq)
+        latest = self.session_sent.get
         if command.verb in _SESSION_EXEMPT:
             self.session_sent[command.verb] = conversation
-        elif not self.sessions_open or self.session_sent.get("CLOSE_SESSION") in self.pending:
-            # with a session open, only a close in flight leads here; with
-            # none open, a session command of either verb in flight decides
-            if self.sessions_open or any(self.session_sent.get(v) in self.pending for v in _SESSION_EXEMPT):
-                return False  # don't jump the gun
+        elif latest("CLOSE_SESSION") in self.pending or (
+            not self.sessions_open and latest("OPEN_SESSION") in self.pending
+        ):
+            return False  # don't jump the gun
+        elif not self.sessions_open:
             self.world.emit(
                 "refusal",
                 sender=GATEWAY,

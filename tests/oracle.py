@@ -153,14 +153,19 @@ def naive_statuses(parsed: ParsedTrace, cfg: RunConfig) -> dict[str, str]:
     if len(slots) != len(set(slots)):
         flag("P6")
 
-    # P7: recount lectures before every accepted exam
+    # P7: recount, before every accepted exam, the lectures of its class
+    # logged since the class's latest add_class, which resets the count to 0
     for seq, name, kv in domain:
         if name != "schedule_exam":
             continue
+        added = max(
+            (s2 for s2, n2, k2 in domain if n2 == "add_class" and k2["class_id"] == kv["class_id"] and s2 < seq),
+            default=-1,
+        )
         delivered = sum(
             int(k2["times"])
             for s2, n2, k2 in domain
-            if n2 == "deliver_lecture" and k2["class_id"] == kv["class_id"] and s2 < seq
+            if n2 == "deliver_lecture" and k2["class_id"] == kv["class_id"] and added < s2 < seq
         )
         minimum = cfg.min_lectures_mid if kv["term"] == "mid" else cfg.min_lectures_final
         if delivered < minimum:
@@ -179,8 +184,7 @@ def naive_statuses(parsed: ParsedTrace, cfg: RunConfig) -> dict[str, str]:
     # P10: accepted marks outside bounds
     for _, name, kv in domain:
         if name == "record_result":
-            lo, hi = cfg.marks_bounds(kv["subject"])
-            if not lo <= int(kv["marks"]) <= hi:
+            if not cfg.min_marks <= int(kv["marks"]) <= cfg.max_marks:
                 flag("P10")
 
     # P11: malformed report replies
@@ -221,19 +225,22 @@ def naive_statuses(parsed: ParsedTrace, cfg: RunConfig) -> dict[str, str]:
             if len(keys) != len(set(keys)):
                 flag(pid)
 
-    # P12: request/reply pairing and latency over the whole trace
-    requests: dict[str, list[int]] = {}
-    replies: dict[str, list[int]] = {}
+    # P12: every reply on a conversation follows more requests than replies
+    # on it so far; every request is answered, within K rounds
+    requests: dict[str, list[int]] = defaultdict(list)
+    replies: dict[str, list[int]] = defaultdict(list)
     for event in events:
         if event.kind != "envelope":
             continue
-        target = requests if event.performative == "request" else replies
-        target.setdefault(event.conversation, []).append(event.round)
-    for conversation, sent in requests.items():
-        answered = replies.get(conversation, [])
-        if len(answered) > len(sent):
+        if event.performative == "request":
+            requests[event.conversation].append(event.round)
+            continue
+        if not len(requests.get(event.conversation, ())) > len(replies[event.conversation]):
             flag("P12")
-        elif len(answered) < len(sent):
+        replies[event.conversation].append(event.round)
+    for conversation, sent in requests.items():
+        answered = replies[conversation]
+        if len(answered) < len(sent):
             if parsed.complete:
                 flag("P12")
         elif answered and max(answered) - min(sent) > cfg.liveness_k:

@@ -82,31 +82,43 @@ def test_trace_report_roundtrip(tmp_path, capsys):
 
 def test_marks_bounds_set_in_either_order_run_and_report_alike(tmp_path, capsys):
     scenario = str(SCENARIOS / "results.scn")
-    # a global pair, and a per-subject half whose other half is the global one
-    for pair in (("max_marks=200", "min_marks=150"), ("max_marks=200", "min_marks.Math=150")):
-        runs = []
-        for order in (pair, pair[::-1]):
-            trace = tmp_path / f"{order[0]}+{order[1]}.trace"
-            sets = [arg for setting in order for arg in ("--set", setting)]
-            assert run_cli("run", scenario, *sets, "--trace", str(trace)) == 0, order
-            live_out = capsys.readouterr().out
-            # the header names min_marks first; report reads it back as one config
-            assert run_cli("report", str(trace)) == 0, order
-            offline_out = capsys.readouterr().out
-            assert offline_out.count("\n") == 12 and offline_out in live_out
-            runs.append((live_out, trace.read_bytes()))
-        assert runs[0] == runs[1], pair  # the same trace_sha256 line among the rest
-        assert live_out.splitlines()[-1].startswith("# trace_sha256="), pair
-    refused = (
-        ("max_marks=50", "min_marks=60"),
-        ("max_marks.Math=50", "min_marks.Math=60"),
-        ("max_marks.Math=50", "min_marks=60"),  # Math would be 60..50
-    )
-    for pair in refused:
-        for order in (pair, pair[::-1]):
-            sets = [arg for setting in order for arg in ("--set", setting)]
-            assert run_cli("run", scenario, *sets) == 3, order
-            assert "must not exceed" in capsys.readouterr().err
+    pair = ("max_marks=200", "min_marks=150")
+    runs = []
+    for order in (pair, pair[::-1]):
+        trace = tmp_path / f"{order[0]}+{order[1]}.trace"
+        sets = [arg for setting in order for arg in ("--set", setting)]
+        assert run_cli("run", scenario, *sets, "--trace", str(trace)) == 0, order
+        live_out = capsys.readouterr().out
+        # the header names min_marks first; report reads it back as one config
+        assert run_cli("report", str(trace)) == 0, order
+        offline_out = capsys.readouterr().out
+        assert offline_out.count("\n") == 12 and offline_out in live_out
+        runs.append((live_out, trace.read_bytes()))
+    assert runs[0] == runs[1]  # the same trace_sha256 line among the rest
+    assert live_out.splitlines()[-1].startswith("# trace_sha256=")
+    pair = ("max_marks=50", "min_marks=60")
+    for order in (pair, pair[::-1]):
+        sets = [arg for setting in order for arg in ("--set", setting)]
+        assert run_cli("run", scenario, *sets) == 3, order
+        assert "must not exceed" in capsys.readouterr().err
+
+
+def test_a_per_subject_marks_bound_is_an_unknown_key_however_it_is_set(tmp_path, capsys):
+    # one pair of marks bounds holds for every subject, as the paper states P10
+    scenario = str(SCENARIOS / "results.scn")
+    assert run_cli("run", scenario, "--set", "max_marks.Math=50") == 3
+    assert "unknown config key: max_marks.Math" in capsys.readouterr().err
+    cfg = tmp_path / "marks.cfg"
+    cfg.write_text("min_marks.Math = 10\n")
+    assert run_cli("run", scenario, "--config", str(cfg)) == 3
+    assert "line 1: unknown config key: min_marks.Math" in capsys.readouterr().err
+    trace = tmp_path / "run.trace"
+    assert run_cli("run", scenario, "--trace", str(trace)) == 0
+    header, rest = trace.read_text().split("\n", 1)
+    trace.write_text(f"{header},marks.Math=0:50\n{rest}")
+    capsys.readouterr()
+    assert run_cli("report", str(trace)) == 3
+    assert "unknown config key: marks.Math" in capsys.readouterr().err
 
 
 def test_a_fuzz_trace_of_several_blocks_hashes_as_printed_and_reports_the_live_verdicts(
@@ -273,13 +285,21 @@ def test_a_setting_the_trace_header_cannot_carry_exits_three(tmp_path, capsys):
     # a comma would split the header field, so report could not read it back
     scenario = str(SCENARIOS / "sessions.scn")
     trace = tmp_path / "run.trace"
-    for setting in ("cs_roster=CS,EE", "max_marks.Ma,th=5"):
+    # and a scenario or a config file ends a line at "#"
+    refused = {"cs_roster=CS,EE": "bad cs_roster entry", "cs_roster=CS+C#S": "without '+' or '#'"}
+    for setting, message in refused.items():
         assert run_cli("run", scenario, "--set", setting, "--trace", str(trace)) == 3, setting
-        assert "bad cs_roster entry or marks subject" in capsys.readouterr().err
+        assert message in capsys.readouterr().err
     assert not trace.exists()
     cfg = tmp_path / "roster.cfg"
     cfg.write_text("cs_roster = CS,EE\n")
     assert run_cli("fuzz", "--seed", "1", "--events", "10", "--config", str(cfg)) == 3
+    # nor does report read such a roster back from a header
+    assert run_cli("run", str(SCENARIOS / "registration.scn"), "--trace", str(trace)) == 0
+    trace.write_text(trace.read_text().replace("cs_roster=CS,", "cs_roster=CS+C#S,", 1))
+    capsys.readouterr()
+    assert run_cli("report", str(trace)) == 3
+    assert "without '+' or '#'" in capsys.readouterr().err
 
 
 def test_replay_crash_beyond_the_journal_exits_three(capsys):

@@ -461,17 +461,50 @@ def test_live_offline_and_naive_oracle_agree_on_a_cut_off_run():
     _assert_live_offline_and_naive_oracle_agree(commands, RunConfig(max_rounds=13))
 
 
+#: Hand-built complete traces, each breaking one property's rule as README
+#: states it, by name.
+HAND_BUILT_VIOLATIONS = {
+    # add_class resets its class's count, so the 16 lectures before it do not count
+    "lectures_logged_before_their_class": (
+        PropertyId.P7,
+        [
+            domain(0, "deliver_lecture(class_id=1,subject=Math,times=16,total=16)"),
+            domain(1, "add_class(p_id=1,semester=1,subject=Math,day=0,period=0,class_id=1)"),
+            domain(2, "schedule_exam(term=mid,class_id=1,subject=Math,date=2025-05-01)"),
+        ],
+    ),
+    "reply_on_a_conversation_never_opened": (PropertyId.P12, [_envelope(0, 4, "inform", "GW:5")]),
+    "reply_before_its_request": (
+        PropertyId.P12,
+        [_envelope(0, 0, "inform", "GW:0"), _envelope(1, 1, "request", "GW:0")],
+    ),
+}
+
+
+@pytest.mark.parametrize("pid,events", HAND_BUILT_VIOLATIONS.values(), ids=list(HAND_BUILT_VIOLATIONS))
+def test_live_offline_and_naive_oracle_agree_on_a_hand_built_violation(pid, events):
+    cfg = RunConfig()
+    monitor = Monitor(cfg)
+    monitor.read(events)
+    live = monitor.finalize(trace_complete=True)
+    assert statuses(live)[pid] == VIOLATED
+    lines = [f"# config {cfg.header()}", *(event.render() for event in events), "# end complete=true"]
+    _assert_offline_and_naive_oracle_agree_with(live, lines, cfg)
+
+
 def _assert_live_offline_and_naive_oracle_agree(commands, cfg):
     result = run_scenario(commands, cfg)
+    _assert_offline_and_naive_oracle_agree_with(result.verdicts, result.log.text().splitlines(), cfg)
 
-    lines = result.log.text().splitlines()
+
+def _assert_offline_and_naive_oracle_agree_with(live, lines, cfg):
     offline = evaluate_trace(parse_trace(lines), cfg)
     assert [(v.property, v.status, v.witness_seq) for v in offline] == [
-        (v.property, v.status, v.witness_seq) for v in result.verdicts
+        (v.property, v.status, v.witness_seq) for v in live
     ]
 
     naive = naive_statuses(parse_trace(lines), cfg)
-    assert naive == {v.property.value: v.status for v in result.verdicts}
+    assert naive == {v.property.value: v.status for v in live}
 
 
 # -- retiring answered conversations keeps every P12 verdict ----------------------

@@ -141,23 +141,20 @@ def test_config_file_roundtrip_via_header():
         "cap = 10\nmin_lectures_mid = 4\nmin_lectures_final = 8\nmin_marks = 5\n"
         "max_marks = 90\nliveness_k = 50\nseed = 9\nmax_rounds = 500\nlab_count = 3\n"
         "cs_roster = CS IT\npipeline_window = 4\ninject = p3\n"
-        "min_marks.Math = 10\nmax_marks.Math = 50\n"
     )
     # every key away from its default, so none can round-trip by falling back to it
     default = RunConfig()
     unchanged = [f.name for f in fields(cfg) if getattr(cfg, f.name) == getattr(default, f.name)]
     assert unchanged == []
     assert cfg.cap == 10 and cfg.cs_roster == ("CS", "IT")
-    assert cfg.marks_overrides == (("Math", 10, 50),)
     assert parse_header(cfg.header()) == cfg
 
 
-def test_config_refuses_a_roster_entry_or_subject_the_header_cannot_carry():
-    for bad in ("CS,EE", "C|S", "C S", "C(S)"):
+def test_config_refuses_a_roster_entry_the_header_cannot_carry():
+    # a scenario and a config file end a line at "#", so no "C#S" could be named
+    for bad in ("CS,EE", "C|S", "C S", "C(S)", "C#S"):
         with pytest.raises(ConfigError):
             RunConfig(cs_roster=("CS", bad))
-        with pytest.raises(ConfigError):
-            RunConfig(marks_overrides=((bad, 0, 10),))
     with pytest.raises(ConfigError):
         RunConfig(cs_roster=())
 
@@ -167,7 +164,6 @@ def test_config_reads_back_from_its_header_or_is_refused():
         RunConfig(),
         RunConfig(cs_roster=("CS", "EE", "-")),
         RunConfig(cs_roster=("A=B",)),
-        RunConfig(marks_overrides=(("Math", 10, 50), ("a.b", 0, 5), ("a:b", 1, 2), ("", 3, 4))),
         RunConfig(inject="p10", seed=-5),
     )
     for cfg in accepted:
@@ -175,9 +171,7 @@ def test_config_reads_back_from_its_header_or_is_refused():
     refused = (
         {"cs_roster": ("A+B",)},
         {"cs_roster": ("", "CS")},
-        {"marks_overrides": (("a=b", 0, 5),)},
-        {"marks_overrides": (("M", 0, 5), ("M", 1, 6))},
-        {"marks_overrides": (("M", 7, 5),)},  # a per-subject pair inverted, as a global one is
+        {"cs_roster": ("C#S",)},
     )
     for settings in refused:
         with pytest.raises(ConfigError):
@@ -186,27 +180,14 @@ def test_config_reads_back_from_its_header_or_is_refused():
 
 def test_marks_bounds_are_checked_once_on_the_finished_config():
     # raising both bounds past the other's old value, in either order
-    # a per-subject half left unset takes the final global bound
-    accepted = {
-        ("max_marks = 200", "min_marks = 150"): (150, 200),
-        ("max_marks.Math = 200", "min_marks.Math = 150"): (150, 200),
-        ("max_marks = 200", "min_marks.Math = 150"): (150, 200),
-        ("min_marks = 40", "max_marks.Math = 45"): (40, 45),
-    }
-    for pair, bounds in accepted.items():
-        first, second = (parse_config_text("\n".join(order)) for order in (pair, pair[::-1]))
-        assert first == second and first.marks_bounds("Math") == bounds, pair
-        assert parse_header(first.header()) == first, pair
-    refused = (
-        ("max_marks = 50", "min_marks = 60"),
-        ("max_marks.Math = 50", "min_marks.Math = 60"),
-        ("max_marks.Math = 50", "min_marks = 60"),
-        ("min_marks.Math = 60", "max_marks = 50"),
-    )
-    for pair in refused:
-        for order in (pair, pair[::-1]):
-            with pytest.raises(ConfigError, match="must not exceed"):
-                parse_config_text("\n".join(order))
+    pair = ("max_marks = 200", "min_marks = 150")
+    first, second = (parse_config_text("\n".join(order)) for order in (pair, pair[::-1]))
+    assert first == second and (first.min_marks, first.max_marks) == (150, 200)
+    assert parse_header(first.header()) == first
+    pair = ("max_marks = 50", "min_marks = 60")
+    for order in (pair, pair[::-1]):
+        with pytest.raises(ConfigError, match="must not exceed"):
+            parse_config_text("\n".join(order))
 
 
 def test_config_rejects_unknown_key_and_bad_value():
@@ -557,7 +538,6 @@ DOCUMENTED_SETTINGS = (
     "min_lectures_final = 5",
     "max_marks = 50",
     "min_marks = 40",
-    "max_marks.Math = 10",
     "lab_count = 3",
     "cs_roster = CS+EE",
     "liveness_k = 4",

@@ -269,15 +269,6 @@ def test_marks_bounds_inclusive(store, marks, accepted):
         assert refused(outcome) == MARKS_BOUNDS
 
 
-def test_per_subject_marks_override():
-    store = Store(RunConfig(marks_overrides=(("Math", 10, 50),)))
-    _seed_result_target(store)
-    assert refused(
-        store.execute(cmd("record_result", student_id="1", class_id="1", subject="Math", marks="51")).result
-    ) == MARKS_BOUNDS
-    ok(store, cmd("record_result", student_id="1", class_id="1", subject="Math", marks="50"))
-
-
 # -- query ---------------------------------------------------------------------
 
 
