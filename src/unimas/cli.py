@@ -1,10 +1,10 @@
 """Command-line entry point.
 
 Exit codes: 0 all properties hold, 2 a property was violated (or a
-scenario expectation failed), 3 parse or configuration error (a trace
-without its header or with a line missing or repeated, a path that cannot
-be opened), 4 no property was violated but one is inconclusive (the run
-was cut off by ``max_rounds`` before it went quiet).
+scenario expectation failed), 3 parse, usage or configuration error (a
+trace without its header or with a line missing or repeated, a path that
+cannot be opened), 4 no property was violated but one is inconclusive
+(the run was cut off by ``max_rounds`` before it went quiet).
 """
 
 from __future__ import annotations
@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import sys
 from pathlib import Path
+from typing import NoReturn
 
 from .config import ConfigError, RunConfig, apply_config_text, apply_setting, parse_header
 from .fuzz import fuzz_config, generate
@@ -30,7 +31,7 @@ PARSE_ERROR = 3
 
 
 def _load_config(args: argparse.Namespace) -> RunConfig:
-    values = dict(vars(RunConfig()))  # the file, each --set, the flags, checked once built
+    values = dict(vars(RunConfig()))  # the file, then each --set, checked once built
     if args.config:
         apply_config_text(values, Path(args.config).read_text())
     for setting in args.set or []:
@@ -38,12 +39,6 @@ def _load_config(args: argparse.Namespace) -> RunConfig:
         if not eq:
             raise ConfigError(f"--set expects key=value, got {setting!r}")
         apply_setting(values, key, value)
-    if args.seed is not None:
-        values["seed"] = args.seed
-    if getattr(args, "inject", None):
-        values["inject"] = args.inject.lower()
-    if getattr(args, "cap", None) is not None:
-        values["cap"] = args.cap
     return RunConfig(**values)
 
 
@@ -117,38 +112,40 @@ def cmd_report(args: argparse.Namespace) -> int:
     return exit_code(verdicts)
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message: str) -> NoReturn:  # exit 3, not argparse's 2, which reads "violated"
+        raise ConfigError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="unimas",
         description="Deterministic multi-agent IMS runtime with runtime verification",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser, seed_required: bool = False) -> None:
+    def common(p: argparse.ArgumentParser) -> None:
         p.add_argument("--config", help="config file of key = value lines")
         p.add_argument("--set", action="append", metavar="KEY=VALUE", help="override one setting")
-        p.add_argument("--seed", type=int, required=seed_required, default=None)
 
     run_p = sub.add_parser("run", help="run a scenario file")
     run_p.add_argument("scenario")
     common(run_p)
-    run_p.add_argument("--inject", metavar="pN", help="disable one guard (p1..p11)")
     run_p.add_argument("--trace", help="write the trace to this path")
     run_p.add_argument("--dump", help="write the store dump to this path")
     run_p.add_argument("--journal", help="write the journal to this path")
     run_p.set_defaults(fn=cmd_run)
 
     fuzz_p = sub.add_parser("fuzz", help="run a seeded random scenario")
-    common(fuzz_p, seed_required=True)
+    common(fuzz_p)
+    fuzz_p.add_argument("--seed", type=int, required=True)
     fuzz_p.add_argument("--events", type=int, required=True)
-    fuzz_p.add_argument("--inject", metavar="pN")
     fuzz_p.add_argument("--trace", help="write the trace to this path")
     fuzz_p.add_argument("--print-only", action="store_true", help="print commands, do not run")
     fuzz_p.set_defaults(fn=cmd_fuzz)
 
     load_p = sub.add_parser("load", help="session capacity load test")
     load_p.add_argument("--clients", type=int, required=True)
-    load_p.add_argument("--cap", type=int, default=None)
     common(load_p)
     load_p.set_defaults(fn=cmd_load)
 
@@ -167,9 +164,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.fn(args)
     except (ConfigError, ScenarioError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -1,8 +1,11 @@
 import hashlib
 from pathlib import Path
 
+import pytest
+
 from unimas.cli import main
 from unimas.store import replay
+from unimas.terms import encode_blob
 from unimas.trace import BLOCK_LINES
 
 SCENARIOS = Path(__file__).parent.parent / "scenarios"
@@ -22,14 +25,14 @@ def test_run_golden_scenario_exits_zero(capsys):
 
 
 def test_run_with_injection_exits_two(capsys):
-    code = run_cli("run", str(SCENARIOS / "registration.scn"), "--inject", "p1")
+    code = run_cli("run", str(SCENARIOS / "registration.scn"), "--set", "inject=p1")
     out = capsys.readouterr().out
     assert code == 2
     assert "P1|violated|" in out
 
 
 def test_injected_duplicate_names_both_events(capsys):
-    code = run_cli("run", str(SCENARIOS / "registration.scn"), "--inject", "p1")
+    code = run_cli("run", str(SCENARIOS / "registration.scn"), "--set", "inject=p1")
     out = capsys.readouterr().out
     assert code == 2
     assert "P1|violated|20|st_id 3520111111111 registered twice (first at seq 5)\n" in out
@@ -44,15 +47,25 @@ def test_run_unknown_file_exits_three(capsys):
 
 def test_parse_error_exits_three(tmp_path, capsys):
     bad = tmp_path / "bad.scn"
-    bad.write_text("TELEPORT to=mars\n")
-    assert run_cli("run", str(bad)) == 3
-    assert "line 1" in capsys.readouterr().err
+    for line, message in {
+        "TELEPORT to=mars": "line 1: ",
+        "CRASH now=1": "line 1: CRASH takes no arguments",
+        "EXPECT_REFUSAL why=x": "line 1: EXPECT_REFUSAL takes only reason=",
+    }.items():
+        bad.write_text(line + "\n")
+        assert run_cli("run", str(bad)) == 3, line
+        assert message in capsys.readouterr().err, line
 
 
-def test_bad_config_exits_three(tmp_path):
+def test_bad_config_exits_three(tmp_path, capsys):
+    scenario = str(SCENARIOS / "registration.scn")
     cfg = tmp_path / "bad.cfg"
-    cfg.write_text("cap = lots\n")
-    assert run_cli("run", str(SCENARIOS / "registration.scn"), "--config", str(cfg)) == 3
+    for text, message in {"cap = lots": "line 1: bad value for cap", "cap 3": "line 1: expected key = value"}.items():
+        cfg.write_text(text + "\n")
+        assert run_cli("run", scenario, "--config", str(cfg)) == 3, text
+        assert message in capsys.readouterr().err, text
+    assert run_cli("run", scenario, "--set", "cap") == 3
+    assert "--set expects key=value" in capsys.readouterr().err
 
 
 def test_config_file_and_set_overrides(tmp_path, capsys):
@@ -67,7 +80,7 @@ def test_config_file_and_set_overrides(tmp_path, capsys):
 def test_trace_report_roundtrip(tmp_path, capsys):
     trace = tmp_path / "run.trace"
     code = run_cli(
-        "run", str(SCENARIOS / "lifecycle.scn"), "--trace", str(trace), "--seed", "4"
+        "run", str(SCENARIOS / "lifecycle.scn"), "--trace", str(trace), "--set", "seed=4"
     )
     assert code == 0
     live_out = capsys.readouterr().out
@@ -233,13 +246,13 @@ def test_fuzz_run_small(capsys):
 
 
 def test_load_summary_line(capsys):
-    assert run_cli("load", "--clients", "11", "--cap", "10") == 0
+    assert run_cli("load", "--clients", "11", "--set", "cap=10") == 0
     out = capsys.readouterr().out
     assert "clients=11 granted=10 busy=1" in out
 
 
 def test_load_at_paper_capacity_exits_zero(capsys):
-    assert run_cli("load", "--clients", "1001", "--cap", "1000") == 0
+    assert run_cli("load", "--clients", "1001", "--set", "cap=1000") == 0
     out = capsys.readouterr().out
     assert "clients=1001 granted=1000 busy=1" in out
     assert "P12|holds|-|-" in out
@@ -271,14 +284,12 @@ def test_replay_crash_cli(capsys):
 
 def test_bad_inject_flag_exits_three(tmp_path):
     scenario = str(SCENARIOS / "registration.scn")
-    assert run_cli("run", scenario, "--inject", "p99") == 3
+    assert run_cli("run", scenario, "--inject", "p99") == 3  # no such flag: a usage error
     assert run_cli("run", scenario, "--set", "inject=p99") == 3
     assert run_cli("run", scenario, "--set", "inject=P1") == 3
     cfg = tmp_path / "inject.cfg"
     cfg.write_text("inject = p99\n")
     assert run_cli("run", scenario, "--config", str(cfg)) == 3
-    # the flag itself is case-insensitive
-    assert run_cli("run", scenario, "--inject", "P1") == 2
 
 
 def test_a_setting_the_trace_header_cannot_carry_exits_three(tmp_path, capsys):
@@ -374,3 +385,59 @@ def test_report_of_a_file_without_a_config_header_exits_three(tmp_path, capsys):
         assert run_cli("report", str(trace)) == 3
         captured = capsys.readouterr()
         assert "no '# config' header" in captured.err and captured.out == ""
+
+
+USAGE_ERRORS = {
+    ("fuzz", "--events", "10"): "required: --seed",
+    ("run",): "required: scenario",
+    # the deleted aliases of --set: --inject, --cap, and --seed outside fuzz
+    ("run", str(SCENARIOS / "registration.scn"), "--inject", "p1"): "unrecognized arguments: --inject p1",
+    ("load", "--clients", "2", "--cap", "1"): "unrecognized arguments: --cap 1",
+    ("replay-crash", str(SCENARIOS / "lifecycle.scn"), "--at", "7", "--seed", "4"): "arguments: --seed 4",
+}
+
+
+def test_a_usage_error_is_refused_input_and_exits_three(capsys):
+    # not argparse's own 2, which would read as a violated property
+    for argv, message in USAGE_ERRORS.items():
+        assert run_cli(*argv) == 3, argv
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: unimas") and message in captured.err, argv
+        assert captured.out == "", argv
+    with pytest.raises(SystemExit) as exc:
+        run_cli("fuzz", "--help")
+    assert exc.value.code == 0
+
+
+def test_report_of_a_trace_with_a_bad_snapshot_or_header_field_exits_three(tmp_path, capsys):
+    trace = tmp_path / "run.trace"
+    assert run_cli("run", str(SCENARIOS / "registration.scn"), "--trace", str(trace)) == 0
+    header, *events = trace.read_text().splitlines()
+    at = next(i for i, line in enumerate(events) if line.split("|")[2] == "snapshot")
+    snapshot = events[at].rsplit("|", 1)[0]
+    edits = {
+        "not a blob token": (header, f"{snapshot}|not_a_blob"),
+        "unknown table in dump": (header, f"{snapshot}|{encode_blob('lockers|1|a=1')}"),
+        "bad header field": (f"{header},oops", events[at]),
+    }
+    for message, (edited_header, edited_snapshot) in edits.items():
+        lines = [edited_header, *events[:at], edited_snapshot, *events[at + 1 :]]
+        trace.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert run_cli("report", str(trace)) == 3, message
+        captured = capsys.readouterr()
+        assert message in captured.err and captured.out == "", message
+
+
+def test_a_refusal_for_another_reason_fails_its_expectation_and_exits_two(tmp_path, capsys):
+    scenario = tmp_path / "wrong_reason.scn"
+    scenario.write_text(
+        "OPEN_SESSION dept=CS\n"
+        "REGISTER_STUDENT st_id=C1 name=A dept=CS\n"
+        "REGISTER_STUDENT st_id=C1 name=A dept=CS\n"
+        "EXPECT_REFUSAL reason=busy\n"
+    )
+    assert run_cli("run", str(scenario)) == 2
+    out = capsys.readouterr().out
+    assert "P1|holds|-|-" in out
+    assert "expectation|failed|line 3: expected refusal 'busy', got 'Student Already Registerd'\n" in out

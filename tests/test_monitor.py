@@ -1,10 +1,12 @@
+import random
+
 import pytest
 
 from oracle import REQUIRED_COMMAND_FIELDS, REQUIRED_ROW_FIELDS, naive_statuses
 from test_acceptance import GOLDEN, GOLDEN_CFG, SCENARIOS
 from unimas.bdi import BelieveStep, MessageMatch, Plan, make_agent
 from unimas.config import RunConfig
-from unimas.fuzz import fuzz
+from unimas.fuzz import fuzz, fuzz_config
 from unimas.monitor import (
     HOLDS,
     INCONCLUSIVE,
@@ -461,33 +463,54 @@ def test_live_offline_and_naive_oracle_agree_on_a_cut_off_run():
     _assert_live_offline_and_naive_oracle_agree(commands, RunConfig(max_rounds=13))
 
 
+def _report_reply(nrows, rows):
+    """A request on GW:0 and its report reply of ``nrows`` and those rows."""
+    return [
+        _envelope(0, 0, "request", "GW:0"),
+        _envelope(1, 4, "inform", "GW:0")._replace(
+            content=f"report(lab_student_ratio,{nrows},{encode_blob(rows)})"
+        ),
+    ]
+
+
 #: Hand-built complete traces, each breaking one property's rule as README
-#: states it, by name.
+#: states it, by name, with the verdict the monitor gives.
 HAND_BUILT_VIOLATIONS = {
     # add_class resets its class's count, so the 16 lectures before it do not count
     "lectures_logged_before_their_class": (
-        PropertyId.P7,
+        "P7|violated|2|mid exam after 0 lectures, minimum 16",
         [
             domain(0, "deliver_lecture(class_id=1,subject=Math,times=16,total=16)"),
             domain(1, "add_class(p_id=1,semester=1,subject=Math,day=0,period=0,class_id=1)"),
             domain(2, "schedule_exam(term=mid,class_id=1,subject=Math,date=2025-05-01)"),
         ],
     ),
-    "reply_on_a_conversation_never_opened": (PropertyId.P12, [_envelope(0, 4, "inform", "GW:5")]),
+    "report_rows_fewer_than_counted": (
+        "P11|violated|1|null or malformed report: row count mismatch",
+        _report_reply(2, "lab_student_ratio|labs_to_students|1/4"),
+    ),
+    "report_row_of_another_kind": (
+        "P11|violated|1|null or malformed report: malformed report row",
+        _report_reply(1, "teacher_student_ratio|teachers_to_students|1/4"),
+    ),
+    "reply_on_a_conversation_never_opened": (
+        "P12|violated|0|extra reply on conversation GW:5",
+        [_envelope(0, 4, "inform", "GW:5")],
+    ),
     "reply_before_its_request": (
-        PropertyId.P12,
+        "P12|violated|0|extra reply on conversation GW:0",
         [_envelope(0, 0, "inform", "GW:0"), _envelope(1, 1, "request", "GW:0")],
     ),
 }
 
 
-@pytest.mark.parametrize("pid,events", HAND_BUILT_VIOLATIONS.values(), ids=list(HAND_BUILT_VIOLATIONS))
-def test_live_offline_and_naive_oracle_agree_on_a_hand_built_violation(pid, events):
+@pytest.mark.parametrize("verdict,events", HAND_BUILT_VIOLATIONS.values(), ids=list(HAND_BUILT_VIOLATIONS))
+def test_live_offline_and_naive_oracle_agree_on_a_hand_built_violation(verdict, events):
     cfg = RunConfig()
     monitor = Monitor(cfg)
     monitor.read(events)
     live = monitor.finalize(trace_complete=True)
-    assert statuses(live)[pid] == VIOLATED
+    assert verdict in [v.render() for v in live]
     lines = [f"# config {cfg.header()}", *(event.render() for event in events), "# end complete=true"]
     _assert_offline_and_naive_oracle_agree_with(live, lines, cfg)
 
@@ -505,6 +528,45 @@ def _assert_offline_and_naive_oracle_agree_with(live, lines, cfg):
 
     naive = naive_statuses(parse_trace(lines), cfg)
     assert naive == {v.property.value: v.status for v in live}
+
+
+# -- one-edit mutants of real traces ----------------------------------------------
+
+
+def _one_edit_mutants(lines, rng, count):
+    """``count`` (edit, trace) pairs: a copy of a trace with one event line
+    dropped, repeated or swapped with another, or an ``inform`` inserted on a
+    conversation never opened; its seqs renumbered, as a run would write them."""
+    header, *events, trailer = lines
+    for _ in range(count):
+        edited = list(events)
+        i, j = rng.randrange(len(edited)), rng.randrange(len(edited))
+        edit = rng.choice(("drop", "repeat", "swap", "stray inform"))
+        if edit == "drop":
+            del edited[i]
+        elif edit == "repeat":
+            edited.insert(i, edited[i])
+        elif edit == "swap":
+            edited[i], edited[j] = edited[j], edited[i]
+        else:
+            edited.insert(i, f"{edited[i].split('|', 1)[0]}|0|envelope|OA|GW|inform|GW:99999|ok()")
+        renumbered = []
+        for seq, line in enumerate(edited):
+            rnd, _, rest = line.split("|", 2)
+            renumbered.append(f"{rnd}|{seq}|{rest}")
+        yield f"{edit} at {i}, {j}", [header, *renumbered, trailer]
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_monitor_and_naive_oracle_agree_on_one_edit_mutants_of_a_fuzz_trace(seed):
+    cfg = fuzz_config(seed)
+    lines = fuzz(seed, 100).log.text().splitlines()
+    violated = 0
+    for edit, mutant in _one_edit_mutants(lines, random.Random(seed), 150):
+        monitor = {v.property.value: v.status for v in evaluate_trace(parse_trace(mutant), cfg)}
+        assert monitor == naive_statuses(parse_trace(mutant), cfg), edit
+        violated += VIOLATED in monitor.values()
+    assert violated > 0  # the edits do break properties, so agreeing is no tautology
 
 
 # -- retiring answered conversations keeps every P12 verdict ----------------------

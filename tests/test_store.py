@@ -101,15 +101,49 @@ def test_missing_required_field_is_incomplete(store):
     assert refused(store.execute(cmd("add_student", st_id="111", dpt_id="CS")).result) == INCOMPLETE
 
 
-@pytest.mark.parametrize("bad", ["--2", "2x", "two", "+2", "1_0", "²"])
-def test_text_in_an_int_field_is_a_fault_not_a_crash(store, bad):
+def _program(**kv: str) -> Command:
+    return cmd("add_program", **{"name": "p", "session": "morning", "semester_count": "2", "fee": "100"} | kv)
+
+
+def _class(**kv: str) -> Command:
+    return cmd("add_class", **{"p_id": "1", "semester": "1", "subject": "Phy", "day": "0", "period": "1"} | kv)
+
+
+def _exam(**kv: str) -> Command:
+    return cmd("schedule_exam", **{"term": "mid", "class_id": "1", "subject": "Math", "date": "2025-05-01"} | kv)
+
+
+#: A command with one bad field, the fault it is refused with, and its test id;
+#: each meets the store of ``_seed_result_target``
+INVALID_FIELDS = [
     # an int field takes ASCII decimal text only: "--2" once reached int()
     # and raised, and int() alone would take "+2", "1_0" and "²"
-    outcome = store.execute(
-        cmd("add_program", name="p", session="morning", semester_count=bad, fee="100")
-    ).result
-    assert refused(outcome) == "invalid field semester_count" and outcome.fault
-    assert store.journal_lines == []
+    *(
+        (_program(semester_count=bad), "invalid field semester_count", bad)
+        for bad in ["--2", "2x", "two", "+2", "1_0", "²"]
+    ),
+    (_program(session="noon"), "invalid field session", "session"),
+    (_program(semester_count="0"), "invalid field semester_count", "semester_count"),
+    (_program(fee="-1"), "invalid field fee", "fee"),
+    (cmd("deliver_lecture", class_id="1", subject="Math", times="0"), "invalid field times", "times"),
+    (_exam(term="midterm"), "invalid field term", "term"),
+    (_exam(date="2025-13-01"), "invalid field date", "date"),  # no date at all, not a second form of one
+    (_class(semester="3"), "invalid semester", "semester"),
+    (_class(day="5"), "invalid timing", "day"),
+    (_class(period="8"), "invalid timing", "period"),
+    (cmd("record_result", student_id="1", class_id="9", subject="Math", marks="50"), "unknown class", "class"),
+]
+
+
+@pytest.mark.parametrize(
+    "command,reason", [case[:2] for case in INVALID_FIELDS], ids=[case[2] for case in INVALID_FIELDS]
+)
+def test_an_invalid_field_is_a_fault_not_a_crash(store, command, reason):
+    _seed_result_target(store)
+    journal = list(store.journal_lines)
+    outcome = store.execute(command).result
+    assert refused(outcome) == reason and outcome.fault
+    assert store.journal_lines == journal
 
 
 def test_an_int_field_keeps_its_text_when_canonical(store):
@@ -388,6 +422,45 @@ def test_truncated_journal_halts_at_bad_seq():
     rebuilt, bad = recover(lines, RunConfig())
     assert bad == 5
     assert len(rebuilt.journal_lines) == 4
+
+
+LIFECYCLE = Path(__file__).parent.parent / "scenarios" / "lifecycle.scn"
+
+
+def _reframe(seq: str, name: str, kv: str) -> str:
+    payload = f"{seq}|{name}|{kv}"
+    return f"{payload}|{_crc(payload)}"
+
+
+#: The refusal a framed record meets, and the edit that makes it meet it; all
+#: but the first edit recompute the checksum, so the record is still well framed
+RECORD_EDITS = {
+    "checksum": (
+        "checksum mismatch",
+        lambda seq, name, kv, crc: f"{seq}|{name}|{kv.replace('=', '=x', 1)}|{crc}",
+    ),
+    "seq": ("unexpected seq '11'", lambda seq, name, kv, crc: _reframe("11", name, kv)),
+    "event": ("unknown event 'enroll'", lambda seq, name, kv, crc: _reframe(seq, "enroll", kv)),
+    "query": ("unknown event 'query'", lambda seq, name, kv, crc: _reframe(seq, "query", kv)),
+    "args": ("bad command args", lambda seq, name, kv, crc: _reframe(seq, name, "lone," + kv)),
+}
+
+
+@pytest.mark.parametrize("detail,edit", RECORD_EDITS.values(), ids=list(RECORD_EDITS))
+def test_a_corrupt_record_halts_replay_at_its_seq_and_recovery_keeps_the_records_before_it(detail, edit):
+    journal = run_scenario(parse_scenario(LIFECYCLE.read_text()), RunConfig()).store.journal_lines
+    at = 9  # seq 10
+    lines = list(journal)
+    lines[at] = edit(*lines[at].split("|"))
+    with pytest.raises(JournalCorruption, match=f"at seq 10: {detail}"):
+        journal_conversations(lines)  # the one reader that names what is wrong
+    with pytest.raises(JournalCorruption) as err:
+        replay(lines, RunConfig())
+    assert err.value.seq == 10
+    rebuilt, bad = recover(lines, RunConfig())
+    assert bad == 10
+    assert rebuilt.journal_lines == journal[:at]
+    assert rebuilt.dump() == replay(journal[:at], RunConfig()).dump()
 
 
 def test_journal_records_read_back_their_conversations():
