@@ -126,8 +126,8 @@ class Monitor:
         self._rules = {t: [(f, self._firsts[c]) for _, c, _, u, f, _ in UNIQUE_KEYS if u == t] for t in TABLE_FIELDS}
         self._open_sessions = 0
         self._lectures: dict[str, int] = {}
-        # P12's open conversations, oldest first: id -> [requests, replies, request seq, request round]
-        self._conversations: dict[str, list[int]] = {}
+        # P12: each open conversation -> the (seq, round) of its requests still owed a reply, oldest first
+        self._conversations: dict[str, list[tuple[int, int]]] = {}
         self.max_reply_latency = 0
 
     # -- verdict bookkeeping -------------------------------------------
@@ -151,22 +151,23 @@ class Monitor:
         self._next_seq = seq + 1
 
         if kind == "envelope":
-            # P12 keeps only open conversations: a late reply is flagged when
-            # seen, an answered conversation is dropped, and a reply to none
-            # is extra
+            # P12: a reply answers the oldest request still owed on its
+            # conversation and is timed from it; a late reply is flagged when
+            # seen, and a reply owed to no request is extra
             conversations = self._conversations
-            conv = conversations.get(conversation)
+            owed = conversations.get(conversation)
             if performative == "request":
-                if conv is None:
-                    conversations[conversation] = [1, 0, seq, rnd]
+                if owed is None:
+                    conversations[conversation] = [(seq, rnd)]
                 else:
-                    conv[0] += 1
-                    conv[2:] = seq, rnd
+                    owed.append((seq, rnd))
                 return
-            if conv is None:
+            if owed is None:
                 self._flag(PropertyId.P12, seq, f"extra reply on conversation {conversation}")
             else:
-                requests, replies, request_seq, request_round = conv
+                request_seq, request_round = owed.pop(0)
+                if not owed:
+                    del conversations[conversation]
                 latency = rnd - request_round
                 if latency > self.max_reply_latency:
                     self.max_reply_latency = latency
@@ -176,10 +177,6 @@ class Monitor:
                         request_seq,
                         f"reply to {conversation} after {latency} rounds, bound {self.cfg.liveness_k}",
                     )
-                if replies + 1 == requests:
-                    del conversations[conversation]
-                else:
-                    conv[1] = replies + 1
             if performative == "inform" and content.startswith("report("):
                 self._check_report(event)
         elif kind == "domain_event":
@@ -329,15 +326,15 @@ class Monitor:
         return out
 
     def _liveness_verdict(self, trace_complete: bool) -> Verdict:
-        """P12 with no extra or late reply: the oldest request still open is
-        violated on a complete trace; a truncated trace could still go on,
-        so it is inconclusive, open request or not."""
+        """P12 with no extra or late reply: the open request with the least
+        seq is violated on a complete trace; a truncated trace could still go
+        on, so it is inconclusive, open request or not."""
         p12 = PropertyId.P12
         if not self._conversations:
             if trace_complete:
                 return Verdict(p12, HOLDS)
             return Verdict(p12, INCONCLUSIVE, None, "trace incomplete: the run did not go quiet")
-        conversation, (_, _, seq, _) = next(iter(self._conversations.items()))
+        seq, conversation = min((owed[0][0], c) for c, owed in self._conversations.items())
         if trace_complete:
             return Verdict(p12, VIOLATED, seq, f"request {conversation} never answered")
         return Verdict(p12, INCONCLUSIVE, seq, f"request {conversation} pending at truncation")

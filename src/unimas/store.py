@@ -554,11 +554,11 @@ def journal_conversations(journal: list[str]) -> list[str]:
     return [_parse_journal_line(seq, line)[2] for seq, line in enumerate(journal, 1)]
 
 
-def recover(journal: list[str], cfg: RunConfig | None = None) -> tuple[Store, int | None]:
+def recover(journal: list[str], cfg: RunConfig | None = None) -> tuple[Store, JournalCorruption | None]:
     """Fold the valid prefix of a journal into a fresh store.
 
     Returns (store, None) for a clean journal, or (store built from the
-    prefix, seq of the first bad record) when corruption is found.
+    prefix, the ``JournalCorruption`` of the first record bad or unappliable).
     """
     store = Store(cfg)
     for line in journal:
@@ -566,15 +566,17 @@ def recover(journal: list[str], cfg: RunConfig | None = None) -> tuple[Store, in
         try:
             name, args, _ = _parse_journal_line(expected, line)
             store._mutate(name, args)
-        except Exception:  # JournalCorruption, or a framed record that cannot apply
-            return store, expected
+        except JournalCorruption as bad:
+            return store, bad
+        except Exception as exc:
+            return store, JournalCorruption(expected, f"cannot apply: {exc!r}")
         store.journal_lines.append(line)
     return store, None
 
 
 def replay(journal: list[str], cfg: RunConfig | None = None) -> Store:
-    """Fold a journal into a fresh store; raises JournalCorruption."""
+    """Fold a journal into a fresh store; raises its first bad record's JournalCorruption."""
     store, bad = recover(journal, cfg)
     if bad is not None:
-        raise JournalCorruption(bad, "halted at first bad record")
+        raise bad
     return store

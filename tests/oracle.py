@@ -15,7 +15,7 @@ from collections import defaultdict
 
 from unimas.config import RunConfig
 from unimas.terms import decode_blob
-from unimas.trace import ParsedTrace
+from unimas.trace import ParsedTrace, TraceEvent
 
 # What P9 calls required, written out here rather than read from the store's
 # schema, so that a field the store makes optional by mistake still shows.
@@ -112,21 +112,49 @@ def reference_report(kind: str, dump: str, lab_count: int) -> list[str]:
     return [f"{kind}|{label}|{value}" for label, value in rows]
 
 
+#: P1, P4, P6 and P8, one keyed rule: property -> (command, its key fields, the
+#: table whose rows hold the same fields, the field a row needs set to count)
+KEYED = {
+    "P1": ("add_student", ("st_id",), "students", ""),
+    "P4": ("admit", ("student_id",), "students", "program_id"),
+    "P6": ("add_class", ("p_id", "semester", "day", "period"), "classes", ""),
+    "P8": ("schedule_exam", ("class_id", "date"), "datesheet", ""),
+}
+
+
 def naive_statuses(parsed: ParsedTrace, cfg: RunConfig) -> dict[str, str]:
     events = list(parsed)
     domain = [(e.seq, *_kv(e.content)) for e in events if e.kind == "domain_event"]
     statuses = {f"P{i}": "holds" for i in range(1, 13)}
+    # each snapshot's tables by its seq, and an empty store at seq -1 before any
+    dumps = {e.seq: parse_dump(decode_blob(e.content)) for e in events if e.kind == "snapshot"}
+    dumps[-1] = parse_dump("")
+
+    def since(seq: int) -> int:
+        """The seq of the latest snapshot before ``seq``: what came before it is replaced."""
+        return max(s for s in dumps if s < seq)
 
     def flag(pid: str) -> None:
         statuses[pid] = "violated"
 
-    # P1: any two accepted registrations sharing st_id
-    registrations = [(seq, kv["st_id"]) for seq, name, kv in domain if name == "add_student"]
-    for i, (_, a) in enumerate(registrations):
-        if any(b == a for _, b in registrations[:i]):
-            flag("P1")
+    # P1/P4/P6/P8, for an accepted event e of the command, s = since(e):
+    #   (∃ e' of the command: s < e' < e ∧ key(e') = key(e)) ∨ (∃ counted row r of s: key(r) = key(e))
+    # and for a snapshot s: ∃ counted rows r ≠ r' of s: key(r) = key(r')
+    for pid, (command, fields, table, needs) in KEYED.items():
+        keyed = [(seq, tuple(kv.get(f, "") for f in fields)) for seq, name, kv in domain if name == command]
+        rows = {
+            s: [tuple(r.get(f, "") for f in fields) for r in tables[table] if not needs or r.get(needs)]
+            for s, tables in dumps.items()
+        }
+        for seq, key in keyed:
+            s = since(seq)
+            if key in rows[s] or any(s < s2 < seq and k2 == key for s2, k2 in keyed):
+                flag(pid)
+        if any(len(set(keys)) != len(keys) for keys in rows.values()):
+            flag(pid)
 
-    # P2/P3: replay the session open/close sequence
+    # P2/P3: replay the session open/close sequence; a snapshot restarts the
+    # count from its session rows
     count = 0
     for event in events:
         if event.kind == "session_open":
@@ -138,43 +166,25 @@ def naive_statuses(parsed: ParsedTrace, cfg: RunConfig) -> dict[str, str]:
             count += 1
         elif event.kind == "session_close":
             count -= 1
+        elif event.kind == "snapshot":
+            count = len(dumps[event.seq]["sessions"])
 
-    # P4: two accepted admissions for one student
-    admits = [kv["student_id"] for _, name, kv in domain if name == "admit"]
-    if len(admits) != len(set(admits)):
-        flag("P4")
-
-    # P6: two accepted classes in one cohort slot
-    slots = [
-        (kv["p_id"], kv["semester"], kv["day"], kv["period"])
-        for _, name, kv in domain
-        if name == "add_class"
-    ]
-    if len(slots) != len(set(slots)):
-        flag("P6")
-
-    # P7: recount, before every accepted exam, the lectures of its class
-    # logged since the class's latest add_class, which resets the count to 0
+    # P7, for an accepted exam e of class c, s = since(e), a = the latest
+    # add_class of c in (s, e), or s if none: the lectures of c logged in
+    # (a, e), plus s's persisted count of c if a = s, reach the term's minimum
     for seq, name, kv in domain:
         if name != "schedule_exam":
             continue
-        added = max(
-            (s2 for s2, n2, k2 in domain if n2 == "add_class" and k2["class_id"] == kv["class_id"] and s2 < seq),
-            default=-1,
-        )
-        delivered = sum(
-            int(k2["times"])
-            for s2, n2, k2 in domain
-            if n2 == "deliver_lecture" and k2["class_id"] == kv["class_id"] and added < s2 < seq
+        c, s = kv["class_id"], since(seq)
+        of_c = [(s2, n2, k2) for s2, n2, k2 in domain if k2.get("class_id") == c and s < s2 < seq]
+        added = max((s2 for s2, n2, _ in of_c if n2 == "add_class"), default=s)
+        persisted = {r["class_id"]: int(r["lectures_delivered"]) for r in dumps[s]["lecture_logs"]}
+        delivered = (persisted.get(c, 0) if added == s else 0) + sum(
+            int(k2["times"]) for s2, n2, k2 in of_c if n2 == "deliver_lecture" and added < s2
         )
         minimum = cfg.min_lectures_mid if kv["term"] == "mid" else cfg.min_lectures_final
         if delivered < minimum:
             flag("P7")
-
-    # P8: two accepted exams for one class on one date
-    exams = [(kv["class_id"], kv["date"]) for _, name, kv in domain if name == "schedule_exam"]
-    if len(exams) != len(set(exams)):
-        flag("P8")
 
     # P9 per event: empty required field in any accepted command
     for _, name, kv in domain:
@@ -203,10 +213,8 @@ def naive_statuses(parsed: ParsedTrace, cfg: RunConfig) -> dict[str, str]:
             ):
                 flag("P11")
 
-    # snapshot rules: P5 plus persisted P1/P6/P8/P9
-    snapshots = [e for e in events if e.kind == "snapshot"]
-    for snap in snapshots:
-        tables = parse_dump(decode_blob(snap.content))
+    # snapshot rules: P5 and persisted P9
+    for tables in dumps.values():
         fee_keys = {(r["p_id"], r["semester"]) for r in tables["fees"]}
         for program in tables["programs"]:
             for s in range(1, int(program["semester_count"]) + 1):
@@ -216,35 +224,23 @@ def naive_statuses(parsed: ParsedTrace, cfg: RunConfig) -> dict[str, str]:
             for row in rows:
                 if any(row.get(f, "") == "" for f in REQUIRED_ROW_FIELDS[table]):
                     flag("P9")
-        persisted = {
-            "P1": [r["st_id"] for r in tables["students"]],
-            "P6": [(r["p_id"], r["semester"], r["day"], r["period"]) for r in tables["classes"]],
-            "P8": [(r["class_id"], r["date"]) for r in tables["datesheet"]],
-        }
-        for pid, keys in persisted.items():
-            if len(keys) != len(set(keys)):
-                flag(pid)
 
-    # P12: every reply on a conversation follows more requests than replies
-    # on it so far; every request is answered, within K rounds
-    requests: dict[str, list[int]] = defaultdict(list)
-    replies: dict[str, list[int]] = defaultdict(list)
+    # P12 pairs the i-th reply on a conversation with its i-th request q_i:
+    #   ∀ i: reply r_i → q_i exists ∧ q_i.seq < r_i.seq ∧ r_i.round − q_i.round ≤ K
+    #   and, on a complete trace, ∀ i: q_i → r_i exists
+    sent: dict[str, list[TraceEvent]] = defaultdict(list)
+    answered: dict[str, list[TraceEvent]] = defaultdict(list)
     for event in events:
-        if event.kind != "envelope":
-            continue
-        if event.performative == "request":
-            requests[event.conversation].append(event.round)
-            continue
-        if not len(requests.get(event.conversation, ())) > len(replies[event.conversation]):
+        if event.kind == "envelope":
+            (sent if event.performative == "request" else answered)[event.conversation].append(event)
+    for conversation, replies in answered.items():
+        requests = sent[conversation]
+        if len(replies) > len(requests) or any(
+            q.seq > r.seq or r.round - q.round > cfg.liveness_k for q, r in zip(requests, replies)
+        ):
             flag("P12")
-        replies[event.conversation].append(event.round)
-    for conversation, sent in requests.items():
-        answered = replies[conversation]
-        if len(answered) < len(sent):
-            if parsed.complete:
-                flag("P12")
-        elif answered and max(answered) - min(sent) > cfg.liveness_k:
-            flag("P12")
+    if parsed.complete and any(len(requests) > len(answered[c]) for c, requests in sent.items()):
+        flag("P12")
     # a cut-off trace could still go on: P12 is open unless already violated
     if not parsed.complete and statuses["P12"] != "violated":
         statuses["P12"] = "inconclusive"

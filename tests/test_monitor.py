@@ -1,12 +1,14 @@
 import random
+from collections import defaultdict
 
 import pytest
 
 from oracle import REQUIRED_COMMAND_FIELDS, REQUIRED_ROW_FIELDS, naive_statuses
 from test_acceptance import GOLDEN, GOLDEN_CFG, SCENARIOS
+from test_golden_hashes import _with_crash_lines
 from unimas.bdi import BelieveStep, MessageMatch, Plan, make_agent
 from unimas.config import RunConfig
-from unimas.fuzz import fuzz, fuzz_config
+from unimas.fuzz import fuzz, fuzz_config, generate
 from unimas.monitor import (
     HOLDS,
     INCONCLUSIVE,
@@ -266,13 +268,19 @@ def _exam_row(class_id, date, term):
     return f"datesheet|{class_id}:{date}|class_id={class_id},date={date},term={term},subject=Math"
 
 
-def _after_snapshot(*rows):
-    """A monitor whose third event, seq 2, is a snapshot of ``rows``; the
+def _snapshot_events(*rows):
+    """Three events, the third (seq 2) a snapshot of ``rows``; the
     registration at seq 1 is not in it, as if lost to a torn journal write."""
+    return [
+        ev(0, "session_open", content="open_session(dpt_id=CS,sid=1)"),
+        domain(1, "add_student(st_id=333,name=B,dpt_id=CS,student_id=3)"),
+        ev(2, "snapshot", content=encode_blob("\n".join(rows) + "\n")),
+    ]
+
+
+def _after_snapshot(*rows):
     monitor = Monitor()
-    monitor.observe(ev(0, "session_open", content="open_session(dpt_id=CS,sid=1)"))
-    monitor.observe(domain(1, "add_student(st_id=333,name=B,dpt_id=CS,student_id=3)"))
-    monitor.observe(ev(2, "snapshot", content=encode_blob("\n".join(rows) + "\n")))
+    monitor.read(_snapshot_events(*rows))
     return monitor
 
 
@@ -284,6 +292,12 @@ def _after_snapshot(*rows):
             _student_row(2, 112),
             _student_row(2, 111),
             "P1|violated|2|persisted st_id 111 registered twice",
+        ),
+        (  # a students row counts toward P4 once its program_id is set
+            _student_row(1, 111, program_id="1"),
+            _student_row(1, 112),
+            _student_row(1, 112, program_id="2"),
+            "P4|violated|2|persisted student 1 admitted twice",
         ),
         (
             _class_row(1, 0),
@@ -300,9 +314,11 @@ def _after_snapshot(*rows):
     ],
 )
 def test_snapshot_key_clash_flags_at_the_snapshot_seq(first, apart, clash, verdict):
-    assert all(v.status == HOLDS for v in _after_snapshot(first, apart).finalize(True))
-    flagged = [v.render() for v in _after_snapshot(first, clash).finalize(True) if v.status != HOLDS]
-    assert flagged == [verdict]
+    # the monitor, offline and live, and the oracle all judge the snapshot's rows
+    apart_verdicts = _live_checked_offline_and_by_the_oracle(_snapshot_events(first, apart))
+    assert all(v.status == HOLDS for v in apart_verdicts)
+    clash_verdicts = _live_checked_offline_and_by_the_oracle(_snapshot_events(first, clash))
+    assert [v.render() for v in clash_verdicts if v.status != HOLDS] == [verdict]
 
 
 def test_snapshot_verdicts_on_a_dump_with_four_faults_are_pinned():
@@ -501,18 +517,55 @@ HAND_BUILT_VIOLATIONS = {
         "P12|violated|0|extra reply on conversation GW:0",
         [_envelope(0, 0, "inform", "GW:0"), _envelope(1, 1, "request", "GW:0")],
     ),
+    # a reply answers the oldest request it owes and is timed from it
+    "late_first_request": (
+        "P12|violated|0|reply to GW:0 after 201 rounds, bound 100",
+        [
+            _envelope(0, 0, "request", "GW:0"),
+            _envelope(1, 200, "request", "GW:0"),
+            _envelope(2, 201, "inform", "GW:0"),
+            _envelope(3, 202, "inform", "GW:0"),
+        ],
+    ),
+    # finalize names the open request with the least seq, whatever the dict order
+    "oldest_open_request": (
+        "P12|violated|1|request B:0 never answered",
+        [
+            _envelope(0, 0, "request", "A:0"),
+            _envelope(1, 1, "request", "B:0"),
+            _envelope(2, 2, "request", "A:0"),
+            _envelope(3, 3, "inform", "A:0"),
+        ],
+    ),
 }
 
 
 @pytest.mark.parametrize("verdict,events", HAND_BUILT_VIOLATIONS.values(), ids=list(HAND_BUILT_VIOLATIONS))
 def test_live_offline_and_naive_oracle_agree_on_a_hand_built_violation(verdict, events):
-    cfg = RunConfig()
+    assert verdict in [v.render() for v in _live_checked_offline_and_by_the_oracle(events)]
+
+
+def test_requests_on_one_conversation_each_answered_within_k_hold():
+    # 99 rounds from the first request, 1 from the second: each in time,
+    # though the last reply is 201 rounds after the first request
+    events = [
+        _envelope(0, 0, "request", "GW:0"),
+        _envelope(1, 99, "inform", "GW:0"),
+        _envelope(2, 200, "request", "GW:0"),
+        _envelope(3, 201, "inform", "GW:0"),
+    ]
+    assert all(v.status == HOLDS for v in _live_checked_offline_and_by_the_oracle(events))
+
+
+def _live_checked_offline_and_by_the_oracle(events, cfg=RunConfig()):
+    """The live verdicts on ``events`` as a complete trace, once the
+    offline monitor and the oracle agree with them."""
     monitor = Monitor(cfg)
     monitor.read(events)
     live = monitor.finalize(trace_complete=True)
-    assert verdict in [v.render() for v in live]
     lines = [f"# config {cfg.header()}", *(event.render() for event in events), "# end complete=true"]
     _assert_offline_and_naive_oracle_agree_with(live, lines, cfg)
+    return live
 
 
 def _assert_live_offline_and_naive_oracle_agree(commands, cfg):
@@ -522,9 +575,7 @@ def _assert_live_offline_and_naive_oracle_agree(commands, cfg):
 
 def _assert_offline_and_naive_oracle_agree_with(live, lines, cfg):
     offline = evaluate_trace(parse_trace(lines), cfg)
-    assert [(v.property, v.status, v.witness_seq) for v in offline] == [
-        (v.property, v.status, v.witness_seq) for v in live
-    ]
+    assert [v.render() for v in offline] == [v.render() for v in live]
 
     naive = naive_statuses(parse_trace(lines), cfg)
     assert naive == {v.property.value: v.status for v in live}
@@ -559,8 +610,11 @@ def _one_edit_mutants(lines, rng, count):
 
 @pytest.mark.parametrize("seed", [1, 2])
 def test_monitor_and_naive_oracle_agree_on_one_edit_mutants_of_a_fuzz_trace(seed):
-    cfg = fuzz_config(seed)
     lines = fuzz(seed, 100).log.text().splitlines()
+    _assert_monitor_and_naive_oracle_agree_on_mutants(lines, fuzz_config(seed), seed)
+
+
+def _assert_monitor_and_naive_oracle_agree_on_mutants(lines, cfg, seed):
     violated = 0
     for edit, mutant in _one_edit_mutants(lines, random.Random(seed), 150):
         monitor = {v.property.value: v.status for v in evaluate_trace(parse_trace(mutant), cfg)}
@@ -651,15 +705,16 @@ def test_a_conversation_pending_at_truncation_is_still_named():
 
 
 def _latency_over_all_conversations(events):
-    """The worst reply latency over every conversation, none forgotten."""
-    requested, worst = {}, 0
+    """The worst reply latency over every conversation, none forgotten; a
+    reply is timed from the oldest request it owes."""
+    requested, worst = defaultdict(list), 0
     for event in events:
         if event.kind != "envelope":
             continue
         if event.performative == "request":
-            requested[event.conversation] = event.round
+            requested[event.conversation].append(event.round)
         else:
-            worst = max(worst, event.round - requested[event.conversation])
+            worst = max(worst, event.round - requested[event.conversation].pop(0))
     return worst
 
 
@@ -799,3 +854,40 @@ def test_a_crashed_or_cut_off_run_is_read_once_in_order(commands, cfg, crash, sn
     assert [e.seq for e in events if e.kind == "snapshot"][0] > BLOCK_LINES
     assert sum(e.kind == "snapshot" for e in events) == snapshots
     assert result.quiescent == (cfg.max_rounds == RunConfig.max_rounds)
+
+
+# -- a snapshot replaces what came before it ----------------------------------------
+
+
+def test_offline_verdicts_equal_the_naive_oracles_on_crashed_runs():
+    # each crash's snapshot replaces the keys, open sessions and lecture
+    # counts seen before it, and a torn record's command is driven again
+    lifecycle = parse_scenario(LIFECYCLE)
+    runs = [
+        (lifecycle, RunConfig(pipeline_window=window), at, torn)
+        for window in (1, 8)
+        for at in range(51)
+        for torn in (False, True)
+    ]
+    for seed in (1, 2, 3):
+        cfg = fuzz_config(seed)
+        commands = generate(seed, 300, cfg)
+        runs += [(commands, cfg, at, torn) for at in (20, 60, 100, 150, 200) for torn in (False, True)]
+    for commands, cfg, at, torn in runs:
+        lines = run_scenario(commands, cfg, crash_at=at, torn=torn).log.text().splitlines()
+        offline = {v.property.value: v.status for v in evaluate_trace(parse_trace(lines), cfg)}
+        assert offline == naive_statuses(parse_trace(lines), cfg), (cfg, at, torn)
+
+
+@pytest.mark.parametrize(
+    "text, cfg, crash",
+    [
+        (_with_crash_lines(), RunConfig(pipeline_window=8), {}),
+        (LIFECYCLE, RunConfig(), {"crash_at": 25, "torn": True}),
+    ],
+    ids=["crash_lines", "crash_at_torn"],
+)
+def test_monitor_and_naive_oracle_agree_on_one_edit_mutants_of_a_crashed_run(text, cfg, crash):
+    lines = run_scenario(parse_scenario(text), cfg, **crash).log.text().splitlines()
+    assert sum(line.split("|")[2] == "snapshot" for line in lines[1:-1]) > 1  # it crashed
+    _assert_monitor_and_naive_oracle_agree_on_mutants(lines, cfg, 1)
