@@ -92,7 +92,7 @@ def _issue(agent_id: str, goal: Goal) -> list[Envelope]:
 #: Scenario bridge: an injected ``issue`` goal keeps the request it sends as
 #: its message, under the conversation ``GW:<adoption seq>``.  Replies are
 #: read off the mailbox by the harness; the gateway keeps no plans for them.
-GATEWAY_PROGRAM = PlanLibrary([Plan("gw_issue", "issue", (SendStep(_issue),))])
+GATEWAY_PROGRAM = PlanLibrary([Plan("gw_issue", "issue", (SendStep(_issue),))], advance_every_intention=False)
 
 
 # -- envelopes ---------------------------------------------------------------
@@ -135,7 +135,8 @@ def relay_program(
         [
             Plan("relay_request", "relay_request", (SendStep(forward),), MessageMatch(Performative.REQUEST)),
             Plan("relay_reply", "relay_reply", (SendStep(answer),), MessageMatch(REPLIES)),
-        ]
+        ],
+        advance_every_intention=True,
     )
 
 
@@ -218,7 +219,8 @@ ORCHESTRATOR_PROGRAM = PlanLibrary(
     [
         Plan("oa_request", "oa_handle", (CommandStep(_build_command),), MessageMatch(Performative.REQUEST)),
         Plan("oa_store_reply", "oa_reply", (SendStep(_reply_stored),), BeliefMatch("store_reply")),
-    ]
+    ],
+    advance_every_intention=True,
 )
 
 
@@ -256,9 +258,9 @@ def build_world(cfg: RunConfig | None = None) -> tuple[World, Store]:
 
     Each agent starts with an empty mind on its program: the constant one
     of its kind, but for the report agent's, built from ``cfg``.  Every
-    agent but the gateway advances every intention it holds each cycle, so
-    a command's store step and the reply to an earlier one share a round;
-    the gateway, one request per round, is the one throttle.
+    program but the gateway's advances every intention its agent holds each
+    cycle, so a command's store step and the reply to an earlier one share a
+    round; the gateway, one request per round, is the one throttle.
     """
     cfg = cfg or RunConfig()
     check_liveness_k(cfg)
@@ -267,6 +269,5 @@ def build_world(cfg: RunConfig | None = None) -> tuple[World, Store]:
     programs = dict.fromkeys(ROSTER, RELAY_PROGRAM)  # agent id -> program, in registration order
     programs |= {GATEWAY: GATEWAY_PROGRAM, "RPA": report_program(cfg), ORCHESTRATOR: ORCHESTRATOR_PROGRAM}
     for aid, program in programs.items():
-        state = bdi.AgentState(aid, bdi.BeliefBase(), program, advance_every_intention=aid != GATEWAY)
-        register_agent(world, state)
+        register_agent(world, bdi.AgentState(aid, bdi.BeliefBase(), program))
     return world, store

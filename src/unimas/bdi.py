@@ -17,11 +17,12 @@ plans in execution); a committed goal lives only in its intention.
                      the goals the agent already pursues (the gateway
                      holds up to ``pipeline_window`` of them),
     2. execute    -- advance the oldest intention by exactly one step; an
-                     agent with ``advance_every_intention`` set advances
-                     every intention it holds at this point by one step
-                     instead, oldest first.  The orchestrator, the relays
-                     and the report agent set it; the gateway does not, so
-                     it stays the one throttle on how fast commands enter.
+                     agent whose program sets ``advance_every_intention``
+                     advances every intention it holds at this point by
+                     one step instead, oldest first.  The programs of the
+                     orchestrator, the relays and the report agent set it;
+                     the gateway's does not, so it stays the one throttle
+                     on how fast commands enter.
 
 ``step`` returns a fresh state and never mutates its input: no clocks, no
 randomness, no shared mutation.
@@ -168,9 +169,13 @@ class PlanLibrary(tuple[Plan, ...]):
     """The plans in declaration order, indexed by trigger and by goal name
     as Jason indexes relevant plans.  Each index, built with the library in
     one declaration-order pass, holds what a scan of the plans in order
-    finds, so every choice is the scan's."""
+    finds, so every choice is the scan's.  ``advance_every_intention`` is
+    the program's execute rule: False, one intention step per cycle
+    (AgentSpeak(L)); True, every intention held at the start of the execute
+    phase steps once."""
 
-    def __init__(self, plans: Iterable[Plan] = ()) -> None:
+    def __init__(self, plans: Iterable[Plan] = (), *, advance_every_intention: bool = False) -> None:
+        self.advance_every_intention = advance_every_intention
         self.on_message: dict[str, Plan] = {}  # performative -> the first plan a message triggers
         self.on_percept: dict[str, Plan] = {}  # predicate -> the first plan a belief percept triggers
         self.serving: dict[str, Plan] = {}  # goal name -> the first plan serving it
@@ -204,9 +209,6 @@ class AgentState:
     intentions: list[Intention] = field(default_factory=list)
     next_seq: int = 0
     percepts: list[Belief] = field(default_factory=list)
-    #: False: one intention step per cycle (AgentSpeak(L)); True: every
-    #: intention held at the start of the execute phase steps once.
-    advance_every_intention: bool = False
 
     def adopt(
         self, name: str, params: tuple[str, ...], message: Envelope | None = None
@@ -225,8 +227,7 @@ def make_agent(
     return AgentState(
         id=agent_id,
         beliefs=BeliefBase(beliefs),
-        plan_library=PlanLibrary(plans),
-        advance_every_intention=advance_every_intention,
+        plan_library=PlanLibrary(plans, advance_every_intention=advance_every_intention),
     )
 
 
@@ -264,13 +265,11 @@ def _deliberate(state: AgentState, inbox: Sequence[Envelope]) -> AgentState:
             seq += 1
         else:
             beliefs = beliefs.add(percept)  # unhandled percepts become knowledge
-    return AgentState(
-        state.id, beliefs, library, waiting, intentions, seq, [], state.advance_every_intention
-    )
+    return AgentState(state.id, beliefs, library, waiting, intentions, seq, [])
 
 
 def _execute(state: AgentState) -> tuple[tuple[Envelope, ...], tuple[Command, ...]]:
-    """Advance the oldest intention by one step or, with
+    """Advance the oldest intention by one step or, when the program sets
     ``advance_every_intention``, every intention held now, oldest first.
 
     An intention that finishes or fails takes its goal with it; steps only
@@ -284,7 +283,7 @@ def _execute(state: AgentState) -> tuple[tuple[Envelope, ...], tuple[Command, ..
         return (), ()
     outbox: list[Envelope] = []
     commands: list[Command] = []
-    every, agent_id = state.advance_every_intention, state.id
+    every, agent_id = state.plan_library.advance_every_intention, state.id
     kept: list[Intention] = []
     for plan, pc, goal in held if every else held[:1]:
         step = plan.body[pc]

@@ -318,8 +318,8 @@ class ScenarioRunner:
     # -- crash recovery -------------------------------------------------------
 
     def _crash(self, torn: bool) -> list[int]:
-        """Restart every agent's mind in the same world, on the program it
-        runs, and the store rebuilt from its journal.
+        """Restart every agent in the same world, carrying only its program
+        and seq, and the store rebuilt from its journal's whole records.
 
         A command in flight that the journal holds counts as done, its
         reply lost (``applied_no_reply``); the others are returned, in
@@ -334,9 +334,7 @@ class ScenarioRunner:
         for old in list(self.world.agents.values()):
             # what carries over is named; the rest of the mind, and the
             # mailbox, start empty.  The seq keeps conversation ids unique.
-            program, every = old.plan_library, old.advance_every_intention
-            state = AgentState(old.id, BeliefBase(), program, next_seq=old.next_seq, advance_every_intention=every)
-            register_agent(self.world, state)
+            register_agent(self.world, AgentState(old.id, BeliefBase(), old.plan_library, next_seq=old.next_seq))
         self.world.command_handler = store_handler(rebuilt)
         self.store = rebuilt
         # a snapshot of the rebuilt store marks the crash boundary on the

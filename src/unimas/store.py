@@ -555,10 +555,13 @@ def journal_conversations(journal: list[str]) -> list[str]:
 
 
 def recover(journal: list[str], cfg: RunConfig | None = None) -> tuple[Store, JournalCorruption | None]:
-    """Fold the valid prefix of a journal into a fresh store.
+    """Fold the valid prefix of a journal into a fresh store, whole records
+    only.
 
     Returns (store, None) for a clean journal, or (store built from the
     prefix, the ``JournalCorruption`` of the first record bad or unappliable).
+    A record that ``_mutate`` cannot apply may have written rows before it
+    raised, so the store is then folded afresh from the records before it.
     """
     store = Store(cfg)
     for line in journal:
@@ -569,7 +572,8 @@ def recover(journal: list[str], cfg: RunConfig | None = None) -> tuple[Store, Jo
         except JournalCorruption as bad:
             return store, bad
         except Exception as exc:
-            return store, JournalCorruption(expected, f"cannot apply: {exc!r}")
+            kept = recover(store.journal_lines, cfg)[0]
+            return kept, JournalCorruption(expected, f"cannot apply: {exc!r}")
         store.journal_lines.append(line)
     return store, None
 

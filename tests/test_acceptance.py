@@ -12,37 +12,14 @@ from multiprocessing import Pool
 from pathlib import Path
 
 import pytest
+import runs
+from runs import GOLDEN, SCENARIOS
 
-from unimas.bdi import BelieveStep, MessageMatch, Plan, make_agent
 from unimas.config import RunConfig
 from unimas.fuzz import fuzz
 from unimas.monitor import HOLDS, VIOLATED, PropertyId, evaluate_trace
-from unimas.scenario import ScenarioRunner, load_test, parse_scenario, run_scenario
-from unimas.terms import Performative
+from unimas.scenario import parse_scenario, run_scenario
 from unimas.trace import parse_trace
-
-SCENARIOS = Path(__file__).parent.parent / "scenarios"
-
-GOLDEN = (
-    "registration.scn",
-    "teachers.scn",
-    "admissions.scn",
-    "scheduling.scn",
-    "examinations.scn",
-    "results.scn",
-    "reports.scn",
-    "sessions.scn",
-    "lifecycle.scn",
-)
-
-#: Per-scenario config tweaks (sessions.scn needs a reachable cap).
-GOLDEN_CFG = {"sessions.scn": RunConfig(cap=3)}
-
-
-def _run_golden(name: str):
-    commands = parse_scenario((SCENARIOS / name).read_text())
-    return run_scenario(commands, GOLDEN_CFG.get(name, RunConfig()))
-
 
 def _statuses(verdicts):
     return {v.property: v.status for v in verdicts}
@@ -51,17 +28,17 @@ def _statuses(verdicts):
 @pytest.fixture(scope="module")
 def golden_runs():
     started = time.perf_counter()
-    runs = {name: _run_golden(name) for name in GOLDEN}
-    return runs, time.perf_counter() - started
+    golden = {name: runs.scenario(name) for name in GOLDEN}
+    return golden, time.perf_counter() - started
 
 
 # -- criterion 1: property coverage over the golden suite ---------------------
 
 
 def test_c1_golden_suite_all_hold(golden_runs):
-    runs, elapsed = golden_runs
-    assert len(runs) >= 8
-    for name, result in runs.items():
+    golden, elapsed = golden_runs
+    assert len(golden) >= 8
+    for name, result in golden.items():
         assert result.exit_code == 0, (name, result.expectation_failures)
         assert result.quiescent, name
         assert all(v.status == HOLDS for v in result.verdicts), (
@@ -71,7 +48,7 @@ def test_c1_golden_suite_all_hold(golden_runs):
         assert len(result.verdicts) == len(PropertyId) == 12
     assert elapsed < 5.0, f"golden suite took {elapsed:.2f}s"
     print(
-        f"\nACCEPTANCE 1: PASS - {len(runs)} golden scenarios, 12 properties each, "
+        f"\nACCEPTANCE 1: PASS - {len(golden)} golden scenarios, 12 properties each, "
         f"all hold, {elapsed:.2f}s"
     )
 
@@ -150,13 +127,13 @@ def test_c2_mutation_suite_detects_each_fault_exactly():
         expected = PropertyId(flag.upper())
         cfg = replace(base_cfg, inject=flag)
 
-        clean = run_scenario(parse_scenario(text), base_cfg)
+        clean = runs.run(text, base_cfg)
         assert all(v.status == HOLDS for v in clean.verdicts), (
             flag,
             "guarded run must hold",
         )
 
-        injected = run_scenario(parse_scenario(text), cfg)
+        injected = runs.run(text, cfg)
         statuses = _statuses(injected.verdicts)
         assert statuses[expected] == VIOLATED, (flag, statuses)
         others = {p: s for p, s in statuses.items() if p is not expected}
@@ -164,17 +141,7 @@ def test_c2_mutation_suite_detects_each_fault_exactly():
         detected.append(flag)
 
     # P12 soundness via a deliberately non-replying agent stub
-    runner = ScenarioRunner(RunConfig())
-    swallow = Plan(
-        name="swallow",
-        goal="swallow",
-        when=MessageMatch(Performative.REQUEST),
-        body=(BelieveStep(lambda agent_id, goal: []),),
-    )
-    runner.world.agents["SA"] = make_agent("SA", [swallow])
-    result = runner.run(
-        parse_scenario("OPEN_SESSION dept=CS\nREGISTER_STUDENT st_id=1 name=A dept=CS\n")
-    )
+    result = runs.silent_sa()
     statuses = _statuses(result.verdicts)
     assert statuses[PropertyId.P12] == VIOLATED
     assert all(s == HOLDS for p, s in statuses.items() if p is not PropertyId.P12)
@@ -189,11 +156,11 @@ def test_c2_mutation_suite_detects_each_fault_exactly():
 
 
 def test_c3_paper_constants_exact():
-    big = load_test(RunConfig(cap=1000), clients=1001)
+    big = runs.load(RunConfig(cap=1000), 1001)
     assert (big.granted, big.busy) == (1000, 1)
     assert big.result.exit_code == 0
     assert {v.property: v.status for v in big.result.verdicts}[PropertyId.P12] == HOLDS
-    small = load_test(RunConfig(cap=10), clients=11)
+    small = runs.load(RunConfig(cap=10), 11)
     assert (small.granted, small.busy) == (10, 1)
 
     exam_text = (
@@ -209,7 +176,7 @@ def test_c3_paper_constants_exact():
         ("final", 31, False),
         ("final", 32, True),
     ):
-        result = run_scenario(parse_scenario(exam_text.format(n=count, term=term)))
+        result = runs.run(exam_text.format(n=count, term=term))
         outcome = result.outcomes[-1]
         assert outcome.accepted == accepted, (term, count, outcome)
         if not accepted:
@@ -224,7 +191,7 @@ def test_c3_paper_constants_exact():
         "RECORD_RESULT student_id=1 class_id=1 subject=Math marks={m}\n"
     )
     for marks, accepted in ((-1, False), (0, True), (100, True), (101, False)):
-        result = run_scenario(parse_scenario(marks_text.format(m=marks)))
+        result = runs.run(marks_text.format(m=marks))
         assert result.outcomes[-1].accepted == accepted, (marks, result.outcomes[-1])
 
     print(
@@ -270,19 +237,12 @@ def test_c4_determinism_and_fuzz_sweep():
 
 
 def test_c5_crash_replay_sweep_byte_identical():
-    commands = parse_scenario((SCENARIOS / "lifecycle.scn").read_text())
     started = time.perf_counter()
-    for window in (1, 8):
-        cfg = replace(RunConfig(), pipeline_window=window)
-        baseline = run_scenario(commands, cfg)
+    for cfg, crash_at, torn, crashed in runs.crashed_lifecycle():
+        baseline = runs.scenario("lifecycle.scn", cfg)
         n_events = len(baseline.store.journal_lines)
-        assert n_events == 50
-        base_dump = baseline.store.dump()
-
-        for torn in (False, True):
-            for crash_at in range(0, n_events + 1):
-                crashed = run_scenario(commands, cfg, crash_at=crash_at, torn=torn)
-                assert crashed.store.dump() == base_dump, (window, crash_at, torn)
+        assert n_events == 50  # so the crashes cover every index 0..n_events
+        assert crashed.store.dump() == baseline.store.dump(), (cfg.pipeline_window, crash_at, torn)
     elapsed = time.perf_counter() - started
     assert elapsed < 30.0, f"crash sweep took {elapsed:.1f}s"
     print(
@@ -297,7 +257,7 @@ def test_c5_crash_replay_sweep_byte_identical():
 def test_c6_offline_reevaluation_matches_live():
     compared = 0
     for seed in range(1, 6):
-        live = fuzz(seed, 400)
+        live = runs.fuzz(seed, 400)
         parsed = parse_trace(live.log.text().splitlines())
         offline = evaluate_trace(parsed, live.cfg)
         assert [(v.property, v.status, v.witness_seq) for v in offline] == [
@@ -314,9 +274,9 @@ def test_c6_offline_reevaluation_matches_live():
 
 
 def test_c7_reply_latency_bound(golden_runs):
-    runs, _ = golden_runs
+    golden, _ = golden_runs
     worst = 0
-    for name, result in runs.items():
+    for name, result in golden.items():
         latency = result.monitor.max_reply_latency
         assert latency <= 10, (name, latency)
         assert latency <= result.cfg.liveness_k

@@ -6,10 +6,11 @@ path, not store shortcuts.
 """
 
 from collections import Counter
-from pathlib import Path
 
 import pytest
+import runs
 from oracle import parse_dump, reference_report
+from runs import GOLDEN_CFG, SCENARIOS, TRAPS
 
 from unimas import bdi
 from unimas.agents import (
@@ -25,7 +26,7 @@ from unimas.agents import (
 )
 from unimas.bdi import Belief
 from unimas.config import RunConfig
-from unimas.fuzz import fuzz, fuzz_config, generate
+from unimas.fuzz import fuzz_config, generate
 from unimas.runtime import route, run_round
 from unimas.scenario import ScenarioRunner, parse_scenario, run_scenario
 from unimas.store import SCHEMAS, Store
@@ -40,13 +41,6 @@ from unimas.terms import (
     refusal_line,
 )
 from unimas.trace import KIND_SET, parse_trace
-
-SCENARIOS = Path(__file__).parent.parent / "scenarios"
-
-
-def run_lines(text: str, cfg: RunConfig | None = None):
-    return run_scenario(parse_scenario(text), cfg)
-
 
 SESSION = "OPEN_SESSION dept=CS\n"
 
@@ -64,12 +58,12 @@ def table(result, name):
 
 
 def test_first_student_gets_id_one():
-    result = run_lines(SESSION + "REGISTER_STUDENT st_id=111 name=Ali dept=CS\n")
+    result = runs.run(SESSION + "REGISTER_STUDENT st_id=111 name=Ali dept=CS\n")
     assert result.outcomes[1].reply == Term("ok", ("1",))
 
 
 def test_duplicate_registration_refused_with_paper_literal():
-    result = run_lines(
+    result = runs.run(
         SESSION
         + "REGISTER_STUDENT st_id=111 name=Ali dept=CS\n"
         + "REGISTER_STUDENT st_id=111 name=Ali dept=CS\n"
@@ -79,7 +73,7 @@ def test_duplicate_registration_refused_with_paper_literal():
 
 
 def test_two_students_monotone_ids():
-    result = run_lines(
+    result = runs.run(
         SESSION
         + "REGISTER_STUDENT st_id=111 name=Ali dept=CS\n"
         + "REGISTER_STUDENT st_id=222 name=Sara dept=CS\n"
@@ -131,7 +125,7 @@ def test_values_cross_as_written_and_only_int_fields_are_read(case):
     # field as a number, refuses one that is not ASCII decimal, and keeps it
     # in canonical form
     lines, last, held = VALUE_CASES[case]
-    result = run_lines(SESSION + lines)
+    result = runs.run(SESSION + lines)
     assert all(o.status in ("ok", "failed") for o in result.outcomes)
     assert (result.outcomes[-1].status, result.outcomes[-1].reason) == last
     assert result.exit_code == 0  # P1-P12 hold
@@ -144,7 +138,7 @@ def test_values_cross_as_written_and_only_int_fields_are_read(case):
 
 
 def test_teacher_registration_mirrors_student_rule():
-    result = run_lines(
+    result = runs.run(
         SESSION
         + "REGISTER_TEACHER name=Tariq designation=lecturer contact=0300 email=t@u.edu\n"
         + "REGISTER_TEACHER name=Other designation=professor contact=0301 email=t@u.edu\n"
@@ -167,13 +161,13 @@ ADMISSION_PREFIX = (
 
 
 def test_admission_sets_program():
-    result = run_lines(ADMISSION_PREFIX + "ADMIT student_id=1 p_id=1\n")
+    result = runs.run(ADMISSION_PREFIX + "ADMIT student_id=1 p_id=1\n")
     assert result.outcomes[3].status == "ok"
     assert [s["program_id"] for s in table(result, "students")] == ["1"]
 
 
 def test_second_admission_refused_any_program():
-    result = run_lines(
+    result = runs.run(
         ADMISSION_PREFIX
         + "ADD_PROGRAM name=bsse session=evening semesters=8 fee=5000\n"
         + "ADMIT student_id=1 p_id=1\n"
@@ -184,7 +178,7 @@ def test_second_admission_refused_any_program():
 
 
 def test_admission_unknown_program_fails():
-    result = run_lines(ADMISSION_PREFIX + "ADMIT student_id=1 p_id=77\n")
+    result = runs.run(ADMISSION_PREFIX + "ADMIT student_id=1 p_id=77\n")
     assert result.outcomes[3].status == "failed"
 
 
@@ -192,12 +186,12 @@ def test_admission_unknown_program_fails():
 
 
 def test_new_program_syncs_fee_rows():
-    result = run_lines(SESSION + "ADD_PROGRAM name=bscs session=morning semesters=8 fee=5000\n")
+    result = runs.run(SESSION + "ADD_PROGRAM name=bscs session=morning semesters=8 fee=5000\n")
     assert [f["p_id"] for f in table(result, "fees")] == ["1"] * 8
 
 
 def test_incomplete_program_is_atomic():
-    result = run_lines(SESSION + "ADD_PROGRAM name=bscs session=morning semesters=8 fee=\n")
+    result = runs.run(SESSION + "ADD_PROGRAM name=bscs session=morning semesters=8 fee=\n")
     assert result.outcomes[1].status == "refused"
     assert table(result, "programs") == []
     assert table(result, "fees") == []
@@ -210,7 +204,7 @@ CLASS_PREFIX = ADMISSION_PREFIX + "ADD_CLASS p_id=1 semester=1 subject=Math day=
 
 
 def test_first_class_id_one_and_slot_conflicts():
-    result = run_lines(
+    result = runs.run(
         CLASS_PREFIX
         + "ADD_CLASS p_id=1 semester=1 subject=Physics day=0 period=0\n"
         + "ADD_CLASS p_id=1 semester=2 subject=Physics day=0 period=0\n"
@@ -222,7 +216,7 @@ def test_first_class_id_one_and_slot_conflicts():
 
 
 def test_assign_teacher_conflict_and_overwrite():
-    result = run_lines(
+    result = runs.run(
         CLASS_PREFIX
         + "ADD_CLASS p_id=1 semester=2 subject=Logic day=0 period=0\n"
         + "REGISTER_TEACHER name=T designation=prof contact=1 email=t@u\n"
@@ -239,7 +233,7 @@ def test_assign_teacher_conflict_and_overwrite():
 
 
 def test_exam_thresholds_through_agents():
-    result = run_lines(
+    result = runs.run(
         CLASS_PREFIX
         + "DELIVER_LECTURE class_id=1 subject=Math times=15\n"
         + "SCHEDULE_EXAM term=mid class_id=1 subject=Math date=2025-05-01\n"
@@ -254,7 +248,7 @@ def test_exam_thresholds_through_agents():
 
 
 def test_same_day_conflict_through_agents():
-    result = run_lines(
+    result = runs.run(
         CLASS_PREFIX
         + "DELIVER_LECTURE class_id=1 subject=Math times=32\n"
         + "SCHEDULE_EXAM term=mid class_id=1 subject=Math date=2025-05-01\n"
@@ -267,7 +261,7 @@ def test_same_day_conflict_through_agents():
 @pytest.mark.parametrize("spelling", ["2025-W18-4", "20250501"])
 def test_exam_date_in_another_iso_spelling_is_refused(spelling):
     # date.fromisoformat reads both as 2025-05-01; only that form is a date
-    result = run_lines(
+    result = runs.run(
         CLASS_PREFIX
         + "DELIVER_LECTURE class_id=1 subject=Math times=32\n"
         + "SCHEDULE_EXAM term=mid class_id=1 subject=Math date=2025-05-01\n"
@@ -286,7 +280,7 @@ RESULT_PREFIX = CLASS_PREFIX + "ADMIT student_id=1 p_id=1\n"
 
 @pytest.mark.parametrize("marks,status", [(-1, "refused"), (0, "ok"), (100, "ok"), (101, "refused")])
 def test_marks_boundaries_through_agents(marks, status):
-    result = run_lines(
+    result = runs.run(
         RESULT_PREFIX + f"RECORD_RESULT student_id=1 class_id=1 subject=Math marks={marks}\n"
     )
     assert result.outcomes[5].status == status
@@ -296,7 +290,7 @@ def test_marks_boundaries_through_agents(marks, status):
 
 
 def test_report_on_empty_store_is_zero_rows_not_absent():
-    result = run_lines(SESSION + "GENERATE_REPORT kind=admissions_per_year\n")
+    result = runs.run(SESSION + "GENERATE_REPORT kind=admissions_per_year\n")
     assert result.outcomes[1].status == "ok"
     assert result.outcomes[1].reply.args[1] == "0"
     assert result.reports == []
@@ -311,12 +305,12 @@ def test_teacher_student_ratio_by_brute_force_counts():
     for i in range(60):
         lines.append(f"REGISTER_STUDENT st_id=C{i:03d} name=S{i} dept=CS")
     lines.append("GENERATE_REPORT kind=teacher_student_ratio")
-    result = run_lines("\n".join(lines) + "\n")
+    result = runs.run("\n".join(lines) + "\n")
     assert result.reports == ["teacher_student_ratio|teachers_to_students|3/60"]
 
 
 def test_zero_denominator_is_undefined_marker():
-    result = run_lines(SESSION + "GENERATE_REPORT kind=teacher_student_ratio\n")
+    result = runs.run(SESSION + "GENERATE_REPORT kind=teacher_student_ratio\n")
     assert result.reports == ["teacher_student_ratio|teachers_to_students|undefined"]
 
 
@@ -335,10 +329,10 @@ def _trace_report_lines(result) -> list[str]:
 
 def test_reports_are_the_report_replies_in_trace_order():
     # runs without a crash: a crash can drop a reply the trace already shows
-    result = fuzz(3, 3000)
+    result = runs.fuzz(3, 3000)
     assert result.cfg.pipeline_window == 8
     assert result.reports and result.reports == _trace_report_lines(result)
-    broken = run_lines((SCENARIOS / "reports.scn").read_text(), RunConfig(inject="p11"))
+    broken = runs.scenario("reports.scn", RunConfig(inject="p11"))
     assert broken.reports == _trace_report_lines(broken) == []
 
 
@@ -398,12 +392,11 @@ def test_report_agent_under_p11_answers_an_absent_report():
 def test_report_replies_within_four_rounds():
     # gateway -> RPA -> OA, store, OA -> RPA -> gateway: as many rounds as a
     # relayed write
-    result = run_scenario(parse_scenario((SCENARIOS / "reports.scn").read_text()))
+    result = runs.scenario("reports.scn")
     assert result.cfg.pipeline_window == 1
     assert result.monitor.max_reply_latency == 4
 
 
-GOLDEN_CFG = {"sessions.scn": RunConfig(cap=3)}
 FINAL_REPORTS = "".join(f"GENERATE_REPORT kind={kind}\n" for kind in REPORT_KINDS)
 #: Graduation in the year of the latest of several final-semester results.
 SPREAD_FINALS = (
@@ -466,8 +459,6 @@ TRAP_CASES = {
         RunConfig(inject="p4"),
     ),
 }
-#: All the traps in one run, with reports between the writes.
-TRAPS = Path(__file__).parent / "data" / "traps.scn"
 REPORT_CASES = [p.name for p in sorted(SCENARIOS.glob("*.scn"))] + [
     "fuzz1", "fuzz2", "fuzz3", "empty", "spread_finals", "traps", "traps+p4", *TRAP_CASES
 ]
@@ -507,7 +498,7 @@ def test_live_reports_equal_reference_from_dump(case):
 
 
 def test_graduates_and_admissions_reports():
-    result = run_lines(
+    result = runs.run(
         SESSION
         + "REGISTER_STUDENT st_id=1 name=A dept=CS\n"
         + "REGISTER_STUDENT st_id=2 name=B dept=CS\n"
@@ -691,7 +682,7 @@ def test_the_orchestrator_replies_once_to_every_command_it_issues():
 
 
 def test_exactly_one_reply_per_request_in_trace():
-    result = run_lines(
+    result = runs.run(
         SESSION
         + "REGISTER_STUDENT st_id=111 name=Ali dept=CS\n"
         + "REGISTER_STUDENT st_id=111 name=Ali dept=CS\n"
@@ -713,13 +704,13 @@ def test_exactly_one_reply_per_request_in_trace():
 def test_journal_state_equivalence_after_run():
     from unimas.store import replay
 
-    result = run_lines(ADMISSION_PREFIX + "ADMIT student_id=1 p_id=1\n")
+    result = runs.run(ADMISSION_PREFIX + "ADMIT student_id=1 p_id=1\n")
     rebuilt = replay(result.store.journal_lines, result.cfg)
     assert rebuilt.dump() == result.store.dump()
 
 
 def test_only_orchestrator_produces_commands():
-    result = run_lines(ADMISSION_PREFIX + "ADMIT student_id=1 p_id=1\n")
+    result = runs.run(ADMISSION_PREFIX + "ADMIT student_id=1 p_id=1\n")
     store_kinds = ("domain_event", "refusal", "session_open", "session_close")
     events = parse_trace(result.log.text().splitlines())
     producers = {e.sender for e in events if e.kind in store_kinds and e.receiver == "store"}
@@ -729,9 +720,9 @@ def test_only_orchestrator_produces_commands():
 def test_roster_is_ten_agents_registered_before_commands():
     world, _ = build_world()
     assert tuple(world.agents) == ROSTER and len(ROSTER) == 10
-    # every agent but the gateway advances all its intentions in one cycle;
-    # the gateway, one request per round, is the throttle
-    assert [a for a in ROSTER if not world.agents[a].advance_every_intention] == [GATEWAY]
+    # every program but the gateway's advances all its intentions in one
+    # cycle; the gateway, one request per round, is the throttle
+    assert [a for a in ROSTER if not world.agents[a].plan_library.advance_every_intention] == [GATEWAY]
     # a program is built once: two worlds share every one but the report
     # agent's, which is built from the config, and the seven relays share one
     other, _ = build_world()
@@ -749,9 +740,9 @@ def test_every_request_is_served_by_a_roster_agent():
 def test_liveness_floor_is_the_longest_reply_path_a_run_takes():
     # a relayed request (here a report) takes GW -> relay -> OA and back
     relayed = (SCENARIOS / "lifecycle.scn").read_text() + "GENERATE_REPORT kind=attendance\n"
-    result = run_lines(relayed)
+    result = runs.run(relayed)
     assert result.cfg.pipeline_window == 1
     assert result.monitor.max_reply_latency == MIN_LIVENESS_K == 4
     # a session command takes GW -> OA and back
-    direct = run_lines(SESSION + "CLOSE_SESSION sid=1\n")
+    direct = runs.run(SESSION + "CLOSE_SESSION sid=1\n")
     assert direct.monitor.max_reply_latency == 2

@@ -1,7 +1,7 @@
 """Kernel oracles: every behavior here is either a spec-stated example or a
 hand-derived trace frozen as a golden file."""
 
-from dataclasses import MISSING, fields, replace
+from dataclasses import MISSING, fields
 from pathlib import Path
 from typing import Sequence
 
@@ -47,7 +47,6 @@ def _copy(state: AgentState) -> AgentState:
         list(state.intentions),
         state.next_seq,
         list(state.percepts),
-        state.advance_every_intention,
     )
 
 
@@ -245,7 +244,7 @@ def test_a_quiescent_step_sends_nothing_and_changes_nothing(every):
     result = step(agent, [])
     assert result.outbox == () and result.commands == ()
     assert _observable(result.state) == _observable(agent)
-    assert result.state.advance_every_intention is every
+    assert result.state.plan_library.advance_every_intention is every
 
 
 @pytest.mark.parametrize("performative", [Performative.REQUEST, *REPLIES])
@@ -439,10 +438,10 @@ def test_every_intention_advances_once_per_cycle_oldest_first():
         Plan(name="cmd", goal="cmd", body=(_command("cmd"),)),
         Plan(name="late", goal="late", body=(_command("late"),)),
     ]
-    agent = make_agent("A", plans)
+    agent = make_agent("A", plans, advance_every_intention=True)
     for goal in ("two", "broken", "spawn", "send", "cmd", "send"):
         agent = adopt_goal(agent, goal, ())
-    first = step(replace(agent, advance_every_intention=True), [])
+    first = step(agent, [])
     # one step each, in adoption order; the failed one does not stop the rest
     assert [(c.name, c.conversation) for c in first.commands] == [("two_1", "A:0"), ("cmd", "A:4")]
     assert [(e.content.name, e.conversation) for e in first.outbox] == [
@@ -458,7 +457,7 @@ def test_every_intention_advances_once_per_cycle_oldest_first():
     assert [c.name for c in second.commands] == ["late"]
     assert [e.content.name for e in second.outbox] == ["two_2"]
     assert second.state.intentions == [] and second.state.goals == []
-    assert second.state.advance_every_intention
+    assert second.state.plan_library.advance_every_intention
 
 
 # -- step never mutates its input -----------------------------------------------
@@ -653,7 +652,7 @@ def test_the_successor_has_every_field_and_shares_no_list_with_its_input():
     after = assert_step_agrees_with_reference(state, []).state
     assert after.percepts == [] and after.goals == state.goals and after.next_seq == state.next_seq
     assert after.beliefs == state.beliefs | {Belief("p", ())}
-    assert after.advance_every_intention and after.id == "A"
+    assert after.plan_library.advance_every_intention and after.id == "A"
 
 
 def _message_plan(name, goal, performative=PERFORMATIVES):

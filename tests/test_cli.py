@@ -1,14 +1,12 @@
 import hashlib
-from pathlib import Path
 
 import pytest
+from runs import SCENARIOS
 
 from unimas.cli import main
 from unimas.store import replay
 from unimas.terms import encode_blob
 from unimas.trace import BLOCK_LINES
-
-SCENARIOS = Path(__file__).parent.parent / "scenarios"
 
 
 def run_cli(*argv: str) -> int:

@@ -16,18 +16,15 @@ from pathlib import Path
 
 from dataclasses import replace
 
-from test_acceptance import GOLDEN, GOLDEN_CFG, MUTATIONS, SCENARIOS
-from test_agents import TRAPS
+import runs
+from runs import GOLDEN, SCENARIOS, TRAPS
+from test_acceptance import MUTATIONS
 
 from unimas.config import RunConfig
-from unimas.fuzz import fuzz, generate
-from unimas.scenario import RunResult, load_test, parse_scenario, run_scenario
+from unimas.fuzz import generate
+from unimas.scenario import RunResult
 
 HASHES = Path(__file__).parent / "data" / "golden_hashes.txt"
-
-
-def _scenario(name: str, cfg: RunConfig, **crash) -> RunResult:
-    return run_scenario(parse_scenario((SCENARIOS / name).read_text()), cfg, **crash)
 
 
 def _with_crash_lines() -> str:
@@ -39,31 +36,23 @@ def _with_crash_lines() -> str:
 
 def _runs():
     for name in GOLDEN:
-        yield name, lambda name=name: _scenario(name, GOLDEN_CFG.get(name, RunConfig()))
-    yield "reports.scn+inject=p11", lambda: _scenario("reports.scn", RunConfig(inject="p11"))
-    yield "fuzz-seed1-2000", lambda: fuzz(1, 2000)
-    yield "traps.scn+inject=p4", lambda: run_scenario(
-        parse_scenario(TRAPS.read_text()), RunConfig(inject="p4")
-    )
+        yield name, lambda name=name: runs.scenario(name)
+    yield "reports.scn+inject=p11", lambda: runs.scenario("reports.scn", RunConfig(inject="p11"))
+    yield "fuzz-seed1-2000", lambda: runs.fuzz(1, 2000)
+    yield "traps.scn+inject=p4", lambda: runs.scenario(TRAPS, RunConfig(inject="p4"))
     # each guard-off path, under the flag its mutation case detects
     for flag, (text, cfg) in MUTATIONS.items():
         injected = replace(cfg, inject=flag)
-        yield f"mutation-{flag}+inject={flag}", lambda text=text, cfg=injected: run_scenario(
-            parse_scenario(text), cfg
-        )
+        yield f"mutation-{flag}+inject={flag}", lambda text=text, cfg=injected: runs.run(text, cfg)
     # crashed runs: at a journal index, at CRASH lines, and both at once
     for torn in (False, True):
-        yield f"lifecycle.scn+crash_at=25+torn={torn}", lambda torn=torn: _scenario(
+        yield f"lifecycle.scn+crash_at=25+torn={torn}", lambda torn=torn: runs.scenario(
             "lifecycle.scn", RunConfig(), crash_at=25, torn=torn
         )
-    yield "lifecycle.scn+CRASH-lines+window=8", lambda: run_scenario(
-        parse_scenario(_with_crash_lines()), RunConfig(pipeline_window=8)
-    )
-    yield "lifecycle.scn+CRASH-lines+crash_at=10", lambda: run_scenario(
-        parse_scenario(_with_crash_lines()), RunConfig(), crash_at=10
-    )
+    yield "lifecycle.scn+CRASH-lines+window=8", lambda: runs.run(_with_crash_lines(), RunConfig(pipeline_window=8))
+    yield "lifecycle.scn+CRASH-lines+crash_at=10", lambda: runs.run(_with_crash_lines(), crash_at=10)
     # a deep gateway queue: window 64, so the gateway holds about 60 goals
-    yield "load+cap=1000+clients=1001", lambda: load_test(RunConfig(cap=1000), clients=1001).result
+    yield "load+cap=1000+clients=1001", lambda: runs.load(RunConfig(cap=1000), 1001).result
 
 
 def _line(name: str, result: RunResult) -> str:

@@ -3,12 +3,12 @@ from collections import defaultdict
 
 import pytest
 
+import runs
 from oracle import REQUIRED_COMMAND_FIELDS, REQUIRED_ROW_FIELDS, naive_statuses
-from test_acceptance import GOLDEN, GOLDEN_CFG, SCENARIOS
+from runs import GOLDEN, SCENARIOS
 from test_golden_hashes import _with_crash_lines
-from unimas.bdi import BelieveStep, MessageMatch, Plan, make_agent
 from unimas.config import RunConfig
-from unimas.fuzz import fuzz, fuzz_config, generate
+from unimas.fuzz import fuzz_config, generate
 from unimas.monitor import (
     HOLDS,
     INCONCLUSIVE,
@@ -22,7 +22,7 @@ from unimas.monitor import (
 )
 from unimas.scenario import ScenarioRunner, parse_scenario, run_scenario
 from unimas.store import OPTIONAL_ROW_FIELDS, SCHEMAS, TABLE_FIELDS, Store
-from unimas.terms import Command, Performative, encode_blob
+from unimas.terms import Command, encode_blob
 from unimas.trace import BLOCK_LINES, TraceEvent, parse_trace
 
 
@@ -46,11 +46,9 @@ def test_command_fields_refuse_bad_syntax():
 
 
 def _traffic():
-    for name in GOLDEN:
-        commands = parse_scenario((SCENARIOS / name).read_text())
-        yield run_scenario(commands, GOLDEN_CFG.get(name, RunConfig()))
+    yield from map(runs.scenario, GOLDEN)
     for seed in (1, 2, 3):
-        yield fuzz(seed, 2000)
+        yield runs.fuzz(seed, 2000)
 
 
 def test_command_fields_equal_the_parsed_command_on_real_traffic():
@@ -420,19 +418,7 @@ def test_reply_after_bound_violates():
 
 
 def test_non_replying_agent_stub_violates_p12():
-    from unimas.scenario import ScenarioRunner
-
-    runner = ScenarioRunner(RunConfig())
-    swallow = Plan(
-        name="swallow",
-        goal="swallow",
-        when=MessageMatch(Performative.REQUEST),
-        body=(BelieveStep(lambda agent_id, goal: []),),
-    )
-    runner.world.agents["SA"] = make_agent("SA", [swallow])
-    result = runner.run(
-        parse_scenario("OPEN_SESSION dept=CS\nREGISTER_STUDENT st_id=1 name=A dept=CS\n")
-    )
+    result = runs.silent_sa()
     assert result.quiescent  # the request died quietly, world settled
     assert statuses(result.verdicts)[PropertyId.P12] == VIOLATED
     assert all(
@@ -610,7 +596,7 @@ def _one_edit_mutants(lines, rng, count):
 
 @pytest.mark.parametrize("seed", [1, 2])
 def test_monitor_and_naive_oracle_agree_on_one_edit_mutants_of_a_fuzz_trace(seed):
-    lines = fuzz(seed, 100).log.text().splitlines()
+    lines = runs.fuzz(seed, 100).log.text().splitlines()
     _assert_monitor_and_naive_oracle_agree_on_mutants(lines, fuzz_config(seed), seed)
 
 
@@ -752,7 +738,7 @@ def test_the_monitor_keeps_only_open_conversations_and_none_after_a_quiescent_ru
     events = []
     runner.world.observers.append(events.append)
     result = runner.run(generate(1, 2000, cfg))
-    assert result.trace_hash == fuzz(1, 2000).trace_hash
+    assert result.trace_hash == runs.fuzz(1, 2000).trace_hash
     assert result.quiescent
 
     stepped = Monitor(cfg)
@@ -777,13 +763,11 @@ def test_the_monitor_keeps_only_open_conversations_and_none_after_a_quiescent_ru
 
 def test_streamed_offline_verdicts_equal_live_ones_on_every_golden_scenario(tmp_path):
     for name in GOLDEN:
-        commands = parse_scenario((SCENARIOS / name).read_text())
-        cfg = GOLDEN_CFG.get(name, RunConfig())
-        live = run_scenario(commands, cfg)
+        live = runs.scenario(name)
         path = tmp_path / f"{name}.trace"
         path.write_text(live.log.text())
         with open(path) as lines:
-            offline = evaluate_trace(parse_trace(lines), cfg)
+            offline = evaluate_trace(parse_trace(lines), live.cfg)
         assert [v.render() for v in offline] == [v.render() for v in live.verdicts], name
 
 
@@ -827,7 +811,7 @@ def _assert_readers_get_each_event_once_in_order(commands, cfg=RunConfig(), **cr
 @pytest.mark.parametrize("past", [-1, 0, 1])
 def test_a_run_ending_at_a_block_boundary_is_read_once_in_order(block, past):
     events = block * BLOCK_LINES - 1 + past  # a block is full at BLOCK_LINES - 1 events
-    pad = events - run_scenario(_padded(0)).log.next_seq
+    pad = events - runs.run(LIFECYCLE).log.next_seq
     result = _assert_readers_get_each_event_once_in_order(_padded(pad))
     assert result.log.next_seq == events and result.exit_code == 0
 
@@ -862,19 +846,17 @@ def test_a_crashed_or_cut_off_run_is_read_once_in_order(commands, cfg, crash, sn
 def test_offline_verdicts_equal_the_naive_oracles_on_crashed_runs():
     # each crash's snapshot replaces the keys, open sessions and lecture
     # counts seen before it, and a torn record's command is driven again
-    lifecycle = parse_scenario(LIFECYCLE)
-    runs = [
-        (lifecycle, RunConfig(pipeline_window=window), at, torn)
-        for window in (1, 8)
-        for at in range(51)
-        for torn in (False, True)
-    ]
+    crashed = list(runs.crashed_lifecycle())
     for seed in (1, 2, 3):
         cfg = fuzz_config(seed)
         commands = generate(seed, 300, cfg)
-        runs += [(commands, cfg, at, torn) for at in (20, 60, 100, 150, 200) for torn in (False, True)]
-    for commands, cfg, at, torn in runs:
-        lines = run_scenario(commands, cfg, crash_at=at, torn=torn).log.text().splitlines()
+        crashed += [
+            (cfg, at, torn, run_scenario(commands, cfg, crash_at=at, torn=torn))
+            for at in (20, 60, 100, 150, 200)
+            for torn in (False, True)
+        ]
+    for cfg, at, torn, result in crashed:
+        lines = result.log.text().splitlines()
         offline = {v.property.value: v.status for v in evaluate_trace(parse_trace(lines), cfg)}
         assert offline == naive_statuses(parse_trace(lines), cfg), (cfg, at, torn)
 
@@ -888,6 +870,6 @@ def test_offline_verdicts_equal_the_naive_oracles_on_crashed_runs():
     ids=["crash_lines", "crash_at_torn"],
 )
 def test_monitor_and_naive_oracle_agree_on_one_edit_mutants_of_a_crashed_run(text, cfg, crash):
-    lines = run_scenario(parse_scenario(text), cfg, **crash).log.text().splitlines()
+    lines = runs.run(text, cfg, **crash).log.text().splitlines()
     assert sum(line.split("|")[2] == "snapshot" for line in lines[1:-1]) > 1  # it crashed
     _assert_monitor_and_naive_oracle_agree_on_mutants(lines, cfg, 1)

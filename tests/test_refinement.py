@@ -20,8 +20,8 @@ from dataclasses import replace
 from itertools import product
 
 import pytest
-from test_acceptance import GOLDEN, GOLDEN_CFG, SCENARIOS
-from test_agents import TRAPS
+import runs
+from runs import GOLDEN, GOLDEN_CFG, SCENARIOS, TRAPS
 
 from unimas import scenario
 from unimas.agents import build_report
@@ -60,9 +60,9 @@ def sequential_model(commands: list[ScenarioCommand], cfg: RunConfig):
     return outcomes, store.dump()
 
 
-def mismatch(commands: list[ScenarioCommand], cfg: RunConfig) -> str | None:
-    """Where the run of ``commands`` parts from the sequential model, if it does."""
-    result = run_scenario(commands, cfg)
+def mismatch(commands: list[ScenarioCommand], cfg: RunConfig, result=None) -> str | None:
+    """Where the run of ``commands`` (``result`` if given) parts from the sequential model, if it does."""
+    result = result or run_scenario(commands, cfg)
     outcomes, dump = sequential_model(commands, cfg)
     plain = [c for c in commands if c.verb not in (CRASH, EXPECT_REFUSAL)]
     ran = [(o.status, o.reason, o.reply) for o in result.outcomes]
@@ -77,14 +77,15 @@ def test_scenario_runs_equal_their_commands_applied_to_one_store(window):
     for name in (*GOLDEN, TRAPS):
         path = SCENARIOS / name  # TRAPS is a whole path
         cfg = replace(GOLDEN_CFG.get(name, RunConfig()), pipeline_window=window)
-        assert mismatch(parse_scenario(path.read_text()), cfg) is None, name
+        assert mismatch(parse_scenario(path.read_text()), cfg, runs.scenario(name, cfg)) is None, name
 
 
 @pytest.mark.parametrize("window", [1, 8])
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_fuzz_runs_equal_their_commands_applied_to_one_store(seed, window):
     cfg = RunConfig(seed=seed, pipeline_window=window)
-    assert mismatch(generate(seed, 3000, cfg), cfg) is None
+    fuzzed = runs.fuzz(seed, 3000) if window == 8 else None  # a fuzz run is at window 8
+    assert mismatch(generate(seed, 3000, cfg), cfg, fuzzed) is None
 
 
 #: Two opens, a close, one command of each other verb, and two reports.

@@ -5,6 +5,7 @@ from dataclasses import fields, replace
 from functools import cache
 
 import pytest
+import runs
 from hypothesis import given, settings, strategies as st
 
 from unimas import scenario, terms
@@ -215,23 +216,15 @@ def test_gateway_requires_open_session():
 
 
 def test_expect_refusal_passes_on_refusal_and_fails_on_accept():
-    refused = run_scenario(
-        parse_scenario(
-            "OPEN_SESSION dept=CS\n"
-            "REGISTER_STUDENT st_id=1 name=A dept=CS\n"
-            "REGISTER_STUDENT st_id=1 name=A dept=CS\n"
-            "EXPECT_REFUSAL reason=Student_Already_Registerd\n"
-        )
+    refused = runs.run(
+        "OPEN_SESSION dept=CS\n"
+        "REGISTER_STUDENT st_id=1 name=A dept=CS\n"
+        "REGISTER_STUDENT st_id=1 name=A dept=CS\n"
+        "EXPECT_REFUSAL reason=Student_Already_Registerd\n"
     )
     assert refused.exit_code == 0 and not refused.expectation_failures
 
-    accepted = run_scenario(
-        parse_scenario(
-            "OPEN_SESSION dept=CS\n"
-            "REGISTER_STUDENT st_id=1 name=A dept=CS\n"
-            "EXPECT_REFUSAL\n"
-        )
-    )
+    accepted = runs.run("OPEN_SESSION dept=CS\nREGISTER_STUDENT st_id=1 name=A dept=CS\nEXPECT_REFUSAL\n")
     assert accepted.exit_code == 2
     assert accepted.expectation_failures
 
@@ -250,12 +243,8 @@ def test_truncated_run_reports_an_unanswered_expectation_as_no_reply():
 
 
 def test_injected_run_exits_2_with_expected_property():
-    result = run_scenario(
-        parse_scenario(
-            "OPEN_SESSION dept=CS\n"
-            "REGISTER_STUDENT st_id=1 name=A dept=CS\n"
-            "REGISTER_STUDENT st_id=1 name=A dept=CS\n"
-        ),
+    result = runs.run(
+        "OPEN_SESSION dept=CS\nREGISTER_STUDENT st_id=1 name=A dept=CS\nREGISTER_STUDENT st_id=1 name=A dept=CS\n",
         RunConfig(inject="p1"),
     )
     assert result.exit_code == 2
@@ -331,15 +320,16 @@ def test_crash_marker_in_scenario():
 def test_a_crash_restarts_the_agents_in_the_one_world_under_fresh_conversation_ids(monkeypatch):
     """Crashed at a journal index with a request in flight, its store event
     kept or torn, and at CRASH lines at window 8.  Each agent restarts on
-    the program it runs, with its throttle flag and conversation seq, and
-    nothing else of its mind or its mailbox; the crash builds no plan."""
+    the program it runs, its throttle flag with it, and its conversation
+    seq, and nothing else of its mind or its mailbox; the crash builds no
+    plan."""
     from test_golden_hashes import _with_crash_lines
     from unimas.bdi import PlanLibrary
     from unimas.trace import parse_trace
 
     builds = []
     build = PlanLibrary.__init__
-    monkeypatch.setattr(PlanLibrary, "__init__", lambda self, plans=(): builds.append(1) or build(self, plans))
+    monkeypatch.setattr(PlanLibrary, "__init__", lambda self, *args, **kw: builds.append(1) or build(self, *args, **kw))
 
     runs = [(RunConfig(), CRASH_TEXT, {"crash_at": 4, "torn": torn}) for torn in (False, True)]
     runs.append((RunConfig(pipeline_window=8), _with_crash_lines(), {}))
@@ -349,15 +339,14 @@ def test_a_crash_restarts_the_agents_in_the_one_world_under_fresh_conversation_i
         world = runner.world
 
         def restart(torn, crash_once=runner._crash, agents=world.agents, mailboxes=world.mailboxes):
-            kept = {aid: (a.plan_library, a.advance_every_intention, a.next_seq) for aid, a in agents.items()}
+            kept = {aid: (a.plan_library, a.next_seq) for aid, a in agents.items()}
             busy.append(any(a.intentions or a.percepts or mailboxes[a.id] for a in agents.values()))
             built = len(builds)
             redo = crash_once(torn)
             assert len(builds) - built == 0, "plan libraries built in a crash"
             for aid, state in agents.items():
-                program, every, seq = kept[aid]
-                assert state.plan_library is program and state.advance_every_intention is every, aid
-                assert state.next_seq == seq, aid
+                program, seq = kept[aid]
+                assert state.plan_library is program and state.next_seq == seq, aid
                 mind = (state.beliefs, state.goals, state.intentions, state.percepts, mailboxes[aid])
                 assert not any(mind), aid
             return redo
@@ -390,7 +379,7 @@ def test_load_at_capacity_all_granted():
 
 
 def test_load_over_capacity_busy():
-    summary = load_test(RunConfig(cap=10), clients=11)
+    summary = runs.load(RunConfig(cap=10), 11)
     assert (summary.granted, summary.busy) == (10, 1)
     assert summary.result.exit_code == 0  # busy refusals are correct behavior
 
@@ -414,12 +403,12 @@ def test_fuzz_same_seed_same_hash():
 
 
 def test_fuzz_different_seeds_differ():
-    assert fuzz(1, 100).trace_hash != fuzz(2, 100).trace_hash
+    assert runs.fuzz(1, 100).trace_hash != runs.fuzz(2, 100).trace_hash
 
 
 def test_fuzz_small_sweep_no_violations():
     for seed in range(1, 4):
-        result = fuzz(seed, 120)
+        result = runs.fuzz(seed, 120)
         assert result.exit_code == 0, [v.render() for v in result.verdicts if v.status != "holds"]
         assert result.quiescent
 
@@ -587,7 +576,7 @@ def test_one_verb_stream_keeps_reply_latency_bounded(text, window):
 def test_fuzzed_journal_replays_to_identical_store(seed):
     from unimas.store import replay
 
-    result = fuzz(seed, 150)
+    result = runs.fuzz(seed, 150)
     rebuilt = replay(result.store.journal_lines, result.cfg)
     assert rebuilt.dump() == result.store.dump()
 

@@ -1,13 +1,13 @@
 import re
-from pathlib import Path
 
 import pytest
+import runs
 from hypothesis import given, strategies as st
 from oracle import parse_dump, reference_report
+from runs import TRAPS
 
 from unimas.agents import build_report
 from unimas.config import RunConfig
-from unimas.scenario import parse_scenario, run_scenario
 from unimas.store import (
     ALREADY_REGISTERED,
     BUSY,
@@ -357,13 +357,12 @@ def test_report_query_answer_is_its_aggregate_rows_only(store):
 
 # -- journal / replay -----------------------------------------------------------
 
-TRAPS = Path(__file__).parent / "data" / "traps.scn"
 P4 = RunConfig(inject="p4")
 
 
 def _trap_store() -> Store:
     """The live store after every report-aggregate trap, re-admissions included."""
-    return run_scenario(parse_scenario(TRAPS.read_text()), P4).store
+    return runs.scenario(TRAPS, P4).store
 
 
 def test_recovered_reports_equal_reference_at_every_journal_prefix():
@@ -425,9 +424,6 @@ def test_truncated_journal_halts_at_bad_seq():
     assert len(rebuilt.journal_lines) == 4
 
 
-LIFECYCLE = Path(__file__).parent.parent / "scenarios" / "lifecycle.scn"
-
-
 def _reframe(seq: str, name: str, kv: str) -> str:
     payload = f"{seq}|{name}|{kv}"
     return f"{payload}|{_crc(payload)}"
@@ -453,7 +449,7 @@ RECORD_EDITS = {
 
 @pytest.mark.parametrize("detail,edit", RECORD_EDITS.values(), ids=list(RECORD_EDITS))
 def test_a_corrupt_record_halts_replay_at_its_seq_and_recovery_keeps_the_records_before_it(detail, edit):
-    journal = run_scenario(parse_scenario(LIFECYCLE.read_text()), RunConfig()).store.journal_lines
+    journal = runs.scenario("lifecycle.scn").store.journal_lines
     at = 9  # seq 10
     lines = list(journal)
     lines[at] = edit(*lines[at].split("|"))
@@ -464,6 +460,25 @@ def test_a_corrupt_record_halts_replay_at_its_seq_and_recovery_keeps_the_records
     assert bad.seq == 10
     assert rebuilt.journal_lines == journal[:at]
     assert rebuilt.dump() == replay(journal[:at], RunConfig()).dump()
+
+
+def test_recovery_keeps_whole_records_only():
+    # every record of a real journal with one field set to x, 999 or empty,
+    # its checksum recomputed: a record that _mutate cannot apply may have
+    # written rows before it raised, and none of them may be kept
+    journal = runs.scenario("lifecycle.scn").store.journal_lines
+    for at, line in enumerate(journal):
+        seq, name, kv, _ = line.split("|")
+        args, conversation = kv.rsplit(",_conv=", 1)
+        pairs = args.split(",")
+        for i, pair in enumerate(pairs):
+            for value in ("x", "999", ""):
+                edited = [*pairs[:i], f"{pair.split('=')[0]}={value}", *pairs[i + 1 :]]
+                lines = [*journal[:at], _reframe(seq, name, f"{','.join(edited)},_conv={conversation}")]
+                lines += journal[at + 1 :]
+                store, bad = recover(lines, RunConfig())
+                kept = lines if bad is None else lines[: bad.seq - 1]
+                assert store.dump() == replay(kept, RunConfig()).dump(), (at, pair, value)
 
 
 def test_journal_records_read_back_their_conversations():

@@ -7,11 +7,12 @@ from dataclasses import replace
 import pytest
 from hypothesis import given, strategies as st
 
-from test_acceptance import GOLDEN, MUTATIONS, _run_golden
+import runs
+from runs import GOLDEN
+from test_acceptance import MUTATIONS
 from unimas.config import parse_header
 from unimas.monitor import VIOLATED, evaluate_trace
 from unimas.runtime import World
-from unimas.scenario import parse_scenario, run_scenario
 from unimas.trace import BLOCK_LINES, KINDS, TraceEvent, TraceLog, parse_trace
 
 # any text a field can carry on a line: no field separator, no line break
@@ -159,12 +160,12 @@ def _events_and_verdicts(first, second):
 def test_parse_trace_reads_lines_with_newlines_as_it_reads_split_lines(tmp_path):
     # a trace read from a file keeps each line's newline; the golden runs
     # and every injected fault must read the same events and verdicts both ways
-    runs = [_run_golden(name) for name in GOLDEN]
+    results = [runs.scenario(name) for name in GOLDEN]
     for flag, (text, cfg) in MUTATIONS.items():
-        runs.append(run_scenario(parse_scenario(text), replace(cfg, inject=flag)))
+        results.append(runs.run(text, replace(cfg, inject=flag)))
     path = tmp_path / "trace.txt"
     violated = 0
-    for result in runs:
+    for result in results:
         text = result.log.text()
         split = text.splitlines()
         expected = _events_and_verdicts(split, split)
